@@ -2,10 +2,11 @@
 //! truncation, verified point reads, dead-byte accounting for the
 //! compactor, and a crash/tamper fault hook for the chaos harness.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 
 use crate::record::{DecodedRecord, RecordKind, RecordPtr, Sealer, MAX_FRAME_LEN, MIN_FRAME_LEN};
 use crate::{segment_path, LogConfig, LogError};
@@ -74,6 +75,23 @@ pub type AppendFaultHook = Box<dyn FnMut(&mut Vec<u8>) -> Option<usize> + Send>;
 /// one block of the 2^64 seqno space.
 const SEQNO_RESERVE_STEP: u64 = 1 << 16;
 
+/// Sealed-segment read handles kept open at once (one fd each). A
+/// sealed segment never changes, so a handle stays valid until
+/// [`SegmentLog::remove_segment`] drops it; past this many, the
+/// longest-held handle is closed.
+const READ_HANDLES: usize = 64;
+
+/// Open segment `id` for appending. Readable too: point reads into the
+/// active segment go through this same handle.
+fn open_writer(dir: &Path, id: u64) -> Result<File, LogError> {
+    OpenOptions::new()
+        .create(true)
+        .read(true)
+        .append(true)
+        .open(segment_path(dir, id))
+        .map_err(|e| LogError::io("open-segment", e))
+}
+
 /// An append-only log of sealed records split across rotated segment
 /// files. All reads verify CRC + MAC before returning plaintext.
 pub struct SegmentLog {
@@ -102,6 +120,12 @@ pub struct SegmentLog {
     /// Data fsyncs issued (append path + explicit syncs), for tests and
     /// telemetry to verify group-commit actually coalesces.
     syncs: u64,
+    /// Read handles of sealed segments, oldest first; at most
+    /// [`READ_HANDLES`], never the active segment.
+    readers: VecDeque<(u64, File)>,
+    /// Point reads attempted, for tests to verify that maintenance
+    /// reads only what it moves.
+    reads: u64,
     fault_hook: Option<AppendFaultHook>,
 }
 
@@ -147,12 +171,7 @@ impl SegmentLog {
 
         let active_id = ids.last().copied().unwrap_or(0);
         stats.entry(active_id).or_default();
-        let path = segment_path(&cfg.dir, active_id);
-        let mut writer = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| LogError::io("open-segment", e))?;
+        let mut writer = open_writer(&cfg.dir, active_id)?;
         let active_len =
             writer.seek(SeekFrom::End(0)).map_err(|e| LogError::io("seek-segment", e))?;
 
@@ -169,6 +188,8 @@ impl SegmentLog {
             reserved,
             unsynced_bytes: 0,
             syncs: 0,
+            readers: VecDeque::new(),
+            reads: 0,
             fault_hook: None,
         })
     }
@@ -266,40 +287,53 @@ impl SegmentLog {
         self.active_id += 1;
         self.active_len = 0;
         self.stats.entry(self.active_id).or_default();
-        let path = segment_path(&self.dir, self.active_id);
-        self.writer = OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open(&path)
-            .map_err(|e| LogError::io("open-segment", e))?;
+        self.writer = open_writer(&self.dir, self.active_id)?;
         Ok(())
     }
 
     /// Read and verify the record at `ptr`. Any mismatch between the
     /// bytes on disk and what was sealed is a typed error, never a
-    /// wrong answer.
+    /// wrong answer. One positional read on an already-open handle:
+    /// the writer's for the active segment (appends are unbuffered, so
+    /// an indexed record's bytes are already in the file), a cached
+    /// one for a sealed segment.
     pub fn read(
         &mut self,
         ptr: RecordPtr,
     ) -> Result<(RecordKind, Vec<u8>, Vec<u8>, u64), LogError> {
-        if ptr.segment == self.active_id {
-            // The writer's append cursor and a reader share the file;
-            // flush ordering is append-before-index-update, so the
-            // bytes are already there.
-            self.writer.flush().map_err(|e| LogError::io("flush", e))?;
-        }
-        let path = segment_path(&self.dir, ptr.segment);
-        let mut f = File::open(&path).map_err(|e| LogError::io("open-segment", e))?;
-        f.seek(SeekFrom::Start(ptr.offset)).map_err(|e| LogError::io("seek-segment", e))?;
+        self.reads += 1;
+        let corrupt = LogError::Corrupt { segment: ptr.segment, offset: ptr.offset };
         let mut frame = vec![0u8; ptr.len as usize];
-        f.read_exact(&mut frame)
-            .map_err(|_| LogError::Corrupt { segment: ptr.segment, offset: ptr.offset })?;
+        let file = if ptr.segment == self.active_id {
+            &self.writer
+        } else {
+            self.sealed_reader(ptr.segment)?
+        };
+        file.read_exact_at(&mut frame, ptr.offset).map_err(|_| corrupt.clone())?;
         let stored = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
         if stored.checked_add(4) != Some(ptr.len) {
-            return Err(LogError::Corrupt { segment: ptr.segment, offset: ptr.offset });
+            return Err(corrupt);
         }
         let rec: DecodedRecord = self.sealer.decode(&frame, ptr.segment, ptr.offset)?;
         Ok((rec.kind, rec.key, rec.value, rec.seqno))
+    }
+
+    /// The cached read handle of sealed segment `id`, opened on first
+    /// use.
+    fn sealed_reader(&mut self, id: u64) -> Result<&File, LogError> {
+        let at = match self.readers.iter().position(|(seg, _)| *seg == id) {
+            Some(at) => at,
+            None => {
+                let file = File::open(segment_path(&self.dir, id))
+                    .map_err(|e| LogError::io("open-segment", e))?;
+                if self.readers.len() == READ_HANDLES {
+                    self.readers.pop_front();
+                }
+                self.readers.push_back((id, file));
+                self.readers.len() - 1
+            }
+        };
+        Ok(&self.readers[at].1)
     }
 
     /// Mark the record at `ptr` superseded, feeding the compactor's
@@ -328,6 +362,9 @@ impl SegmentLog {
     /// segment.
     pub fn remove_segment(&mut self, id: u64) -> Result<(), LogError> {
         assert_ne!(id, self.active_id, "cannot remove the active segment");
+        // Close the read handle first: an unlinked file stays readable
+        // through an open fd.
+        self.readers.retain(|(seg, _)| *seg != id);
         std::fs::remove_file(segment_path(&self.dir, id))
             .map_err(|e| LogError::io("remove-segment", e))?;
         self.stats.remove(&id);
@@ -350,6 +387,11 @@ impl SegmentLog {
     /// Data fsyncs issued so far (group-commit coalescing metric).
     pub fn sync_count(&self) -> u64 {
         self.syncs
+    }
+
+    /// Point reads attempted so far ([`SegmentLog::read`] calls).
+    pub fn read_count(&self) -> u64 {
+        self.reads
     }
 
     /// The highest sequence number handed out so far (0 if none).
@@ -639,6 +681,68 @@ mod tests {
         assert_eq!(found.key, key);
         assert_eq!(found.value, value);
         assert!(seen.iter().all(|r| r.ptr.segment != 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn stale_ptr_never_reads_through_a_cached_handle() {
+        let dir = tmpdir("stale-ptr");
+        let mut log =
+            SegmentLog::open(LogConfig::new(dir.clone()).segment_bytes(4096), KEY, &mut |_| {})
+                .unwrap();
+        let first = log.append(RecordKind::Put, b"first", &[1u8; 64]).unwrap();
+        // Read while segment 0 is active, then rotate it away: the same
+        // ptr must now resolve against sealed segment 0, not against
+        // the writer's handle (which points at the new active file).
+        assert_eq!(log.read(first.ptr).unwrap().1, b"first");
+        let mut i = 0u32;
+        while log.frontier().0 == 0 {
+            log.append(RecordKind::Put, &i.to_le_bytes(), &[2u8; 64]).unwrap();
+            i += 1;
+        }
+        let (_, key, value, seqno) = log.read(first.ptr).unwrap();
+        assert_eq!(
+            (key.as_slice(), value.as_slice(), seqno),
+            (b"first".as_slice(), &[1u8; 64][..], 1)
+        );
+        // Segment 0's handle is cached now. Removing the segment must
+        // drop it: the unlinked file would still serve bytes otherwise.
+        log.remove_segment(0).unwrap();
+        let err = log.read(first.ptr).expect_err("ptr into a removed segment");
+        assert!(
+            matches!(
+                err,
+                LogError::Io { op: "open-segment", kind: std::io::ErrorKind::NotFound, .. }
+            ),
+            "got {err:?}"
+        );
+        // The active segment still reads through the writer's handle.
+        let live = log.append(RecordKind::Put, b"live", b"record").unwrap();
+        assert_eq!(log.read(live.ptr).unwrap().1, b"live");
+        assert_eq!(log.read_count(), 4);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn read_handles_are_bounded() {
+        let dir = tmpdir("handles");
+        let mut log =
+            SegmentLog::open(LogConfig::new(dir.clone()).segment_bytes(4096), KEY, &mut |_| {})
+                .unwrap();
+        let mut ptrs = Vec::new();
+        let mut i = 0u32;
+        while log.segment_count() <= READ_HANDLES + 8 {
+            ptrs.push(log.append(RecordKind::Put, &i.to_le_bytes(), &[3u8; 1024]).unwrap().ptr);
+            i += 1;
+        }
+        // Two passes over more sealed segments than the cache holds:
+        // every read is right whether its handle was kept or reopened.
+        for _ in 0..2 {
+            for (i, ptr) in ptrs.iter().enumerate() {
+                assert_eq!(log.read(*ptr).unwrap().1, (i as u32).to_le_bytes());
+            }
+            assert_eq!(log.readers.len(), READ_HANDLES);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

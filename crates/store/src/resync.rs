@@ -32,6 +32,8 @@
 //! enclave-to-enclave channel; the structure is identical (DESIGN.md
 //! §13).
 
+use std::sync::OnceLock;
+
 use aria_crypto::CmacKey;
 
 use crate::{KvStore, StoreError};
@@ -39,6 +41,13 @@ use crate::{KvStore, StoreError};
 /// Fixed public convention key for content digests. Shared by every
 /// replica; see the module docs for why this is not a secret.
 const CONTENT_DIGEST_KEY: [u8; 16] = *b"aria-resync-root";
+
+/// The convention key expanded once per process (AES key schedule plus
+/// CMAC subkeys): every digest and root below is MAC'd under it.
+fn content_mac() -> &'static CmacKey {
+    static MAC: OnceLock<CmacKey> = OnceLock::new();
+    MAC.get_or_init(|| CmacKey::new(&CONTENT_DIGEST_KEY))
+}
 
 /// How many pairs [`content_root_of`] pulls per `export_chunk` call.
 pub const EXPORT_CHUNK_PAIRS: usize = 256;
@@ -69,38 +78,25 @@ impl std::fmt::Display for ContentRoot {
 /// [`content_root_from_digests`] instead of materializing every pair
 /// at once.
 pub fn pair_digest_keyed(key: &[u8], value: &[u8]) -> [u8; 16] {
-    pair_digest(&CmacKey::new(&CONTENT_DIGEST_KEY), key, value)
-}
-
-/// Digest one verified pair (length-prefixed, so the encoding is
-/// injective).
-fn pair_digest(mac: &CmacKey, key: &[u8], value: &[u8]) -> [u8; 16] {
     let klen = (key.len() as u64).to_le_bytes();
     let vlen = (value.len() as u64).to_le_bytes();
-    mac.mac_parts(&[&klen, key, &vlen, value])
+    content_mac().mac_parts(&[&klen, key, &vlen, value])
 }
 
 /// Combine per-pair digests (from [`pair_digest_keyed`]) into a
 /// [`ContentRoot`]. Order-independent — the digests are sorted before
 /// the final MAC, exactly as [`content_root`] does.
 pub fn content_root_from_digests(mut digests: Vec<[u8; 16]>) -> ContentRoot {
-    let mac = CmacKey::new(&CONTENT_DIGEST_KEY);
     digests.sort_unstable();
     let count = (digests.len() as u64).to_le_bytes();
-    let mut parts: Vec<&[u8]> = Vec::with_capacity(digests.len() + 1);
-    parts.push(&count);
-    for d in &digests {
-        parts.push(d);
-    }
-    ContentRoot { pairs: digests.len() as u64, digest: mac.mac_parts(&parts) }
+    let digest = content_mac().mac_parts(&[&count, digests.as_flattened()]);
+    ContentRoot { pairs: digests.len() as u64, digest }
 }
 
 /// Combine verified pairs into a [`ContentRoot`]. Order-independent:
 /// any permutation of the same pairs yields the same root.
 pub fn content_root(pairs: &[(Vec<u8>, Vec<u8>)]) -> ContentRoot {
-    let mac = CmacKey::new(&CONTENT_DIGEST_KEY);
-    let digests: Vec<[u8; 16]> = pairs.iter().map(|(k, v)| pair_digest(&mac, k, v)).collect();
-    content_root_from_digests(digests)
+    content_root_from_digests(pairs.iter().map(|(k, v)| pair_digest_keyed(k, v)).collect())
 }
 
 /// Stream a store's entire verified contents

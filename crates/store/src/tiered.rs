@@ -16,8 +16,9 @@
 //!   hot region absorbs the working set and cold reads stay rare.
 //! * **Migration** ([`KvStore::maintain`]) evicts the
 //!   least-recently-accessed hot entries once the hot region exceeds
-//!   its byte budget. Eviction is free of log writes: every hot entry
-//!   already has a live log record.
+//!   its byte budget — just enough of them to cover the excess.
+//!   Eviction is free of log writes: every hot entry already has a
+//!   live log record.
 //! * **Compaction** rewrites the live records (including tombstones)
 //!   of the deadest sealed segment into the active segment, fsyncs
 //!   them, and deletes the victim file. Rewrites preserve the record's
@@ -35,11 +36,25 @@
 //!   torn writes past the checkpoint are truncated, but silent
 //!   corruption, tampering, and rollback below the caller's
 //!   `min_epoch` floor are detected and refused, never served.
+//! * **Digests live with the index.** The root is a function of one
+//!   16-byte digest per live pair, and the enclave-side index keeps
+//!   that digest beside the record pointer. It is computed where the
+//!   verified plaintext is inside the enclave anyway — replay, a cold
+//!   GET, or the first checkpoint after the write (the PUT path pays
+//!   nothing) — and kept until the key is overwritten. A checkpoint
+//!   therefore reads only the pairs written since the last one, and
+//!   compaction only the segment it moves; neither re-reads the tier.
+//!   The price: a checkpoint is no longer a scrub. Damage to a cold
+//!   record the index already has a digest for goes unseen until
+//!   something *uses* the bytes — a GET, compaction of its segment,
+//!   [`KvStore::recover`]'s audit, or the next open's replay — and
+//!   each of those verifies CRC + MAC and refuses; none serves it.
 //!
 //! The trust model — what the checkpoint does and does not protect
 //! against — is spelled out in DESIGN.md §15.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -169,9 +184,12 @@ pub struct TierStats {
     pub segments: u64,
     /// Epoch of the most recent checkpoint (0 = none yet).
     pub checkpoint_epoch: u64,
+    /// Verified point reads of log records since open (cold GETs,
+    /// compaction, digest fills, audits).
+    pub log_reads: u64,
 }
 
-/// Where a live key's latest record lives.
+/// Where a live key's latest record lives, and what it digests to.
 #[derive(Debug, Clone, Copy)]
 struct KeyMeta {
     ptr: RecordPtr,
@@ -180,6 +198,12 @@ struct KeyMeta {
     bytes: usize,
     /// Logical access clock value at last touch (hot LRU).
     last_access: u64,
+    /// The pair's content digest ([`pair_digest_keyed`]), once some
+    /// verified read has had the plaintext inside the enclave: replay,
+    /// a cold GET, or the first checkpoint after the write. `None` on
+    /// tombstones, and on a put until then (the PUT path pays no CMAC
+    /// for it).
+    digest: Option<[u8; 16]>,
 }
 
 /// A [`KvStore`] split into a hot in-memory region and a cold sealed
@@ -280,9 +304,24 @@ fn derive_log_key(master_key: &[u8; 16], log_nonce: &[u8; 16]) -> [u8; 16] {
 struct ReplayState {
     /// Latest record overall (the live state after full replay).
     all: (u64, RecordKind, RecordPtr),
-    /// Latest record at or below the checkpoint seqno, with its value
-    /// (needed to recompute the checkpointed root).
-    at_checkpoint: Option<(u64, RecordKind, Vec<u8>)>,
+    /// Latest record at or below the checkpoint seqno: its seqno and,
+    /// for a put, the pair's digest (all the checkpointed root needs —
+    /// holding values here would hold the whole data set in memory).
+    at_checkpoint: Option<(u64, Option<[u8; 16]>)>,
+}
+
+/// Read the cold pair `meta` points at: CRC + MAC verified by the log,
+/// then checked to be the record the index says it is.
+fn read_cold_pair(
+    log: &mut SegmentLog,
+    key: &[u8],
+    meta: &KeyMeta,
+) -> Result<(Vec<u8>, Vec<u8>), StoreError> {
+    let (kind, k, v, seqno) = log.read(meta.ptr).map_err(runtime_log_err)?;
+    if kind != RecordKind::Put || k != key || seqno != meta.seqno {
+        return Err(StoreError::Integrity(crate::Violation::EntryMacMismatch));
+    }
+    Ok((k, v))
 }
 
 impl<S: KvStore> TieredStore<S> {
@@ -327,23 +366,29 @@ impl<S: KvStore> TieredStore<S> {
         // latest-wins MUST resolve by seqno, not file order.
         let mut state: HashMap<Vec<u8>, ReplayState> = HashMap::new();
         let mut dead: Vec<RecordPtr> = Vec::new();
+        let mut unattested = 0u64;
         let log_cfg = LogConfig::new(opts.dir.clone())
             .segment_bytes(opts.segment_bytes)
             .sync_writes(opts.sync_writes)
             .sync_window_bytes(opts.sync_window_bytes);
         let log = SegmentLog::open(log_cfg, &log_key, &mut |r| {
-            let at_cp = r.seqno <= checkpoint_seqno;
-            match state.get_mut(&r.key) {
-                None => {
-                    state.insert(
-                        r.key,
-                        ReplayState {
-                            all: (r.seqno, r.kind, r.ptr),
-                            at_checkpoint: at_cp.then_some((r.seqno, r.kind, r.value)),
-                        },
-                    );
+            unattested += u64::from(r.seqno > checkpoint_seqno);
+            let frontier = |key: &[u8]| {
+                (r.seqno, (r.kind == RecordKind::Put).then(|| pair_digest_keyed(key, &r.value)))
+            };
+            match state.entry(r.key) {
+                Entry::Vacant(slot) => {
+                    let at_checkpoint = (r.seqno <= checkpoint_seqno).then(|| frontier(slot.key()));
+                    slot.insert(ReplayState { all: (r.seqno, r.kind, r.ptr), at_checkpoint });
                 }
-                Some(st) => {
+                Entry::Occupied(mut slot) => {
+                    let wins_frontier = r.seqno <= checkpoint_seqno
+                        && slot.get().at_checkpoint.is_none_or(|(winner, _)| winner < r.seqno);
+                    if wins_frontier {
+                        let at_checkpoint = frontier(slot.key());
+                        slot.get_mut().at_checkpoint = Some(at_checkpoint);
+                    }
+                    let st = slot.get_mut();
                     if r.seqno > st.all.0 {
                         dead.push(st.all.2);
                         st.all = (r.seqno, r.kind, r.ptr);
@@ -351,12 +396,6 @@ impl<S: KvStore> TieredStore<S> {
                         // A compaction rewrite of an older record (or
                         // the original of a rewritten one): dead.
                         dead.push(r.ptr);
-                    }
-                    if at_cp {
-                        match &st.at_checkpoint {
-                            Some((s, _, _)) if *s >= r.seqno => {}
-                            _ => st.at_checkpoint = Some((r.seqno, r.kind, r.value)),
-                        }
                     }
                 }
             }
@@ -366,12 +405,8 @@ impl<S: KvStore> TieredStore<S> {
         // Verify: the state at the checkpoint frontier must reproduce
         // the sealed root exactly.
         if let Some(cp) = &checkpoint {
-            let mut digests = Vec::new();
-            for (key, st) in &state {
-                if let Some((_, RecordKind::Put, value)) = &st.at_checkpoint {
-                    digests.push(pair_digest_keyed(key, value));
-                }
-            }
+            let digests =
+                state.values().filter_map(|st| st.at_checkpoint.and_then(|(_, d)| d)).collect();
             let root = content_root_from_digests(digests);
             if root.pairs != cp.pairs || root.digest != cp.root {
                 return Err(StoreError::RecoveryDiverged { reason: RecoveryFailure::RootMismatch });
@@ -390,13 +425,23 @@ impl<S: KvStore> TieredStore<S> {
             destroyed: HashSet::new(),
             hot_bytes: 0,
             clock: 0,
-            mutations_since_checkpoint: 0,
+            // Records past the frontier are mutations no checkpoint
+            // covers: what they superseded is still the frontier's
+            // winner, and compaction must re-checkpoint before it
+            // drops any of it — after a restart as before one.
+            mutations_since_checkpoint: unattested,
             checkpoint_epoch: checkpoint.map(|c| c.epoch).unwrap_or(0),
             tele: None,
         };
+        // Sized once: `state` is still alive here, and growing the index
+        // by doubling beside it is the memory high-water mark of an open.
+        store.cold.reserve(state.len());
         for (key, st) in state {
             let (seqno, kind, ptr) = st.all;
-            let meta = KeyMeta { ptr, seqno, bytes: 0, last_access: 0 };
+            // The digest replay computed is this record's only if the
+            // frontier winner is also the overall winner.
+            let digest = st.at_checkpoint.and_then(|(s, d)| d.filter(|_| s == seqno));
+            let meta = KeyMeta { ptr, seqno, bytes: 0, last_access: 0, digest };
             match kind {
                 RecordKind::Put => {
                     store.cold.insert(key, meta);
@@ -422,6 +467,7 @@ impl<S: KvStore> TieredStore<S> {
             log_bytes: self.log.total_bytes(),
             segments: self.log.segment_count() as u64,
             checkpoint_epoch: self.checkpoint_epoch,
+            log_reads: self.log.read_count(),
         }
     }
 
@@ -445,36 +491,35 @@ impl<S: KvStore> TieredStore<S> {
         self.log.set_fault_hook(hook);
     }
 
-    /// Checkpoint now: flush the log, digest the full verified state
-    /// (hot region via [`KvStore::export_chunk`], cold tier via
-    /// MAC-verified log reads) and seal root + counters to disk.
-    /// Returns the new checkpoint.
+    /// Checkpoint now: combine the per-pair digests the index already
+    /// holds into the content root, flush the log, and seal root +
+    /// counters to disk. Only a pair whose digest is still missing is
+    /// read — a hot one from the inner store, a cold one by a
+    /// MAC-verified log read — and its digest is kept from then on, so
+    /// a checkpoint costs what changed since the last one plus one
+    /// pass over 16 bytes per key, not a re-read of the tier. Returns
+    /// the new checkpoint.
     pub fn force_checkpoint(&mut self) -> Result<Checkpoint, StoreError> {
         let mut digests: Vec<[u8; 16]> = Vec::with_capacity(self.len() as usize);
-        // Hot region: stream verified pairs from the inner store.
-        let mut cursor = 0u64;
-        loop {
-            let (pairs, next) = self.hot.export_chunk(cursor, crate::resync::EXPORT_CHUNK_PAIRS)?;
-            for (k, v) in &pairs {
-                self.hot.enclave().charge_mac(16 + k.len() + v.len());
-                digests.push(pair_digest_keyed(k, v));
+        for (key, meta) in self.hot_meta.iter_mut() {
+            if meta.digest.is_none() {
+                let value = self
+                    .hot
+                    .get(key)?
+                    .ok_or(StoreError::Integrity(crate::Violation::EntryMacMismatch))?;
+                self.hot.enclave().charge_mac(16 + key.len() + value.len());
+                meta.digest = Some(pair_digest_keyed(key, &value));
             }
-            match next {
-                Some(c) => cursor = c,
-                None => break,
-            }
+            digests.extend(meta.digest);
         }
-        // Cold tier: verified log reads.
-        let cold_keys: Vec<(Vec<u8>, RecordPtr)> =
-            self.cold.iter().map(|(k, m)| (k.clone(), m.ptr)).collect();
-        for (key, ptr) in cold_keys {
-            let (kind, k, v, _) = self.log.read(ptr).map_err(runtime_log_err)?;
-            if kind != RecordKind::Put || k != key {
-                return Err(StoreError::Integrity(crate::Violation::EntryMacMismatch));
+        for (key, meta) in self.cold.iter_mut() {
+            if meta.digest.is_none() {
+                let (k, v) = read_cold_pair(&mut self.log, key, meta)?;
+                self.hot.enclave().charge_crypt(k.len() + v.len());
+                self.hot.enclave().charge_mac(16 + k.len() + v.len());
+                meta.digest = Some(pair_digest_keyed(&k, &v));
             }
-            self.hot.enclave().charge_crypt(k.len() + v.len());
-            self.hot.enclave().charge_mac(16 + k.len() + v.len());
-            digests.push(pair_digest_keyed(&k, &v));
+            digests.extend(meta.digest);
         }
         let root = content_root_from_digests(digests);
         self.log.sync().map_err(runtime_log_err)?;
@@ -518,20 +563,33 @@ impl<S: KvStore> TieredStore<S> {
         if self.hot_bytes <= self.opts.hot_budget_bytes {
             return Ok(0);
         }
-        let mut order: Vec<(u64, Vec<u8>)> =
-            self.hot_meta.iter().map(|(k, m)| (m.last_access, k.clone())).collect();
-        order.sort_unstable();
-        let mut migrated = 0u64;
-        for (_, key) in order {
-            if self.hot_bytes <= self.opts.hot_budget_bytes
-                || migrated as usize >= self.opts.migrate_batch
-            {
-                break;
+        // Select the oldest entries that cover the excess, without
+        // ordering (or cloning) the rest: a max-heap on access time
+        // that sheds its youngest entry whenever the others already
+        // cover the excess, or the batch is full.
+        let excess = self.hot_bytes - self.opts.hot_budget_bytes;
+        let mut oldest: BinaryHeap<(u64, &Vec<u8>, usize)> = BinaryHeap::new();
+        let mut covered = 0usize;
+        for (key, meta) in &self.hot_meta {
+            let full = covered >= excess || oldest.len() >= self.opts.migrate_batch;
+            if full && oldest.peek().is_some_and(|youngest| meta.last_access > youngest.0) {
+                continue;
             }
-            let meta = match self.hot_meta.remove(&key) {
-                Some(m) => m,
-                None => continue,
-            };
+            oldest.push((meta.last_access, key, meta.bytes));
+            covered += meta.bytes;
+            while let Some(&(_, _, bytes)) = oldest.peek() {
+                if covered - bytes < excess && oldest.len() <= self.opts.migrate_batch {
+                    break;
+                }
+                covered -= bytes;
+                oldest.pop();
+            }
+        }
+        let order: Vec<Vec<u8>> =
+            oldest.into_sorted_vec().into_iter().map(|(_, key, _)| key.clone()).collect();
+        let mut migrated = 0u64;
+        for key in order {
+            let meta = self.hot_meta.remove(&key).expect("selected from hot_meta above");
             // The log already holds the entry's latest record; eviction
             // just drops the DRAM copy.
             self.hot.delete(&key)?;
@@ -614,9 +672,10 @@ impl<S: KvStore> TieredStore<S> {
 
     /// Undo a hot-store `put` whose log append failed: the inner store
     /// holds a value with no log record, and leaving it there would
-    /// let `force_checkpoint` (which streams the inner store) seal a
-    /// root that replay can never reproduce. A previously-hot key
-    /// demotes to cold — its prior record is still live in the log.
+    /// let `force_checkpoint` (which digests a hot pair from the inner
+    /// store) seal a root that replay can never reproduce. A
+    /// previously-hot key demotes to cold — its prior record is still
+    /// live in the log, and the digest it carries is that record's.
     fn rollback_hot_put(&mut self, key: &[u8]) {
         if self.hot.delete(key).is_err() {
             // The inner store refused the rollback (its own integrity
@@ -651,7 +710,13 @@ impl<S: KvStore> KvStore for TieredStore<S> {
         let bytes = key.len() + value.len();
         self.hot_meta.insert(
             key.to_vec(),
-            KeyMeta { ptr: info.ptr, seqno: info.seqno, bytes, last_access: self.clock },
+            KeyMeta {
+                ptr: info.ptr,
+                seqno: info.seqno,
+                bytes,
+                last_access: self.clock,
+                digest: None,
+            },
         );
         self.hot_bytes += bytes;
         self.mutations_since_checkpoint += 1;
@@ -677,19 +742,20 @@ impl<S: KvStore> KvStore for TieredStore<S> {
         // sealed-entry open, then promote into the hot region (the
         // record stays live — promotion changes residency, not truth).
         let started = Instant::now();
-        let (kind, k, v, seqno) = self.log.read(meta.ptr).map_err(runtime_log_err)?;
-        if kind != RecordKind::Put || k != key || seqno != meta.seqno {
-            return Err(StoreError::Integrity(crate::Violation::EntryMacMismatch));
-        }
+        let (k, v) = read_cold_pair(&mut self.log, key, &meta)?;
         self.hot.enclave().charge_crypt(k.len() + v.len());
         self.hot.enclave().charge_mac(16 + k.len() + v.len());
         self.hot.put(&k, &v)?;
         self.cold.remove(key);
         let bytes = k.len() + v.len();
-        self.hot_meta.insert(
-            k,
-            KeyMeta { ptr: meta.ptr, seqno: meta.seqno, bytes, last_access: self.clock },
-        );
+        // The verified plaintext is in hand: digest it now if no
+        // earlier read did, so no checkpoint has to read it again.
+        let digest = meta.digest.unwrap_or_else(|| {
+            self.hot.enclave().charge_mac(16 + bytes);
+            pair_digest_keyed(&k, &v)
+        });
+        self.hot_meta
+            .insert(k, KeyMeta { bytes, last_access: self.clock, digest: Some(digest), ..meta });
         self.hot_bytes += bytes;
         if let Some(tele) = &self.tele {
             tele.store.cold_read_latency.observe(started.elapsed().as_nanos() as u64);
@@ -716,7 +782,7 @@ impl<S: KvStore> KvStore for TieredStore<S> {
         let _ = freed;
         self.tombstones.insert(
             key.to_vec(),
-            KeyMeta { ptr: info.ptr, seqno: info.seqno, bytes: 0, last_access: 0 },
+            KeyMeta { ptr: info.ptr, seqno: info.seqno, bytes: 0, last_access: 0, digest: None },
         );
         self.mutations_since_checkpoint += 1;
         if let Err(e) = hot_result {
@@ -813,11 +879,7 @@ impl<S: KvStore> KvStore for TieredStore<S> {
         let mut out = Vec::with_capacity(slice.len());
         for key in slice {
             let meta = *self.cold.get(&key).expect("key just listed");
-            let (kind, k, v, seqno) = self.log.read(meta.ptr).map_err(runtime_log_err)?;
-            if kind != RecordKind::Put || k != key || seqno != meta.seqno {
-                return Err(StoreError::Integrity(crate::Violation::EntryMacMismatch));
-            }
-            out.push((k, v));
+            out.push(read_cold_pair(&mut self.log, &key, &meta)?);
         }
         let consumed = start + out.len();
         let next =
@@ -968,6 +1030,34 @@ mod tests {
         for i in 0..20 {
             assert!(s.hot_meta.contains_key(&key(i)), "hot key {i} was evicted before cold keys");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn migration_evicts_exactly_the_oldest_that_cover_the_excess() {
+        let dir = tmpdir("migrate-exact");
+        let per_entry = key(0).len() + value(0).len();
+        let mut o = opts(&dir).hot_budget_bytes(40 * per_entry);
+        o.migrate_batch = 7;
+        let mut s = TieredStore::open(hot_store(), MASTER, o).unwrap();
+        for i in 0..60 {
+            s.put(&key(i), &value(i)).unwrap();
+        }
+        // Re-touch the first ten: the oldest are now 10..60, in order.
+        for i in 0..10 {
+            s.get(&key(i)).unwrap();
+        }
+        // 20 entries over budget, 7 per pass: 7, 7, 6, then nothing.
+        let mut expect_cold: Vec<Vec<u8>> = Vec::new();
+        for (pass, want) in [7u64, 7, 6, 0].into_iter().enumerate() {
+            assert_eq!(s.maintain().unwrap().migrated, want, "pass {pass}");
+            let from = 10 + 7 * pass as u64;
+            expect_cold.extend((from..from + want).map(key));
+            let mut cold: Vec<Vec<u8>> = s.cold.keys().cloned().collect();
+            cold.sort();
+            assert_eq!(cold, expect_cold, "pass {pass}");
+        }
+        assert_eq!(s.tier_stats().hot_bytes, (40 * per_entry) as u64);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1257,6 +1347,73 @@ mod tests {
     }
 
     #[test]
+    fn latent_cold_corruption_is_never_served_without_checkpoint_scrub() {
+        let dir = tmpdir("latent");
+        let mut o = opts(&dir).checkpoint_every(0);
+        o.compact_min_dead_ratio = 0.5;
+        let mut s = TieredStore::open(hot_store(), MASTER, o.clone()).unwrap();
+        for i in 0..120 {
+            s.put(&key(i), &value(i)).unwrap();
+        }
+        s.maintain().unwrap();
+        s.force_checkpoint().unwrap();
+        // A cold key in a sealed segment, its digest already cached.
+        let (sealed_end, _) = s.log_frontier();
+        let (victim_key, ptr) = s
+            .cold
+            .iter()
+            .filter(|(_, m)| m.ptr.segment < sealed_end)
+            .map(|(k, m)| (k.clone(), m.ptr))
+            .min_by(|a, b| a.0.cmp(&b.0))
+            .expect("some cold key in a sealed segment");
+        assert!(s.cold[&victim_key].digest.is_some());
+        aria_log::flip_byte(&dir, ptr.segment, ptr.offset + 30, 0x04).unwrap();
+
+        // A checkpoint no longer re-reads the tier, so it neither sees
+        // the damage nor reads a single record.
+        let reads = s.tier_stats().log_reads;
+        s.force_checkpoint().unwrap();
+        assert_eq!(s.tier_stats().log_reads, reads);
+
+        // Every path that would hand the bytes on still verifies them.
+        assert!(s.get(&victim_key).unwrap_err().is_integrity_violation());
+        // Kill the rest of the segment so compaction picks it: the
+        // damaged record is the live one it must move, and it refuses
+        // rather than rewrite it.
+        let neighbours: Vec<Vec<u8>> = (s.hot_meta.iter().chain(s.cold.iter()))
+            .filter(|(k, m)| m.ptr.segment == ptr.segment && **k != victim_key)
+            .map(|(k, _)| k.clone())
+            .collect();
+        for k in &neighbours {
+            s.put(k, b"rewritten").unwrap();
+        }
+        let err = s.maintain().expect_err("compaction must not rewrite a damaged record");
+        assert!(err.is_integrity_violation(), "got {err:?}");
+        assert!(aria_log::segment_file_len(&dir, ptr.segment).is_ok(), "victim must survive");
+
+        // The audit fails the key closed...
+        assert_eq!(s.recover().unwrap().entries_destroyed, 1);
+        assert_eq!(
+            s.get(&victim_key).unwrap_err(),
+            StoreError::Integrity(Violation::DataDestroyed)
+        );
+        // ...and a reopen, which replays the damaged record, refuses.
+        drop(s);
+        let err = TieredStore::open(hot_store(), MASTER, o).expect_err("damaged log must refuse");
+        assert!(
+            matches!(
+                err,
+                StoreError::RecoveryDiverged {
+                    reason: RecoveryFailure::LogCorrupt { .. }
+                        | RecoveryFailure::LogTampered { .. }
+                }
+            ),
+            "got {err:?}"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn compaction_after_overwrites_past_checkpoint_recovers() {
         // The bricking sequence: checkpoint (root includes k=v_old),
         // then overwrite/delete k (v_old's record goes dead), then
@@ -1304,6 +1461,43 @@ mod tests {
         }
         for i in 35..40 {
             assert_eq!(s.get(&key(i)).unwrap().unwrap(), value(i), "key {i}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_after_restart_over_unattested_tail_recovers() {
+        // Same bricking sequence, with a restart between the
+        // overwrites and the compaction: the reopened store has made
+        // no mutation of its own, but the log's tail past the
+        // checkpoint has, and compaction must still re-checkpoint
+        // before it drops the records that tail superseded.
+        let dir = tmpdir("compact-restart");
+        let mut o = opts(&dir).checkpoint_every(0);
+        o.compact_min_dead_ratio = 0.3;
+        let mut s = TieredStore::open(hot_store(), MASTER, o.clone()).unwrap();
+        for i in 0..40 {
+            s.put(&key(i), &value(i)).unwrap();
+        }
+        s.force_checkpoint().unwrap();
+        for round in 1..4 {
+            for i in 0..30 {
+                s.put(&key(i), &value(round * 1000 + i)).unwrap();
+            }
+        }
+        drop(s);
+        let mut s = TieredStore::open(hot_store(), MASTER, o.clone().min_epoch(1)).unwrap();
+        let mut compacted = 0;
+        for _ in 0..30 {
+            compacted += s.maintain().unwrap().segments_compacted;
+        }
+        assert!(compacted > 0, "dead-heavy segments must compact");
+        let min_epoch = s.checkpoint_epoch();
+        drop(s);
+        let mut s = TieredStore::open(hot_store(), MASTER, o.min_epoch(min_epoch))
+            .expect("restart, compaction, restart must stay recoverable");
+        for i in 0..30 {
+            assert_eq!(s.get(&key(i)).unwrap().unwrap(), value(3000 + i), "key {i}");
         }
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,0 +1,133 @@
+//! Property test for the digest-carrying tier index: whatever sequence
+//! of writes, reads, upkeep and restarts ran, the root a checkpoint
+//! builds from the digests cached in the index equals the root over a
+//! full verified re-read of both tiers, and a checkpoint with nothing
+//! new to digest reads nothing from the log.
+
+use std::collections::HashMap;
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+
+use aria_cache::CacheConfig;
+use aria_sim::{CostModel, Enclave};
+use aria_store::{content_root_of, AriaHash, KvStore, StoreConfig, TieredOptions, TieredStore};
+use proptest::prelude::*;
+
+const MASTER: &[u8; 16] = b"tiered-prop-mast";
+
+static DIR_SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn tmpdir() -> PathBuf {
+    let dir = std::env::temp_dir().join(format!(
+        "aria-tiered-props-{}-{}",
+        std::process::id(),
+        DIR_SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+fn hot_store() -> AriaHash {
+    let mut cfg = StoreConfig::for_keys(512);
+    cfg.cache = CacheConfig::with_capacity(2 << 20);
+    cfg.master_key = *MASTER;
+    AriaHash::new(cfg, Arc::new(Enclave::new(CostModel::default(), 512 << 20))).unwrap()
+}
+
+/// Small enough that a few dozen ops migrate, rotate, compact and
+/// checkpoint on their own.
+fn opts(dir: &std::path::Path) -> TieredOptions {
+    TieredOptions::new(dir.to_path_buf())
+        .segment_bytes(4096)
+        .hot_budget_bytes(1 << 10)
+        .compact_min_dead_ratio(0.3)
+        .checkpoint_every(24)
+}
+
+#[derive(Debug, Clone)]
+enum Op {
+    Put(u8, Vec<u8>),
+    Get(u8),
+    Delete(u8),
+    Maintain,
+    Checkpoint,
+    Reopen,
+}
+
+fn op_strategy() -> impl Strategy<Value = Op> {
+    // 48 keys: most puts are overwrites, most gets find a cold key.
+    prop_oneof![
+        8 => (0u8..48, proptest::collection::vec(any::<u8>(), 0..96)).prop_map(|(k, v)| Op::Put(k, v)),
+        6 => (0u8..48).prop_map(Op::Get),
+        2 => (0u8..48).prop_map(Op::Delete),
+        3 => Just(Op::Maintain),
+        1 => Just(Op::Checkpoint),
+        1 => Just(Op::Reopen),
+    ]
+}
+
+fn key_of(id: u8) -> Vec<u8> {
+    format!("tier-prop-key-{id:03}").into_bytes()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn cached_digest_root_equals_full_reread(
+        ops in proptest::collection::vec(op_strategy(), 1..160),
+    ) {
+        let dir = tmpdir();
+        let mut store = TieredStore::open(hot_store(), MASTER, opts(&dir)).unwrap();
+        let mut model: HashMap<u8, Vec<u8>> = HashMap::new();
+        for op in ops {
+            match op {
+                Op::Put(id, v) => {
+                    store.put(&key_of(id), &v).unwrap();
+                    model.insert(id, v);
+                }
+                Op::Get(id) => {
+                    let got = store.get(&key_of(id)).unwrap();
+                    prop_assert_eq!(got.as_ref(), model.get(&id), "get {}", id);
+                }
+                Op::Delete(id) => {
+                    let existed = store.delete(&key_of(id)).unwrap();
+                    prop_assert_eq!(existed, model.remove(&id).is_some(), "delete {}", id);
+                }
+                Op::Maintain => {
+                    store.maintain().unwrap();
+                }
+                Op::Checkpoint => {
+                    store.force_checkpoint().unwrap();
+                }
+                Op::Reopen => {
+                    let floor = store.checkpoint_epoch();
+                    drop(store);
+                    store = TieredStore::open(hot_store(), MASTER, opts(&dir).min_epoch(floor))
+                        .expect("a clean restart must recover");
+                }
+            }
+            prop_assert_eq!(store.len(), model.len() as u64);
+        }
+
+        let sealed = store.force_checkpoint().unwrap();
+        let (pairs, reread) = content_root_of(&mut store).unwrap();
+        prop_assert_eq!((sealed.pairs, sealed.root), (reread.pairs, reread.digest));
+        let mut expect: Vec<(Vec<u8>, Vec<u8>)> =
+            model.iter().map(|(id, v)| (key_of(*id), v.clone())).collect();
+        let mut pairs = pairs;
+        expect.sort();
+        pairs.sort();
+        prop_assert_eq!(pairs, expect);
+
+        // Every digest is cached now: checkpointing again is free of
+        // log reads, and seals the same root.
+        let reads = store.tier_stats().log_reads;
+        let again = store.force_checkpoint().unwrap();
+        prop_assert_eq!(store.tier_stats().log_reads, reads);
+        prop_assert_eq!((again.pairs, again.root), (sealed.pairs, sealed.root));
+        prop_assert_eq!(again.epoch, sealed.epoch + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
