@@ -966,7 +966,7 @@ fn run_failover(args: &Args) {
          keys={keys} ops={ops} kills>={kill_floor} seed={seed}"
     );
 
-    // Injected primary kills panic a worker thread on purpose; keep the
+    // Injected primary kills panic under a slot lock on purpose; keep the
     // expected backtraces out of the output while letting any *other*
     // panic (a real bug) print as usual.
     const KILL_MSG: &str = "chaosbench: injected primary kill";
@@ -1004,7 +1004,7 @@ fn run_failover(args: &Args) {
     // --- replicated store + kill schedule ----------------------------------
     let per_shard_keys = (keys / groups as u64) * 2 + 1_024;
     let store = Arc::new(
-        ShardedStore::with_replicas(groups, replicas, 64, move |_| {
+        ShardedStore::with_replicas(groups, replicas, move |_| {
             let suite = Arc::new(aria_crypto::FastSuite::from_master(&[0x42; 16]))
                 as Arc<dyn aria_crypto::CipherSuite>;
             AriaHash::with_suite(
@@ -1072,10 +1072,10 @@ fn run_failover(args: &Args) {
     engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
 
     // --- health poller + traffic pulse ---------------------------------------
-    // The pulse GET is load-bearing beyond evidence gathering: a killed
-    // worker is only *noticed* when a later op's channel fails, so the
-    // poller keeps ops flowing even after the clients finish their
-    // budgets, guaranteeing failover and re-sync keep making progress.
+    // The pulse GET is load-bearing beyond evidence gathering: it keeps
+    // ops flowing (and so promotions happening) even after the clients
+    // finish their budgets, so failover and re-sync keep making
+    // progress.
     let poll_done = Arc::new(AtomicBool::new(false));
     let poller = {
         let poll_done = Arc::clone(&poll_done);
@@ -1654,7 +1654,7 @@ fn run_reshard(args: &Args) {
         start_groups + splits,
     );
 
-    // Injected target kills panic a worker thread on purpose; keep the
+    // Injected target kills panic under a slot lock on purpose; keep the
     // expected backtraces quiet while any other panic prints as usual.
     const KILL_MSG: &str = "injected reshard target kill";
     let default_hook = std::panic::take_hook();
@@ -1691,7 +1691,7 @@ fn run_reshard(args: &Args) {
     // --- elastic store + chaos-consulting fault hook ------------------------
     let per_shard_keys = (keys / start_groups as u64) * 2 + 1_024;
     let store = Arc::new(
-        ShardedStore::with_elastic(start_groups, max_groups, 1, 64, move |_| {
+        ShardedStore::with_elastic(start_groups, max_groups, 1, move |_| {
             let suite = Arc::new(aria_crypto::FastSuite::from_master(&[0x42; 16]))
                 as Arc<dyn aria_crypto::CipherSuite>;
             AriaHash::with_suite(

@@ -73,8 +73,8 @@ pub enum FaultSite {
     /// (double-allocation setup). Detected as
     /// `Violation::AllocatorMetadata` by the free-list audit.
     FreeListTamper = 5,
-    /// Kill a shard group's acting primary worker (thread panic). Not a
-    /// data fault: the replicated front-end must fail over to a backup
+    /// Kill a shard group's acting primary (a panic under its slot
+    /// lock, which condemns the store). Not a data fault: the replicated front-end must fail over to a backup
     /// with zero acknowledged-write loss and later re-sync the killed
     /// replica.
     PrimaryKill = 6,
@@ -96,8 +96,8 @@ pub enum FaultSite {
     /// snapshot (host rollback). Detected as
     /// `StoreError::RecoveryDiverged` by the checkpoint epoch floor.
     StaleCheckpointRollback = 10,
-    /// Stall a shard group's acting primary worker: the thread sleeps
-    /// past the watchdog window while ops keep queueing. Not a data
+    /// Stall a shard group's acting primary: a closure sleeps under
+    /// its slot lock past the watchdog window while ops keep arriving. Not a data
     /// fault: the stuck-shard watchdog must quarantine the stalled
     /// primary through the health machine instead of letting callers
     /// queue forever.

@@ -246,10 +246,17 @@ pub struct ReshardReply {
     pub aborted: u64,
 }
 
+/// How much spare room a socket read is offered.
+const READ_CHUNK: usize = 16 * 1024;
+
 struct Conn {
     stream: TcpStream,
+    /// Received bytes live in `rbuf[roff..rend]`; the rest of the
+    /// vector is spare, already-initialised room the socket reads into
+    /// directly, so a read costs neither a memset nor a copy.
     rbuf: Vec<u8>,
     roff: usize,
+    rend: usize,
 }
 
 /// A pipelined client connection to an [`crate::AriaServer`].
@@ -425,7 +432,7 @@ impl AriaClient {
                     let _ = stream.set_nodelay(true);
                     stream.set_read_timeout(Some(self.config.op_timeout)).map_err(NetError::Io)?;
                     stream.set_write_timeout(Some(self.config.op_timeout)).map_err(NetError::Io)?;
-                    self.conn = Some(Conn { stream, rbuf: Vec::new(), roff: 0 });
+                    self.conn = Some(Conn { stream, rbuf: Vec::new(), roff: 0, rend: 0 });
                     return Ok(());
                 }
                 Err(e) => last = Some(e),
@@ -835,25 +842,34 @@ fn fail<T>(resp: Response) -> Result<T, NetError> {
 /// client and encodes accordingly).
 fn read_response(conn: &mut Conn, version: u16) -> Result<(u64, Response), NetError> {
     loop {
-        match proto::decode_response_versioned(&conn.rbuf[conn.roff..], version)? {
+        match proto::decode_response_versioned(&conn.rbuf[conn.roff..conn.rend], version)? {
             Decoded::Frame(consumed, id, resp) => {
                 conn.roff += consumed;
-                if conn.roff == conn.rbuf.len() {
-                    conn.rbuf.clear();
+                if conn.roff == conn.rend {
                     conn.roff = 0;
+                    conn.rend = 0;
                 }
                 return Ok((id, resp));
             }
             Decoded::Incomplete => {
-                let mut chunk = [0u8; 16 * 1024];
-                match conn.stream.read(&mut chunk) {
+                if conn.rbuf.len() - conn.rend < READ_CHUNK {
+                    // Out of spare room: reclaim the consumed prefix,
+                    // then grow (zero-filling only the new tail, once).
+                    conn.rbuf.copy_within(conn.roff..conn.rend, 0);
+                    conn.rend -= conn.roff;
+                    conn.roff = 0;
+                    if conn.rbuf.len() - conn.rend < READ_CHUNK {
+                        conn.rbuf.resize(conn.rend + READ_CHUNK, 0);
+                    }
+                }
+                match conn.stream.read(&mut conn.rbuf[conn.rend..]) {
                     Ok(0) => {
                         return Err(NetError::Io(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
                             "server closed the connection",
                         )))
                     }
-                    Ok(n) => conn.rbuf.extend_from_slice(&chunk[..n]),
+                    Ok(n) => conn.rend += n,
                     Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
                     Err(e) => return Err(e.into()),
                 }

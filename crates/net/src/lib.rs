@@ -10,9 +10,10 @@
 //! * [`config`] — the validated [`ServerConfig`] builder and the
 //!   serving [`Engine`] choice;
 //! * [`server`] — [`AriaServer`], serving with either the epoll
-//!   [`reactor`] engine (default: run-to-completion reactors that
-//!   batch every connection's requests into one store submission per
-//!   shard per tick) or the thread-per-connection engine — both with
+//!   [`reactor`] engine (default: reactors that batch every
+//!   connection's requests into one store submission per shard per
+//!   tick and run it to completion on their own thread, from socket
+//!   to store and back) or the thread-per-connection engine — both with
 //!   request pipelining, bounded write buffers with backpressure, a
 //!   connection limit with clean rejection, and graceful
 //!   drain-then-join shutdown;

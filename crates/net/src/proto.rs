@@ -203,7 +203,7 @@ pub enum ErrorCode {
     KeyTooLong = 19,
     /// Value exceeds the on-wire limit.
     ValueTooLong = 20,
-    /// A shard worker is gone; the op could not be served.
+    /// A shard's store is gone; the op could not be served.
     ShardUnavailable = 21,
     /// The shard is quarantined after a detected violation; retry once
     /// recovery re-admits it.

@@ -2,7 +2,12 @@
 //!
 //! N reactor threads (one per core by default) each own a set of
 //! connections, pinned at accept time by the acceptor thread
-//! (round-robin) and never migrated. A reactor *tick* is:
+//! (round-robin) and never migrated. Run-to-completion goes all the
+//! way down: a shard of the store is a lock, not a thread, so the
+//! reactor that read a request off its socket also executes it on the
+//! store and writes the response — no request changes threads between
+//! socket and store, and store parallelism is exactly the reactor
+//! count. A reactor *tick* is:
 //!
 //! 1. wait on the poller (epoll on Linux, a portable fallback
 //!    elsewhere) for socket readiness or an acceptor wake,
@@ -12,15 +17,17 @@
 //!    [`proto::decode_request_ref`] — up to one pipeline window per
 //!    connection, routing every store op into a per-shard-group batch
 //!    shared by **all** of the reactor's connections,
-//! 4. submit the whole tick as one [`ShardedStore::run_sharded`] call
-//!    (one hand-off per shard group, regardless of connection count),
+//! 4. run the whole tick as one [`ShardedStore::run_sharded`] call, on
+//!    this thread (one slot-lock hold per shard group, regardless of
+//!    connection count; the groups run one after another),
 //! 5. assemble responses per connection in request order and flush,
 //!    falling back to poller-driven writes when a socket would block.
 //!
 //! Cross-connection coalescing is what the thread-per-connection
 //! engine cannot do: with C connections each sending depth-1 requests,
-//! the threads engine pays C store hand-offs per round-trip while the
-//! reactor pays at most one per shard group per tick. The
+//! the threads engine takes C slot locks (and pays C covering flushes)
+//! per round-trip while the reactor takes at most one per shard group
+//! per tick — a tick is also the store's commit group. The
 //! `coalesce_ratio` telemetry (ops per store submission) makes the
 //! effect observable.
 //!
@@ -559,7 +566,8 @@ fn reactor_loop<S: KvStore + Send + 'static>(
             conn.compact();
         }
 
-        // Submit the whole tick as one hand-off per shard group.
+        // Run the whole tick on this thread: one slot-lock hold per
+        // shard group.
         if !plan.is_empty() {
             let total_ops: usize = per_group.iter().map(Vec::len).sum();
             let submissions = per_group.iter().filter(|g| !g.is_empty()).count();

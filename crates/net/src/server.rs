@@ -11,11 +11,12 @@
 //! Each accepted connection gets a dedicated thread that repeatedly
 //! decodes a *pipeline window* — every complete request frame already
 //! buffered, up to [`ServerConfig::pipeline_window`] — and dispatches
-//! the whole window as **one** [`ShardedStore::run_batch`] call. The
-//! sharded layer then partitions the window across shards and coalesces
-//! same-kind runs into `multi_get`/`put_batch`, so a deeply pipelined
-//! client amortizes per-request fixed costs exactly like an in-process
-//! batch caller.
+//! the whole window as **one** [`ShardedStore::run_batch`] call, which
+//! the connection's thread executes itself under each shard's slot
+//! lock. The sharded layer partitions the window across shards and
+//! coalesces same-kind runs into `multi_get`/`put_batch`, so a deeply
+//! pipelined client amortizes per-request fixed costs exactly like an
+//! in-process batch caller.
 //!
 //! # Ordering (both engines)
 //!

@@ -243,7 +243,7 @@ pub(crate) fn build_response<S: KvStore + Send + 'static>(
         Slot::Pong => Response::Pong,
         Slot::Hello { version, features } => negotiate_hello(version, features),
         Slot::Stats => {
-            // Size and health come from worker-published atomics, so
+            // Size and health come from atomics the shards publish, so
             // quarantined/recovering/dead shards are *included* (at
             // their last-known size) instead of silently dropped —
             // `degraded` flags that some of it may be stale.
@@ -252,7 +252,7 @@ pub(crate) fn build_response<S: KvStore + Send + 'static>(
             let recovering = healths.iter().any(|h| h.health == ShardHealth::Recovering);
             // Tier occupancy comes from the gauges each shard refreshes
             // after batches and maintenance passes — reading them never
-            // blocks a worker. Untiered stores leave both at zero.
+            // takes a slot lock. Untiered stores leave both at zero.
             let (hot_keys, cold_keys) = store.telemetry().iter().fold((0, 0), |(h, c), t| {
                 (h + t.store.hot_entries.get(), c + t.store.cold_entries.get())
             });

@@ -11,8 +11,8 @@ use std::time::Duration;
 
 use aria_net::{proto, AriaClient, AriaServer, ClientConfig, ErrorCode, NetError, ServerConfig};
 use aria_sim::Enclave;
-use aria_store::sharded::ShardedStore;
-use aria_store::{AriaHash, StoreConfig};
+use aria_store::sharded::{ShardHealth, ShardedStore};
+use aria_store::{AriaHash, KvStore, StoreConfig, StoreError};
 
 /// Abort the whole process if a test wedges: a hung connection thread
 /// must fail fast (with a clear message) instead of stalling CI until
@@ -408,7 +408,7 @@ fn bounded_write_buffer_streams_large_windows() {
     server.shutdown();
 }
 
-/// A shard worker crash surfaces on the wire as the stable
+/// A condemned shard store surfaces on the wire as the stable
 /// `ShardUnavailable` code while other shards keep serving.
 #[test]
 fn dead_shard_maps_to_wire_error_code() {
@@ -418,30 +418,125 @@ fn dead_shard_maps_to_wire_error_code() {
         AriaServer::bind("127.0.0.1:0", Arc::clone(&store), ServerConfig::default()).unwrap();
     let mut client = quick_client(server.local_addr());
 
-    // Find keys on each shard, then kill shard 0's worker.
-    let on0 = (0..1000u32)
-        .map(|i| format!("probe{i}").into_bytes())
-        .find(|k| store.shard_of(k) == 0)
-        .unwrap();
-    let on1 = (0..1000u32)
-        .map(|i| format!("probe{i}").into_bytes())
-        .find(|k| store.shard_of(k) == 1)
-        .unwrap();
+    // Find keys on each shard, then crash shard 0's store. The crash
+    // holds the slot by the time `exec_detached` returns, so the next
+    // op on shard 0 already finds the store gone.
+    let on0 = key_on(&store, 0);
+    let on1 = key_on(&store, 1);
     assert!(store.exec_detached(0, |_| panic!("injected crash")));
-    // Wait until the worker is provably gone.
-    let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while store.put(&on0, b"x") != Err(aria_store::StoreError::ShardUnavailable { shard: 0 }) {
-        assert!(std::time::Instant::now() < deadline, "worker never died");
-        thread::yield_now();
-    }
+    assert_eq!(store.put(&on0, b"x"), Err(aria_store::StoreError::ShardUnavailable { shard: 0 }));
 
-    match client.put(&on0, b"x") {
-        Err(NetError::Server { code, .. }) => assert_eq!(code, ErrorCode::ShardUnavailable),
-        other => panic!("want ShardUnavailable on the wire, got {other:?}"),
-    }
+    assert_unavailable(client.put(&on0, b"x"), "put on the dead shard");
     client.put(&on1, b"y").expect("healthy shard still serves");
     assert_eq!(client.get(&on1).unwrap().unwrap(), b"y");
     server.shutdown();
+}
+
+fn assert_unavailable<T: std::fmt::Debug>(reply: Result<T, NetError>, what: &str) {
+    match reply {
+        Err(NetError::Server { code, .. }) => {
+            assert_eq!(code, ErrorCode::ShardUnavailable, "{what}")
+        }
+        other => panic!("{what}: want ShardUnavailable on the wire, got {other:?}"),
+    }
+}
+
+fn key_on<S: KvStore + Send + 'static>(store: &ShardedStore<S>, shard: usize) -> Vec<u8> {
+    (0..1000u32)
+        .map(|i| format!("probe{i}").into_bytes())
+        .find(|k| store.shard_of(k) == shard)
+        .expect("some probe key routes to the shard")
+}
+
+/// An `AriaHash` that panics when asked to read [`TRIP_KEY`]: the way
+/// to crash a store *inside* a server thread's own batch.
+struct Tripwire(AriaHash);
+
+const TRIP_KEY: &[u8] = b"tripwire";
+
+impl KvStore for Tripwire {
+    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        self.0.put(key, value)
+    }
+    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        assert_ne!(key, TRIP_KEY, "tripwire read");
+        self.0.get(key)
+    }
+    fn delete(&mut self, key: &[u8]) -> Result<bool, StoreError> {
+        self.0.delete(key)
+    }
+    fn len(&self) -> u64 {
+        self.0.len()
+    }
+    fn enclave(&self) -> &Arc<Enclave> {
+        self.0.enclave()
+    }
+}
+
+/// A store that panics under its slot lock is contained: the thread
+/// that submitted the batch — a reactor, or a threads-engine connection
+/// — survives, so the *same* connection keeps getting PING, HEALTH and
+/// the other shard's data answered, and ops for the dead shard get the
+/// typed `ShardUnavailable` code. Both ways of dying are covered: a
+/// detached closure (the chaos kill) and a panic in the serving
+/// thread's own batch.
+#[test]
+fn store_panic_is_contained_and_the_connection_keeps_serving() {
+    let _wd = watchdog("store_panic_is_contained", Duration::from_secs(120));
+    for engine in [aria_net::Engine::Reactor, aria_net::Engine::Threads] {
+        for in_batch in [false, true] {
+            let store = Arc::new(
+                ShardedStore::with_shards(2, |_| {
+                    AriaHash::new(
+                        StoreConfig::for_keys(16_384),
+                        Arc::new(Enclave::with_default_epc()),
+                    )
+                    .map(Tripwire)
+                })
+                .unwrap(),
+            );
+            let dead = store.shard_of(TRIP_KEY);
+            let on_dead = key_on(&store, dead);
+            let on_live = key_on(&store, 1 - dead);
+            let server = AriaServer::bind(
+                "127.0.0.1:0",
+                Arc::clone(&store),
+                ServerConfig::builder().engine(engine).build().unwrap(),
+            )
+            .unwrap();
+            let mut client = quick_client(server.local_addr());
+            client.put(&on_dead, b"doomed").unwrap();
+            client.put(&on_live, b"kept").unwrap();
+
+            let what = format!("{engine:?}, in_batch={in_batch}");
+            if in_batch {
+                // The panic unwinds through the serving thread's own
+                // `run_batch`/`run_sharded` call.
+                assert_unavailable(client.get(TRIP_KEY), &what);
+            } else {
+                assert!(store.exec_detached(dead, |_| panic!("injected crash")), "{what}");
+            }
+
+            // Same connection, same server thread: still alive.
+            client.ping().unwrap_or_else(|e| panic!("{what}: PING after the kill: {e}"));
+            // (Routed to the dead shard first: a detached kill holds the
+            // slot when `exec_detached` returns but marks the shard dead
+            // only once it has unwound; this op waits it out.)
+            assert_unavailable(client.get(&on_dead), &what);
+            let health = client.health().unwrap_or_else(|e| panic!("{what}: HEALTH: {e}"));
+            assert_eq!(health.shards[dead].health(), ShardHealth::Dead, "{what}");
+            assert_eq!(health.shards[1 - dead].health(), ShardHealth::Healthy, "{what}");
+            assert_eq!(client.get(&on_live).unwrap().unwrap(), b"kept", "{what}");
+            client.put(&on_live, b"still-writable").unwrap();
+            assert_unavailable(client.put(&on_dead, b"x"), &what);
+            // A mixed window: the dead shard's slots carry the typed
+            // error, the live shard's answer normally.
+            let values = client.multi_get(&[on_live.as_slice(), on_dead.as_slice()]).unwrap();
+            assert_eq!(values[0], Ok(Some(b"still-writable".to_vec())), "{what}");
+            assert!(values[1].is_err(), "{what}: dead shard's key must not be served");
+            server.shutdown();
+        }
+    }
 }
 
 /// End-to-end tracing on both engines: a v5 client sampling every

@@ -163,9 +163,10 @@ pub enum StoreError {
         /// Offending length.
         len: usize,
     },
-    /// A [`crate::sharded::ShardedStore`] worker is gone (its thread
-    /// panicked or was torn down); operations routed to it cannot be
-    /// served. Other shards remain fully available.
+    /// A [`crate::sharded::ShardedStore`] shard's store is gone (it
+    /// panicked and was condemned, or its group was deactivated);
+    /// operations routed to it cannot be served. Other shards remain
+    /// fully available.
     ShardUnavailable {
         /// The unreachable shard.
         shard: usize,
@@ -239,7 +240,7 @@ impl std::fmt::Display for StoreError {
             StoreError::KeyTooLong { len } => write!(f, "key too long: {len} bytes"),
             StoreError::ValueTooLong { len } => write!(f, "value too long: {len} bytes"),
             StoreError::ShardUnavailable { shard } => {
-                write!(f, "shard {shard} unavailable (worker gone)")
+                write!(f, "shard {shard} unavailable (store gone)")
             }
             StoreError::ShardQuarantined { shard } => {
                 write!(f, "shard {shard} quarantined after an integrity violation")

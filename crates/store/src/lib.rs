@@ -199,8 +199,9 @@ pub trait KvStore {
         let _ = tele;
     }
     /// Refresh point-in-time telemetry gauges (live keys, counter-area
-    /// occupancy, heap bytes). Called by batch workers between batches;
-    /// must stay cheap. The default is a no-op.
+    /// occupancy, heap bytes). The sharded layer calls it at the end of
+    /// every batch, still under the slot lock; must stay cheap. The
+    /// default is a no-op.
     fn refresh_gauges(&self) {}
     /// Stream up to `max` verified `(key, value)` pairs starting at an
     /// opaque `cursor` (`0` = from the beginning). Returns the pairs and
@@ -223,18 +224,20 @@ pub trait KvStore {
     }
     /// Run one bounded slice of background upkeep: tier migration,
     /// log compaction, checkpointing. Called periodically by the
-    /// sharded layer's maintenance ticker on the shard's own worker
-    /// thread (so it is exclusive with regular operations); must do a
-    /// *bounded* amount of work per call to keep tail latency sane.
+    /// sharded layer under the shard's slot lock (so it is exclusive
+    /// with regular operations): by the maintenance ticker when the
+    /// slot is free, otherwise by the next batch that holds the slot,
+    /// on that submitter's thread. Must do a *bounded* amount of work
+    /// per call — a batch's replies wait for it.
     /// The default is a no-op for stores with nothing to maintain.
     fn maintain(&mut self) -> Result<MaintenanceReport, StoreError> {
         Ok(MaintenanceReport::default())
     }
     /// Make every write applied so far durable (the covering fsync of a
-    /// group-commit window). Shard workers call this once per drained
-    /// batch *before* sending any of the batch's replies, so an
-    /// acknowledgement is never issued for a write that could still be
-    /// lost to a crash. The default is a no-op for stores with no
+    /// group-commit window). The sharded layer calls this once per
+    /// submitted batch, under the slot lock, *before* any of the batch's
+    /// replies is returned, so an acknowledgement is never issued for a
+    /// write that could still be lost to a crash. The default is a no-op for stores with no
     /// durability log (their writes are memory-only by design).
     fn flush(&mut self) -> Result<(), StoreError> {
         Ok(())

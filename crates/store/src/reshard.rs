@@ -24,11 +24,11 @@
 //!    serving; pairs on moving slots are applied to every in-service
 //!    replica of the target.
 //! 2. **Frozen delta** — the moving slots are frozen (writes to them
-//!    are refused *at execution time* on the source's own worker
-//!    thread, so the refusal is totally ordered with the delta export
-//!    queued behind it — no fence race can ack a write the delta
-//!    misses), then a second export diffs against the copy and the
-//!    delta is applied to the target.
+//!    are refused *at execution time*, under the source's slot lock, so
+//!    the refusal is totally ordered with the delta export that takes
+//!    the same lock after the freeze — no fence race can ack a write
+//!    the delta misses), then a second export diffs against the copy
+//!    and the delta is applied to the target.
 //! 3. **Verified handoff** — source and target each compute a
 //!    commutative content root over the moving slots *inside their own
 //!    enclave from their own verified reads*
@@ -48,13 +48,12 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
-use std::thread;
 
 use crate::btree::KvPair;
-use crate::resync::content_root;
+use crate::resync::{content_root, ContentRoot};
 use crate::sharded::{
-    exec_on_slot, fnv1a, lock_handles, send_to_slot_inner, spawn_worker, splitmix64, Inner,
-    Request, ShardHealth,
+    fnv1a, install_store, put_pairs, remove_store, spawn_registered, splitmix64, with_slot, Inner,
+    ShardHealth,
 };
 use crate::{KvStore, StoreError};
 
@@ -147,7 +146,7 @@ impl RoutingTable {
 
     /// Commit a move: retarget `slots` to `target`, stamp their
     /// moved-epoch, then bump the global epoch — in that order, so a
-    /// worker that observes the new epoch also observes the new owners.
+    /// thread that observes the new epoch also observes the new owners.
     pub(crate) fn commit_move(&self, slots: &[usize], target: usize) -> u64 {
         let next = self.epoch.load(Ordering::SeqCst) + 1;
         for &s in slots {
@@ -234,7 +233,7 @@ pub enum ReshardFault {
     /// Flip a byte in the bulk-copy stream (must be caught by the
     /// content-root handoff check → abort, never commit).
     TamperStream,
-    /// Kill the target's primary worker mid-copy (must abort and leave
+    /// Kill the target's primary store mid-copy (must abort and leave
     /// no trace of the target). Only consulted when the migration
     /// activated the target itself (a split): a merge target is a live
     /// data-bearing group, and killing its only primary is a plain
@@ -375,14 +374,9 @@ pub(crate) fn start<S: KvStore + Send + 'static>(
             }
         }
     }
-    let inner2 = Arc::clone(inner);
-    let handle = thread::Builder::new()
-        .name(format!("aria-reshard-{source}-{target}"))
-        .spawn(move || run(&inner2, mode, source, target))
-        .expect("spawn reshard driver thread");
-    let mut reg = lock_handles(&inner.resyncers);
-    reg.retain(|h| !h.is_finished());
-    reg.push(handle);
+    spawn_registered(inner, format!("aria-reshard-{source}-{target}"), move |inner| {
+        run(inner, mode, source, target)
+    });
     Ok(())
 }
 
@@ -417,27 +411,37 @@ fn set_migration_gauges<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, grou
     }
 }
 
-/// Export every verified pair of a group replica inside one worker
-/// round trip (the cursor is only valid while the store is unmutated,
-/// and the worker queue is the mutual exclusion).
-fn export_all<S: KvStore + Send + 'static>(
-    inner: &Arc<Inner<S>>,
-    group: usize,
-    slot: usize,
-) -> Result<Vec<KvPair>, StoreError> {
-    exec_on_slot(inner, group, slot, |s: &mut S| {
-        let mut out = Vec::new();
-        let mut cursor = 0u64;
-        loop {
-            let (pairs, next) = s.export_chunk(cursor, EXPORT_CHUNK)?;
-            out.extend(pairs);
-            match next {
-                Some(c) => cursor = c,
-                None => break,
-            }
+/// Export every verified pair of a store. Call it inside one slot-lock
+/// hold: the cursor is only valid while the store is unmutated, and the
+/// slot lock is the mutual exclusion.
+fn export_all<S: KvStore>(s: &mut S) -> Result<Vec<KvPair>, StoreError> {
+    let mut out = Vec::new();
+    let mut cursor = 0u64;
+    loop {
+        let (pairs, next) = s.export_chunk(cursor, EXPORT_CHUNK)?;
+        out.extend(pairs);
+        match next {
+            Some(c) => cursor = c,
+            None => return Ok(out),
         }
-        Ok(out)
-    })?
+    }
+}
+
+/// The verified pairs a store holds on the moving slots, with their
+/// content root — both computed inside the store's own enclave from its
+/// own verified reads.
+fn export_moving<S: KvStore>(
+    s: &mut S,
+    routing: &RoutingTable,
+    on_moving: &[bool; NUM_ROUTING_SLOTS],
+) -> Result<(Vec<KvPair>, ContentRoot), StoreError> {
+    let mut pairs = export_all(s)?;
+    pairs.retain(|(k, _)| on_moving[routing.slot_of(k)]);
+    for (k, v) in &pairs {
+        s.enclave().charge_mac(16 + k.len() + v.len());
+    }
+    let root = content_root(&pairs);
+    Ok((pairs, root))
 }
 
 /// In-service (healthy) replica indexes of a group.
@@ -450,20 +454,19 @@ fn healthy_replicas<S: KvStore + Send + 'static>(
         .collect()
 }
 
-/// Apply one chunk of pairs to every in-service replica of `group`.
+/// Apply one chunk of pairs to every in-service replica of `group`
+/// (a group with none left cannot take the copy).
 fn apply_chunk<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
-    chunk: &[(Vec<u8>, Vec<u8>)],
+    chunk: &[KvPair],
 ) -> Result<(), StoreError> {
-    for r in healthy_replicas(inner, group) {
-        let owned = chunk.to_vec();
-        exec_on_slot(inner, group, inner.slot_index(group, r), move |s: &mut S| {
-            let refs: Vec<(&[u8], &[u8])> =
-                owned.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-            s.put_batch(&refs).into_iter().find_map(Result::err)
-        })?
-        .map_or(Ok(()), Err)?;
+    let replicas = healthy_replicas(inner, group);
+    if replicas.is_empty() {
+        return Err(StoreError::ShardUnavailable { shard: group });
+    }
+    for r in replicas {
+        put_pairs(inner, inner.slot_index(group, r), chunk)?;
     }
     Ok(())
 }
@@ -479,14 +482,11 @@ fn delete_keys<S: KvStore + Send + 'static>(
 ) -> Result<(), StoreError> {
     for r in healthy_replicas(inner, group) {
         for chunk in keys.chunks(APPLY_CHUNK) {
-            let owned: Vec<Vec<u8>> = chunk.to_vec();
-            let res = exec_on_slot(inner, group, inner.slot_index(group, r), move |s: &mut S| {
-                owned.into_iter().find_map(|k| s.delete(&k).err())
+            let res = with_slot(inner, inner.slot_index(group, r), |s| {
+                chunk.iter().try_for_each(|k| s.delete(k).map(drop))
             });
             match res {
-                Ok(None) => {}
-                Ok(Some(e)) if !best_effort => return Err(e),
-                Err(e) if !best_effort => return Err(e),
+                Ok(Err(e)) | Err(e) if !best_effort => return Err(e),
                 _ => {}
             }
         }
@@ -494,24 +494,17 @@ fn delete_keys<S: KvStore + Send + 'static>(
     Ok(())
 }
 
-/// Take a group out of service: stop routing candidates, drop worker
-/// senders (workers drain what they accepted and exit) and clear the
-/// active flag. The reverse of activation; used after a merge drains
-/// the source and to scrub a freshly activated target on abort.
+/// Take a group out of service: stop routing candidates, drop its
+/// stores and clear the active flag. The reverse of activation; used
+/// after a merge drains the source and to scrub a freshly activated
+/// target on abort.
 fn deactivate<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, group: usize) {
     inner.reshard.active[group].store(false, Ordering::SeqCst);
     for r in 0..inner.replicas {
         inner.ctls[group].machine.force(r, ShardHealth::Dead);
     }
     for r in 0..inner.replicas {
-        let slot = inner.slot_index(group, r);
-        let mut sender = inner.slots[slot].sender.write().unwrap_or_else(|p| p.into_inner());
-        // Bump under the sender write lock (same discipline as a
-        // respawn) so stale death evidence can never touch a future
-        // activation's fresh worker. The respawn on reactivation resets
-        // the in-flight estimate.
-        inner.slots[slot].generation.fetch_add(1, Ordering::SeqCst);
-        *sender = None;
+        remove_store(inner, inner.slot_index(group, r));
     }
 }
 
@@ -553,12 +546,12 @@ fn run<S: KvStore + Send + 'static>(
         if inner.shutdown.load(Ordering::SeqCst) {
             return Err(gone());
         }
-        // Activate the target if it has no workers yet (split). A
-        // previously deactivated group respawns through the ordinary
+        // Activate the target if it has no stores yet (split). A
+        // previously deactivated group is rebuilt through the ordinary
         // factory, so it restarts from a fresh, empty store.
         if !ctl.is_active(target) {
             for r in 0..inner.replicas {
-                spawn_worker(inner, inner.slot_index(target, r))?;
+                install_store(inner, inner.slot_index(target, r))?;
             }
             for r in 0..inner.replicas {
                 inner.ctls[target].machine.force(r, ShardHealth::Healthy);
@@ -571,11 +564,12 @@ fn run<S: KvStore + Send + 'static>(
             // handoff verification below compares exactly this run's
             // copy.
             let tp = inner.ctls[target].machine.primary();
-            let residue: Vec<Vec<u8>> = export_all(inner, target, inner.slot_index(target, tp))?
-                .into_iter()
-                .filter(|(k, _)| on_moving[inner.routing.slot_of(k)])
-                .map(|(k, _)| k)
-                .collect();
+            let residue: Vec<Vec<u8>> =
+                with_slot(inner, inner.slot_index(target, tp), export_all)??
+                    .into_iter()
+                    .filter(|(k, _)| on_moving[inner.routing.slot_of(k)])
+                    .map(|(k, _)| k)
+                    .collect();
             delete_keys(inner, target, &residue, false)?;
         }
 
@@ -583,7 +577,7 @@ fn run<S: KvStore + Send + 'static>(
         // keeps serving reads and writes.
         let sp = inner.ctls[source].machine.primary();
         let sp_slot = inner.slot_index(source, sp);
-        let mut copy: Vec<(Vec<u8>, Vec<u8>)> = export_all(inner, source, sp_slot)?
+        let mut copy: Vec<KvPair> = with_slot(inner, sp_slot, export_all)??
             .into_iter()
             .filter(|(k, _)| on_moving[inner.routing.slot_of(k)])
             .collect();
@@ -608,49 +602,29 @@ fn run<S: KvStore + Send + 'static>(
             // fails and the migration aborts without the epoch moving.
             // Gated on `activated`: only a half-built split target is
             // expendable — its scrub is a deactivation and the next
-            // attempt respawns fresh workers. A merge target serves
+            // attempt installs fresh stores. A merge target serves
             // live data; with no backup to promote, killing it would
             // just be an unrecoverable shard loss wearing a chaos hat.
             if !killed && activated && ctl.consult_fault(ReshardFault::KillTarget) {
                 killed = true;
                 let tp = inner.ctls[target].machine.primary();
-                let _ = send_to_slot_inner(
-                    inner,
-                    inner.slot_index(target, tp),
-                    Request::Exec(Box::new(|_s: &mut S| panic!("injected reshard target kill"))),
-                );
+                let _ = with_slot(inner, inner.slot_index(target, tp), |_s| {
+                    panic!("injected reshard target kill")
+                });
             }
             apply_chunk(inner, target, chunk)?;
             copied_keys.extend(chunk.iter().map(|(k, _)| k.clone()));
         }
 
         // Phase 2: freeze the moving slots, then export the delta. The
-        // export is queued on the source primary's own worker *after*
-        // the freeze flag is up, so every write it misses was refused,
-        // never acknowledged.
+        // export takes the source primary's slot lock *after* the
+        // freeze flag is up, so every write it misses took the lock
+        // later still, saw the flag and was refused, never
+        // acknowledged.
         inner.routing.freeze(&moving, true);
         froze = true;
-        let routing = Arc::clone(&inner.routing);
-        let moving_mask = on_moving;
         let (snap, src_root) =
-            exec_on_slot(inner, source, sp_slot, move |s: &mut S| -> Result<_, StoreError> {
-                let mut pairs = Vec::new();
-                let mut cursor = 0u64;
-                loop {
-                    let (chunk, next) = s.export_chunk(cursor, EXPORT_CHUNK)?;
-                    pairs.extend(chunk);
-                    match next {
-                        Some(c) => cursor = c,
-                        None => break,
-                    }
-                }
-                pairs.retain(|(k, _)| moving_mask[routing.slot_of(k)]);
-                for (k, v) in &pairs {
-                    s.enclave().charge_mac(16 + k.len() + v.len());
-                }
-                let root = content_root(&pairs);
-                Ok((pairs, root))
-            })??;
+            with_slot(inner, sp_slot, |s| export_moving(s, &inner.routing, &on_moving))??;
         let mut have = sent;
         let mut upserts: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
         for (k, v) in &snap {
@@ -669,37 +643,16 @@ fn run<S: KvStore + Send + 'static>(
         // root inside its own enclave from its own verified reads; a
         // lying (or tampered) target cannot produce the source's root.
         let tp = inner.ctls[target].machine.primary();
-        let routing = Arc::clone(&inner.routing);
-        let moving_mask = on_moving;
-        let tgt_root = exec_on_slot(
-            inner,
-            target,
-            inner.slot_index(target, tp),
-            move |s: &mut S| -> Result<_, StoreError> {
-                let mut pairs = Vec::new();
-                let mut cursor = 0u64;
-                loop {
-                    let (chunk, next) = s.export_chunk(cursor, EXPORT_CHUNK)?;
-                    pairs.extend(chunk);
-                    match next {
-                        Some(c) => cursor = c,
-                        None => break,
-                    }
-                }
-                pairs.retain(|(k, _)| moving_mask[routing.slot_of(k)]);
-                for (k, v) in &pairs {
-                    s.enclave().charge_mac(16 + k.len() + v.len());
-                }
-                Ok(content_root(&pairs))
-            },
-        )??;
+        let (_, tgt_root) = with_slot(inner, inner.slot_index(target, tp), |s| {
+            export_moving(s, &inner.routing, &on_moving)
+        })??;
         if src_root != tgt_root {
             return Err(StoreError::ReplicaDiverged { shard: target });
         }
 
-        // Phase 4: the epoch flip. After this store the source's
-        // workers refuse ops on the moved slots at execution time, so
-        // the deletes below can never race a client into lost data.
+        // Phase 4: the epoch flip. After this store the source refuses
+        // ops on the moved slots at execution time, so the deletes
+        // below can never race a client into lost data.
         inner.routing.commit_move(&moving, target);
         inner.routing.freeze(&moving, false);
         froze = false;
@@ -718,10 +671,9 @@ fn run<S: KvStore + Send + 'static>(
             if !inner.shutdown.load(Ordering::SeqCst) {
                 let _ = delete_keys(inner, source, &moved_keys, true);
                 for r in healthy_replicas(inner, source) {
-                    let _ =
-                        exec_on_slot(inner, source, inner.slot_index(source, r), |s: &mut S| {
-                            let _ = s.maintain();
-                        });
+                    let _ = with_slot(inner, inner.slot_index(source, r), |s| {
+                        let _ = s.maintain();
+                    });
                 }
             }
             if mode == ReshardMode::Merge {
@@ -763,7 +715,7 @@ mod tests {
     use std::time::{Duration, Instant};
 
     fn elastic(active: usize, max: usize) -> ShardedStore<AriaHash> {
-        ShardedStore::with_elastic(active, max, 1, 64, |_| {
+        ShardedStore::with_elastic(active, max, 1, |_| {
             AriaHash::new(StoreConfig::for_keys(4_096), Arc::new(Enclave::with_default_epc()))
         })
         .unwrap()

@@ -102,8 +102,8 @@ pub fn content_root(pairs: &[(Vec<u8>, Vec<u8>)]) -> ContentRoot {
 /// Stream a store's entire verified contents
 /// ([`KvStore::export_chunk`]) and return both the pairs and their
 /// [`ContentRoot`]. The store must not be mutated concurrently — the
-/// sharded layer guarantees this by running the export on the shard's
-/// own worker thread behind the group's write fence. Enclave MAC costs
+/// sharded layer guarantees this by running the export inside one
+/// slot-lock hold, behind the group's write fence. Enclave MAC costs
 /// for the digest are charged per pair.
 #[allow(clippy::type_complexity)]
 pub fn content_root_of<S: KvStore>(

@@ -4,11 +4,16 @@
 //! [`ShardedStore`] hash-partitions the keyspace across `N` independent
 //! shard *groups*. Each group holds `R` replicas (default 1); every
 //! replica is a complete store instance — its own simulated enclave,
-//! counter Merkle tree and Secure Cache — owned by a dedicated worker
-//! thread and fed over a bounded MPSC channel. Clients hold only the
-//! front-end, so a `ShardedStore` is `Send + Sync` and can be shared
-//! behind an `Arc` by any number of client threads even though the
-//! underlying stores are single-threaded.
+//! counter Merkle tree and Secure Cache — sitting in a *slot* behind a
+//! lock. **A shard is a lock, not a thread**: whoever submits a batch
+//! executes it on its own thread while holding the slot lock, so a
+//! `ShardedStore` is `Send + Sync` and can be shared behind an `Arc` by
+//! any number of client threads even though the underlying stores are
+//! single-threaded, and a request crosses no thread boundary between
+//! its submitter and the store. The front-end starts no thread of its
+//! own; only [`ShardedStore::start_maintenance`], a re-sync, a reshard
+//! and [`ShardedStore::exec_detached`] spawn (registered, joined on
+//! drop) background threads, and they take the same slot locks.
 //!
 //! # Partitioning
 //!
@@ -19,29 +24,48 @@
 //! shard using only `1/N` of its buckets. After mixing, shard routing
 //! and bucket choice are independent.
 //!
+//! # Execution and lock order
+//!
+//! A batch is partitioned by group and each non-empty group slice runs
+//! in turn: admit, pick (or promote) the acting primary, charge the
+//! slot's in-flight counter, lock the slot, apply, make one covering
+//! [`KvStore::flush`], unlock, scan the replies for violations. One
+//! caller's multi-shard batch therefore runs its shards one after
+//! another — parallelism comes from calling threads (one reactor per
+//! core), not from fanning a batch out. The commit group of the
+//! covering flush is one submission; for the reactor that is already
+//! every connection of a tick.
+//!
+//! Locks are ordered `write_lock` (per group, replicated writes only)
+//! → slot lock, and two slot locks are never held at once, so no
+//! caller mix can deadlock. A store that panics while its slot is held
+//! is *condemned*: the panic is caught, the store dropped, the slot
+//! emptied and the replica marked [`ShardHealth::Dead`]; the submitter
+//! survives and gets [`StoreError::ShardUnavailable`].
+//!
 //! # Replication
 //!
 //! With `R > 1` ([`ShardedStore::with_replicas`]) each group runs one
-//! *primary* and `R-1` synchronous *backups*. Writes are sent to the
-//! primary **and** every in-service backup under a per-group send lock
-//! (so all queues observe the same write order), and acknowledged only
-//! after every addressed replica has applied them — the bounded worker
-//! queues are the in-flight window that keeps the hot path pipelined.
-//! Reads are served by the primary alone; when the primary leaves
-//! service the next operation promotes a healthy backup by CAS on the
-//! group's [`GroupHealthMachine`] (automatic failover).
+//! *primary* and `R-1` synchronous *backups*. A write batch takes the
+//! group's write-order lock, applies on the primary and then on every
+//! in-service backup before the lock is released, so all replicas see
+//! the same write order and a write is acknowledged only after every
+//! addressed replica has applied it. Reads are served by the primary
+//! alone; when the primary leaves service the next operation promotes a
+//! healthy backup by CAS on the group's [`GroupHealthMachine`]
+//! (automatic failover).
 //!
 //! A replica that dies or quarantines rejoins via *anti-entropy
-//! re-sync*: a fresh worker (own enclave, own heap) streams the
-//! survivor's MAC-verified contents ([`KvStore::export_chunk`]) in a
-//! live first pass, then a short write-fenced second pass applies the
-//! delta and both sides compare [`crate::ContentRoot`]s — each computed
-//! inside its own enclave from its own verified reads. Matching roots
-//! re-admit the replica; a mismatch marks it [`ShardHealth::Dead`] with
+//! re-sync*: a fresh store (own enclave, own heap) is installed in its
+//! slot and streams the survivor's MAC-verified contents
+//! ([`KvStore::export_chunk`]) in a live first pass, then a short
+//! write-fenced second pass applies the delta and both sides compare
+//! [`crate::ContentRoot`]s — each computed inside its own enclave from
+//! its own verified reads. Matching roots re-admit the replica; a
+//! mismatch marks it [`ShardHealth::Dead`] with
 //! [`StoreError::ReplicaDiverged`] (a diverged replica must never serve).
 //! With `R == 1` none of this machinery is touched: no group lock, no
-//! fence check beyond one atomic load, identical hot path to the
-//! unreplicated design.
+//! fence check, one slot lock per batch.
 //!
 //! # Security
 //!
@@ -56,11 +80,11 @@
 //!
 //! # Batching
 //!
-//! Requests carry whole op vectors ([`BatchOp`]) and workers drain their
-//! queue opportunistically, so per-request fixed costs amortize: runs of
-//! `Get`s become one [`KvStore::multi_get`] and runs of `Put`s one
-//! [`KvStore::put_batch`], each charging the simulated per-request cost
-//! once.
+//! Submissions carry whole op vectors ([`BatchOp`]), so per-request
+//! fixed costs amortize: runs of `Get`s become one
+//! [`KvStore::multi_get`] and runs of `Put`s one [`KvStore::put_batch`],
+//! each charging the simulated per-request cost once — the paper's
+//! "cross the enclave boundary once per batch".
 //!
 //! # Health and quarantine
 //!
@@ -69,28 +93,29 @@
 //! ```text
 //! Healthy ──violation──▶ Quarantined ──▶ Recovering ──▶ Healthy
 //!    │                        │               │
-//!    └────(worker died)───────┴───────────────┴──(failed)──▶ Dead
+//!    └────(store condemned)───┴───────────────┴──(failed)──▶ Dead
 //!                                                   Dead ──▶ Recovering
 //! ```
 //!
 //! When any reply carries a quarantine-triggering integrity violation
 //! (see [`StoreError::is_quarantine_trigger`]) the replica flips to
 //! `Quarantined`: operations are refused with
-//! [`StoreError::ShardQuarantined`] *without touching the worker*, while
+//! [`StoreError::ShardQuarantined`] *without touching the store*, while
 //! sibling groups (and, with replication, sibling replicas) keep
 //! serving. Recovery is single-flight — exactly one claimant wins the
-//! `Quarantined → Recovering` (or `Dead → Recovering`) CAS. Unreplicated
-//! groups recover in place with [`KvStore::recover`] (up to
-//! [`RECOVERY_ATTEMPTS`] times); replicated groups re-sync from a
-//! surviving replica as described above. [`ShardedStore::healths`]
-//! exposes per-group state, [`ShardedStore::replica_healths`] per-replica
-//! detail (role, lag), and [`ShardedStore::group_stats`] failover and
-//! re-sync counters.
+//! `Quarantined → Recovering` (or `Dead → Recovering`) CAS — and runs on
+//! a background thread so the submitter that saw the violation is not
+//! held up. A replica with no healthy sibling recovers in place with
+//! [`KvStore::recover`] (up to [`RECOVERY_ATTEMPTS`] times); otherwise
+//! it re-syncs from a surviving replica as described above.
+//! [`ShardedStore::healths`] exposes per-group state,
+//! [`ShardedStore::replica_healths`] per-replica detail (role, lag), and
+//! [`ShardedStore::group_stats`] failover and re-sync counters.
 
 use std::collections::HashMap;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Mutex, RwLock};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -99,17 +124,12 @@ use aria_telemetry::{
     stage as trace_stage, OpKind as TeleOpKind, ShardTelemetry, SlowOp, SlowOpTracer, SpanCell,
 };
 
+use crate::btree::KvPair;
 use crate::reshard::{
     self, ReshardCtl, ReshardFault, ReshardMode, ReshardStatus, RoutingTable, NUM_ROUTING_SLOTS,
 };
 use crate::resync::content_root_of;
 use crate::{CacheStats, KvStore, StoreError};
-
-/// Default bound of each shard's request queue.
-pub const DEFAULT_QUEUE_DEPTH: usize = 64;
-
-/// How many queued requests a worker drains per wakeup.
-const WORKER_DRAIN_LIMIT: usize = 32;
 
 /// How many times a quarantined unreplicated shard retries
 /// [`KvStore::recover`] before it is declared [`ShardHealth::Dead`].
@@ -118,7 +138,7 @@ pub const RECOVERY_ATTEMPTS: u32 = 3;
 /// Upper bound on replicas per group (sanity rail, not a design limit).
 pub const MAX_REPLICAS: usize = 8;
 
-/// How many pairs a re-sync bulk-apply sends per worker round trip.
+/// How many pairs a re-sync bulk-apply writes per slot-lock hold.
 const RESYNC_APPLY_CHUNK: usize = 256;
 
 /// Lifecycle state of one replica (see the module docs).
@@ -133,8 +153,8 @@ pub enum ShardHealth {
     /// Recovery (or anti-entropy re-sync) is running. Ops are still
     /// refused with [`StoreError::ShardQuarantined`].
     Recovering = 2,
-    /// Recovery failed (or the worker thread died); the replica is out
-    /// of service. Ops are refused with
+    /// Recovery failed (or the store panicked and was condemned); the
+    /// replica is out of service. Ops are refused with
     /// [`StoreError::ShardUnavailable`]. A replicated group may still
     /// pull a dead replica back through re-sync.
     Dead = 3,
@@ -356,11 +376,11 @@ impl GroupHealthMachine {
         self.cas(replica, ShardHealth::Recovering, ShardHealth::Dead)
     }
 
-    /// Force a replica dead (worker gone): `Healthy → Dead` or
+    /// Force a replica dead (store gone): `Healthy → Dead` or
     /// `Quarantined → Dead`. Returns the previous state when this call
     /// made the change, `None` otherwise. `Recovering` is deliberately
     /// not reachable from here — that state is owned by the single-flight
-    /// recovery claimant, whose own send/apply failures surface a real
+    /// recovery claimant, whose own apply failures surface a real
     /// mid-recovery death as [`GroupHealthMachine::fail_recovery`]. An
     /// external death report landing on a `Recovering` replica would
     /// yank it out from under its claimant and park it `Dead` with no
@@ -410,34 +430,39 @@ impl std::fmt::Debug for GroupHealthMachine {
     }
 }
 
-/// Shared (front-end ↔ recovery job) counters of one replica slot.
+/// Counters of one replica slot, read lock-free by admission control,
+/// the watchdog and the monitoring paths.
 pub(crate) struct ShardState {
     violations: AtomicU64,
     recoveries: AtomicU64,
-    /// Last key count the slot's worker reported. Monitoring paths read
-    /// this instead of asking the worker, so a quarantined (or busy)
-    /// replica still contributes its last-known size.
+    /// Key count published at the end of the slot's last lock hold.
+    /// Monitoring paths read this instead of taking the slot lock, so a
+    /// quarantined (or busy) replica still contributes its last-known
+    /// size.
     last_len: AtomicU64,
-    /// Ops accepted into the worker's queue and not yet retired.
-    /// Incremented by the front-end on a successful send, decremented
-    /// by the worker after applying (and reset on respawn — ops queued
-    /// to a dead worker are never retired). These are plain atomics,
-    /// not telemetry counters, because admission control must keep
-    /// working with the `telemetry` feature compiled out.
+    /// Ops submitted to this slot and not yet retired: charged by the
+    /// submitter before it takes the slot lock (so ops waiting on the
+    /// lock count) and retired by the same submitter once it is done,
+    /// whatever the outcome. These are plain atomics, not telemetry
+    /// counters, because admission control must keep working with the
+    /// `telemetry` feature compiled out.
     inflight_ops: AtomicU64,
-    /// Batches the worker has fully applied and replied to — the
-    /// progress heartbeat the stuck-shard watchdog samples. A slot
-    /// whose `inflight_ops` stays positive while this stands still is
-    /// accepting work but retiring nothing.
+    /// Batches fully applied on this slot — the progress heartbeat the
+    /// stuck-shard watchdog samples. A slot whose `inflight_ops` stays
+    /// positive while this stands still is accepting work but retiring
+    /// nothing: its submitters are stuck on (or under) the slot lock.
     batches_retired: AtomicU64,
     /// EWMA of per-op service time in nanoseconds (alpha = 1/8),
-    /// maintained by the worker. `inflight_ops * ewma_op_ns` is the
+    /// updated under the slot lock. `inflight_ops * ewma_op_ns` is the
     /// admission controller's queue-delay estimate. 0 until the first
     /// batch retires.
     ewma_op_ns: AtomicU64,
     /// Data ops refused by admission control
     /// ([`StoreError::Overloaded`]) since start.
     shed_ops: AtomicU64,
+    /// Set by the maintenance ticker when it found the slot busy; the
+    /// next batch to hold the slot runs the pass before unlocking.
+    maintain_due: AtomicBool,
 }
 
 impl ShardState {
@@ -450,6 +475,7 @@ impl ShardState {
             batches_retired: AtomicU64::new(0),
             ewma_op_ns: AtomicU64::new(0),
             shed_ops: AtomicU64::new(0),
+            maintain_due: AtomicBool::new(false),
         }
     }
 
@@ -485,6 +511,16 @@ impl BatchOp {
     pub fn is_write(&self) -> bool {
         !matches!(self, BatchOp::Get(_))
     }
+
+    /// The reply of this op's shape that carries `err` (how a refused
+    /// or unserved op is answered).
+    fn refused(&self, err: StoreError) -> BatchReply {
+        match self {
+            BatchOp::Get(_) => BatchReply::Get(Err(err)),
+            BatchOp::Put(..) => BatchReply::Put(Err(err)),
+            BatchOp::Delete(_) => BatchReply::Delete(Err(err)),
+        }
+    }
 }
 
 /// The result of one [`BatchOp`], in the same position as its op.
@@ -515,66 +551,23 @@ impl BatchReply {
     }
 }
 
-pub(crate) enum Request<S> {
-    Ops {
-        ops: Vec<BatchOp>,
-        /// Trace span cells for sampled requests whose ops are in this
-        /// batch (empty unless tracing sampled them). The worker stamps
-        /// queue/execute stages and attribution deltas on each.
-        spans: Vec<Arc<SpanCell>>,
-        reply: Sender<Vec<BatchReply>>,
-    },
-    Exec(Box<dyn FnOnce(&mut S) + Send>),
-}
-
-/// The kind of a [`BatchOp`], kept so a reply of the right shape can be
-/// synthesized when a shard worker dies mid-request.
-#[derive(Clone, Copy)]
-enum OpKind {
-    Get,
-    Put,
-    Delete,
-}
-
-impl OpKind {
-    fn of(op: &BatchOp) -> OpKind {
-        match op {
-            BatchOp::Get(_) => OpKind::Get,
-            BatchOp::Put(..) => OpKind::Put,
-            BatchOp::Delete(_) => OpKind::Delete,
-        }
-    }
-
-    fn with_err(self, err: StoreError) -> BatchReply {
-        match self {
-            OpKind::Get => BatchReply::Get(Err(err)),
-            OpKind::Put => BatchReply::Put(Err(err)),
-            OpKind::Delete => BatchReply::Delete(Err(err)),
-        }
-    }
-}
-
-/// A replica slot: the (replaceable) channel to its worker plus its
-/// shared counters (telemetry lives in the parallel `Inner::tele` vec).
+/// A replica slot: the store behind its lock, plus the slot's lock-free
+/// counters (telemetry lives in the parallel `Inner::tele` vec). `None`
+/// means no store is installed — the group is inactive, or the store
+/// panicked and was condemned. Everything that touches a store goes
+/// through [`with_slot`].
 pub(crate) struct Slot<S> {
-    pub(crate) sender: RwLock<Option<SyncSender<Request<S>>>>,
-    pub(crate) state: Arc<ShardState>,
-    /// Worker incarnation, bumped under the `sender` write lock each
-    /// time [`spawn_worker`] publishes a fresh worker. Death evidence
-    /// (a failed send or a dropped reply receiver) is stamped with the
-    /// generation it was gathered against and ignored if the worker has
-    /// been respawned since — a receiver from a pre-crash batch failing
-    /// *after* the replica was re-synced and re-admitted proves nothing
-    /// about the current worker.
-    pub(crate) generation: AtomicU64,
+    store: Mutex<Option<S>>,
+    pub(crate) state: ShardState,
 }
 
 /// Per-group control block: health machine, write-order lock and the
 /// re-sync fence.
 pub(crate) struct GroupCtl {
     pub(crate) machine: GroupHealthMachine,
-    /// Held around every replicated write send so the primary's and the
-    /// backups' queues observe the same write order. Never taken when
+    /// Held while a replicated write batch applies on the primary and
+    /// then on every in-service backup, so all replicas observe the
+    /// same write order. Ordered before any slot lock; never taken when
     /// `replicas == 1`.
     pub(crate) write_lock: Mutex<()>,
     /// While set, writes to this group are refused (retryable
@@ -596,20 +589,20 @@ type ResyncFaultHook = dyn Fn(usize) -> bool + Send + Sync;
 pub(crate) struct Inner<S: KvStore + Send + 'static> {
     /// Total shard groups the store is *sized* for. With elastic
     /// construction ([`ShardedStore::with_elastic`]) only a prefix is
-    /// active at first; the rest have no workers and own no routing
+    /// active at first; the rest have empty slots and own no routing
     /// slots until a split activates them.
     pub(crate) groups: usize,
     pub(crate) replicas: usize,
-    pub(crate) queue_depth: usize,
     pub(crate) slots: Vec<Slot<S>>,
     pub(crate) ctls: Vec<GroupCtl>,
     pub(crate) tele: Vec<Arc<ShardTelemetry>>,
-    pub(crate) factory: Arc<Factory<S>>,
-    pub(crate) slow_ops: Arc<SlowOpTracer>,
+    factory: Box<Factory<S>>,
+    slow_ops: Arc<SlowOpTracer>,
     pub(crate) shutdown: AtomicBool,
-    pub(crate) workers: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) resyncers: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) maintainers: Mutex<Vec<JoinHandle<()>>>,
+    /// Every background thread the store started (maintenance tickers,
+    /// re-syncs, the reshard driver, detached closures); [`teardown`]
+    /// joins them all.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     resync_fault: RwLock<Option<Arc<ResyncFaultHook>>>,
     /// Slot-granular key → group routing, replacing the fixed
     /// `hash % groups` map; bumps its epoch on every committed
@@ -634,12 +627,29 @@ impl<S: KvStore + Send + 'static> Inner<S> {
     }
 }
 
-/// Lock a registry even if a previous holder panicked: a
-/// `Vec<JoinHandle>` has no invariant a partial mutation can break.
-pub(crate) fn lock_handles(
-    m: &Mutex<Vec<JoinHandle<()>>>,
-) -> std::sync::MutexGuard<'_, Vec<JoinHandle<()>>> {
-    m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+/// Start a registered background thread running `body` (no-op once the
+/// store is shutting down). The registry is reaped as it grows and
+/// drained by [`teardown`]. Background threads hold an `Arc<Inner>`,
+/// never a `ShardedStore`, whose `Drop` runs the teardown that joins
+/// them.
+pub(crate) fn spawn_registered<S, F>(inner: &Arc<Inner<S>>, name: String, body: F)
+where
+    S: KvStore + Send + 'static,
+    F: FnOnce(&Arc<Inner<S>>) + Send + 'static,
+{
+    if inner.shutdown.load(Ordering::SeqCst) {
+        return;
+    }
+    let inner2 = Arc::clone(inner);
+    let handle = thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&inner2))
+        .expect("spawn store background thread");
+    // A `Vec<JoinHandle>` has no invariant a panicking holder could
+    // have broken, so a poisoned registry is still usable.
+    let mut reg = inner.threads.lock().unwrap_or_else(|p| p.into_inner());
+    reg.retain(|h| !h.is_finished());
+    reg.push(handle);
 }
 
 /// A `Send + Sync` front-end multiplexing client threads onto `N`
@@ -667,69 +677,40 @@ pub struct ShardedStore<S: KvStore + Send + 'static> {
     inner: Arc<Inner<S>>,
 }
 
-/// Everything a shard worker needs to report telemetry and validate
-/// routing ownership at execution time.
-struct WorkerCtx {
-    shard: u32,
-    /// The shard *group* this worker's replica belongs to — the unit
-    /// routing slots are owned by.
-    group: usize,
-    routing: Arc<RoutingTable>,
-    tele: Arc<ShardTelemetry>,
-    slow_ops: Arc<SlowOpTracer>,
-    state: Arc<ShardState>,
-}
-
 impl<S: KvStore + Send + 'static> ShardedStore<S> {
-    /// Build an unreplicated store with `shards` worker threads and the
-    /// default queue depth. `factory(slot)` runs *inside* each worker
-    /// thread to build that slot's store (stores need not be `Send` once
-    /// running, but `S` itself must be to move the factory result into
-    /// place).
+    /// Build an unreplicated store of `shards` shards. `factory(slot)`
+    /// builds each slot's store on the calling thread; `S` must be
+    /// `Send` because whichever thread submits a batch runs it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
     pub fn with_shards<F>(shards: usize, factory: F) -> Result<Self, StoreError>
     where
         F: Fn(usize) -> Result<S, StoreError> + Send + Sync + 'static,
     {
-        Self::with_replicas(shards, 1, DEFAULT_QUEUE_DEPTH, factory)
-    }
-
-    /// Build an unreplicated store with an explicit per-shard queue
-    /// bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` or `queue_depth` is zero.
-    pub fn new<F>(shards: usize, queue_depth: usize, factory: F) -> Result<Self, StoreError>
-    where
-        F: Fn(usize) -> Result<S, StoreError> + Send + Sync + 'static,
-    {
-        Self::with_replicas(shards, 1, queue_depth, factory)
+        Self::with_replicas(shards, 1, factory)
     }
 
     /// Build a store with `groups` logical shards of `replicas` replicas
-    /// each. `factory(slot)` runs inside each worker thread; slot
-    /// `group * replicas + replica` builds that replica's store (and is
-    /// re-invoked to respawn a replica for re-sync).
+    /// each. Slot `group * replicas + replica` of `factory` builds that
+    /// replica's store (and is re-invoked to rebuild a replica for
+    /// re-sync).
     ///
     /// # Panics
     ///
-    /// Panics if `groups`, `replicas` or `queue_depth` is zero, or if
-    /// `replicas` exceeds [`MAX_REPLICAS`].
-    pub fn with_replicas<F>(
-        groups: usize,
-        replicas: usize,
-        queue_depth: usize,
-        factory: F,
-    ) -> Result<Self, StoreError>
+    /// Panics if `groups` or `replicas` is zero, or if `replicas`
+    /// exceeds [`MAX_REPLICAS`].
+    pub fn with_replicas<F>(groups: usize, replicas: usize, factory: F) -> Result<Self, StoreError>
     where
         F: Fn(usize) -> Result<S, StoreError> + Send + Sync + 'static,
     {
-        Self::with_elastic(groups, groups, replicas, queue_depth, factory)
+        Self::with_elastic(groups, groups, replicas, factory)
     }
 
     /// Build an *elastic* store: sized for `max_groups` shard groups but
     /// serving from only the first `active` at construction. Inactive
-    /// groups hold no workers (and no routing slots) until an online
+    /// groups hold no stores (and no routing slots) until an online
     /// split ([`ShardedStore::start_reshard`]) activates them; a merge
     /// that empties a group deactivates it again. With
     /// `active == max_groups` this is exactly
@@ -744,7 +725,6 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         active: usize,
         max_groups: usize,
         replicas: usize,
-        queue_depth: usize,
         factory: F,
     ) -> Result<Self, StoreError>
     where
@@ -755,21 +735,13 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         assert!(max_groups <= NUM_ROUTING_SLOTS, "at most {NUM_ROUTING_SLOTS} shard groups");
         assert!(replicas > 0, "every group needs at least one replica");
         assert!(replicas <= MAX_REPLICAS, "at most {MAX_REPLICAS} replicas per group");
-        assert!(queue_depth > 0, "request queues must hold at least one request");
         let groups = max_groups;
         let slots = groups * replicas;
-        let tele: Vec<Arc<ShardTelemetry>> =
-            (0..slots).map(|_| Arc::new(ShardTelemetry::default())).collect();
         let inner = Arc::new(Inner {
             groups,
             replicas,
-            queue_depth,
             slots: (0..slots)
-                .map(|_| Slot {
-                    sender: RwLock::new(None),
-                    state: Arc::new(ShardState::new()),
-                    generation: AtomicU64::new(0),
-                })
+                .map(|_| Slot { store: Mutex::new(None), state: ShardState::new() })
                 .collect(),
             ctls: (0..groups)
                 .map(|_| GroupCtl {
@@ -780,13 +752,11 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
                     last_resync_error: Mutex::new(None),
                 })
                 .collect(),
-            tele,
-            factory: Arc::new(factory),
+            tele: (0..slots).map(|_| Arc::new(ShardTelemetry::default())).collect(),
+            factory: Box::new(factory),
             slow_ops: Arc::new(SlowOpTracer::default()),
             shutdown: AtomicBool::new(false),
-            workers: Mutex::new(Vec::with_capacity(slots)),
-            resyncers: Mutex::new(Vec::new()),
-            maintainers: Mutex::new(Vec::new()),
+            threads: Mutex::new(Vec::new()),
             resync_fault: RwLock::new(None),
             routing: Arc::new(RoutingTable::new(active)),
             reshard: ReshardCtl::new(groups, active),
@@ -794,18 +764,13 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
             watchdog_window_ns: AtomicU64::new(0),
         });
         for group in 0..groups {
-            if group < active {
-                for replica in 0..replicas {
-                    if let Err(e) = spawn_worker(&inner, inner.slot_index(group, replica)) {
-                        teardown(&inner);
-                        return Err(e);
-                    }
-                }
-            } else {
-                // Inactive groups are out of service until a split
-                // activates them; `Dead` refuses any op that somehow
-                // reaches one (routing never points there).
-                for replica in 0..replicas {
+            for replica in 0..replicas {
+                if group < active {
+                    install_store(&inner, inner.slot_index(group, replica))?;
+                } else {
+                    // Inactive groups are out of service until a split
+                    // activates them; `Dead` refuses any op that somehow
+                    // reaches one (routing never points there).
                     inner.ctls[group].machine.force(replica, ShardHealth::Dead);
                 }
             }
@@ -817,12 +782,12 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     /// Per-slot telemetry bundles (index = `group * replicas + replica`;
     /// with one replica per group, index = shard). The handles are the
     /// live recorders — a monitoring thread can snapshot them at any
-    /// time without touching the workers.
+    /// time without taking a slot lock.
     pub fn telemetry(&self) -> &[Arc<ShardTelemetry>] {
         &self.inner.tele
     }
 
-    /// The slow-op tracer all shard workers record into.
+    /// The slow-op tracer every slot records into.
     pub fn slow_ops(&self) -> &Arc<SlowOpTracer> {
         &self.inner.slow_ops
     }
@@ -833,7 +798,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         self.inner.groups
     }
 
-    /// Number of currently *active* shard groups (groups with workers
+    /// Number of currently *active* shard groups (groups with stores
     /// that own routing slots).
     pub fn active_shards(&self) -> usize {
         self.inner.reshard.active_groups()
@@ -936,8 +901,8 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     /// data ops routed to a group whose estimated queue delay
     /// (`in-flight ops × EWMA of per-op service time`) exceeds `budget`
     /// are refused fast with [`StoreError::Overloaded`] instead of
-    /// queueing — nothing is enqueued, nothing applied, so a refusal is
-    /// never an acknowledgement. Off by default.
+    /// joining the wait for the slot lock — nothing is charged, nothing
+    /// applied, so a refusal is never an acknowledgement. Off by default.
     pub fn set_queue_delay_budget(&self, budget: Option<Duration>) {
         let ns = budget.map_or(0, |d| d.as_nanos().min(u64::MAX as u128) as u64);
         self.inner.queue_delay_budget_ns.store(ns, Ordering::SeqCst);
@@ -963,8 +928,8 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     }
 
     /// Per-group estimated queue delay on the acting primary (index =
-    /// group), in nanoseconds. Reads atomics only — never blocks on a
-    /// worker — and refreshes each slot's `queue_delay_ns` telemetry
+    /// group), in nanoseconds. Reads atomics only — never takes a slot
+    /// lock — and refreshes each slot's `queue_delay_ns` telemetry
     /// gauge as a side effect.
     pub fn queue_delay_estimates(&self) -> Vec<u64> {
         (0..self.inner.groups)
@@ -1033,21 +998,20 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     }
 
     fn request_one(&self, op: BatchOp) -> BatchReply {
-        let mut replies = self.run_batch(vec![op]);
-        debug_assert_eq!(replies.len(), 1);
-        replies.pop().expect("one reply per op")
+        let group = self.shard_of(op.key());
+        self.run_group(group, &[op], &[]).pop().expect("one reply per op")
     }
 
-    /// Run a batch of operations, partitioned across shard groups and
-    /// executed concurrently. Replies come back in input order. Ops
-    /// routed to the same group keep their relative order; ops on
-    /// *different* groups run concurrently, so a batch should not rely
-    /// on cross-key ordering (same as issuing them from independent
-    /// clients). A worker whose thread has died never hangs the caller:
-    /// its ops come back as [`StoreError::ShardUnavailable`] (after
-    /// failover is attempted) while other groups answer normally;
-    /// quarantined groups answer [`StoreError::ShardQuarantined`]
-    /// without being touched.
+    /// Run a batch of operations, partitioned across shard groups.
+    /// Replies come back in input order. Ops routed to the same group
+    /// keep their relative order; groups run one after another on the
+    /// calling thread, in no promised order, so a batch should not rely
+    /// on cross-key ordering (same as issuing the ops from independent
+    /// clients). An out-of-service group never hangs the caller: a
+    /// condemned store's ops come back as
+    /// [`StoreError::ShardUnavailable`] (after failover is attempted)
+    /// while other groups answer normally; quarantined groups answer
+    /// [`StoreError::ShardQuarantined`] without being touched.
     ///
     /// With replication, a write reply is an acknowledgement that the
     /// write was applied by the primary **and** every in-service backup;
@@ -1062,7 +1026,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     /// half-open range of flat op indexes (into `ops`) that belong to
     /// it; the span is handed to every shard group executing one of
     /// those ops, gets its shard/op-count fields filled in here, and is
-    /// stamped through the queue and execute stages by the workers.
+    /// stamped through the lock-wait and execute stages.
     pub fn run_batch_traced(
         &self,
         ops: Vec<BatchOp>,
@@ -1110,7 +1074,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     /// the partitioning pass of [`ShardedStore::run_batch`]. This is
     /// the reactor's submission path: the network layer already groups
     /// decoded ops by shard across all of a reactor's connections, so
-    /// the whole tick reaches the workers as one hand-off per shard.
+    /// the whole tick takes each shard's lock once.
     ///
     /// `per_group.len()` must equal [`ShardedStore::shards`], and every
     /// op in `per_group[g]` must satisfy `shard_of(op.key()) == g`
@@ -1125,14 +1089,14 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
 
     /// [`ShardedStore::run_sharded`] with trace span cells riding along:
     /// `per_group_spans[g]` holds the cells of sampled requests whose
-    /// ops landed in `per_group[g]`. The store stamps queue entry/exit
-    /// and execute stages (plus verify/cold/hot attribution deltas) on
-    /// the primary's copy; backup sends carry no spans so replicated
-    /// writes are attributed exactly once.
+    /// ops landed in `per_group[g]`. The store stamps lock wait
+    /// (ENQUEUE → DEQUEUE) and execute stages (plus verify/cold/hot
+    /// attribution deltas) on the primary's run; backup applies carry
+    /// no spans so replicated writes are attributed exactly once.
     pub fn run_sharded_traced(
         &self,
         per_group: Vec<Vec<BatchOp>>,
-        mut per_group_spans: Vec<Vec<Arc<SpanCell>>>,
+        per_group_spans: Vec<Vec<Arc<SpanCell>>>,
     ) -> Vec<Vec<BatchReply>> {
         assert_eq!(per_group.len(), self.inner.groups, "one op vector per shard group");
         assert_eq!(per_group_spans.len(), self.inner.groups, "one span vector per shard group");
@@ -1140,10 +1104,10 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         for (group, gops) in per_group.iter().enumerate() {
             for op in gops {
                 // A slot that has migrated at least once may legitimately
-                // race an epoch flip between routing and submission; the
-                // worker refuses such stragglers with `WrongShard` at
-                // execution time. A mismatch on a never-moved slot is a
-                // plain routing bug.
+                // race an epoch flip between routing and submission; such
+                // stragglers are refused with `WrongShard` under the slot
+                // lock. A mismatch on a never-moved slot is a plain
+                // routing bug.
                 let slot = self.inner.routing.slot_of(op.key());
                 debug_assert!(
                     self.inner.routing.owner(slot) == group
@@ -1152,181 +1116,106 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
                 );
             }
         }
-        let mut per_group_kinds: Vec<Vec<OpKind>> = Vec::with_capacity(per_group.len());
-        for gops in &per_group {
-            per_group_kinds.push(gops.iter().map(OpKind::of).collect());
-        }
-        let mut out: Vec<Option<Vec<BatchReply>>> = (0..per_group.len()).map(|_| None).collect();
-        let refuse = |out: &mut Vec<Option<Vec<BatchReply>>>, group: usize, err: &StoreError| {
-            out[group] =
-                Some(per_group_kinds[group].iter().map(|k| k.with_err(err.clone())).collect());
-        };
-        // Send every group its slice first so they all work in parallel,
-        // then collect. `backups` carries the receivers whose replies
-        // must land before the group's writes count as acknowledged.
-        struct Pending {
-            group: usize,
-            primary: usize,
-            primary_gen: u64,
-            rx: Receiver<Vec<BatchReply>>,
-            backups: Vec<(usize, u64, Receiver<Vec<BatchReply>>)>,
-        }
-        let mut pending: Vec<Pending> = Vec::new();
-        for (group, gops) in per_group.into_iter().enumerate() {
-            if gops.is_empty() {
-                out[group] = Some(Vec::new());
-                continue;
-            }
-            let gspans = std::mem::take(&mut per_group_spans[group]);
-            match self.dispatch_group(group, gops, gspans) {
-                Ok((primary, primary_gen, rx, backups)) => {
-                    pending.push(Pending { group, primary, primary_gen, rx, backups })
-                }
-                Err(e) => refuse(&mut out, group, &e),
-            }
-        }
-        for p in pending {
-            match p.rx.recv() {
-                Ok(replies) => {
-                    debug_assert_eq!(replies.len(), per_group_kinds[p.group].len());
-                    self.observe_replies(p.group, p.primary, &replies);
-                    out[p.group] = Some(replies);
-                }
-                // The primary died after accepting the request (reply
-                // sender dropped during unwind): the ops are
-                // unacknowledged — the caller gets the typed error, and
-                // the next operation fails over.
-                Err(_) => {
-                    self.mark_replica_dead(p.group, p.primary, p.primary_gen);
-                    refuse(&mut out, p.group, &StoreError::ShardUnavailable { shard: p.group });
-                }
-            }
-            // Acknowledgement waits for every backup: a write is acked
-            // only once applied on all in-service replicas. A backup
-            // that errors or dies here degrades the group (quarantine /
-            // dead + re-sync) but does not retract the primary's reply.
-            for (replica, generation, brx) in p.backups {
-                match brx.recv() {
-                    Ok(replies) => self.observe_replies(p.group, replica, &replies),
-                    Err(_) => self.mark_replica_dead(p.group, replica, generation),
-                }
-            }
-        }
-        out.into_iter().map(|r| r.expect("every group answered")).collect()
+        per_group
+            .iter()
+            .zip(&per_group_spans)
+            .enumerate()
+            .map(|(group, (gops, gspans))| self.run_group(group, gops, gspans))
+            .collect()
     }
 
-    /// Route one group's op slice: pick (and if needed promote) the
-    /// acting primary, then send — dual-writing to in-service backups
-    /// under the group's write lock when replicated.
-    #[allow(clippy::type_complexity)]
-    fn dispatch_group(
+    /// Run one group's op slice on the calling thread; a refusal (or a
+    /// store lost mid-run) answers every op with the typed error.
+    fn run_group(
         &self,
         group: usize,
-        gops: Vec<BatchOp>,
-        gspans: Vec<Arc<SpanCell>>,
-    ) -> Result<
-        (usize, u64, Receiver<Vec<BatchReply>>, Vec<(usize, u64, Receiver<Vec<BatchReply>>)>),
-        StoreError,
-    > {
+        gops: &[BatchOp],
+        gspans: &[Arc<SpanCell>],
+    ) -> Vec<BatchReply> {
+        if gops.is_empty() {
+            return Vec::new();
+        }
+        self.try_run_group(group, gops, gspans)
+            .unwrap_or_else(|e| gops.iter().map(|op| op.refused(e.clone())).collect())
+    }
+
+    fn try_run_group(
+        &self,
+        group: usize,
+        gops: &[BatchOp],
+        gspans: &[Arc<SpanCell>],
+    ) -> Result<Vec<BatchReply>, StoreError> {
         let inner = &self.inner;
-        let ctl = &inner.ctls[group];
-        // Admission first: an over-budget group refuses before anything
-        // is enqueued, so the worker never spends service time on ops
+        // Admission first: an over-budget group refuses before the ops
+        // join the wait for the slot, so no service time goes to ops
         // whose callers are already backing off.
         self.admit(group, gops.len())?;
-        let stamp_enqueue = |spans: &[Arc<SpanCell>]| {
-            for s in spans {
-                s.stamp(trace_stage::ENQUEUE);
-            }
-        };
-        let has_writes = gops.iter().any(BatchOp::is_write);
-        // Reads (and the unreplicated hot path) skip the write lock.
-        if !has_writes || inner.replicas == 1 {
-            let mut gops = gops;
-            let mut gspans = gspans;
+        // Reads (and the unreplicated hot path) skip the write lock. A
+        // replica found gone is marked dead where it is found, so the
+        // next pass promotes a healthy backup if there is one.
+        if inner.replicas == 1 || !gops.iter().any(BatchOp::is_write) {
             for _ in 0..inner.replicas {
                 let primary = self.acting_primary(group)?;
-                let (tx, rx) = mpsc::channel();
-                let slot = inner.slot_index(group, primary);
-                // Stamp before the send: once the request is in the
-                // channel the worker may stamp DEQUEUE at any moment,
-                // and queue entry must not postdate queue exit. A failed
-                // send retries through here and re-stamps (fetch_max
-                // keeps the latest attempt).
-                stamp_enqueue(&gspans);
-                match self.send_to_slot(slot, Request::Ops { ops: gops, spans: gspans, reply: tx })
-                {
-                    Ok(generation) => return Ok((primary, generation, rx, Vec::new())),
-                    Err((req, generation)) => {
-                        // Worker gone: record the death, then retry via
-                        // failover (promote finds the next healthy
-                        // replica, if any).
-                        self.mark_replica_dead(group, primary, generation);
-                        match req {
-                            Request::Ops { ops, spans, .. } => {
-                                gops = ops;
-                                gspans = spans;
-                            }
-                            Request::Exec(_) => unreachable!("ops request returned"),
-                        }
-                    }
+                if let Ok(replies) = self.run_on_replica(group, primary, gops, gspans) {
+                    return Ok(replies);
                 }
             }
             return Err(self.group_refusal(group));
         }
-        let writes: Vec<BatchOp> = gops.iter().filter(|op| op.is_write()).cloned().collect();
-        let guard = ctl.write_lock.lock().unwrap_or_else(|p| p.into_inner());
+        let ctl = &inner.ctls[group];
+        let _write_order = ctl.write_lock.lock().unwrap_or_else(|p| p.into_inner());
         // The fence is checked under the lock: the re-sync thread raises
-        // it and then cycles this lock, so every write sent before the
-        // barrier is in the queues the survivor will drain, and none can
-        // slip in during the delta phase.
+        // it and then cycles this lock, so every write admitted before
+        // the barrier has been applied on every replica it addressed,
+        // and none can slip in during the delta phase.
         if ctl.fence.load(Ordering::SeqCst) {
-            drop(guard);
             return Err(StoreError::ShardQuarantined { shard: group });
         }
         let primary = self.acting_primary(group)?;
-        let (tx, rx) = mpsc::channel();
-        let pslot = inner.slot_index(group, primary);
-        stamp_enqueue(&gspans);
-        let primary_gen =
-            match self.send_to_slot(pslot, Request::Ops { ops: gops, spans: gspans, reply: tx }) {
-                Ok(generation) => generation,
-                Err((_, generation)) => {
-                    drop(guard);
-                    self.mark_replica_dead(group, primary, generation);
-                    // No transparent write retry after a mid-send death: the
-                    // backups' queues may already order other writers' ops
-                    // around this batch. Unacknowledged is the honest answer.
-                    return Err(StoreError::ShardUnavailable { shard: group });
-                }
-            };
-        let mut backups = Vec::new();
+        // No transparent write retry after a mid-batch death: part of
+        // the batch may have been applied. Unacknowledged is the honest
+        // answer.
+        let replies = self.run_on_replica(group, primary, gops, gspans)?;
+        // Acknowledgement waits for every backup: a write is acked only
+        // once applied on all in-service replicas. A backup that errors
+        // or dies here degrades the group (quarantine / dead + re-sync)
+        // but does not retract the primary's reply. Backups carry no
+        // spans: execute-stage attribution belongs to the primary alone.
+        let writes: Vec<BatchOp> = gops.iter().filter(|op| op.is_write()).cloned().collect();
         for replica in 0..inner.replicas {
-            if replica == primary || ctl.machine.health(replica) != ShardHealth::Healthy {
-                continue;
-            }
-            let (btx, brx) = mpsc::channel();
-            let bslot = inner.slot_index(group, replica);
-            // Backups carry no spans: execute-stage attribution belongs
-            // to the primary alone, not once per replica.
-            let breq = Request::Ops { ops: writes.clone(), spans: Vec::new(), reply: btx };
-            match self.send_to_slot(bslot, breq) {
-                Ok(generation) => backups.push((replica, generation, brx)),
-                Err((_, generation)) => self.mark_replica_dead(group, replica, generation),
+            if replica != primary && ctl.machine.health(replica) == ShardHealth::Healthy {
+                let _ = self.run_on_replica(group, replica, &writes, &[]);
             }
         }
-        drop(guard);
-        Ok((primary, primary_gen, rx, backups))
+        Ok(replies)
     }
 
-    /// Send a request to a slot's worker. Returns the slot's worker
-    /// generation the send was made against — any later death evidence
-    /// derived from this request (a dropped reply receiver) must carry
-    /// it to [`ShardedStore::mark_replica_dead`]. On failure the request
-    /// is handed back (worker gone or slot empty) along with the
-    /// generation the failure was observed at.
-    fn send_to_slot(&self, slot: usize, req: Request<S>) -> Result<u64, (Request<S>, u64)> {
-        send_to_slot_inner(&self.inner, slot, req)
+    /// Apply `ops` on one replica under its slot lock and scan the
+    /// replies for violations. `Err` means the replica's store is gone
+    /// (and has been marked dead): nothing is acknowledged.
+    fn run_on_replica(
+        &self,
+        group: usize,
+        replica: usize,
+        ops: &[BatchOp],
+        spans: &[Arc<SpanCell>],
+    ) -> Result<Vec<BatchReply>, StoreError> {
+        let inner = &self.inner;
+        let slot = inner.slot_index(group, replica);
+        let n = ops.len() as u64;
+        // Charged before the lock is requested, so ops waiting on the
+        // slot count toward the queue-delay estimate and the watchdog's
+        // "accepting, not retiring" test; retired here on every path.
+        let inflight = &inner.slots[slot].state.inflight_ops;
+        inflight.fetch_add(n, Ordering::SeqCst);
+        for s in spans {
+            s.stamp(trace_stage::ENQUEUE);
+        }
+        let ran = with_slot(inner, slot, |store| execute_batch(inner, slot, store, ops, spans));
+        inflight.fetch_sub(n, Ordering::SeqCst);
+        let replies = ran?;
+        self.observe_replies(group, replica, &replies);
+        Ok(replies)
     }
 
     /// The replica that should serve this group right now, promoting a
@@ -1338,7 +1227,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
             return Ok(p);
         }
         if let Some(np) = m.promote() {
-            self.record_failover(group, np);
+            record_failover(&self.inner, group, np);
             return Ok(np);
         }
         // A concurrent promoter may have won the race.
@@ -1360,20 +1249,15 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         }
     }
 
-    fn record_failover(&self, group: usize, new_primary: usize) {
-        record_failover_inner(&self.inner, group, new_primary);
-    }
-
     /// Total live keys across all groups (counted on each group's
-    /// primary). Dead groups contribute nothing (no worker can be
-    /// asked).
+    /// primary). Groups whose store is gone contribute nothing.
     #[allow(clippy::len_without_is_empty)] // is_empty is defined right below
     pub fn len(&self) -> u64 {
         self.try_map_shards(|s| s.len()).into_iter().flatten().sum()
     }
 
     /// Sum of every group's last primary-reported key count. Unlike
-    /// [`ShardedStore::len`] this never blocks behind a worker queue and
+    /// [`ShardedStore::len`] this never waits for a slot lock and
     /// still counts quarantined, recovering and dead groups (at their
     /// last-known size), so monitoring stays truthful mid-incident.
     pub fn len_estimate(&self) -> u64 {
@@ -1411,8 +1295,8 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         agg
     }
 
-    /// Enclave snapshots of every reachable group's primary (dead
-    /// workers are skipped — monitoring must not panic mid-incident).
+    /// Enclave snapshots of every reachable group's primary (condemned
+    /// stores are skipped — monitoring must not panic mid-incident).
     pub fn snapshots(&self) -> Vec<EnclaveSnapshot> {
         self.try_map_shards(|s| s.enclave().snapshot()).into_iter().flatten().collect()
     }
@@ -1423,103 +1307,47 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         EnclaveStats::aggregate(self.snapshots())
     }
 
-    /// Run `f` on one group's *primary* store, blocking for the result.
+    /// Run `f` on one group's *primary* store under its slot lock.
     /// This is the escape hatch for store-specific APIs (attack
     /// injection, memory accounting) that the generic front-end does not
     /// mirror.
     ///
     /// # Panics
     ///
-    /// Panics if the primary's worker thread has died; unlike the op
-    /// paths there is no result shape to carry a typed error in.
+    /// Panics if the primary's store is gone (or `f` itself panics,
+    /// which also condemns the store); unlike the op paths there is no
+    /// result shape to carry a typed error in.
     pub fn with_shard<R, F>(&self, group: usize, f: F) -> R
     where
-        R: Send + 'static,
-        F: FnOnce(&mut S) -> R + Send + 'static,
+        F: FnOnce(&mut S) -> R,
     {
         let primary = self.inner.ctls[group].machine.primary();
-        let slot = self.inner.slot_index(group, primary);
-        let (tx, rx) = mpsc::channel();
-        self.send_to_slot(
-            slot,
-            Request::Exec(Box::new(move |store: &mut S| {
-                let _ = tx.send(f(store));
-            })),
-        )
-        .unwrap_or_else(|_| panic!("shard worker disconnected"));
-        rx.recv().expect("shard worker dropped a reply")
+        with_slot(&self.inner, self.inner.slot_index(group, primary), f)
+            .unwrap_or_else(|e| panic!("with_shard: {e}"))
     }
 
-    /// Run the same closure on every group's primary, collecting
-    /// per-group results.
+    /// Run the same closure on every group's primary in turn,
+    /// collecting per-group results.
     pub fn map_shards<R, F>(&self, f: F) -> Vec<R>
     where
-        R: Send + 'static,
-        F: Fn(&mut S) -> R + Send + Sync + 'static,
+        F: Fn(&mut S) -> R,
     {
-        let f = Arc::new(f);
-        // Dispatch to all groups before collecting any reply.
-        let receivers: Vec<_> = (0..self.inner.groups)
-            .map(|group| {
-                let f = Arc::clone(&f);
-                let (tx, rx) = mpsc::channel();
-                let primary = self.inner.ctls[group].machine.primary();
-                self.send_to_slot(
-                    self.inner.slot_index(group, primary),
-                    Request::Exec(Box::new(move |store: &mut S| {
-                        let _ = tx.send(f(store));
-                    })),
-                )
-                .unwrap_or_else(|_| panic!("shard worker disconnected"));
-                rx
-            })
-            .collect();
-        receivers.into_iter().map(|rx| rx.recv().expect("shard worker dropped a reply")).collect()
+        (0..self.inner.groups).map(|group| self.with_shard(group, &f)).collect()
     }
 
-    /// [`ShardedStore::map_shards`] that tolerates dead workers: a group
-    /// whose primary worker is gone yields `None` (and the replica is
-    /// marked dead) instead of panicking. Note this *does* wait for
-    /// quarantined groups — an in-flight recovery job runs ahead of the
-    /// closure in queue order.
+    /// [`ShardedStore::map_shards`] that tolerates missing stores: a
+    /// group whose primary's store is gone yields `None` (and the
+    /// replica is marked dead) instead of panicking. Note this *does*
+    /// wait for quarantined groups — an in-flight recovery holds the
+    /// slot lock.
     fn try_map_shards<R, F>(&self, f: F) -> Vec<Option<R>>
     where
-        R: Send + 'static,
-        F: Fn(&mut S) -> R + Send + Sync + 'static,
+        F: Fn(&mut S) -> R,
     {
-        let f = Arc::new(f);
-        let receivers: Vec<_> = (0..self.inner.groups)
+        (0..self.inner.groups)
             .map(|group| {
-                let f = Arc::clone(&f);
-                let (tx, rx) = mpsc::channel();
                 let primary = self.inner.ctls[group].machine.primary();
-                let sent = self.send_to_slot(
-                    self.inner.slot_index(group, primary),
-                    Request::Exec(Box::new(move |store: &mut S| {
-                        let _ = tx.send(f(store));
-                    })),
-                );
-                let generation = match sent {
-                    Ok(generation) => Some(generation),
-                    Err((_, generation)) => {
-                        self.mark_replica_dead(group, primary, generation);
-                        None
-                    }
-                };
-                (group, primary, generation, rx)
-            })
-            .collect();
-        receivers
-            .into_iter()
-            .map(|(group, primary, generation, rx)| {
-                let generation = generation?;
-                match rx.recv() {
-                    Ok(r) => Some(r),
-                    Err(_) => {
-                        self.mark_replica_dead(group, primary, generation);
-                        None
-                    }
-                }
+                with_slot(&self.inner, self.inner.slot_index(group, primary), &f).ok()
             })
             .collect()
     }
@@ -1527,7 +1355,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     // --- health machinery -------------------------------------------------------
 
     /// Per-group health snapshots (index = group). Reads atomics only —
-    /// never blocks on a worker, so it stays accurate mid-quarantine.
+    /// never takes a slot lock, so it stays accurate mid-quarantine.
     /// A group is `Healthy` while *any* replica can serve.
     pub fn healths(&self) -> Vec<ShardHealthSnapshot> {
         (0..self.inner.groups)
@@ -1616,13 +1444,6 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         }
     }
 
-    /// Record a replica's worker as gone: mark it dead, fail over if it
-    /// was the primary, and (when replicated) start a re-sync to pull a
-    /// fresh replacement back into the group.
-    fn mark_replica_dead(&self, group: usize, replica: usize, generation: u64) {
-        mark_replica_dead_inner(&self.inner, group, replica, generation);
-    }
-
     /// Scan a replica's replies for quarantine-triggering violations and
     /// start a recovery cycle if one is found.
     fn observe_replies(&self, group: usize, replica: usize, replies: &[BatchReply]) {
@@ -1639,15 +1460,8 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
             }
         }
         if triggers > 0 {
-            self.quarantine_replica(group, replica, triggers);
+            quarantine_replica(&self.inner, group, replica, triggers);
         }
-    }
-
-    /// Flip a replica to `Quarantined` and start its recovery. Exactly
-    /// one caller wins the CAS, so concurrent detections of the same
-    /// incident start exactly one recovery.
-    fn quarantine_replica(&self, group: usize, replica: usize, violations: u64) {
-        quarantine_replica_inner(&self.inner, group, replica, violations);
     }
 
     /// Test hook: force every replica of a group to a health state.
@@ -1659,11 +1473,14 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         }
     }
 
-    /// Send `f` to a group's primary worker without waiting for it to
-    /// run (fire-and-forget [`ShardedStore::with_shard`]). Returns
-    /// `false` if the worker is gone. Besides async maintenance work,
-    /// this is the fault-injection hook: a closure that panics kills the
-    /// worker thread, after which the replica is marked dead (and, when
+    /// Run `f` on a group's primary store without waiting for it to
+    /// finish (fire-and-forget [`ShardedStore::with_shard`]): `f` runs
+    /// on a short-lived background thread, and this returns as soon as
+    /// that thread *holds the slot* — so anything the caller submits
+    /// next is ordered behind `f`. Returns `false` if the store is gone.
+    /// Besides async upkeep, this is the fault-injection hook: a closure
+    /// that sleeps stalls the shard, and one that panics condemns the
+    /// store, after which the replica is marked dead (and, when
     /// replicated, a backup is promoted).
     pub fn exec_detached<F>(&self, group: usize, f: F) -> bool
     where
@@ -1679,48 +1496,39 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         F: FnOnce(&mut S) + Send + 'static,
     {
         let slot = self.inner.slot_index(group, replica);
-        self.send_to_slot(slot, Request::Exec(Box::new(f))).is_ok()
+        // One-shot "slot held" signal; dropped unsent if the closure
+        // never gets to run (store gone, or the store shutting down).
+        let (held_tx, held_rx) = mpsc::channel::<()>();
+        spawn_registered(&self.inner, format!("aria-detached-{slot}"), move |inner| {
+            let _ = with_slot(inner, slot, |store| {
+                let _ = held_tx.send(());
+                f(store)
+            });
+        });
+        held_rx.recv().is_ok()
     }
 
     /// Start one background maintenance ticker per shard group: every
     /// `interval` it runs a bounded [`KvStore::maintain`] pass (tier
     /// migration, log compaction, checkpointing — a no-op on untiered
     /// stores) on the group's acting primary, then refreshes its
-    /// gauges. Each pass runs on the shard's own worker thread like any
-    /// other request, so it never races client operations, and the
-    /// ticker schedules a new pass only after the previous one reported
-    /// back (no stacking). The same ticker samples the stuck-shard
-    /// watchdog (see [`ShardedStore::set_watchdog_window`]) with
-    /// non-blocking atomic reads, so a wedged worker cannot silence it.
-    /// The tickers poll the shutdown flag and are joined by `Drop`
-    /// (same lifecycle as the re-sync threads), so dropping the store
+    /// gauges. Each pass runs under the slot lock like any batch, so it
+    /// never races client operations. The ticker never *waits* for the
+    /// lock: finding the slot busy, it leaves the pass to the next batch
+    /// that holds the slot (one pending pass at most — no stacking).
+    /// That keeps the ticker free to sample the stuck-shard watchdog
+    /// (see [`ShardedStore::set_watchdog_window`]) with atomic reads, so
+    /// a wedged slot cannot silence it. The tickers poll the shutdown
+    /// flag and are joined by `Drop`, so dropping the store
     /// mid-compaction cannot hang or leak a thread. Idempotent-ish:
     /// calling twice stacks extra tickers, so call once.
     pub fn start_maintenance(&self, interval: Duration) {
         for group in 0..self.inner.groups {
-            spawn_maintainer(&self.inner, group, interval);
+            spawn_registered(&self.inner, format!("aria-maint-{group}"), move |inner| {
+                maintain_loop(inner, group, interval)
+            });
         }
     }
-}
-
-/// Start the periodic maintenance ticker for one group (no-op once the
-/// store is shutting down).
-fn spawn_maintainer<S: KvStore + Send + 'static>(
-    inner: &Arc<Inner<S>>,
-    group: usize,
-    interval: Duration,
-) {
-    if inner.shutdown.load(Ordering::SeqCst) {
-        return;
-    }
-    let inner2 = Arc::clone(inner);
-    let handle = thread::Builder::new()
-        .name(format!("aria-maint-{group}"))
-        .spawn(move || maintain_loop(&inner2, group, interval))
-        .expect("spawn maintenance thread");
-    let mut reg = lock_handles(&inner.maintainers);
-    reg.retain(|h| !h.is_finished());
-    reg.push(handle);
 }
 
 /// Body of a group's maintenance ticker: sleep in short slices (so
@@ -1728,13 +1536,9 @@ fn spawn_maintainer<S: KvStore + Send + 'static>(
 /// watchdog and run one maintenance pass on the acting primary.
 ///
 /// The watchdog samples *first* and reads atomics only — it must keep
-/// firing while the worker is wedged, which is exactly when anything
-/// queued behind the stall blocks. For the same reason the maintenance
-/// pass is dispatched fire-and-forget with a completion flag instead
-/// of synchronously: a new pass is only scheduled once the previous
-/// one reported back, preserving the no-stacking backpressure (a slow
-/// compaction still delays the next pass, it just no longer wedges the
-/// ticker — and with it the watchdog — behind a stuck worker).
+/// firing while the slot is wedged, which is exactly when anything that
+/// waits for the slot lock blocks. For the same reason the pass only
+/// `try_lock`s the slot.
 fn maintain_loop<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
@@ -1742,10 +1546,6 @@ fn maintain_loop<S: KvStore + Send + 'static>(
 ) {
     let mut last_retired: Option<u64> = None;
     let mut last_progress = Instant::now();
-    let pass_done = Arc::new(AtomicBool::new(true));
-    // Where the outstanding pass went, to detect a respawn that dropped
-    // the closure unrun (the flag would otherwise stay false forever).
-    let mut pass_sent_to: Option<(usize, u64)> = None;
     loop {
         let mut remaining = interval;
         while !remaining.is_zero() {
@@ -1775,36 +1575,26 @@ fn maintain_loop<S: KvStore + Send + 'static>(
             && (last_progress.elapsed().as_nanos() as u64) > window_ns
             && inner.ctls[group].machine.health(primary) == ShardHealth::Healthy
         {
-            // Accepting work but retiring nothing for a full window:
-            // quarantine through the health machine instead of letting
-            // callers queue forever. Recovery re-admits the shard once
-            // its worker verifies again (or a sibling re-syncs it).
+            // Submitters are charged to the slot but nothing retired
+            // for a full window: whoever holds the slot is stuck.
+            // Quarantine through the health machine instead of letting
+            // callers pile up on the lock forever. Recovery re-admits
+            // the shard once its store verifies again (or a sibling
+            // re-syncs it).
             inner.tele[slot].store.watchdog_quarantines.inc();
-            quarantine_replica_inner(inner, group, primary, 0);
+            quarantine_replica(inner, group, primary, 0);
             last_progress = Instant::now();
         }
-        // --- maintenance pass (fire-and-forget, no stacking) ---
-        if !pass_done.load(Ordering::SeqCst) {
-            // The outstanding pass is lost, not just slow, if its
-            // worker was respawned (generation moved): the closure was
-            // dropped unrun with the old channel.
-            if let Some((pslot, pgen)) = pass_sent_to {
-                if inner.slots[pslot].generation.load(Ordering::SeqCst) != pgen {
-                    pass_done.store(true, Ordering::SeqCst);
-                }
+        // --- maintenance pass (never waits for the slot) ---
+        match inner.slots[slot].store.try_lock() {
+            Ok(guard) => {
+                st.maintain_due.store(false, Ordering::SeqCst);
+                let _ = run_held(inner, slot, guard, |s| {
+                    let _ = s.maintain();
+                    s.refresh_gauges();
+                });
             }
-        }
-        if pass_done.swap(false, Ordering::SeqCst) {
-            let done = Arc::clone(&pass_done);
-            let req = Request::Exec(Box::new(move |s: &mut S| {
-                let _ = s.maintain();
-                s.refresh_gauges();
-                done.store(true, Ordering::SeqCst);
-            }));
-            match send_to_slot_inner(inner, slot, req) {
-                Ok(generation) => pass_sent_to = Some((slot, generation)),
-                Err(_) => pass_done.store(true, Ordering::SeqCst),
-            }
+            Err(_) => st.maintain_due.store(true, Ordering::SeqCst),
         }
     }
 }
@@ -1815,38 +1605,15 @@ impl<S: KvStore + Send + 'static> Drop for ShardedStore<S> {
     }
 }
 
-/// Shut the store down: stop new re-syncs, join the in-flight ones
-/// (they check the flag and bail at their next step — the workers they
-/// talk to are still alive here, so they cannot hang), then close every
-/// worker channel and join the workers.
+/// Shut the store down: raise the shutdown flag (background threads
+/// check it at their next step and bail; nothing new is spawned) and
+/// join every background thread. A thread blocked on a slot lock is
+/// only ever waiting for another joined thread or for a caller that
+/// still holds the `ShardedStore`, so the joins cannot hang.
 fn teardown<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>) {
     inner.shutdown.store(true, Ordering::SeqCst);
     loop {
-        let handles = std::mem::take(&mut *lock_handles(&inner.resyncers));
-        if handles.is_empty() {
-            break;
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-    // Maintenance tickers are joined while the workers are still alive
-    // so an in-flight maintenance pass they dispatched can still drain
-    // normally before the worker channels close.
-    loop {
-        let handles = std::mem::take(&mut *lock_handles(&inner.maintainers));
-        if handles.is_empty() {
-            break;
-        }
-        for h in handles {
-            let _ = h.join();
-        }
-    }
-    for slot in &inner.slots {
-        *slot.sender.write().unwrap_or_else(|p| p.into_inner()) = None;
-    }
-    loop {
-        let handles = std::mem::take(&mut *lock_handles(&inner.workers));
+        let handles = std::mem::take(&mut *inner.threads.lock().unwrap_or_else(|p| p.into_inner()));
         if handles.is_empty() {
             break;
         }
@@ -1865,147 +1632,95 @@ impl<S: KvStore + Send + 'static> std::fmt::Debug for ShardedStore<S> {
     }
 }
 
-/// Spawn (or respawn) the worker for one slot, building its store with
-/// the stored factory *inside* the worker thread, and publish its
-/// sender. Blocks until the factory reports.
-pub(crate) fn spawn_worker<S: KvStore + Send + 'static>(
+/// Build a fresh store for one slot with the stored factory and install
+/// it, replacing (and dropping) whatever the slot held.
+pub(crate) fn install_store<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     slot: usize,
 ) -> Result<(), StoreError> {
     if inner.shutdown.load(Ordering::SeqCst) {
         return Err(StoreError::ShardUnavailable { shard: slot / inner.replicas });
     }
-    let (tx, rx) = mpsc::sync_channel(inner.queue_depth);
-    let (ready_tx, ready_rx) = mpsc::channel();
-    let factory = Arc::clone(&inner.factory);
-    let ctx = WorkerCtx {
-        shard: slot as u32,
-        group: slot / inner.replicas,
-        routing: Arc::clone(&inner.routing),
-        tele: Arc::clone(&inner.tele[slot]),
-        slow_ops: Arc::clone(&inner.slow_ops),
-        state: Arc::clone(&inner.slots[slot].state),
-    };
-    let handle = thread::Builder::new()
-        .name(format!("aria-shard-{slot}"))
-        .spawn(move || match factory(slot) {
-            Ok(store) => {
-                let _ = ready_tx.send(Ok(()));
-                worker_loop(store, rx, ctx);
-            }
-            Err(e) => {
-                let _ = ready_tx.send(Err(e));
-            }
-        })
-        .expect("spawn shard worker thread");
-    match ready_rx.recv() {
-        Ok(Ok(())) => {
-            // Replacing the sender drops the previous worker's channel;
-            // that worker drains what it already accepted and exits (its
-            // handle stays in the registry and is joined at teardown).
-            // The generation bump happens under the same write lock, so
-            // no sender can be observed with a mismatched generation.
-            let mut sender = inner.slots[slot].sender.write().unwrap_or_else(|p| p.into_inner());
-            inner.slots[slot].generation.fetch_add(1, Ordering::SeqCst);
-            // Ops charged to a dead predecessor will never retire;
-            // start the fresh worker's queue estimate from zero.
-            inner.slots[slot].state.inflight_ops.store(0, Ordering::SeqCst);
-            *sender = Some(tx);
-            drop(sender);
-            let mut workers = lock_handles(&inner.workers);
-            workers.retain(|h| !h.is_finished());
-            workers.push(handle);
-            Ok(())
-        }
-        Ok(Err(e)) => {
-            let _ = handle.join();
-            Err(e)
-        }
-        Err(_) => panic!("shard worker panicked during construction"),
-    }
+    let mut store = (inner.factory)(slot)?;
+    store.attach_telemetry(Arc::clone(&inner.tele[slot]));
+    store.refresh_gauges();
+    inner.slots[slot].state.last_len.store(store.len(), Ordering::SeqCst);
+    let previous = lock_slot(inner, slot).replace(store);
+    // Dropped after the guard: tearing a store down is not slot work.
+    drop(previous);
+    Ok(())
 }
 
-/// Run `f` on a slot's worker and wait for the result; a gone worker
-/// yields [`StoreError::ShardUnavailable`] instead of a hang or panic.
-pub(crate) fn exec_on_slot<S, R, F>(
-    inner: &Arc<Inner<S>>,
-    group: usize,
+/// Empty a slot (group deactivation), dropping its store.
+pub(crate) fn remove_store<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, slot: usize) {
+    let previous = lock_slot(inner, slot).take();
+    drop(previous);
+}
+
+fn lock_slot<S: KvStore + Send + 'static>(
+    inner: &Inner<S>,
     slot: usize,
+) -> std::sync::MutexGuard<'_, Option<S>> {
+    // Every closure that touches a store runs under `catch_unwind`
+    // inside the guard's scope ([`run_held`]), so a store panic never
+    // unwinds through the guard and the lock is never poisoned by one.
+    inner.slots[slot].store.lock().unwrap_or_else(|p| p.into_inner())
+}
+
+/// Run `f` on a slot's store under its lock, on the calling thread.
+/// This is the only way anything reaches a store: batches, maintenance,
+/// recovery, re-sync and reshard jobs all come through here, so
+/// whatever holds the lock is exclusive with everything else.
+///
+/// An empty slot refuses with [`StoreError::ShardUnavailable`]. A panic
+/// in `f` condemns the store — its state may be half-updated — so it is
+/// dropped, the slot emptied, the replica marked dead, and the caller
+/// (which survives) gets the same typed error.
+pub(crate) fn with_slot<S, R, F>(inner: &Arc<Inner<S>>, slot: usize, f: F) -> Result<R, StoreError>
+where
+    S: KvStore + Send + 'static,
+    F: FnOnce(&mut S) -> R,
+{
+    run_held(inner, slot, lock_slot(inner, slot), f)
+}
+
+/// [`with_slot`] for a caller that already holds the slot's guard.
+fn run_held<S, R, F>(
+    inner: &Arc<Inner<S>>,
+    slot: usize,
+    mut guard: std::sync::MutexGuard<'_, Option<S>>,
     f: F,
 ) -> Result<R, StoreError>
 where
     S: KvStore + Send + 'static,
-    R: Send + 'static,
-    F: FnOnce(&mut S) -> R + Send + 'static,
+    F: FnOnce(&mut S) -> R,
 {
-    let (tx, rx) = mpsc::channel();
-    let req = Request::Exec(Box::new(move |store: &mut S| {
-        let _ = tx.send(f(store));
-    }));
-    let sent = {
-        let guard = inner.slots[slot].sender.read().unwrap_or_else(|p| p.into_inner());
-        match &*guard {
-            Some(s) => s.send(req).is_ok(),
-            None => false,
-        }
-    };
-    if !sent {
-        return Err(StoreError::ShardUnavailable { shard: group });
+    let ran = guard.as_mut().map(|store| {
+        catch_unwind(AssertUnwindSafe(|| {
+            let r = f(store);
+            // Closures can do anything (recovery, attack injection), so
+            // publish the size before the lock is released: whoever sees
+            // this hold's effects also sees the updated estimate.
+            inner.slots[slot].state.last_len.store(store.len(), Ordering::SeqCst);
+            r
+        }))
+    });
+    if let Some(Ok(r)) = ran {
+        return Ok(r);
     }
-    rx.recv().map_err(|_| StoreError::ShardUnavailable { shard: group })
+    // Empty, or just panicked: take the condemned store out, release
+    // the slot, and only then drop it — shielded, because a destructor
+    // that panics on half-updated state must not take the caller down.
+    let condemned = guard.take();
+    drop(guard);
+    let _ = catch_unwind(AssertUnwindSafe(move || drop(condemned)));
+    let (group, replica) = (slot / inner.replicas, slot % inner.replicas);
+    mark_replica_dead(inner, group, replica);
+    Err(StoreError::ShardUnavailable { shard: group })
 }
 
-/// Send a request to a slot's worker (the free-function form —
-/// background threads like the maintenance ticker hold only an
-/// `Arc<Inner>`, never a `ShardedStore`, whose `Drop` runs teardown).
-/// Returns the slot's worker generation the send was made against; on
-/// failure the request is handed back along with the generation the
-/// failure was observed at. A successful `Ops` send charges the ops to
-/// the slot's in-flight counter — the worker retires them.
-pub(crate) fn send_to_slot_inner<S: KvStore + Send + 'static>(
-    inner: &Arc<Inner<S>>,
-    slot: usize,
-    req: Request<S>,
-) -> Result<u64, (Request<S>, u64)> {
-    let guard = inner.slots[slot].sender.read().unwrap_or_else(|p| p.into_inner());
-    // Read under the guard: a respawn bumps the generation while
-    // holding the write lock, so a sender observed here belongs to
-    // exactly this generation.
-    let generation = inner.slots[slot].generation.load(Ordering::SeqCst);
-    let ops_sent = match &req {
-        Request::Ops { ops, .. } => ops.len() as u64,
-        Request::Exec(_) => 0,
-    };
-    match &*guard {
-        Some(tx) => {
-            // Charge in-flight BEFORE the send: once the request is in
-            // the channel the worker may retire it (and run its
-            // saturating decrement against 0) before a post-send
-            // increment would execute, leaking the counter upward for
-            // the rest of the worker's life.
-            if ops_sent > 0 {
-                inner.slots[slot].state.inflight_ops.fetch_add(ops_sent, Ordering::SeqCst);
-            }
-            match tx.send(req) {
-                Ok(()) => Ok(generation),
-                Err(e) => {
-                    if ops_sent > 0 {
-                        let _ = inner.slots[slot].state.inflight_ops.fetch_update(
-                            Ordering::SeqCst,
-                            Ordering::SeqCst,
-                            |v| Some(v.saturating_sub(ops_sent)),
-                        );
-                    }
-                    Err((e.0, generation))
-                }
-            }
-        }
-        None => Err((req, generation)),
-    }
-}
-
-/// Free-function form of [`ShardedStore::record_failover`].
-fn record_failover_inner<S: KvStore + Send + 'static>(
+/// Count a promotion and refresh the group's role gauges.
+fn record_failover<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
     new_primary: usize,
@@ -2018,33 +1733,25 @@ fn record_failover_inner<S: KvStore + Send + 'static>(
     }
 }
 
-/// Free-function form of [`ShardedStore::mark_replica_dead`]: record a
-/// replica's worker as gone, fail over if it was the primary, and
-/// (when replicated) start a re-sync.
-fn mark_replica_dead_inner<S: KvStore + Send + 'static>(
+/// Record a replica's store as gone: mark it dead, fail over if it was
+/// the primary, and (when replicated) start a re-sync to pull a fresh
+/// replacement back into the group. Called by the thread that found the
+/// slot empty or saw the store panic, after it released the slot. An
+/// empty slot on a `Recovering` replica (a re-sync about to install a
+/// fresh store) is not a death: [`GroupHealthMachine::mark_dead`]
+/// leaves that state to its claimant.
+fn mark_replica_dead<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
     replica: usize,
-    generation: u64,
 ) {
     let slot = inner.slot_index(group, replica);
-    // Stale evidence: a send/recv failure observed against an older
-    // worker incarnation says nothing about the current one — the
-    // replica may have been respawned, re-synced and re-admitted
-    // since that batch was dispatched. (A respawn bumps the
-    // generation *before* the rejoiner leaves `Recovering`, and
-    // `mark_dead` refuses `Recovering`, so current-generation
-    // evidence can never race a respawn into killing the fresh
-    // worker either.)
-    if inner.slots[slot].generation.load(Ordering::SeqCst) != generation {
-        return;
-    }
     let m = &inner.ctls[group].machine;
     let Some(prev) = m.mark_dead(replica) else { return };
     inner.tele[slot].store.record_health_transition(prev.as_u8(), ShardHealth::Dead.as_u8());
     if m.primary() == replica {
         if let Some(np) = m.promote() {
-            record_failover_inner(inner, group, np);
+            record_failover(inner, group, np);
         }
     }
     // A previously-healthy replica rejoins via re-sync; a death from
@@ -2055,9 +1762,11 @@ fn mark_replica_dead_inner<S: KvStore + Send + 'static>(
     }
 }
 
-/// Free-function form of [`ShardedStore::quarantine_replica`], also
-/// driven by the stuck-shard watchdog on the maintenance ticker.
-fn quarantine_replica_inner<S: KvStore + Send + 'static>(
+/// Flip a replica to `Quarantined` and start its recovery. Exactly one
+/// caller wins the CAS, so concurrent detections of the same incident
+/// (or the stuck-shard watchdog on the maintenance ticker) start
+/// exactly one recovery.
+fn quarantine_replica<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
     replica: usize,
@@ -2075,74 +1784,27 @@ fn quarantine_replica_inner<S: KvStore + Send + 'static>(
         .record_health_transition(ShardHealth::Healthy.as_u8(), ShardHealth::Quarantined.as_u8());
     if m.primary() == replica {
         if let Some(np) = m.promote() {
-            record_failover_inner(inner, group, np);
+            record_failover(inner, group, np);
         }
     }
-    if inner.replicas > 1 {
-        spawn_resync(inner, group, replica);
-    } else {
-        queue_local_recovery_inner(inner, group);
-    }
+    spawn_resync(inner, group, replica);
 }
 
-/// Unreplicated recovery: run [`KvStore::recover`] on the shard's own
-/// worker thread, up to [`RECOVERY_ATTEMPTS`] times. Queued like any
-/// other request, so it runs after whatever the worker already
-/// accepted — including the stall that a watchdog quarantine caught —
-/// and re-admits the shard once the store verifies again.
-fn queue_local_recovery_inner<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, group: usize) {
-    let inner2 = Arc::clone(inner);
-    let slot = inner.slot_index(group, 0);
-    let recovery = Request::Exec(Box::new(move |store: &mut S| {
-        let m = &inner2.ctls[group].machine;
-        let tele = &inner2.tele[slot].store;
-        let Some(prev) = m.claim_recovery(0) else { return };
-        tele.record_health_transition(prev.as_u8(), ShardHealth::Recovering.as_u8());
-        for _ in 0..RECOVERY_ATTEMPTS {
-            if store.recover().is_ok() {
-                inner2.slots[slot].state.recoveries.fetch_add(1, Ordering::SeqCst);
-                if m.readmit(0) {
-                    tele.record_health_transition(
-                        ShardHealth::Recovering.as_u8(),
-                        ShardHealth::Healthy.as_u8(),
-                    );
-                }
-                return;
-            }
-        }
-        // The untrusted state cannot be re-verified: the shard never
-        // re-admits — answering from it could ack corrupt data.
-        if m.fail_recovery(0) {
-            tele.record_health_transition(
-                ShardHealth::Recovering.as_u8(),
-                ShardHealth::Dead.as_u8(),
-            );
-        }
-    }));
-    if let Err((_, generation)) = send_to_slot_inner(inner, slot, recovery) {
-        mark_replica_dead_inner(inner, group, 0, generation);
-    }
-}
-
-/// Start the single-flight re-sync thread for a replica (no-op once the
-/// store is shutting down). The registry is reaped as it grows and
-/// drained by [`teardown`].
+/// Start the single-flight recovery thread for a replica: re-sync from
+/// a healthy sibling, or an in-place [`KvStore::recover`] when there is
+/// none. Off the detecting thread on purpose — a full store audit under
+/// the slot lock would otherwise stall a reactor's other shards; queued
+/// behind whatever holds the slot (including the stall a watchdog
+/// quarantine caught), it re-admits the replica once it verifies.
 fn spawn_resync<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, group: usize, replica: usize) {
-    if inner.shutdown.load(Ordering::SeqCst) {
-        return;
-    }
-    let inner2 = Arc::clone(inner);
-    let handle = thread::Builder::new()
-        .name(format!("aria-resync-{group}-{replica}"))
-        .spawn(move || resync_replica(&inner2, group, replica))
-        .expect("spawn re-sync thread");
-    let mut reg = lock_handles(&inner.resyncers);
-    reg.retain(|h| !h.is_finished());
-    reg.push(handle);
+    spawn_registered(inner, format!("aria-resync-{group}-{replica}"), move |inner| {
+        resync_replica(inner, group, replica)
+    });
 }
 
-/// Anti-entropy re-sync of one replica from a surviving sibling (module
-/// docs, DESIGN.md §13). Runs on its own thread; single-flight via
+/// Recovery of one replica (module docs, DESIGN.md §13): anti-entropy
+/// re-sync from a surviving sibling, or the in-place self-audit when
+/// there is none. Runs on its own thread; single-flight via
 /// [`GroupHealthMachine::claim_recovery`].
 fn resync_replica<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
@@ -2152,22 +1814,9 @@ fn resync_replica<S: KvStore + Send + 'static>(
     let ctl = &inner.ctls[group];
     let m = &ctl.machine;
     let slot = inner.slot_index(group, replica);
-    let tele = Arc::clone(&inner.tele[slot]);
+    let tele = &inner.tele[slot].store;
     let Some(prev) = m.claim_recovery(replica) else { return };
-    tele.store.record_health_transition(prev.as_u8(), ShardHealth::Recovering.as_u8());
-    let fail = |err: StoreError| {
-        *ctl.last_resync_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(err);
-        if m.fail_recovery(replica) {
-            tele.store.record_health_transition(
-                ShardHealth::Recovering.as_u8(),
-                ShardHealth::Dead.as_u8(),
-            );
-        }
-    };
-    if inner.shutdown.load(Ordering::SeqCst) {
-        fail(StoreError::ShardUnavailable { shard: group });
-        return;
-    }
+    tele.record_health_transition(prev.as_u8(), ShardHealth::Recovering.as_u8());
     // Survivor: a healthy sibling, preferring the acting primary.
     let p = m.primary();
     let survivor = if p != replica && m.health(p) == ShardHealth::Healthy {
@@ -2175,157 +1824,117 @@ fn resync_replica<S: KvStore + Send + 'static>(
     } else {
         (0..inner.replicas).find(|&r| r != replica && m.health(r) == ShardHealth::Healthy)
     };
-    let Some(survivor) = survivor else {
+    let verdict = if inner.shutdown.load(Ordering::SeqCst) {
+        Err(StoreError::ShardUnavailable { shard: group })
+    } else if let Some(survivor) = survivor {
+        resync_from_survivor(inner, group, inner.slot_index(group, survivor), slot)
+    } else {
         // No surviving replica to stream from. If this replica's own
-        // worker is still alive (quarantined, not crashed) fall back to
-        // the in-place self-audit; a fresh respawn without a survivor to
-        // verify against could silently drop acknowledged writes, so a
-        // crashed last replica stays dead.
-        match exec_on_slot(inner, group, slot, |store: &mut S| {
-            for _ in 0..RECOVERY_ATTEMPTS {
-                if store.recover().is_ok() {
-                    return true;
-                }
-            }
-            false
-        }) {
-            Ok(true) => {
-                inner.slots[slot].state.recoveries.fetch_add(1, Ordering::SeqCst);
-                if m.readmit(replica) {
-                    tele.store.record_health_transition(
-                        ShardHealth::Recovering.as_u8(),
-                        ShardHealth::Healthy.as_u8(),
-                    );
-                }
-                if let Some(np) = m.promote() {
-                    let pslot = inner.slot_index(group, np);
-                    inner.tele[pslot].store.failovers.inc();
-                }
-            }
-            Ok(false) => fail(StoreError::ShardQuarantined { shard: group }),
-            Err(e) => fail(e),
-        }
-        return;
+        // store is still there (quarantined, not condemned) fall back
+        // to the in-place self-audit; a fresh store without a survivor
+        // to verify against could silently drop acknowledged writes, so
+        // a condemned last replica stays dead.
+        with_slot(inner, slot, |store| (0..RECOVERY_ATTEMPTS).any(|_| store.recover().is_ok()))
+            .and_then(|verified| {
+                // The untrusted state cannot be re-verified: the shard
+                // never re-admits — answering from it could ack corrupt
+                // data.
+                verified.then_some(()).ok_or(StoreError::ShardQuarantined { shard: group })
+            })
     };
-    let sslot = inner.slot_index(group, survivor);
-    // The rejoiner always restarts from a fresh store (own enclave, own
-    // heap): its previous untrusted state is condemned wholesale rather
-    // than patched, and every byte it will serve arrives through the
-    // verified export stream below.
-    if let Err(e) = spawn_worker(inner, slot) {
-        fail(e);
-        return;
-    }
-    let mut streamed_bytes = 0u64;
-    // Phase 1 (live): bulk-copy a consistent snapshot of the survivor's
-    // verified contents while the group keeps serving writes.
-    let pairs1 = match exec_on_slot(inner, group, sslot, |s: &mut S| content_root_of(s)) {
-        Ok(Ok((pairs, _root))) => pairs,
-        Ok(Err(e)) => {
-            fail(e);
-            return;
-        }
-        Err(e) => {
-            fail(e);
-            return;
-        }
-    };
-    for chunk in pairs1.chunks(RESYNC_APPLY_CHUNK) {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            fail(StoreError::ShardUnavailable { shard: group });
-            return;
-        }
-        streamed_bytes += chunk.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
-        let owned: Vec<(Vec<u8>, Vec<u8>)> = chunk.to_vec();
-        let applied = exec_on_slot(inner, group, slot, move |s: &mut S| {
-            let refs: Vec<(&[u8], &[u8])> =
-                owned.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-            s.put_batch(&refs).into_iter().find_map(Result::err)
-        });
-        match applied {
-            Ok(None) => {}
-            Ok(Some(e)) => {
-                fail(e);
-                return;
-            }
-            Err(e) => {
-                fail(e);
-                return;
-            }
-        }
-    }
-    // Phase 2 (fenced delta): freeze writes, cycle the write lock so
-    // every pre-fence write is in the survivor's queue, then export
-    // again — the exec below queues *behind* those writes, making the
-    // export a true barrier snapshot.
-    ctl.fence.store(true, Ordering::SeqCst);
-    drop(ctl.write_lock.lock().unwrap_or_else(|p| p.into_inner()));
-    let verdict =
-        resync_delta_and_verify(inner, group, replica, sslot, slot, pairs1, &mut streamed_bytes);
     match verdict {
         Ok(()) => {
-            ctl.resyncs.fetch_add(1, Ordering::SeqCst);
             inner.slots[slot].state.recoveries.fetch_add(1, Ordering::SeqCst);
-            tele.store.resyncs.inc();
-            tele.store.resync_bytes.observe(streamed_bytes);
             // Re-admit while the fence still holds writes out: once the
             // fence drops, any writer that sees the replica healthy will
-            // also reach its (now fully caught-up) queue.
+            // also apply on its (now fully caught-up) store.
             if m.readmit(replica) {
-                tele.store.record_health_transition(
+                tele.record_health_transition(
                     ShardHealth::Recovering.as_u8(),
                     ShardHealth::Healthy.as_u8(),
                 );
             }
             if let Some(np) = m.promote() {
-                let pslot = inner.slot_index(group, np);
-                inner.tele[pslot].store.failovers.inc();
+                record_failover(inner, group, np);
             }
         }
-        Err(e) => fail(e),
+        Err(err) => {
+            *ctl.last_resync_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(err);
+            if m.fail_recovery(replica) {
+                tele.record_health_transition(
+                    ShardHealth::Recovering.as_u8(),
+                    ShardHealth::Dead.as_u8(),
+                );
+            }
+        }
     }
-    ctl.fence.store(false, Ordering::SeqCst);
+    if survivor.is_some() {
+        ctl.fence.store(false, Ordering::SeqCst);
+    }
 }
 
-/// The fenced tail of a re-sync: export the survivor's barrier
-/// snapshot, apply the delta to the rejoiner, then compare content
-/// roots — each side's root computed inside its own enclave from its
-/// own MAC-verified reads.
-fn resync_delta_and_verify<S: KvStore + Send + 'static>(
+/// Bulk-apply verified pairs on a slot's store in one lock hold; the
+/// first store error (or a gone store) fails the call.
+pub(crate) fn put_pairs<S: KvStore + Send + 'static>(
+    inner: &Arc<Inner<S>>,
+    slot: usize,
+    pairs: &[KvPair],
+) -> Result<(), StoreError> {
+    with_slot(inner, slot, |s| {
+        let refs: Vec<(&[u8], &[u8])> =
+            pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
+        s.put_batch(&refs).into_iter().collect()
+    })?
+}
+
+/// Stream the survivor's verified contents into a fresh store in the
+/// rejoiner's slot. Returns with the group's write fence **raised**
+/// (from the delta phase on); the caller re-admits and lowers it.
+fn resync_from_survivor<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
-    _replica: usize,
     survivor_slot: usize,
     rejoiner_slot: usize,
-    pairs1: Vec<(Vec<u8>, Vec<u8>)>,
-    streamed_bytes: &mut u64,
 ) -> Result<(), StoreError> {
-    let (pairs2, root2) =
-        exec_on_slot(inner, group, survivor_slot, |s: &mut S| content_root_of(s))??;
+    let ctl = &inner.ctls[group];
+    let pair_bytes = |pairs: &[KvPair]| pairs.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
+    // The rejoiner always restarts from a fresh store (own enclave, own
+    // heap): its previous untrusted state is condemned wholesale rather
+    // than patched, and every byte it will serve arrives through the
+    // verified export stream below.
+    install_store(inner, rejoiner_slot)?;
+    // Phase 1 (live): bulk-copy a consistent snapshot of the survivor's
+    // verified contents while the group keeps serving writes.
+    let (pairs1, _) = with_slot(inner, survivor_slot, |s| content_root_of(s))??;
+    let mut streamed_bytes: u64 = pair_bytes(&pairs1);
+    for chunk in pairs1.chunks(RESYNC_APPLY_CHUNK) {
+        if inner.shutdown.load(Ordering::SeqCst) {
+            return Err(StoreError::ShardUnavailable { shard: group });
+        }
+        put_pairs(inner, rejoiner_slot, chunk)?;
+    }
+    // Phase 2 (fenced delta): freeze writes, then cycle the write lock.
+    // A writer holds that lock until its batch is applied on every
+    // replica it addressed, so once the lock has cycled every pre-fence
+    // write is in the survivor's store and the export below — which
+    // takes the survivor's slot lock after them — is a true barrier
+    // snapshot.
+    ctl.fence.store(true, Ordering::SeqCst);
+    drop(ctl.write_lock.lock().unwrap_or_else(|p| p.into_inner()));
+    let (pairs2, root2) = with_slot(inner, survivor_slot, |s| content_root_of(s))??;
     let mut have: HashMap<Vec<u8>, Vec<u8>> = pairs1.into_iter().collect();
-    let mut upserts: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
+    let mut upserts: Vec<KvPair> = Vec::new();
     for (k, v) in &pairs2 {
         if have.remove(k).as_deref() != Some(v.as_slice()) {
             upserts.push((k.clone(), v.clone()));
         }
     }
-    let deletes: Vec<Vec<u8>> = have.into_keys().collect();
+    streamed_bytes += pair_bytes(&upserts) + have.keys().map(|k| k.len() as u64).sum::<u64>();
     for chunk in upserts.chunks(RESYNC_APPLY_CHUNK) {
-        *streamed_bytes += chunk.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum::<u64>();
-        let owned = chunk.to_vec();
-        exec_on_slot(inner, group, rejoiner_slot, move |s: &mut S| {
-            let refs: Vec<(&[u8], &[u8])> =
-                owned.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-            s.put_batch(&refs).into_iter().find_map(Result::err)
-        })?
-        .map_or(Ok(()), Err)?;
+        put_pairs(inner, rejoiner_slot, chunk)?;
     }
-    if !deletes.is_empty() {
-        *streamed_bytes += deletes.iter().map(|k| k.len() as u64).sum::<u64>();
-        exec_on_slot(inner, group, rejoiner_slot, move |s: &mut S| {
-            deletes.into_iter().find_map(|k| s.delete(&k).err())
-        })?
-        .map_or(Ok(()), Err)?;
+    if !have.is_empty() {
+        with_slot(inner, rejoiner_slot, |s| have.keys().try_for_each(|k| s.delete(k).map(drop)))??;
     }
     // Chaos hook: a replica that silently diverged mid-sync must be
     // caught by the root comparison, never re-admitted.
@@ -2334,176 +1943,141 @@ fn resync_delta_and_verify<S: KvStore + Send + 'static>(
         guard.as_ref().is_some_and(|hook| hook(group))
     };
     if inject {
-        exec_on_slot(inner, group, rejoiner_slot, |s: &mut S| {
+        with_slot(inner, rejoiner_slot, |s| {
             let _ = s.put(b"\xffaria-divergence-injected", b"\xff");
         })?;
     }
-    let my_root = exec_on_slot(inner, group, rejoiner_slot, |s: &mut S| {
-        content_root_of(s).map(|(_, root)| root)
-    })??;
+    // Each side's root is computed inside its own enclave from its own
+    // MAC-verified reads.
+    let (_, my_root) = with_slot(inner, rejoiner_slot, |s| content_root_of(s))??;
     if my_root != root2 {
         return Err(StoreError::ReplicaDiverged { shard: group });
     }
+    ctl.resyncs.fetch_add(1, Ordering::SeqCst);
+    let tele = &inner.tele[rejoiner_slot].store;
+    tele.resyncs.inc();
+    tele.resync_bytes.observe(streamed_bytes);
     Ok(())
 }
 
-fn worker_loop<S: KvStore>(mut store: S, rx: Receiver<Request<S>>, ctx: WorkerCtx) {
-    store.attach_telemetry(Arc::clone(&ctx.tele));
-    store.refresh_gauges();
-    ctx.state.last_len.store(store.len(), Ordering::SeqCst);
-    while let Ok(first) = rx.recv() {
-        // Drain whatever else queued up while we were busy; under load
-        // this turns independent client requests into one wakeup.
-        let mut batch = vec![first];
-        while batch.len() < WORKER_DRAIN_LIMIT {
-            match rx.try_recv() {
-                Ok(req) => batch.push(req),
-                Err(_) => break,
-            }
+/// One batch on a held slot: apply, publish progress, make the covering
+/// flush, and run a maintenance pass the ticker could not get in.
+fn execute_batch<S: KvStore + Send + 'static>(
+    inner: &Inner<S>,
+    slot: usize,
+    store: &mut S,
+    ops: &[BatchOp],
+    spans: &[Arc<SpanCell>],
+) -> Vec<BatchReply> {
+    let tele = &inner.tele[slot];
+    let st = &inner.slots[slot].state;
+    let n = ops.len() as u64;
+    let started = Instant::now();
+    tele.store.batch_size.observe(n);
+    // Trace stamps and attribution baselines only when a sampled
+    // request rode along (rare); the un-sampled hot path sees one
+    // `is_empty` branch. ENQUEUE → DEQUEUE is the wait for the lock.
+    let trace_base = if spans.is_empty() {
+        None
+    } else {
+        for s in spans {
+            s.stamp(trace_stage::DEQUEUE);
+            s.stamp(trace_stage::EXEC_START);
         }
-        // Group commit: every Ops reply in this drained batch is held
-        // back until one covering `flush` has made the whole window
-        // durable — an acknowledgement is never issued for a write a
-        // crash could still lose. Stores without a durability log
-        // flush as a no-op and nothing changes for them.
-        let mut held: Vec<(Sender<Vec<BatchReply>>, Vec<BatchReply>)> = Vec::new();
-        for req in batch {
-            match req {
-                Request::Ops { ops, spans, reply } => {
-                    let n = ops.len() as u64;
-                    let started = Instant::now();
-                    ctx.tele.store.batch_size.observe(n);
-                    // Trace stamps and attribution baselines only when a
-                    // sampled request rode along (rare); the un-sampled
-                    // hot path sees one `is_empty` branch.
-                    let trace_base = if spans.is_empty() {
-                        None
-                    } else {
-                        for s in &spans {
-                            s.stamp(trace_stage::DEQUEUE);
-                            s.stamp(trace_stage::EXEC_START);
-                        }
-                        let t = &ctx.tele;
-                        Some((
-                            t.cache.verify_depth.sum(),
-                            t.store.cold_read_latency.count(),
-                            t.cache.hits.get(),
-                        ))
-                    };
-                    let replies = apply_ops_validated(&mut store, ops, &ctx);
-                    if let Some((verify0, cold0, hot0)) = trace_base {
-                        let t = &ctx.tele;
-                        let verify = t.cache.verify_depth.sum().saturating_sub(verify0);
-                        let cold = t.store.cold_read_latency.count().saturating_sub(cold0);
-                        let hot = t.cache.hits.get().saturating_sub(hot0);
-                        for s in &spans {
-                            s.stamp(trace_stage::EXEC_END);
-                            // Batch-level deltas: every sampled span in
-                            // the batch shares the coalesced run's cost.
-                            s.add_attribution(verify, cold, hot);
-                        }
-                    }
-                    // Publish the new size before the reply so a client
-                    // that saw its ack also sees the updated estimate.
-                    ctx.state.last_len.store(store.len(), Ordering::SeqCst);
-                    // Retire before replying: admission sees the queue
-                    // shrink no later than the caller sees its ack.
-                    let per_op = (started.elapsed().as_nanos() as u64) / n.max(1);
-                    let prev = ctx.state.ewma_op_ns.load(Ordering::Relaxed);
-                    let next = if prev == 0 { per_op } else { prev - prev / 8 + per_op / 8 };
-                    ctx.state.ewma_op_ns.store(next, Ordering::Relaxed);
-                    // Saturating: ops queued to a dead predecessor were
-                    // reset on respawn, so this worker must not drive
-                    // the counter through zero.
-                    let _ = ctx.state.inflight_ops.fetch_update(
-                        Ordering::SeqCst,
-                        Ordering::SeqCst,
-                        |v| Some(v.saturating_sub(n)),
-                    );
-                    ctx.state.batches_retired.fetch_add(1, Ordering::SeqCst);
-                    held.push((reply, replies));
-                }
-                Request::Exec(f) => {
-                    // Exec closures can do anything (recovery, attack
-                    // injection), so re-publish the size afterwards.
-                    f(&mut store);
-                    ctx.state.last_len.store(store.len(), Ordering::SeqCst);
-                }
-            }
+        Some((
+            tele.cache.verify_depth.sum(),
+            tele.store.cold_read_latency.count(),
+            tele.cache.hits.get(),
+        ))
+    };
+    let mut replies = apply_ops_validated(inner, slot, store, ops);
+    if let Some((verify0, cold0, hot0)) = trace_base {
+        let verify = tele.cache.verify_depth.sum().saturating_sub(verify0);
+        let cold = tele.store.cold_read_latency.count().saturating_sub(cold0);
+        let hot = tele.cache.hits.get().saturating_sub(hot0);
+        for s in spans {
+            s.stamp(trace_stage::EXEC_END);
+            // Batch-level deltas: every sampled span in the batch
+            // shares the coalesced run's cost.
+            s.add_attribution(verify, cold, hot);
         }
-        if !held.is_empty() {
-            if let Err(e) = store.flush() {
-                // The covering fsync failed: nothing in this window is
-                // provably durable, so no write in it may be
-                // acknowledged. Reads stand — they reflect in-memory
-                // state that is correct regardless of durability.
-                for (_, replies) in &mut held {
-                    for r in replies.iter_mut() {
-                        match r {
-                            BatchReply::Put(res) if res.is_ok() => *res = Err(e.clone()),
-                            BatchReply::Delete(res) if res.is_ok() => *res = Err(e.clone()),
-                            _ => {}
-                        }
-                    }
-                }
-            }
-            for (reply, replies) in held {
-                // The client may have given up (dropped the receiver);
-                // the work is still applied.
-                let _ = reply.send(replies);
-            }
-        }
-        store.refresh_gauges();
     }
+    let per_op = (started.elapsed().as_nanos() as u64) / n.max(1);
+    let prev = st.ewma_op_ns.load(Ordering::Relaxed);
+    let next = if prev == 0 { per_op } else { prev - prev / 8 + per_op / 8 };
+    st.ewma_op_ns.store(next, Ordering::Relaxed);
+    st.batches_retired.fetch_add(1, Ordering::SeqCst);
+    // Group commit: the replies are held back until one covering
+    // `flush` has made the whole submission durable — an
+    // acknowledgement is never issued for a write a crash could still
+    // lose. Stores without a durability log flush as a no-op.
+    if let Err(e) = store.flush() {
+        // The covering fsync failed: nothing in this batch is provably
+        // durable, so no write in it may be acknowledged. Reads stand —
+        // they reflect in-memory state that is correct regardless of
+        // durability.
+        for r in replies.iter_mut() {
+            match r {
+                BatchReply::Put(res) if res.is_ok() => *res = Err(e.clone()),
+                BatchReply::Delete(res) if res.is_ok() => *res = Err(e.clone()),
+                _ => {}
+            }
+        }
+    }
+    // Only the slot's holder clears the flag, so a plain load suffices.
+    if st.maintain_due.load(Ordering::SeqCst) {
+        st.maintain_due.store(false, Ordering::SeqCst);
+        let _ = store.maintain();
+    }
+    store.refresh_gauges();
+    replies
 }
 
 /// [`apply_ops`] behind the execution-time routing check: an op whose
-/// slot this worker's group no longer owns is refused with a typed
+/// slot this group no longer owns is refused with a typed
 /// [`StoreError::WrongShard`] (the op was routed before an epoch flip
 /// landed — applying it here could read or mutate state the new owner
 /// is now authoritative for), and a *write* to a slot frozen by an
 /// in-flight migration delta is refused retryably. Both refusals are
-/// decided on this worker's own thread, so they are totally ordered
-/// with the migration driver's barrier Execs on the same queue — the
-/// property the zero-acked-write-loss argument rests on (DESIGN.md §18).
-fn apply_ops_validated<S: KvStore>(
+/// decided while holding the slot lock, so they are totally ordered
+/// with the migration driver's barrier export, which takes the same
+/// lock — the property the zero-acked-write-loss argument rests on
+/// (DESIGN.md §18).
+fn apply_ops_validated<S: KvStore + Send + 'static>(
+    inner: &Inner<S>,
+    slot: usize,
     store: &mut S,
-    ops: Vec<BatchOp>,
-    ctx: &WorkerCtx,
+    ops: &[BatchOp],
 ) -> Vec<BatchReply> {
-    let mut verdicts: Vec<Option<BatchReply>> = Vec::with_capacity(ops.len());
-    let mut kept: Vec<BatchOp> = Vec::with_capacity(ops.len());
-    let mut refused = false;
-    for op in ops {
-        let slot = ctx.routing.slot_of(op.key());
-        let owner = ctx.routing.owner(slot);
-        if owner != ctx.group {
-            refused = true;
-            verdicts.push(Some(OpKind::of(&op).with_err(StoreError::WrongShard {
-                shard: ctx.group,
-                hint: owner,
-                epoch: ctx.routing.epoch(),
-            })));
-        } else if op.is_write() && ctx.routing.is_frozen(slot) {
+    let group = slot / inner.replicas;
+    let routing = &inner.routing;
+    let verdict = |op: &BatchOp| {
+        let rslot = routing.slot_of(op.key());
+        let owner = routing.owner(rslot);
+        if owner != group {
+            Some(StoreError::WrongShard { shard: group, hint: owner, epoch: routing.epoch() })
+        } else if op.is_write() && routing.is_frozen(rslot) {
             // Migration delta barrier: the write is refused, never
             // applied, never acknowledged — the client retries once the
             // slot lands on its new owner.
-            refused = true;
-            verdicts.push(Some(
-                OpKind::of(&op).with_err(StoreError::ShardQuarantined { shard: ctx.group }),
-            ));
+            Some(StoreError::ShardQuarantined { shard: group })
         } else {
-            verdicts.push(None);
-            kept.push(op);
+            None
         }
+    };
+    let verdicts: Vec<Option<StoreError>> = ops.iter().map(verdict).collect();
+    if verdicts.iter().all(Option::is_none) {
+        return apply_ops(inner, slot, store, ops);
     }
-    if !refused {
-        return apply_ops(store, kept, ctx);
-    }
-    let mut applied = apply_ops(store, kept, ctx).into_iter();
-    verdicts
-        .into_iter()
-        .map(|v| v.unwrap_or_else(|| applied.next().expect("one reply per kept op")))
+    let kept: Vec<BatchOp> =
+        ops.iter().zip(&verdicts).filter(|(_, v)| v.is_none()).map(|(op, _)| op.clone()).collect();
+    let mut applied = apply_ops(inner, slot, store, &kept).into_iter();
+    ops.iter()
+        .zip(verdicts)
+        .map(|(op, v)| match v {
+            Some(err) => op.refused(err),
+            None => applied.next().expect("one reply per kept op"),
+        })
         .collect()
 }
 
@@ -2520,11 +2094,10 @@ struct SegmentProbe {
 }
 
 impl SegmentProbe {
-    fn begin<S: KvStore>(store: &S, ctx: &WorkerCtx) -> Option<SegmentProbe> {
+    fn begin<S: KvStore>(store: &S, t: &ShardTelemetry) -> Option<SegmentProbe> {
         if !aria_telemetry::enabled() {
             return None;
         }
-        let t = &ctx.tele;
         Some(SegmentProbe {
             start: Instant::now(),
             index_probes: t.store.index_probes.get(),
@@ -2538,29 +2111,31 @@ impl SegmentProbe {
     /// Close the segment: record per-op latency for the run and, if the
     /// amortized per-op time crossed the tracer threshold, a structured
     /// slow-op span built from the counter deltas.
+    #[allow(clippy::too_many_arguments)]
     fn finish<S: KvStore>(
         self,
         store: &S,
-        ctx: &WorkerCtx,
+        t: &ShardTelemetry,
+        slow_ops: &SlowOpTracer,
+        shard: u32,
         kind: TeleOpKind,
         first_key: &[u8],
         n: u64,
     ) {
         let elapsed = self.start.elapsed().as_nanos() as u64;
         let per_op = elapsed / n.max(1);
-        let t = &ctx.tele;
         match kind {
             TeleOpKind::Get => t.store.get_latency.observe_n(per_op, n),
             TeleOpKind::Put => t.store.put_latency.observe_n(per_op, n),
             TeleOpKind::Delete => t.store.delete_latency.observe_n(per_op, n),
             TeleOpKind::Other => {}
         }
-        if per_op < ctx.slow_ops.threshold_nanos() {
+        if per_op < slow_ops.threshold_nanos() {
             return;
         }
-        ctx.slow_ops.record(SlowOp {
+        slow_ops.record(SlowOp {
             seq: 0, // assigned by the tracer
-            shard: ctx.shard,
+            shard,
             kind,
             key_hash: splitmix64(fnv1a(first_key)),
             batch: n.min(u32::MAX as u64) as u32,
@@ -2578,11 +2153,17 @@ impl SegmentProbe {
 
 /// Apply a batch, feeding maximal same-kind runs to the batched trait
 /// methods so stores that amortize per-request costs get to.
-fn apply_ops<S: KvStore>(store: &mut S, ops: Vec<BatchOp>, ctx: &WorkerCtx) -> Vec<BatchReply> {
+fn apply_ops<S: KvStore + Send + 'static>(
+    inner: &Inner<S>,
+    slot: usize,
+    store: &mut S,
+    ops: &[BatchOp],
+) -> Vec<BatchReply> {
+    let tele = &inner.tele[slot];
     let mut out = Vec::with_capacity(ops.len());
     let mut i = 0;
     while i < ops.len() {
-        let probe = SegmentProbe::begin(store, ctx);
+        let probe = SegmentProbe::begin(store, tele);
         let (kind, j) = match &ops[i] {
             BatchOp::Get(_) => {
                 let mut j = i;
@@ -2620,7 +2201,8 @@ fn apply_ops<S: KvStore>(store: &mut S, ops: Vec<BatchOp>, ctx: &WorkerCtx) -> V
             }
         };
         if let Some(probe) = probe {
-            probe.finish(store, ctx, kind, ops[i].key(), (j - i) as u64);
+            let n = (j - i) as u64;
+            probe.finish(store, tele, &inner.slow_ops, slot as u32, kind, ops[i].key(), n);
         }
         i = j;
     }
@@ -2661,7 +2243,7 @@ mod tests {
     }
 
     fn replicated(groups: usize, replicas: usize) -> ShardedStore<AriaHash> {
-        ShardedStore::with_replicas(groups, replicas, DEFAULT_QUEUE_DEPTH, |_| {
+        ShardedStore::with_replicas(groups, replicas, |_| {
             AriaHash::new(StoreConfig::for_keys(4_096), Arc::new(Enclave::with_default_epc()))
         })
         .unwrap()
@@ -2841,24 +2423,15 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_yields_typed_error_not_hang() {
+    fn condemned_store_yields_typed_error_not_hang() {
         let store = small_sharded(4);
         store.put(b"seed", b"v").unwrap();
         let dead = store.shard_of(b"seed");
-        // Kill one worker; its queue closes once the panic unwinds.
-        assert!(store.exec_detached(dead, |_| panic!("injected worker crash")));
-        // Wait for the channel to actually disconnect (bounded).
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        loop {
-            match store.get(b"seed") {
-                Err(StoreError::ShardUnavailable { shard }) => {
-                    assert_eq!(shard, dead);
-                    break;
-                }
-                _ if std::time::Instant::now() < deadline => std::thread::yield_now(),
-                other => panic!("worker never died: {other:?}"),
-            }
-        }
+        // A panic under the slot lock condemns that store. The detached
+        // closure holds the slot by the time `exec_detached` returns, so
+        // the very next op waits it out and finds the slot empty.
+        assert!(store.exec_detached(dead, |_| panic!("injected store crash")));
+        assert_eq!(store.get(b"seed"), Err(StoreError::ShardUnavailable { shard: dead }));
         assert_eq!(store.put(b"seed", b"w"), Err(StoreError::ShardUnavailable { shard: dead }));
         assert_eq!(store.delete(b"seed"), Err(StoreError::ShardUnavailable { shard: dead }));
         // A batch spanning live and dead shards: dead shard's ops carry
@@ -2885,7 +2458,7 @@ mod tests {
     }
 
     #[test]
-    fn quarantine_gating_refuses_ops_without_touching_worker() {
+    fn quarantine_gating_refuses_ops_without_touching_store() {
         let store = small_sharded(2);
         store.put(b"k", b"v").unwrap();
         let shard = store.shard_of(b"k");
@@ -2895,7 +2468,7 @@ mod tests {
         assert_eq!(store.put(b"k", b"w"), Err(StoreError::ShardQuarantined { shard }));
         store.force_health(shard, ShardHealth::Dead);
         assert_eq!(store.delete(b"k"), Err(StoreError::ShardUnavailable { shard }));
-        // Re-admission restores service — the worker itself never died.
+        // Re-admission restores service — the store itself was never touched.
         store.force_health(shard, ShardHealth::Healthy);
         assert_eq!(store.get(b"k").unwrap().unwrap(), b"v");
     }
@@ -2922,7 +2495,7 @@ mod tests {
         let err = store.get(&victim_key).unwrap_err();
         assert!(err.is_quarantine_trigger(), "got {err:?}");
 
-        // Recovery runs on the victim's worker; wait for re-admission.
+        // Recovery runs in the background; wait for re-admission.
         let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
         loop {
             let snap = store.healths()[victim];
@@ -2957,42 +2530,78 @@ mod tests {
     }
 
     #[test]
-    fn dead_worker_is_reflected_in_health() {
+    fn condemned_store_is_reflected_in_health() {
         let store = small_sharded(2);
         store.put(b"seed", b"v").unwrap();
         let dead = store.shard_of(b"seed");
-        assert!(store.exec_detached(dead, |_| panic!("injected worker crash")));
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(5);
-        while store.get(b"seed") != Err(StoreError::ShardUnavailable { shard: dead }) {
-            assert!(std::time::Instant::now() < deadline, "worker never died");
-            std::thread::yield_now();
-        }
+        // A panicking batch-path closure is contained the same way: the
+        // caller survives with the typed error, synchronously.
+        let crashed = catch_unwind(AssertUnwindSafe(|| {
+            store.with_shard(dead, |_: &mut AriaHash| panic!("injected store crash"))
+        }));
+        assert!(crashed.is_err(), "with_shard has no result shape for a lost store");
         assert_eq!(store.healths()[dead].health, ShardHealth::Dead);
         assert_eq!(store.healths()[1 - dead].health, ShardHealth::Healthy);
-        // Monitoring paths skip the dead worker instead of panicking.
+        assert_eq!(store.get(b"seed"), Err(StoreError::ShardUnavailable { shard: dead }));
+        // Monitoring paths skip the missing store instead of panicking.
         let _ = store.len();
         assert_eq!(store.cache_stats()[dead], None);
         assert_eq!(store.snapshots().len(), 1);
+        // A second detached closure has no store to run on.
+        assert!(!store.exec_detached(dead, |_| {}));
     }
 
     #[test]
-    fn drop_joins_workers_with_queued_ops() {
+    fn drop_joins_detached_work_behind_a_stall() {
         use std::sync::atomic::{AtomicU64, Ordering};
         let store = small_sharded(2);
         let applied = Arc::new(AtomicU64::new(0));
-        // Stall the worker, then queue work behind the stall; dropping
-        // the store must still drain and join, losing nothing.
+        // Stall the slot, then pile detached work up behind the stall
+        // from several submitters; dropping the store must still let
+        // every accepted closure run and join its thread, losing none.
         assert!(
             store.exec_detached(0, |_| std::thread::sleep(std::time::Duration::from_millis(100)))
         );
-        for _ in 0..32 {
-            let applied = Arc::clone(&applied);
-            assert!(store.exec_detached(0, move |_| {
-                applied.fetch_add(1, Ordering::SeqCst);
-            }));
-        }
+        std::thread::scope(|scope| {
+            for _ in 0..8 {
+                scope.spawn(|| {
+                    let applied = Arc::clone(&applied);
+                    assert!(store.exec_detached(0, move |_| {
+                        std::thread::sleep(std::time::Duration::from_millis(5));
+                        applied.fetch_add(1, Ordering::SeqCst);
+                    }));
+                });
+            }
+        });
+        // Every submitter has returned, so each closure holds (or held)
+        // the slot; the last one may still be mid-sleep.
         drop(store);
-        assert_eq!(applied.load(Ordering::SeqCst), 32);
+        assert_eq!(applied.load(Ordering::SeqCst), 8);
+    }
+
+    /// `exec_detached` returns only once its closure holds the slot:
+    /// what the caller submits next waits the closure out, while other
+    /// groups are untouched (the ordering `tests/overload.rs` builds its
+    /// stalls on).
+    #[test]
+    fn exec_detached_orders_ahead_of_the_next_submission() {
+        const STALL: Duration = Duration::from_millis(200);
+        let store = small_sharded(2);
+        let on = |g: usize| {
+            (0..64u32)
+                .map(|i| format!("k{i}").into_bytes())
+                .find(|k| store.shard_of(k) == g)
+                .expect("some key routes to the group")
+        };
+        let (stalled_key, free_key) = (on(0), on(1));
+        let stalled_at = Instant::now();
+        assert!(store.exec_detached(0, |_| thread::sleep(STALL)));
+        let replies = store.run_batch(vec![BatchOp::Put(free_key, b"v".to_vec())]);
+        assert_eq!(replies, vec![BatchReply::Put(Ok(()))]);
+        assert!(stalled_at.elapsed() < STALL, "the other group must not wait for the stall");
+        let replies = store.run_batch(vec![BatchOp::Put(stalled_key, b"v".to_vec())]);
+        assert_eq!(replies, vec![BatchReply::Put(Ok(()))]);
+        assert!(stalled_at.elapsed() >= STALL, "the stalled group's batch must wait the stall out");
     }
 
     #[test]
@@ -3101,8 +2710,8 @@ mod tests {
         }
         let p = store.group_stats()[0].primary;
         assert!(store.exec_detached_replica(0, p, |_| panic!("injected primary kill")));
-        // Keep reading: the first op after the worker unwinds detects
-        // the death, fails over, and kicks the (sabotaged) re-sync.
+        // The kill itself marks the replica dead, fails over and kicks
+        // the (sabotaged) re-sync; reads keep flowing meanwhile.
         wait_group_stats(&store, "divergence verdict", |stats| {
             let _ = store.get(b"key1");
             stats[0].last_resync_error == Some(StoreError::ReplicaDiverged { shard: 0 })
@@ -3129,7 +2738,7 @@ mod tests {
                 let _ = store.put(format!("busy{round}-{i}").as_bytes(), b"x");
             }
             // Dropping here must join the re-sync thread (not leave it
-            // touching freed channels) and never deadlock.
+            // running against a freed store) and never deadlock.
             drop(store);
         }
     }
@@ -3169,7 +2778,7 @@ mod tests {
             other => panic!("want Overloaded, got {other:?}"),
         }
         assert_eq!(store.shed_ops_total(), 1, "the refused op is charged to the shed counter");
-        // A refusal is not an acknowledgement: nothing was enqueued, so
+        // A refusal is not an acknowledgement: nothing was applied, so
         // the key must not exist once the backlog clears.
         st.inflight_ops.store(0, Ordering::SeqCst);
         assert_eq!(store.get(b"k2").unwrap(), None);
@@ -3188,10 +2797,11 @@ mod tests {
         let store = Arc::new(small_sharded(1));
         store.set_watchdog_window(Some(Duration::from_millis(40)));
         store.start_maintenance(Duration::from_millis(5));
-        // Wedge the worker well past the window...
+        // Wedge the slot well past the window...
         assert!(store.exec_detached(0, |_st| thread::sleep(Duration::from_millis(400))));
-        // ...while a client op queues behind the stall, so the shard is
-        // "accepting work but retiring nothing" — the watchdog's case.
+        // ...while a client op waits on the slot lock behind the stall,
+        // so the shard is "accepting work but retiring nothing" — the
+        // watchdog's case.
         let s2 = Arc::clone(&store);
         let blocked = thread::spawn(move || s2.put(b"stalled", b"v"));
         let deadline = Instant::now() + Duration::from_secs(5);
@@ -3199,8 +2809,8 @@ mod tests {
             assert!(Instant::now() < deadline, "watchdog never quarantined the stalled shard");
             thread::sleep(Duration::from_millis(5));
         }
-        // Once the stall clears, queued recovery verifies the store and
-        // re-admits the shard.
+        // Once the stall clears, the waiting recovery verifies the store
+        // and re-admits the shard.
         let deadline = Instant::now() + Duration::from_secs(10);
         while store.health_of(0) != ShardHealth::Healthy {
             assert!(Instant::now() < deadline, "stalled shard was never re-admitted");

@@ -102,7 +102,7 @@ pub struct TieredOptions {
     /// Group-commit fsync window in bytes, effective with
     /// [`TieredOptions::sync_writes`]. `0` = fsync per append; non-zero
     /// coalesces appends behind one covering fsync issued by
-    /// [`KvStore::flush`] (the shard worker calls it once per drained
+    /// [`KvStore::flush`] (the sharded layer calls it once per submitted
     /// batch, before replying) or inline when the window fills.
     pub sync_window_bytes: u64,
 }
@@ -959,7 +959,7 @@ mod tests {
         for i in 0..20 {
             s.put(&key(i), &value(i)).unwrap();
         }
-        // The worker-level ack boundary: covering fsync via flush().
+        // The batch-level ack boundary: covering fsync via flush().
         s.flush().unwrap();
         let (seg, durable) = s.log_frontier();
         // Unacked writes inside the next window.

@@ -1086,7 +1086,7 @@ impl TelemetryHub {
     }
 
     /// Hub over existing shard bundles *and* an existing slow-op tracer
-    /// (the one the store's workers already record into).
+    /// (the one the store's shards already record into).
     pub fn with_parts(shards: Vec<Arc<ShardTelemetry>>, slow_ops: Arc<SlowOpTracer>) -> Self {
         let n = shards.len();
         TelemetryHub {

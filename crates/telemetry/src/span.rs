@@ -38,9 +38,9 @@ pub mod stage {
     pub const DECODE: usize = 0;
     /// Admission verdict reached (admit or shed).
     pub const ADMIT: usize = 1;
-    /// Ops handed to the shard worker's queue.
+    /// Ops submitted to their shard: the wait for its slot lock starts.
     pub const ENQUEUE: usize = 2;
-    /// Shard worker picked the batch up off its queue.
+    /// The submitter holds the shard's slot lock.
     pub const DEQUEUE: usize = 3;
     /// Store execution started.
     pub const EXEC_START: usize = 4;
@@ -69,9 +69,9 @@ pub mod outcome {
 }
 
 /// Live stamp target for one sampled in-flight request. The net layer
-/// owns the `Arc`; the shard worker holds a clone just long enough to
-/// stamp the store-side stages. Store-side stamps use `fetch_max` so a
-/// replicated batch racing across workers keeps the *latest* stamp and
+/// owns the `Arc`; the store borrows it just long enough to stamp the
+/// store-side stages. Store-side stamps use `fetch_max` so a request
+/// whose ops ran on several shards keeps the *latest* stamp and
 /// per-span monotonicity is preserved.
 #[derive(Debug)]
 pub struct SpanCell {
@@ -111,9 +111,9 @@ impl SpanCell {
         }
     }
 
-    /// Stamp `stage` with "now". One relaxed `fetch_max`, so concurrent
-    /// stampers (replicated shard workers) keep the latest time and a
-    /// re-stamp can never move a stage backwards.
+    /// Stamp `stage` with "now". One relaxed `fetch_max`, so repeated
+    /// stamps (one span can ride several shards' batches) keep the
+    /// latest time and a re-stamp can never move a stage backwards.
     #[inline]
     pub fn stamp(&self, stage: usize) {
         self.stages[stage].fetch_max(clock_nanos(), Ordering::Relaxed);

@@ -129,7 +129,7 @@ impl SlowOpTracer {
         self.threshold_nanos.store(nanos, Ordering::Relaxed);
     }
 
-    /// Append a slow op (slow path only). Never blocks a shard worker:
+    /// Append a slow op (slow path only). Never blocks a shard's batch:
     /// if another thread holds the ring mutex the op is dropped and
     /// counted, rather than stalling execution on a diagnostics buffer.
     pub fn record(&self, mut op: SlowOp) {

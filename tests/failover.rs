@@ -54,7 +54,7 @@ const PIPELINE_DEPTH: usize = 8;
 
 fn replicated_server() -> (Arc<ShardedStore<AriaHash>>, AriaServer) {
     let store = Arc::new(
-        ShardedStore::with_replicas(GROUPS, REPLICAS, 64, |_| {
+        ShardedStore::with_replicas(GROUPS, REPLICAS, |_| {
             AriaHash::new(StoreConfig::for_keys(16_384), Arc::new(Enclave::with_default_epc()))
         })
         .unwrap(),
@@ -183,8 +183,9 @@ fn kill_primary(store: &ShardedStore<AriaHash>, group: usize) -> u64 {
     before
 }
 
-/// Drive reads until `pred` holds (a dead worker is only noticed when a
-/// later op fails, so polling must generate traffic).
+/// Drive reads until `pred` holds (a quarantined primary is only
+/// replaced when an op is routed to its group, so polling must
+/// generate traffic).
 fn drive_until(
     client: &mut AriaClient,
     store: &ShardedStore<AriaHash>,
@@ -198,7 +199,7 @@ fn drive_until(
             return;
         }
         assert!(Instant::now() < deadline, "timed out waiting for {what}: {stats:?}");
-        // A dead worker is only noticed when an op is routed to it, and
+        // Promotion happens when an op is routed to the group, and
         // key→group hashing is opaque: probe a spread of keys so every
         // group sees traffic even after the load clients have finished.
         for k in 0..8u64 {

@@ -196,8 +196,9 @@ fn overload_refusal_hints_retry_and_control_plane_stays_responsive() {
         control.put(format!("warm{i}").as_bytes(), b"v").unwrap();
     }
 
-    // Wedge the only shard's worker, then park a pipelined window of
-    // writes behind the stall so the backlog estimate goes over budget.
+    // Wedge the only shard (a closure sleeping under its slot lock),
+    // then park a pipelined window of writes behind the stall so the
+    // backlog estimate goes over budget.
     const STALL: Duration = Duration::from_millis(600);
     assert!(store.exec_detached(0, |_st| thread::sleep(STALL)));
     let stalled_at = Instant::now();
