@@ -11,9 +11,13 @@
 //!   latest state, not a separate source of truth.
 //! * **Reads** hit the hot region; a miss that lands on a cold key
 //!   reads the record from the log (CRC + MAC verified inside the
-//!   enclave, crypto charged to the cost model) and *promotes* it back
-//!   into the hot region. Under the skewed workloads Aria targets, the
-//!   hot region absorbs the working set and cold reads stay rare.
+//!   enclave, crypto charged to the cost model) and answers from that
+//!   read. Only a key read cold *again* while the first read is still
+//!   remembered is *promoted* back into the hot region: a key touched
+//!   once costs the hot region nothing, so a scan or a low-skew tail
+//!   cannot push the working set out of it. Under the skewed workloads
+//!   Aria targets, the hot region absorbs the working set and cold
+//!   reads stay rare.
 //! * **Migration** ([`KvStore::maintain`]) evicts the
 //!   least-recently-accessed hot entries once the hot region exceeds
 //!   its byte budget — just enough of them to cover the excess.
@@ -53,8 +57,9 @@
 //! The trust model — what the checkpoint does and does not protect
 //! against — is spelled out in DESIGN.md §15.
 
-use std::collections::hash_map::Entry;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::hash_map::{Entry, RandomState};
+use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::hash::BuildHasher;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Instant;
@@ -187,6 +192,10 @@ pub struct TierStats {
     /// Verified point reads of log records since open (cold GETs,
     /// compaction, digest fills, audits).
     pub log_reads: u64,
+    /// Cold keys promoted into the hot region since open (second cold
+    /// read). Demotions are the `migrations` telemetry counter; the two
+    /// together are the tier's churn.
+    pub promotions: u64,
 }
 
 /// Where a live key's latest record lives, and what it digests to.
@@ -204,6 +213,41 @@ struct KeyMeta {
     /// tombstones, and on a put until then (the PUT path pays no CMAC
     /// for it).
     digest: Option<[u8; 16]>,
+}
+
+/// Smallest cold-touch window, so a nearly empty hot region (just after
+/// [`TieredStore::open`]) can still re-heat.
+const MIN_TOUCH_WINDOW: usize = 64;
+
+/// The keys most recently read cold without being promoted: a FIFO
+/// window of 64-bit fingerprints under a per-store random key (a
+/// client cannot craft keys that collide). Residency metadata like
+/// `hot_meta` — enclave-side, never persisted, and only ever consulted
+/// to choose between two ways of returning the same verified value, so
+/// a collision or a stale entry costs an early promotion, not a wrong
+/// reply.
+#[derive(Default)]
+struct ColdTouches {
+    hasher: RandomState,
+    order: VecDeque<u64>,
+    seen: HashSet<u64>,
+}
+
+impl ColdTouches {
+    /// Whether `key` was already touched within the last `window`
+    /// distinct touches; if not, remember it.
+    fn seen_before(&mut self, key: &[u8], window: usize) -> bool {
+        let fingerprint = self.hasher.hash_one(key);
+        if !self.seen.insert(fingerprint) {
+            return true;
+        }
+        self.order.push_back(fingerprint);
+        while self.order.len() > window {
+            let oldest = self.order.pop_front().expect("len > window >= 0");
+            self.seen.remove(&oldest);
+        }
+        false
+    }
 }
 
 /// A [`KvStore`] split into a hot in-memory region and a cold sealed
@@ -225,6 +269,9 @@ pub struct TieredStore<S: KvStore> {
     /// Keys whose cold record failed verification during a recovery
     /// sweep; reads fail closed ([`crate::Violation::DataDestroyed`]).
     destroyed: HashSet<Vec<u8>>,
+    /// Cold keys read once and not promoted (see [`ColdTouches`]).
+    cold_touches: ColdTouches,
+    promotions: u64,
     hot_bytes: usize,
     /// Logical access clock for hot LRU.
     clock: u64,
@@ -423,6 +470,8 @@ impl<S: KvStore> TieredStore<S> {
             cold: HashMap::new(),
             tombstones: HashMap::new(),
             destroyed: HashSet::new(),
+            cold_touches: ColdTouches::default(),
+            promotions: 0,
             hot_bytes: 0,
             clock: 0,
             // Records past the frontier are mutations no checkpoint
@@ -468,6 +517,7 @@ impl<S: KvStore> TieredStore<S> {
             segments: self.log.segment_count() as u64,
             checkpoint_epoch: self.checkpoint_epoch,
             log_reads: self.log.read_count(),
+            promotions: self.promotions,
         }
     }
 
@@ -739,24 +789,34 @@ impl<S: KvStore> KvStore for TieredStore<S> {
             return Ok(None);
         };
         // Cold read: verified log read, charged to the enclave like any
-        // sealed-entry open, then promote into the hot region (the
-        // record stays live — promotion changes residency, not truth).
+        // sealed-entry open. The reply is that read either way; whether
+        // the key also moves into the hot region depends on whether it
+        // was read cold before (the record stays live — promotion
+        // changes residency, not truth).
         let started = Instant::now();
         let (k, v) = read_cold_pair(&mut self.log, key, &meta)?;
-        self.hot.enclave().charge_crypt(k.len() + v.len());
-        self.hot.enclave().charge_mac(16 + k.len() + v.len());
-        self.hot.put(&k, &v)?;
-        self.cold.remove(key);
         let bytes = k.len() + v.len();
+        self.hot.enclave().charge_crypt(bytes);
+        self.hot.enclave().charge_mac(16 + bytes);
         // The verified plaintext is in hand: digest it now if no
         // earlier read did, so no checkpoint has to read it again.
         let digest = meta.digest.unwrap_or_else(|| {
             self.hot.enclave().charge_mac(16 + bytes);
             pair_digest_keyed(&k, &v)
         });
-        self.hot_meta
-            .insert(k, KeyMeta { bytes, last_access: self.clock, digest: Some(digest), ..meta });
-        self.hot_bytes += bytes;
+        let window = self.hot_meta.len().max(MIN_TOUCH_WINDOW);
+        if self.cold_touches.seen_before(key, window) {
+            self.hot.put(&k, &v)?;
+            self.cold.remove(key);
+            self.hot_meta.insert(
+                k,
+                KeyMeta { bytes, last_access: self.clock, digest: Some(digest), ..meta },
+            );
+            self.hot_bytes += bytes;
+            self.promotions += 1;
+        } else if meta.digest.is_none() {
+            self.cold.get_mut(key).expect("found in the cold index above").digest = Some(digest);
+        }
         if let Some(tele) = &self.tele {
             tele.store.cold_read_latency.observe(started.elapsed().as_nanos() as u64);
         }
@@ -998,7 +1058,7 @@ mod tests {
         let stats = s.tier_stats();
         assert!(stats.cold_entries > 0);
         assert!(stats.hot_bytes <= 4 << 10);
-        // Every key still reads correctly (cold ones promote back).
+        // Every key still reads correctly, from whichever tier holds it.
         for i in 0..100 {
             assert_eq!(s.get(&key(i)).unwrap().unwrap(), value(i), "key {i}");
         }
@@ -1030,6 +1090,128 @@ mod tests {
         for i in 0..20 {
             assert!(s.hot_meta.contains_key(&key(i)), "hot key {i} was evicted before cold keys");
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// 80 keys loaded and migrated down to the 4 KiB budget; returns the
+    /// store and the ids of its cold keys.
+    fn store_with_cold_keys(dir: &std::path::Path) -> (TieredStore<AriaHash>, Vec<u64>) {
+        let mut s = TieredStore::open(hot_store(), MASTER, opts(dir)).unwrap();
+        for i in 0..80 {
+            s.put(&key(i), &value(i)).unwrap();
+        }
+        s.maintain().unwrap();
+        let cold: Vec<u64> = (0..80).filter(|i| s.cold.contains_key(&key(*i))).collect();
+        assert!(cold.len() >= 3);
+        (s, cold)
+    }
+
+    #[test]
+    fn first_cold_get_serves_from_the_log_and_the_second_promotes() {
+        let dir = tmpdir("second-touch");
+        let (mut s, cold) = store_with_cold_keys(&dir);
+        let (k, v) = (key(cold[0]), value(cold[0]));
+        let before = s.tier_stats();
+        assert_eq!(s.get(&k).unwrap().unwrap(), v);
+        let first = s.tier_stats();
+        assert_eq!(
+            (first.hot_entries, first.cold_entries, first.hot_bytes, first.promotions),
+            (before.hot_entries, before.cold_entries, before.hot_bytes, 0),
+            "a first touch must not change residency"
+        );
+        assert_eq!(first.log_reads, before.log_reads + 1);
+        assert_eq!(s.get(&k).unwrap().unwrap(), v);
+        let second = s.tier_stats();
+        assert_eq!(
+            (second.hot_entries, second.cold_entries, second.promotions),
+            (before.hot_entries + 1, before.cold_entries - 1, 1)
+        );
+        // Hot now: further reads leave the log alone.
+        assert_eq!(s.get(&k).unwrap().unwrap(), v);
+        assert_eq!(s.tier_stats().log_reads, second.log_reads);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn one_pass_cold_scan_leaves_the_hot_working_set_alone() {
+        let dir = tmpdir("scan");
+        let mut s = TieredStore::open(hot_store(), MASTER, opts(&dir)).unwrap();
+        for i in 0..200 {
+            s.put(&key(i), &value(i)).unwrap();
+        }
+        for i in 0..20 {
+            s.get(&key(i)).unwrap();
+        }
+        s.maintain().unwrap();
+        let before = s.tier_stats();
+        let cold: Vec<u64> = (0..200).filter(|i| s.cold.contains_key(&key(*i))).collect();
+        assert!(cold.len() > 100);
+        for &i in &cold {
+            assert_eq!(s.get(&key(i)).unwrap().unwrap(), value(i));
+        }
+        assert_eq!(s.maintain().unwrap().migrated, 0, "a scan must not force demotions");
+        assert_eq!(
+            s.tier_stats(),
+            TierStats { log_reads: before.log_reads + cold.len() as u64, ..before }
+        );
+        for i in 0..20 {
+            assert!(s.hot_meta.contains_key(&key(i)), "the scan pushed hot key {i} out");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn write_between_the_two_touches_reads_the_new_state() {
+        let dir = tmpdir("touch-write");
+        let (mut s, cold) = store_with_cold_keys(&dir);
+        let (overwritten, deleted) = (&key(cold[0]), &key(cold[1]));
+        assert!(s.get(overwritten).unwrap().is_some());
+        assert!(s.get(deleted).unwrap().is_some());
+        s.put(overwritten, b"second version").unwrap();
+        assert!(s.delete(deleted).unwrap());
+        assert_eq!(s.get(overwritten).unwrap().unwrap(), b"second version");
+        assert_eq!(s.get(deleted).unwrap(), None);
+        // Neither read was a promotion: the PUT made one key hot, the
+        // DELETE made the other a tombstone.
+        assert_eq!(s.tier_stats().promotions, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn record_corrupted_between_the_two_touches_is_refused_on_the_second() {
+        let dir = tmpdir("touch-tamper");
+        let (mut s, cold) = store_with_cold_keys(&dir);
+        let k = key(cold[0]);
+        assert_eq!(s.get(&k).unwrap().unwrap(), value(cold[0]));
+        let ptr = s.cold[&k].ptr;
+        aria_log::flip_byte(&dir, ptr.segment, ptr.offset + 30, 0x04).unwrap();
+        let before = s.tier_stats();
+        let err = s.get(&k).unwrap_err();
+        assert!(err.is_integrity_violation(), "got {err:?}");
+        let after = s.tier_stats();
+        assert_eq!(
+            (after.hot_entries, after.cold_entries, after.promotions),
+            (before.hot_entries, before.cold_entries, 0),
+            "a refused read must not promote"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn first_touch_fills_the_digest_so_a_checkpoint_reads_nothing() {
+        let dir = tmpdir("touch-digest");
+        let (mut s, cold) = store_with_cold_keys(&dir);
+        assert!(
+            cold.iter().all(|i| s.cold[&key(*i)].digest.is_none()),
+            "no read has digested them yet"
+        );
+        for &i in &cold {
+            s.get(&key(i)).unwrap();
+            assert!(s.cold[&key(i)].digest.is_some());
+        }
+        let reads = s.tier_stats().log_reads;
+        s.force_checkpoint().unwrap();
+        assert_eq!(s.tier_stats().log_reads, reads);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,8 +1,9 @@
 //! Property test for the digest-carrying tier index: whatever sequence
-//! of writes, reads, upkeep and restarts ran, the root a checkpoint
-//! builds from the digests cached in the index equals the root over a
-//! full verified re-read of both tiers, and a checkpoint with nothing
-//! new to digest reads nothing from the log.
+//! of writes, reads (served cold, promoting, or hot), upkeep and
+//! restarts ran, the root a checkpoint builds from the digests cached
+//! in the index equals the root over a full verified re-read of both
+//! tiers, and a checkpoint with nothing new to digest reads nothing
+//! from the log.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -48,7 +49,10 @@ fn opts(dir: &std::path::Path) -> TieredOptions {
 #[derive(Debug, Clone)]
 enum Op {
     Put(u8, Vec<u8>),
-    Get(u8),
+    /// Read the key this many times in a row: on a cold key the first
+    /// read is served from the log, the second promotes, the third hits
+    /// the hot region.
+    Get(u8, u8),
     Delete(u8),
     Maintain,
     Checkpoint,
@@ -59,7 +63,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     // 48 keys: most puts are overwrites, most gets find a cold key.
     prop_oneof![
         8 => (0u8..48, proptest::collection::vec(any::<u8>(), 0..96)).prop_map(|(k, v)| Op::Put(k, v)),
-        6 => (0u8..48).prop_map(Op::Get),
+        6 => (0u8..48, 1u8..4).prop_map(|(k, times)| Op::Get(k, times)),
         2 => (0u8..48).prop_map(Op::Delete),
         3 => Just(Op::Maintain),
         1 => Just(Op::Checkpoint),
@@ -87,9 +91,19 @@ proptest! {
                     store.put(&key_of(id), &v).unwrap();
                     model.insert(id, v);
                 }
-                Op::Get(id) => {
-                    let got = store.get(&key_of(id)).unwrap();
-                    prop_assert_eq!(got.as_ref(), model.get(&id), "get {}", id);
+                Op::Get(id, times) => {
+                    let before = store.tier_stats();
+                    for _ in 0..times {
+                        let got = store.get(&key_of(id)).unwrap();
+                        prop_assert_eq!(got.as_ref(), model.get(&id), "get {}", id);
+                    }
+                    // Reads move a key between tiers at most once, and
+                    // only by a counted promotion.
+                    let after = store.tier_stats();
+                    let promoted = after.promotions - before.promotions;
+                    prop_assert!(promoted <= 1, "get {} x{} promoted {}", id, times, promoted);
+                    prop_assert_eq!(after.hot_entries, before.hot_entries + promoted);
+                    prop_assert_eq!(after.cold_entries, before.cold_entries - promoted);
                 }
                 Op::Delete(id) => {
                     let existed = store.delete(&key_of(id)).unwrap();

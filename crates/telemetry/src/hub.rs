@@ -416,8 +416,10 @@ pub struct StoreTelemetry {
     pub compactions: Counter,
     /// Verified checkpoints sealed to disk.
     pub checkpoints: Counter,
-    /// Latency per cold-tier read (verified log read + promotion),
-    /// nanoseconds.
+    /// Latency per GET answered from the cold tier: the verified log
+    /// read, plus the promotion into the hot region when it is the
+    /// key's second cold read. Nanoseconds; its count is the number of
+    /// cold GETs.
     pub cold_read_latency: Histogram,
     /// Ops refused by admission control (queue-delay budget exceeded).
     pub admission_shed: Counter,
