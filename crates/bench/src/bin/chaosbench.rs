@@ -103,7 +103,7 @@ use aria_bench::{git_rev, json_str, newest_flight_dump, print_table, Args, SCHEM
 use aria_chaos::{ChaosEngine, FaultPlan, FaultSite, HeapInjector, SITE_COUNT};
 use aria_merkle::NodeId;
 use aria_net::{AriaClient, ClientConfig, ErrorCode, NetError};
-use aria_net::{AriaServer, Engine, ServerConfig};
+use aria_net::{AriaServer, ServerConfig};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
 use aria_store::{AriaHash, KvStore, RecoveryReport, ShardHealth, StoreConfig};
@@ -389,8 +389,6 @@ fn main() {
     let out_dir = args.out_dir();
     let injected_floor = args.get("min-injected", if smoke { 200u64 } else { 10_000 });
     let listen = args.get_str("listen", "127.0.0.1:0");
-    let net_engine = Engine::parse(&args.get_str("engine", "reactor"))
-        .expect("--engine must be 'reactor' or 'threads'");
     let trace_sample = args.get("trace-sample", 0u32);
     let flight_dir = {
         let d = args.get_str("flight-dir", "");
@@ -483,7 +481,6 @@ fn main() {
         listen.as_str(),
         Arc::clone(&store),
         ServerConfig::builder()
-            .engine(net_engine)
             .max_connections(clients + 8)
             .flight_dir(flight_dir.clone())
             .build()
@@ -491,7 +488,7 @@ fn main() {
     )
     .expect("bind chaos server");
     let addr = server.local_addr();
-    println!("chaosbench: serving on {addr} (engine={net_engine})");
+    println!("chaosbench: serving on {addr}");
     // Injections recorded per fault site in the same snapshot the
     // METRICS opcode serves.
     engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
@@ -751,7 +748,6 @@ fn main() {
     write_json(
         &out_dir,
         seed,
-        &args,
         &report,
         &stats,
         &delivered,
@@ -779,7 +775,6 @@ fn main() {
 fn write_json(
     out_dir: &str,
     seed: u64,
-    args: &Args,
     report: &ClientReport,
     stats: &aria_chaos::ChaosStats,
     delivered: &[AtomicU64; SITE_COUNT],
@@ -792,7 +787,6 @@ fn write_json(
     failures: &[String],
     telemetry: &aria_telemetry::TelemetrySnapshot,
 ) {
-    let engine = args.get_str("engine", "reactor");
     let sites = FaultSite::ALL
         .iter()
         .map(|&s| {
@@ -836,7 +830,6 @@ fn write_json(
     let failures_json = failures.iter().map(|f| json_str(f)).collect::<Vec<_>>().join(",");
     let doc = format!(
         "{{\n\"schema_version\":{SCHEMA_VERSION},\n\"experiment\":\"chaos\",\n\
-         \"engine\":{},\n\
          \"git_rev\":{},\n\"seed\":{seed},\n\"elapsed_s\":{:.3},\n\"ops\":{},\n\
          \"wrong_reads\":{},\n\"integrity_errors\":{},\n\"destroyed_errors\":{},\n\
          \"quarantined_errors\":{},\n\"unavailable_errors\":{},\n\
@@ -848,7 +841,6 @@ fn write_json(
          \"latency_us\":{{\"p50\":{:.1},\"p99\":{:.1}}},\n\
          \"telemetry\":{},\n\
          \"verdict\":{},\n\"failures\":[{failures_json}]\n}}\n",
-        json_str(&engine),
         json_str(git_rev()),
         elapsed.as_secs_f64(),
         report.ops,
@@ -958,8 +950,6 @@ fn run_failover(args: &Args) {
     let seed = args.seed();
     let out_dir = args.out_dir();
     let listen = args.get_str("listen", "127.0.0.1:0");
-    let net_engine = Engine::parse(&args.get_str("engine", "reactor"))
-        .expect("--engine must be 'reactor' or 'threads'");
 
     println!(
         "chaosbench[failover]: groups={groups} replicas={replicas} clients={clients} \
@@ -1061,14 +1051,13 @@ fn run_failover(args: &Args) {
         listen.as_str(),
         Arc::clone(&store),
         ServerConfig::builder()
-            .engine(net_engine)
             .max_connections(clients + 8)
             .build()
             .expect("valid chaos server config"),
     )
     .expect("bind failover server");
     let addr = server.local_addr();
-    println!("chaosbench[failover]: serving on {addr} (engine={net_engine})");
+    println!("chaosbench[failover]: serving on {addr}");
     engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
 
     // --- health poller + traffic pulse ---------------------------------------
@@ -1399,7 +1388,6 @@ fn run_failover(args: &Args) {
     let failures_json = failures.iter().map(|f| json_str(f)).collect::<Vec<_>>().join(",");
     let doc = format!(
         "{{\n\"schema_version\":{SCHEMA_VERSION},\n\"experiment\":\"failover\",\n\
-         \"engine\":{},\n\
          \"git_rev\":{},\n\"seed\":{seed},\n\"elapsed_s\":{:.3},\n\
          \"groups\":{groups},\n\"replicas\":{replicas},\n\"ops\":{},\n\
          \"kills\":{kills},\n\"failovers\":{failovers},\n\"resyncs\":{resyncs},\n\
@@ -1416,7 +1404,6 @@ fn run_failover(args: &Args) {
          \"group_stats\":[{group_json}],\n\
          \"telemetry\":{},\n\
          \"verdict\":{},\n\"failures\":[{failures_json}]\n}}\n",
-        json_str(net_engine.name()),
         json_str(git_rev()),
         elapsed.as_secs_f64(),
         report.ops,
@@ -1645,8 +1632,6 @@ fn run_reshard(args: &Args) {
     let seed = args.seed();
     let out_dir = args.out_dir();
     let listen = args.get_str("listen", "127.0.0.1:0");
-    let net_engine = Engine::parse(&args.get_str("engine", "reactor"))
-        .expect("--engine must be 'reactor' or 'threads'");
 
     println!(
         "chaosbench[reshard]: groups={start_groups}->{} clients={clients} keys={keys} \
@@ -1761,7 +1746,6 @@ fn run_reshard(args: &Args) {
         listen.as_str(),
         Arc::clone(&store),
         ServerConfig::builder()
-            .engine(net_engine)
             .max_connections(clients + 8)
             .flight_dir(Some(flight_dir.clone()))
             .build()
@@ -1769,7 +1753,7 @@ fn run_reshard(args: &Args) {
     )
     .expect("bind reshard server");
     let addr = server.local_addr();
-    println!("chaosbench[reshard]: serving on {addr} (engine={net_engine})");
+    println!("chaosbench[reshard]: serving on {addr}");
     engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
 
     // --- epoch observer: watches the control plane from outside -------------
@@ -2041,7 +2025,6 @@ fn run_reshard(args: &Args) {
     let failures_json = failures.iter().map(|f| json_str(f)).collect::<Vec<_>>().join(",");
     let doc = format!(
         "{{\n\"schema_version\":{SCHEMA_VERSION},\n\"experiment\":\"reshard\",\n\
-         \"engine\":{},\n\
          \"git_rev\":{},\n\"seed\":{seed},\n\"elapsed_s\":{:.3},\n\
          \"groups_start\":{start_groups},\n\"groups_max\":{max_groups},\n\
          \"splits\":{splits},\n\"merges\":{splits},\n\"ops\":{},\n\
@@ -2064,7 +2047,6 @@ fn run_reshard(args: &Args) {
          \"latency_us\":{{\"p50\":{:.1},\"p99\":{:.1}}},\n\
          \"telemetry\":{},\n\
          \"verdict\":{},\n\"failures\":[{failures_json}]\n}}\n",
-        json_str(net_engine.name()),
         json_str(git_rev()),
         elapsed.as_secs_f64(),
         report.ops,

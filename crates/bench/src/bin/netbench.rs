@@ -13,8 +13,8 @@
 //!
 //! ```sh
 //! cargo run --release -p aria-bench --bin netbench -- \
-//!     [--engine reactor|threads] [--conns 1,2,4,8] [--depths 1,8,32] \
-//!     [--ops 30000] [--keys 20000] [--shards 4] [--smoke] [--real] \
+//!     [--conns 1,2,4,8] [--depths 1,8,32] [--ops 30000] [--keys 20000] \
+//!     [--shards 4] [--smoke] [--real] \
 //!     [--out results] [--metrics-out results/metrics.prom] \
 //!     [--trace-sample 0] [--flight-dir path]
 //! ```
@@ -32,7 +32,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use aria_bench::{fmt_tput, git_rev, json_f64, json_str, print_table, Args, SCHEMA_VERSION};
-use aria_net::{proto, AriaClient, AriaServer, ClientConfig, Engine, ServerConfig};
+use aria_net::{proto, AriaClient, AriaServer, ClientConfig, ServerConfig};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
 use aria_store::{AriaHash, StoreConfig};
@@ -63,8 +63,6 @@ fn main() {
     let conns = parse_list(&args.get_str("conns", if smoke { "2,4" } else { "1,2,4,8" }));
     let depths = parse_list(&args.get_str("depths", if smoke { "1,16" } else { "1,8,32" }));
     let real_suite = args.flag("real");
-    let engine = Engine::parse(&args.get_str("engine", "reactor"))
-        .expect("--engine must be 'reactor' or 'threads'");
     let seed = args.seed();
     // Tracing knobs: `--trace-sample N` stamps one in N client requests
     // with a sampled trace context; `--flight-dir` arms the server's
@@ -83,7 +81,6 @@ fn main() {
     if !serve.is_empty() {
         serve_forever(
             &serve,
-            engine,
             shards,
             conns.first().copied().unwrap_or(2),
             depths.first().copied().unwrap_or(8),
@@ -105,7 +102,6 @@ fn main() {
         for &connections in &conns {
             for &depth in &depths {
                 let point = run_point(
-                    engine,
                     shards,
                     connections,
                     depth,
@@ -144,12 +140,12 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("netbench (loopback, wall-clock, engine={engine})"),
+        "netbench (loopback, wall-clock)",
         &["distribution", "conns", "depth", "ops/s", "p50 us", "p95 us", "p99 us"],
         &table,
     );
 
-    write_net_json(&args.out_dir(), engine, shards, keys, ops, &points);
+    write_net_json(&args.out_dir(), shards, keys, ops, &points);
 
     let metrics_out = args.get_str("metrics-out", "");
     if !metrics_out.is_empty() {
@@ -171,7 +167,6 @@ fn main() {
 #[allow(clippy::too_many_arguments)]
 fn serve_forever(
     addr: &str,
-    engine: Engine,
     shards: usize,
     connections: usize,
     depth: usize,
@@ -209,7 +204,6 @@ fn serve_forever(
         addr,
         Arc::clone(&store),
         ServerConfig::builder()
-            .engine(engine)
             .max_connections(connections + 8)
             .flight_dir(flight_dir)
             .build()
@@ -267,7 +261,6 @@ fn serve_forever(
 
 #[allow(clippy::too_many_arguments)]
 fn run_point(
-    engine: Engine,
     shards: usize,
     connections: usize,
     depth: usize,
@@ -310,7 +303,6 @@ fn run_point(
         "127.0.0.1:0",
         Arc::clone(&store),
         ServerConfig::builder()
-            .engine(engine)
             .max_connections(connections + 8)
             .flight_dir(flight_dir)
             .build()
@@ -412,18 +404,11 @@ fn parse_list(s: &str) -> Vec<usize> {
     list
 }
 
-fn write_net_json(
-    out_dir: &str,
-    engine: Engine,
-    shards: usize,
-    keys: u64,
-    ops: u64,
-    points: &[Point],
-) {
+fn write_net_json(out_dir: &str, shards: usize, keys: u64, ops: u64, points: &[Point]) {
     let mut doc = String::new();
     doc.push_str(&format!(
         "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_rev\": {},\n  \
-         \"bench\": \"netbench\",\n  \"engine\": \"{engine}\",\n  \
+         \"bench\": \"netbench\",\n  \
          \"shards\": {shards},\n  \"keys\": {keys},\n  \
          \"ops_per_point\": {ops},\n  \"value_len\": {VALUE_LEN},\n  \
          \"read_ratio\": {READ_RATIO},\n  \"points\": [\n",

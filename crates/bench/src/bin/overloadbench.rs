@@ -20,8 +20,8 @@
 //!
 //! ```sh
 //! cargo run --release -p aria-bench --bin overloadbench -- \
-//!     [--engine reactor|threads] [--conns 8] [--depth 8] \
-//!     [--mults 0.5,1,2,4,8] [--secs 3.0] [--budget-ms 5] \
+//!     [--conns 8] [--depth 8] [--mults 0.5,1,2,4,8] [--secs 3.0] \
+//!     [--budget-ms 5] \
 //!     [--deadline-ms 50] [--smoke] [--out results] \
 //!     [--trace-sample 0] [--flight-dir path]
 //! ```
@@ -44,7 +44,7 @@ use std::time::{Duration, Instant};
 use aria_bench::{
     fmt_tput, git_rev, json_f64, json_str, newest_flight_dump, print_table, Args, SCHEMA_VERSION,
 };
-use aria_net::{proto, AriaClient, AriaServer, ClientConfig, Engine, ServerConfig};
+use aria_net::{proto, AriaClient, AriaServer, ClientConfig, ServerConfig};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
 use aria_store::{AriaHash, StoreConfig};
@@ -122,8 +122,6 @@ struct Point {
 fn main() {
     let args = Args::parse();
     let smoke = args.flag("smoke");
-    let engine = Engine::parse(&args.get_str("engine", "reactor"))
-        .expect("--engine must be 'reactor' or 'threads'");
     let shards = args.get("shards", 4usize);
     let read_keys = args.get("keys", if smoke { 4_000u64 } else { 20_000 });
     let conns = args.get("conns", if smoke { 4usize } else { 8 });
@@ -187,7 +185,6 @@ fn main() {
         "127.0.0.1:0",
         Arc::clone(&store),
         ServerConfig::builder()
-            .engine(engine)
             .max_connections(max_conns + 8)
             // A tight per-tick decode window keeps ticks short and
             // fair; frames past it wait in the read buffer, which is
@@ -257,7 +254,7 @@ fn main() {
         })
         .collect();
     print_table(
-        &format!("overloadbench (zipf-0.99, engine={engine}, budget {budget_ms}ms)"),
+        &format!("overloadbench (zipf-0.99, budget {budget_ms}ms)"),
         &[
             "load",
             "offered/s",
@@ -292,7 +289,6 @@ fn main() {
 
     write_overload_json(
         &args.out_dir(),
-        engine,
         shards,
         budget_ms,
         deadline_ms,
@@ -683,7 +679,6 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 #[allow(clippy::too_many_arguments)]
 fn write_overload_json(
     out_dir: &str,
-    engine: Engine,
     shards: usize,
     budget_ms: u64,
     deadline_ms: u64,
@@ -698,7 +693,7 @@ fn write_overload_json(
     let mut doc = String::new();
     doc.push_str(&format!(
         "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_rev\": {},\n  \
-         \"bench\": \"overloadbench\",\n  \"engine\": \"{engine}\",\n  \
+         \"bench\": \"overloadbench\",\n  \
          \"shards\": {shards},\n  \"distribution\": \"zipf-0.99\",\n  \
          \"queue_delay_budget_ms\": {budget_ms},\n  \
          \"op_deadline_ms\": {deadline_ms},\n  \

@@ -29,6 +29,7 @@ use aria_bench::{fmt_tput, git_rev, json_f64, json_str, Args, SCHEMA_VERSION};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
 use aria_store::{AriaHash, StoreConfig};
+use aria_telemetry::SpanCell;
 use aria_workload::{encode_key, value_bytes, KeyDistribution, Request, YcsbConfig, YcsbWorkload};
 
 const VALUE_LEN: usize = 16;
@@ -101,23 +102,36 @@ fn main() {
                         });
                         issued += 1;
                     }
-                    let len = window.len();
                     let span = (trace_sample > 0)
                         .then(|| {
                             rng = rng
                                 .wrapping_mul(0x5851_f42d_4c95_7f2d)
                                 .wrapping_add(0x1405_7b7e_f767_814f);
                             (rng.is_multiple_of(u64::from(trace_sample))).then(|| {
-                                let s = Arc::new(aria_telemetry::SpanCell::new(rng | 1, 0));
+                                let s = Arc::new(SpanCell::new(rng | 1, 0));
                                 s.stamp(aria_telemetry::stage::DECODE);
-                                s.set_ops(len as u64);
+                                s.set_shard(store.shard_of(window[0].key()) as u32);
+                                s.set_ops(window.len() as u64);
                                 s
                             })
                         })
                         .flatten();
-                    let op_spans =
-                        span.as_ref().map(|s| vec![(0..len, Arc::clone(s))]).unwrap_or_default();
-                    for reply in store.run_batch_traced(std::mem::take(&mut window), op_spans) {
+                    // Group the window by shard, as a reactor tick does,
+                    // and hand the span to every group it touches.
+                    let mut per_group: Vec<Vec<BatchOp>> =
+                        (0..shards).map(|_| Vec::new()).collect();
+                    for op in window.drain(..) {
+                        per_group[store.shard_of(op.key())].push(op);
+                    }
+                    let per_group_spans: Vec<Vec<Arc<SpanCell>>> = per_group
+                        .iter()
+                        .map(|gops| match &span {
+                            Some(s) if !gops.is_empty() => vec![Arc::clone(s)],
+                            _ => Vec::new(),
+                        })
+                        .collect();
+                    for reply in store.run_sharded(per_group, per_group_spans).into_iter().flatten()
+                    {
                         if let Some(e) = reply.error() {
                             panic!("overhead bench op failed: {e}");
                         }
@@ -127,7 +141,6 @@ fn main() {
                         s.stamp(aria_telemetry::stage::FLUSH);
                         traces.publish(&s.to_span());
                     }
-                    window = Vec::with_capacity(depth);
                 }
                 issued
             })

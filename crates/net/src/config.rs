@@ -1,6 +1,6 @@
-//! Server construction: the [`ServerConfig`] builder, the serving
-//! [`Engine`] choice, and the typed [`NetConfigError`] the builder
-//! returns, matching the `StoreConfig`/`CacheConfig` builder pattern.
+//! Server construction: the [`ServerConfig`] builder and the typed
+//! [`NetConfigError`] it returns, matching the
+//! `StoreConfig`/`CacheConfig` builder pattern.
 //!
 //! `ServerConfig` fields are private — every construction goes through
 //! [`ServerConfig::builder`] (or [`ServerConfig::default`], which is
@@ -12,46 +12,6 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use crate::proto::MAX_FRAME_LEN;
-
-/// Which serving engine [`crate::AriaServer::bind`] starts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Engine {
-    /// Epoll-based run-to-completion reactors: connections are pinned
-    /// to one of N reactor threads at accept time, frames are parsed
-    /// in place out of the per-connection read buffer, and each tick
-    /// coalesces every decoded request across the reactor's
-    /// connections into one store submission per shard.
-    #[default]
-    Reactor,
-    /// The original thread-per-connection engine: one OS thread per
-    /// accepted connection, one store batch per pipeline window.
-    Threads,
-}
-
-impl Engine {
-    /// Parse a CLI-style engine name (`"reactor"` / `"threads"`).
-    pub fn parse(s: &str) -> Option<Engine> {
-        match s {
-            "reactor" => Some(Engine::Reactor),
-            "threads" => Some(Engine::Threads),
-            _ => None,
-        }
-    }
-
-    /// The CLI-style name (`"reactor"` / `"threads"`).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Engine::Reactor => "reactor",
-            Engine::Threads => "threads",
-        }
-    }
-}
-
-impl fmt::Display for Engine {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
 
 /// Why a [`ServerConfigBuilder`] refused to build.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -123,7 +83,6 @@ pub const MAX_WRITE_BUFFER: usize = MAX_FRAME_LEN * 16;
 /// [`ServerConfig::builder`]; read with the accessor methods.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    engine: Engine,
     max_connections: usize,
     pipeline_window: usize,
     write_buffer_limit: usize,
@@ -146,23 +105,17 @@ impl ServerConfig {
     /// A fallible builder starting from the default configuration.
     pub fn builder() -> ServerConfigBuilder {
         ServerConfigBuilder {
-            engine: Engine::default(),
             max_connections: 64,
             pipeline_window: 256,
             write_buffer_limit: 256 * 1024,
             write_timeout: Duration::from_secs(5),
             read_timeout: None,
-            reactors: default_reactors(),
+            reactors: None,
             queue_delay_budget: None,
             shed_sojourn: None,
             watchdog_window: None,
             flight_dir: None,
         }
-    }
-
-    /// The serving engine.
-    pub fn engine(&self) -> Engine {
-        self.engine
     }
 
     /// Connections beyond this are rejected with
@@ -171,14 +124,13 @@ impl ServerConfig {
         self.max_connections
     }
 
-    /// Max requests decoded and dispatched as one store batch per
-    /// connection (threads engine) or per connection per tick (reactor).
+    /// Max requests decoded per connection per reactor tick.
     pub fn pipeline_window(&self) -> usize {
         self.pipeline_window
     }
 
-    /// Bound on buffered response bytes before a flush is forced (and,
-    /// on the reactor engine, before the connection stops being read).
+    /// Bound on buffered response bytes before a connection stops
+    /// being read.
     pub fn write_buffer_limit(&self) -> usize {
         self.write_buffer_limit
     }
@@ -194,7 +146,7 @@ impl ServerConfig {
         self.read_timeout
     }
 
-    /// Number of reactor threads the reactor engine runs.
+    /// Number of reactor threads the server runs.
     pub fn reactors(&self) -> usize {
         self.reactors
     }
@@ -226,19 +178,20 @@ impl ServerConfig {
     }
 }
 
-/// One reactor per available core by default (minimum one).
-fn default_reactors() -> usize {
-    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
+/// One reactor per available core, but never more reactors than
+/// connections: a reactor that can never be assigned a connection is
+/// an idle thread.
+fn default_reactors(max_connections: usize) -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get()).min(max_connections)
 }
 
 /// Fallible builder for [`ServerConfig`].
 ///
 /// ```
-/// use aria_net::{Engine, ServerConfig};
+/// use aria_net::ServerConfig;
 /// use std::time::Duration;
 ///
 /// let cfg = ServerConfig::builder()
-///     .engine(Engine::Reactor)
 ///     .max_connections(128)
 ///     .write_timeout(Duration::from_secs(2))
 ///     .build()
@@ -247,13 +200,13 @@ fn default_reactors() -> usize {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ServerConfigBuilder {
-    engine: Engine,
     max_connections: usize,
     pipeline_window: usize,
     write_buffer_limit: usize,
     write_timeout: Duration,
     read_timeout: Option<Duration>,
-    reactors: usize,
+    /// `None`: derived from the core count and `max_connections`.
+    reactors: Option<usize>,
     queue_delay_budget: Option<Duration>,
     shed_sojourn: Option<Duration>,
     watchdog_window: Option<Duration>,
@@ -261,12 +214,6 @@ pub struct ServerConfigBuilder {
 }
 
 impl ServerConfigBuilder {
-    /// Select the serving engine (default [`Engine::Reactor`]).
-    pub fn engine(mut self, engine: Engine) -> Self {
-        self.engine = engine;
-        self
-    }
-
     /// Set the connection limit (default 64).
     pub fn max_connections(mut self, n: usize) -> Self {
         self.max_connections = n;
@@ -297,9 +244,10 @@ impl ServerConfigBuilder {
         self
     }
 
-    /// Set the reactor thread count (default: one per core).
+    /// Set the reactor thread count (default: one per core, capped at
+    /// `max_connections`).
     pub fn reactors(mut self, n: usize) -> Self {
-        self.reactors = n;
+        self.reactors = Some(n);
         self
     }
 
@@ -361,23 +309,23 @@ impl ServerConfigBuilder {
         if self.watchdog_window.is_some_and(|t| t.is_zero()) {
             return Err(NetConfigError::ZeroTimeout { which: "watchdog_window" });
         }
-        if self.reactors == 0 {
+        let reactors = self.reactors.unwrap_or_else(|| default_reactors(self.max_connections));
+        if reactors == 0 {
             return Err(NetConfigError::ZeroReactors);
         }
-        if self.engine == Engine::Reactor && self.max_connections < self.reactors {
+        if self.max_connections < reactors {
             return Err(NetConfigError::ConnectionsBelowReactors {
                 max_connections: self.max_connections,
-                reactors: self.reactors,
+                reactors,
             });
         }
         Ok(ServerConfig {
-            engine: self.engine,
             max_connections: self.max_connections,
             pipeline_window: self.pipeline_window,
             write_buffer_limit: self.write_buffer_limit,
             write_timeout: self.write_timeout,
             read_timeout: self.read_timeout,
-            reactors: self.reactors,
+            reactors,
             queue_delay_budget: self.queue_delay_budget,
             shed_sojourn: self.shed_sojourn,
             watchdog_window: self.watchdog_window,
@@ -393,7 +341,6 @@ mod tests {
     #[test]
     fn defaults_build_and_read_back() {
         let cfg = ServerConfig::default();
-        assert_eq!(cfg.engine(), Engine::Reactor);
         assert_eq!(cfg.max_connections(), 64);
         assert_eq!(cfg.pipeline_window(), 256);
         assert_eq!(cfg.write_buffer_limit(), 256 * 1024);
@@ -461,26 +408,20 @@ mod tests {
             ServerConfig::builder().reactors(0).build().unwrap_err(),
             NetConfigError::ZeroReactors
         );
+    }
+
+    /// An unset reactor count never exceeds the connection limit, so a
+    /// small limit builds on any core count; an explicit count above
+    /// the limit is still refused.
+    #[test]
+    fn default_reactor_count_fits_the_connection_limit() {
+        let cfg = ServerConfig::builder().max_connections(1).build().unwrap();
+        assert_eq!(cfg.reactors(), 1);
+        let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+        assert_eq!(ServerConfig::default().reactors(), cores.min(64));
         assert_eq!(
             ServerConfig::builder().max_connections(2).reactors(4).build().unwrap_err(),
             NetConfigError::ConnectionsBelowReactors { max_connections: 2, reactors: 4 }
         );
-        // The same knobs are fine on the threads engine, which ignores
-        // the reactor count.
-        assert!(ServerConfig::builder()
-            .engine(Engine::Threads)
-            .max_connections(2)
-            .reactors(4)
-            .build()
-            .is_ok());
-    }
-
-    #[test]
-    fn engine_names_round_trip() {
-        for e in [Engine::Reactor, Engine::Threads] {
-            assert_eq!(Engine::parse(e.name()), Some(e));
-            assert_eq!(e.to_string(), e.name());
-        }
-        assert_eq!(Engine::parse("fibers"), None);
     }
 }

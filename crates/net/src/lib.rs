@@ -7,15 +7,13 @@
 //!   (`GET`/`PUT`/`DELETE`/`MULTI_GET`/`PUT_BATCH`/`STATS`/`PING`,
 //!   client-chosen request ids, stable typed error codes, and a
 //!   versioned `HELLO` handshake with feature negotiation);
-//! * [`config`] — the validated [`ServerConfig`] builder and the
-//!   serving [`Engine`] choice;
-//! * [`server`] — [`AriaServer`], serving with either the epoll
-//!   [`reactor`] engine (default: reactors that batch every
-//!   connection's requests into one store submission per shard per
-//!   tick and run it to completion on their own thread, from socket
-//!   to store and back) or the thread-per-connection engine — both with
-//!   request pipelining, bounded write buffers with backpressure, a
-//!   connection limit with clean rejection, and graceful
+//! * [`config`] — the validated [`ServerConfig`] builder;
+//! * [`server`] — [`AriaServer`], serving through the epoll
+//!   [`reactor`] engine: reactors that batch every connection's
+//!   requests into one store submission per shard per tick and run it
+//!   to completion on their own thread, from socket to store and back,
+//!   with request pipelining, bounded write buffers with backpressure,
+//!   a connection limit with clean rejection, and graceful
 //!   drain-then-join shutdown;
 //! * [`client`] — [`AriaClient`], a pipelined synchronous client with
 //!   reconnect-with-backoff, per-op timeouts, and automatic `HELLO`
@@ -25,7 +23,7 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use aria_net::{AriaClient, AriaServer, ClientConfig, Engine, ServerConfig};
+//! use aria_net::{AriaClient, AriaServer, ClientConfig, ServerConfig};
 //! use aria_sim::Enclave;
 //! use aria_store::sharded::ShardedStore;
 //! use aria_store::{AriaHash, StoreConfig};
@@ -36,11 +34,7 @@
 //!     })
 //!     .unwrap(),
 //! );
-//! let config = ServerConfig::builder()
-//!     .engine(Engine::Reactor) // the default; Engine::Threads also available
-//!     .max_connections(128)
-//!     .build()
-//!     .unwrap();
+//! let config = ServerConfig::builder().max_connections(128).build().unwrap();
 //! let server = AriaServer::bind("127.0.0.1:0", store, config).unwrap();
 //!
 //! let mut client = AriaClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
@@ -73,7 +67,7 @@ pub mod server;
 mod service;
 
 pub use client::{AriaClient, ClientConfig, KeyResult, NetError, ReshardReply};
-pub use config::{Engine, NetConfigError, ServerConfig, ServerConfigBuilder};
+pub use config::{NetConfigError, ServerConfig, ServerConfigBuilder};
 pub use proto::{
     features, ErrorCode, HealthReply, Request, RequestRef, Response, ShardHealthInfo, StatsReply,
     WireError, BASE_PROTOCOL_VERSION, PROTOCOL_VERSION,

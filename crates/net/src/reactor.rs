@@ -23,27 +23,25 @@
 //! 5. assemble responses per connection in request order and flush,
 //!    falling back to poller-driven writes when a socket would block.
 //!
-//! Cross-connection coalescing is what the thread-per-connection
-//! engine cannot do: with C connections each sending depth-1 requests,
-//! the threads engine takes C slot locks (and pays C covering flushes)
-//! per round-trip while the reactor takes at most one per shard group
-//! per tick — a tick is also the store's commit group. The
-//! `coalesce_ratio` telemetry (ops per store submission) makes the
-//! effect observable.
+//! Coalescing crosses connections: with C connections each sending
+//! depth-1 requests, a tick takes at most one slot lock (and pays one
+//! covering flush) per shard group rather than one per connection — a
+//! tick is also the store's commit group. The `coalesce_ratio`
+//! telemetry (ops per store submission) makes the effect observable.
 //!
-//! # Semantics preserved from the threads engine
+//! # Semantics
 //!
 //! Responses are written in request order per connection; same-key
 //! ordering within a tick follows the [`ShardedStore::run_sharded`]
-//! contract (same as `run_batch`). A connection whose write buffer
-//! tops [`ServerConfig::write_buffer_limit`] stops being read — and
-//! once its flush has made no progress for
-//! [`ServerConfig::write_timeout`], is disconnected. Framing failures
-//! serve the valid prefix, send one control-id error frame, and close.
-//! Graceful shutdown finishes the tick in flight — every response for
-//! a decoded request is flushed before sockets close, so no
-//! acknowledged write is lost — which is exactly what the PR-3
-//! quarantine and PR-5 failover suites assert over this engine.
+//! contract (requests on different shards may interleave). A
+//! connection whose write buffer tops
+//! [`ServerConfig::write_buffer_limit`] stops being read — and once its
+//! flush has made no progress for [`ServerConfig::write_timeout`], is
+//! disconnected. Framing failures serve the valid prefix, send one
+//! control-id error frame, and close. Graceful shutdown finishes the
+//! tick in flight — every response for a decoded request is flushed
+//! before sockets close, so no acknowledged write is lost — which is
+//! what the quarantine and failover suites assert over this engine.
 
 use std::io::{self, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -576,7 +574,7 @@ fn reactor_loop<S: KvStore + Send + 'static>(
             let start = Instant::now();
             shared.tele.net.inflight.add(nreq);
             let replies: Vec<Vec<BatchReply>> = if submissions > 0 {
-                store.run_sharded_traced(per_group, per_group_spans)
+                store.run_sharded(per_group, per_group_spans)
             } else {
                 (0..groups).map(|_| Vec::new()).collect()
             };

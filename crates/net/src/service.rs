@@ -1,14 +1,13 @@
-//! Engine-agnostic request service machinery shared by the
-//! thread-per-connection engine ([`crate::server`]) and the epoll
-//! reactor ([`crate::reactor`]): planning a decoded request into store
-//! ops plus a response [`Slot`], assembling the response from store
-//! replies, HELLO negotiation, and frame-cap-safe encoding.
+//! Request service machinery the reactor ([`crate::reactor`]) drives:
+//! planning a decoded request into store ops plus a response [`Slot`],
+//! assembling the response from store replies, HELLO negotiation, and
+//! frame-cap-safe encoding.
 //!
-//! Both engines follow the same contract: a request is *planned*
-//! exactly once (its store ops are appended to some batch, its slot
-//! remembers what to take back), the batch runs through the sharded
-//! store, and [`build_response`] consumes exactly
-//! [`Slot::store_ops`] replies per slot, in plan order.
+//! The contract: a request is *planned* exactly once (its store ops
+//! are appended to some batch, its slot remembers what to take back),
+//! the batch runs through the sharded store, and [`build_response`]
+//! consumes exactly [`Slot::store_ops`] replies per slot, in plan
+//! order.
 
 use aria_store::sharded::{BatchOp, BatchReply, ShardedStore};
 use aria_store::{KvStore, ReshardMode, ShardHealth};
@@ -104,12 +103,12 @@ pub(crate) fn deadline_expired(deadline_ns: u64, sojourn_ns: u64) -> bool {
 /// when the key's slot moved after the client's claimed epoch.
 pub(crate) type StaleProbe<'a> = &'a dyn Fn(&[u8]) -> Option<(usize, u64)>;
 
-/// Net-layer shedding gate, shared by both engines: a *data* op whose
-/// deadline already expired (or that sat in server buffers past the
-/// CoDel-style sojourn bound) is refused before any store op is
-/// planned. Control-plane ops (PING/STATS/HEALTH/METRICS/HELLO) always
-/// pass — observability and failover stay responsive during brownout.
-#[allow(clippy::too_many_arguments)] // one per admission input, both engines thread them
+/// Net-layer shedding gate: a *data* op whose deadline already expired
+/// (or that sat in server buffers past the CoDel-style sojourn bound)
+/// is refused before any store op is planned. Control-plane ops
+/// (PING/STATS/HEALTH/METRICS/HELLO) always pass — observability and
+/// failover stay responsive during brownout.
+#[allow(clippy::too_many_arguments)] // one per admission input
 pub(crate) fn shed_or_plan(
     req: &RequestRef<'_>,
     deadline_ns: u64,
@@ -212,8 +211,8 @@ pub(crate) fn plan_request(req: &RequestRef<'_>, sink: &mut impl FnMut(BatchOp))
     }
 }
 
-/// Server-side counters a STATS reply reports; each engine snapshots
-/// its own bookkeeping into this.
+/// Server-side counters a STATS reply reports, snapshotted once per
+/// reactor tick.
 pub(crate) struct ServerStats {
     pub ops_served: u64,
     pub active_connections: u32,

@@ -156,42 +156,35 @@ fn same_key_pipelined_writes_read_their_own_writes() {
 
 /// A base-version peer (one that never sends HELLO) must keep decoding
 /// the STATS reply: the server notices the connection never negotiated
-/// v3 and omits the tiering fields, on both engines. A handshaking
-/// client on the same server sees the full v3 reply.
+/// v3 and omits the tiering fields. A handshaking client on the same
+/// server sees the full v3 reply.
 #[test]
 fn base_version_client_still_decodes_stats() {
     let _wd = watchdog("base_version_client_still_decodes_stats", Duration::from_secs(60));
-    for engine in [aria_net::Engine::Reactor, aria_net::Engine::Threads] {
-        let server = AriaServer::bind(
-            "127.0.0.1:0",
-            sharded(2),
-            ServerConfig::builder().engine(engine).build().unwrap(),
-        )
-        .unwrap();
+    let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
 
-        let mut old = AriaClient::connect(
-            server.local_addr(),
-            ClientConfig { handshake: false, ..quick_config() },
-        )
-        .unwrap();
-        assert_eq!(old.protocol_version(), None, "no handshake ran");
-        old.put(b"k", b"v").unwrap();
-        let stats = old.stats().expect("v1 peer must still parse STATS");
-        assert_eq!(stats.shards, 2);
-        assert_eq!(stats.len, 1);
-        assert_eq!(
-            (stats.hot_keys, stats.cold_keys, stats.recovering),
-            (0, 0, false),
-            "fields the base version does not carry decode to zero"
-        );
+    let mut old = AriaClient::connect(
+        server.local_addr(),
+        ClientConfig { handshake: false, ..quick_config() },
+    )
+    .unwrap();
+    assert_eq!(old.protocol_version(), None, "no handshake ran");
+    old.put(b"k", b"v").unwrap();
+    let stats = old.stats().expect("v1 peer must still parse STATS");
+    assert_eq!(stats.shards, 2);
+    assert_eq!(stats.len, 1);
+    assert_eq!(
+        (stats.hot_keys, stats.cold_keys, stats.recovering),
+        (0, 0, false),
+        "fields the base version does not carry decode to zero"
+    );
 
-        let mut new = quick_client(server.local_addr());
-        assert_eq!(new.protocol_version(), Some(proto::PROTOCOL_VERSION));
-        let stats = new.stats().expect("negotiated peer parses the v3 STATS");
-        assert_eq!(stats.shards, 2);
-        assert_eq!(stats.len, 1);
-        server.shutdown();
-    }
+    let mut new = quick_client(server.local_addr());
+    assert_eq!(new.protocol_version(), Some(proto::PROTOCOL_VERSION));
+    let stats = new.stats().expect("negotiated peer parses the v3 STATS");
+    assert_eq!(stats.shards, 2);
+    assert_eq!(stats.len, 1);
+    server.shutdown();
 }
 
 #[test]
@@ -200,7 +193,7 @@ fn connection_limit_rejects_cleanly() {
     let server = AriaServer::bind(
         "127.0.0.1:0",
         sharded(1),
-        ServerConfig::builder().max_connections(1).reactors(1).build().unwrap(),
+        ServerConfig::builder().max_connections(1).build().unwrap(),
     )
     .unwrap();
     let mut first = quick_client(server.local_addr());
@@ -473,73 +466,63 @@ impl KvStore for Tripwire {
     }
 }
 
-/// A store that panics under its slot lock is contained: the thread
-/// that submitted the batch — a reactor, or a threads-engine connection
-/// — survives, so the *same* connection keeps getting PING, HEALTH and
-/// the other shard's data answered, and ops for the dead shard get the
-/// typed `ShardUnavailable` code. Both ways of dying are covered: a
-/// detached closure (the chaos kill) and a panic in the serving
-/// thread's own batch.
+/// A store that panics under its slot lock is contained: the reactor
+/// that submitted the batch survives, so the *same* connection keeps
+/// getting PING, HEALTH and the other shard's data answered, and ops
+/// for the dead shard get the typed `ShardUnavailable` code. Both ways
+/// of dying are covered: a detached closure (the chaos kill) and a
+/// panic in the reactor's own batch.
 #[test]
 fn store_panic_is_contained_and_the_connection_keeps_serving() {
     let _wd = watchdog("store_panic_is_contained", Duration::from_secs(120));
-    for engine in [aria_net::Engine::Reactor, aria_net::Engine::Threads] {
-        for in_batch in [false, true] {
-            let store = Arc::new(
-                ShardedStore::with_shards(2, |_| {
-                    AriaHash::new(
-                        StoreConfig::for_keys(16_384),
-                        Arc::new(Enclave::with_default_epc()),
-                    )
+    for in_batch in [false, true] {
+        let store = Arc::new(
+            ShardedStore::with_shards(2, |_| {
+                AriaHash::new(StoreConfig::for_keys(16_384), Arc::new(Enclave::with_default_epc()))
                     .map(Tripwire)
-                })
-                .unwrap(),
-            );
-            let dead = store.shard_of(TRIP_KEY);
-            let on_dead = key_on(&store, dead);
-            let on_live = key_on(&store, 1 - dead);
-            let server = AriaServer::bind(
-                "127.0.0.1:0",
-                Arc::clone(&store),
-                ServerConfig::builder().engine(engine).build().unwrap(),
-            )
-            .unwrap();
-            let mut client = quick_client(server.local_addr());
-            client.put(&on_dead, b"doomed").unwrap();
-            client.put(&on_live, b"kept").unwrap();
+            })
+            .unwrap(),
+        );
+        let dead = store.shard_of(TRIP_KEY);
+        let on_dead = key_on(&store, dead);
+        let on_live = key_on(&store, 1 - dead);
+        let server =
+            AriaServer::bind("127.0.0.1:0", Arc::clone(&store), ServerConfig::default()).unwrap();
+        let mut client = quick_client(server.local_addr());
+        client.put(&on_dead, b"doomed").unwrap();
+        client.put(&on_live, b"kept").unwrap();
 
-            let what = format!("{engine:?}, in_batch={in_batch}");
-            if in_batch {
-                // The panic unwinds through the serving thread's own
-                // `run_batch`/`run_sharded` call.
-                assert_unavailable(client.get(TRIP_KEY), &what);
-            } else {
-                assert!(store.exec_detached(dead, |_| panic!("injected crash")), "{what}");
-            }
-
-            // Same connection, same server thread: still alive.
-            client.ping().unwrap_or_else(|e| panic!("{what}: PING after the kill: {e}"));
-            // (Routed to the dead shard first: a detached kill holds the
-            // slot when `exec_detached` returns but marks the shard dead
-            // only once it has unwound; this op waits it out.)
-            assert_unavailable(client.get(&on_dead), &what);
-            let health = client.health().unwrap_or_else(|e| panic!("{what}: HEALTH: {e}"));
-            assert_eq!(health.shards[dead].health(), ShardHealth::Dead, "{what}");
-            assert_eq!(health.shards[1 - dead].health(), ShardHealth::Healthy, "{what}");
-            assert_eq!(client.get(&on_live).unwrap().unwrap(), b"kept", "{what}");
-            client.put(&on_live, b"still-writable").unwrap();
-            assert_unavailable(client.put(&on_dead, b"x"), &what);
-            // A mixed window: the dead shard's slots carry the typed
-            // error, the live shard's answer normally.
-            let values = client.multi_get(&[on_live.as_slice(), on_dead.as_slice()]).unwrap();
-            assert_eq!(values[0], Ok(Some(b"still-writable".to_vec())), "{what}");
-            assert!(values[1].is_err(), "{what}: dead shard's key must not be served");
-            server.shutdown();
+        let what = format!("in_batch={in_batch}");
+        if in_batch {
+            // The panic unwinds through the reactor's own
+            // `run_sharded` call.
+            assert_unavailable(client.get(TRIP_KEY), &what);
+        } else {
+            assert!(store.exec_detached(dead, |_| panic!("injected crash")), "{what}");
         }
+
+        // Same connection, same server thread: still alive.
+        client.ping().unwrap_or_else(|e| panic!("{what}: PING after the kill: {e}"));
+        // (Routed to the dead shard first: a detached kill holds the
+        // slot when `exec_detached` returns but marks the shard dead
+        // only once it has unwound; this op waits it out.)
+        assert_unavailable(client.get(&on_dead), &what);
+        let health = client.health().unwrap_or_else(|e| panic!("{what}: HEALTH: {e}"));
+        assert_eq!(health.shards[dead].health(), ShardHealth::Dead, "{what}");
+        assert_eq!(health.shards[1 - dead].health(), ShardHealth::Healthy, "{what}");
+        assert_eq!(client.get(&on_live).unwrap().unwrap(), b"kept", "{what}");
+        client.put(&on_live, b"still-writable").unwrap();
+        assert_unavailable(client.put(&on_dead, b"x"), &what);
+        // A mixed window: the dead shard's slots carry the typed
+        // error, the live shard's answer normally.
+        let values = client.multi_get(&[on_live.as_slice(), on_dead.as_slice()]).unwrap();
+        assert_eq!(values[0], Ok(Some(b"still-writable".to_vec())), "{what}");
+        assert!(values[1].is_err(), "{what}: dead shard's key must not be served");
+        server.shutdown();
     }
 }
 
-/// End-to-end tracing on both engines: a v5 client sampling every
+/// End-to-end tracing: a v5 client sampling every
 /// request produces server-side spans whose stamps cross
 /// decode → admission → queue → execute → encode → flush in causal
 /// order, streamable over the TRACE opcode; a wire dump request
@@ -548,72 +531,65 @@ fn store_panic_is_contained_and_the_connection_keeps_serving() {
 fn sampled_requests_stream_spans_end_to_end() {
     use aria_telemetry::{outcome, stage};
     let _wd = watchdog("sampled_requests_stream_spans_end_to_end", Duration::from_secs(120));
-    for engine in [aria_net::Engine::Reactor, aria_net::Engine::Threads] {
-        let server = AriaServer::bind(
-            "127.0.0.1:0",
-            sharded(2),
-            ServerConfig::builder().engine(engine).build().unwrap(),
-        )
-        .unwrap();
-        let mut client = AriaClient::connect(
-            server.local_addr(),
-            ClientConfig { trace_sample: 1, ..quick_config() },
-        )
-        .unwrap();
-        assert_eq!(client.protocol_version(), Some(proto::PROTOCOL_VERSION));
+    let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
+    let mut client = AriaClient::connect(
+        server.local_addr(),
+        ClientConfig { trace_sample: 1, ..quick_config() },
+    )
+    .unwrap();
+    assert_eq!(client.protocol_version(), Some(proto::PROTOCOL_VERSION));
 
-        client.put(b"traced", b"v").unwrap();
-        assert_eq!(client.get(b"traced").unwrap().unwrap(), b"v");
-        let values = client.multi_get(&[b"traced".as_ref(), b"missing"]).unwrap();
-        assert_eq!(values[0], Ok(Some(b"v".to_vec())));
+    client.put(b"traced", b"v").unwrap();
+    assert_eq!(client.get(b"traced").unwrap().unwrap(), b"v");
+    let values = client.multi_get(&[b"traced".as_ref(), b"missing"]).unwrap();
+    assert_eq!(values[0], Ok(Some(b"v".to_vec())));
 
-        // Spans publish when the response bytes drain to the socket, a
-        // beat after the client sees the response; poll briefly.
-        let deadline = std::time::Instant::now() + Duration::from_secs(10);
-        let spans = loop {
-            let (spans, cursors) = client.trace_spans(&[]).unwrap();
-            assert!(!cursors.is_empty(), "one resume cursor per trace ring");
-            if spans.len() >= 3 {
-                break spans;
-            }
-            assert!(
-                std::time::Instant::now() < deadline,
-                "sampled spans never reached the trace rings ({engine:?}): {spans:?}"
-            );
-            thread::sleep(Duration::from_millis(10));
-        };
-        for span in &spans {
-            assert_ne!(span.trace_id, 0, "sampled spans carry the wire trace id");
-            assert!(span.stages_monotone(), "stage stamps out of order: {span:?}");
-            for st in [
-                stage::DECODE,
-                stage::ADMIT,
-                stage::ENQUEUE,
-                stage::DEQUEUE,
-                stage::EXEC_START,
-                stage::EXEC_END,
-                stage::ENCODE,
-            ] {
-                assert_ne!(span.stages[st], 0, "stage {st} unstamped: {span:?}");
-            }
-            assert_eq!(span.outcome, outcome::OK);
-            assert!(span.ops >= 1);
+    // Spans publish when the response bytes drain to the socket, a
+    // beat after the client sees the response; poll briefly.
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    let spans = loop {
+        let (spans, cursors) = client.trace_spans(&[]).unwrap();
+        assert!(!cursors.is_empty(), "one resume cursor per trace ring");
+        if spans.len() >= 3 {
+            break spans;
         }
         assert!(
-            spans.iter().any(|s| s.stages[stage::FLUSH] != 0),
-            "at least one span must observe its bytes hitting the socket"
+            std::time::Instant::now() < deadline,
+            "sampled spans never reached the trace rings: {spans:?}"
         );
-        // Executed spans attribute their cache traffic: the get and the
-        // multi-get hit the hot tier.
-        assert!(spans.iter().any(|s| s.hot_hits > 0), "no span attributed a hot hit: {spans:?}");
-
-        // A wire-requested flight dump renders the JSON post-mortem.
-        let dump = client.flight_dump().expect("mode-1 TRACE answers with a dump");
-        assert!(dump.trim_start().starts_with('{'), "dump is a JSON object: {dump}");
-        assert!(dump.contains("\"reason\":\"request\""), "dump names its trigger: {dump}");
-        assert!(dump.contains("\"spans\""), "dump embeds recent spans: {dump}");
-        server.shutdown();
+        thread::sleep(Duration::from_millis(10));
+    };
+    for span in &spans {
+        assert_ne!(span.trace_id, 0, "sampled spans carry the wire trace id");
+        assert!(span.stages_monotone(), "stage stamps out of order: {span:?}");
+        for st in [
+            stage::DECODE,
+            stage::ADMIT,
+            stage::ENQUEUE,
+            stage::DEQUEUE,
+            stage::EXEC_START,
+            stage::EXEC_END,
+            stage::ENCODE,
+        ] {
+            assert_ne!(span.stages[st], 0, "stage {st} unstamped: {span:?}");
+        }
+        assert_eq!(span.outcome, outcome::OK);
+        assert!(span.ops >= 1);
     }
+    assert!(
+        spans.iter().any(|s| s.stages[stage::FLUSH] != 0),
+        "at least one span must observe its bytes hitting the socket"
+    );
+    // Executed spans attribute their cache traffic: the get and the
+    // multi-get hit the hot tier.
+    assert!(spans.iter().any(|s| s.hot_hits > 0), "no span attributed a hot hit: {spans:?}");
+
+    // A wire-requested flight dump renders the JSON post-mortem.
+    let dump = client.flight_dump().expect("mode-1 TRACE answers with a dump");
+    assert!(dump.trim_start().starts_with('{'), "dump is a JSON object: {dump}");
+    assert!(dump.contains("\"reason\":\"request\""), "dump names its trigger: {dump}");
+    assert!(dump.contains("\"spans\""), "dump embeds recent spans: {dump}");
+    server.shutdown();
 }
 
 /// Pop the next response frame off a raw socket at the given
@@ -642,153 +618,137 @@ fn read_response_at(
 
 /// Peers below v5 are untouched by the trace trailer: a hand-rolled
 /// peer that negotiates v4 and a client that never sends HELLO both
-/// keep round-tripping data ops on both engines, even while the same
-/// server serves a sampling v5 client.
+/// keep round-tripping data ops, even while the same server serves a
+/// sampling v5 client.
 #[test]
 fn pre_v5_peers_interoperate_unchanged() {
     use std::io::Write;
     let _wd = watchdog("pre_v5_peers_interoperate_unchanged", Duration::from_secs(120));
-    for engine in [aria_net::Engine::Reactor, aria_net::Engine::Threads] {
-        let server = AriaServer::bind(
-            "127.0.0.1:0",
-            sharded(2),
-            ServerConfig::builder().engine(engine).build().unwrap(),
-        )
-        .unwrap();
+    let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
 
-        // A sampling v5 client shares the server the whole time.
-        let mut v5 = AriaClient::connect(
-            server.local_addr(),
-            ClientConfig { trace_sample: 1, ..quick_config() },
-        )
-        .unwrap();
-        v5.put(b"v5", b"yes").unwrap();
+    // A sampling v5 client shares the server the whole time.
+    let mut v5 = AriaClient::connect(
+        server.local_addr(),
+        ClientConfig { trace_sample: 1, ..quick_config() },
+    )
+    .unwrap();
+    v5.put(b"v5", b"yes").unwrap();
 
-        // Pre-HELLO peer: the client speaks the base protocol; the
-        // sampling knob is inert without a negotiated v5.
-        let mut old = AriaClient::connect(
-            server.local_addr(),
-            ClientConfig { handshake: false, trace_sample: 1, ..quick_config() },
-        )
-        .unwrap();
-        assert_eq!(old.protocol_version(), None);
-        old.put(b"base", b"ok").unwrap();
-        assert_eq!(old.get(b"base").unwrap().unwrap(), b"ok");
+    // Pre-HELLO peer: the client speaks the base protocol; the
+    // sampling knob is inert without a negotiated v5.
+    let mut old = AriaClient::connect(
+        server.local_addr(),
+        ClientConfig { handshake: false, trace_sample: 1, ..quick_config() },
+    )
+    .unwrap();
+    assert_eq!(old.protocol_version(), None);
+    old.put(b"base", b"ok").unwrap();
+    assert_eq!(old.get(b"base").unwrap().unwrap(), b"ok");
 
-        // Hand-rolled v4 peer: HELLO caps the connection at v4, after
-        // which data frames carry the deadline trailer but no trace
-        // trailer — and the server answers them cleanly.
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut inbuf = Vec::new();
-        let mut buf = Vec::new();
-        proto::encode_request(&mut buf, 1, &proto::Request::Hello { version: 4, features: 0 })
-            .unwrap();
-        raw.write_all(&buf).unwrap();
-        match read_response_at(&mut raw, &mut inbuf, proto::BASE_PROTOCOL_VERSION) {
-            proto::Response::HelloAck { version, .. } => {
-                assert_eq!(version, 4, "server meets an old peer at its version");
-            }
-            other => panic!("want HelloAck, got {other:?}"),
+    // Hand-rolled v4 peer: HELLO caps the connection at v4, after
+    // which data frames carry the deadline trailer but no trace
+    // trailer — and the server answers them cleanly.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut inbuf = Vec::new();
+    let mut buf = Vec::new();
+    proto::encode_request(&mut buf, 1, &proto::Request::Hello { version: 4, features: 0 }).unwrap();
+    raw.write_all(&buf).unwrap();
+    match read_response_at(&mut raw, &mut inbuf, proto::BASE_PROTOCOL_VERSION) {
+        proto::Response::HelloAck { version, .. } => {
+            assert_eq!(version, 4, "server meets an old peer at its version");
         }
-        buf.clear();
-        proto::encode_request_versioned(
-            &mut buf,
-            2,
-            &proto::Request::Put { key: b"v4".to_vec(), value: b"ok".to_vec() },
-            0,
-            4,
-        )
-        .unwrap();
-        proto::encode_request_versioned(
-            &mut buf,
-            3,
-            &proto::Request::Get { key: b"v4".to_vec() },
-            0,
-            4,
-        )
-        .unwrap();
-        raw.write_all(&buf).unwrap();
-        assert_eq!(read_response_at(&mut raw, &mut inbuf, 4), proto::Response::PutOk);
-        assert_eq!(
-            read_response_at(&mut raw, &mut inbuf, 4),
-            proto::Response::Value(Some(b"ok".to_vec()))
-        );
-
-        // The v5 client still works after the old peers' traffic.
-        assert_eq!(v5.get(b"v5").unwrap().unwrap(), b"yes");
-        server.shutdown();
+        other => panic!("want HelloAck, got {other:?}"),
     }
+    buf.clear();
+    proto::encode_request_versioned(
+        &mut buf,
+        2,
+        &proto::Request::Put { key: b"v4".to_vec(), value: b"ok".to_vec() },
+        0,
+        4,
+    )
+    .unwrap();
+    proto::encode_request_versioned(
+        &mut buf,
+        3,
+        &proto::Request::Get { key: b"v4".to_vec() },
+        0,
+        4,
+    )
+    .unwrap();
+    raw.write_all(&buf).unwrap();
+    assert_eq!(read_response_at(&mut raw, &mut inbuf, 4), proto::Response::PutOk);
+    assert_eq!(
+        read_response_at(&mut raw, &mut inbuf, 4),
+        proto::Response::Value(Some(b"ok".to_vec()))
+    );
+
+    // The v5 client still works after the old peers' traffic.
+    assert_eq!(v5.get(b"v5").unwrap().unwrap(), b"yes");
+    server.shutdown();
 }
 
 /// Peers below v6 are untouched by the routing-epoch trailer: a
 /// hand-rolled peer that negotiates v5 keeps sending trace-trailer
 /// frames byte-identical to the pre-reshard wire and round-trips data
-/// ops on both engines, even while a v6 client (which stamps epoch
-/// claims on every data op) shares the server.
+/// ops, even while a v6 client (which stamps epoch claims on every
+/// data op) shares the server.
 #[test]
 fn pre_v6_peers_interoperate_unchanged() {
     use std::io::Write;
     let _wd = watchdog("pre_v6_peers_interoperate_unchanged", Duration::from_secs(120));
-    for engine in [aria_net::Engine::Reactor, aria_net::Engine::Threads] {
-        let server = AriaServer::bind(
-            "127.0.0.1:0",
-            sharded(2),
-            ServerConfig::builder().engine(engine).build().unwrap(),
-        )
-        .unwrap();
+    let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
 
-        // A v6 client shares the server the whole time and stamps its
-        // cached routing epoch on every data frame.
-        let mut v6 = AriaClient::connect(server.local_addr(), quick_config()).unwrap();
-        assert_eq!(v6.protocol_version(), Some(proto::PROTOCOL_VERSION));
-        assert_eq!(v6.routing_epoch(), 1, "connect primes the routing cache");
-        v6.put(b"v6", b"yes").unwrap();
+    // A v6 client shares the server the whole time and stamps its
+    // cached routing epoch on every data frame.
+    let mut v6 = AriaClient::connect(server.local_addr(), quick_config()).unwrap();
+    assert_eq!(v6.protocol_version(), Some(proto::PROTOCOL_VERSION));
+    assert_eq!(v6.routing_epoch(), 1, "connect primes the routing cache");
+    v6.put(b"v6", b"yes").unwrap();
 
-        // Hand-rolled v5 peer: HELLO caps the connection at v5, after
-        // which its data frames end at the trace trailer — no epoch
-        // claim — and must be byte-identical to the pre-v6 encoding.
-        let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-        raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-        let mut inbuf = Vec::new();
-        let mut buf = Vec::new();
-        proto::encode_request(&mut buf, 1, &proto::Request::Hello { version: 5, features: 0 })
-            .unwrap();
-        raw.write_all(&buf).unwrap();
-        match read_response_at(&mut raw, &mut inbuf, proto::BASE_PROTOCOL_VERSION) {
-            proto::Response::HelloAck { version, .. } => {
-                assert_eq!(version, 5, "server meets an old peer at its version");
-            }
-            other => panic!("want HelloAck, got {other:?}"),
+    // Hand-rolled v5 peer: HELLO caps the connection at v5, after
+    // which its data frames end at the trace trailer — no epoch
+    // claim — and must be byte-identical to the pre-v6 encoding.
+    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut inbuf = Vec::new();
+    let mut buf = Vec::new();
+    proto::encode_request(&mut buf, 1, &proto::Request::Hello { version: 5, features: 0 }).unwrap();
+    raw.write_all(&buf).unwrap();
+    match read_response_at(&mut raw, &mut inbuf, proto::BASE_PROTOCOL_VERSION) {
+        proto::Response::HelloAck { version, .. } => {
+            assert_eq!(version, 5, "server meets an old peer at its version");
         }
-        let put = proto::Request::Put { key: b"v5peer".to_vec(), value: b"ok".to_vec() };
-        buf.clear();
-        proto::encode_request_traced(&mut buf, 2, &put, 0, proto::TraceContext::NONE, 5).unwrap();
-        // Pin the bytes: a v5 frame from this build matches a v5 frame
-        // from a pre-v6 build (same encoder path, no trailing epoch).
-        let mut pinned = Vec::new();
-        proto::encode_request_versioned(&mut pinned, 2, &put, 0, 5).unwrap();
-        assert_eq!(buf, pinned, "v5 data frames grew bytes they must not have");
-        proto::encode_request_traced(
-            &mut buf,
-            3,
-            &proto::Request::Get { key: b"v5peer".to_vec() },
-            0,
-            proto::TraceContext::NONE,
-            5,
-        )
-        .unwrap();
-        raw.write_all(&buf).unwrap();
-        assert_eq!(read_response_at(&mut raw, &mut inbuf, 5), proto::Response::PutOk);
-        assert_eq!(
-            read_response_at(&mut raw, &mut inbuf, 5),
-            proto::Response::Value(Some(b"ok".to_vec()))
-        );
-
-        // The v6 client still works after the old peer's traffic, and
-        // can read what the v5 peer wrote.
-        assert_eq!(v6.get(b"v6").unwrap().unwrap(), b"yes");
-        assert_eq!(v6.get(b"v5peer").unwrap().unwrap(), b"ok");
-        server.shutdown();
+        other => panic!("want HelloAck, got {other:?}"),
     }
+    let put = proto::Request::Put { key: b"v5peer".to_vec(), value: b"ok".to_vec() };
+    buf.clear();
+    proto::encode_request_traced(&mut buf, 2, &put, 0, proto::TraceContext::NONE, 5).unwrap();
+    // Pin the bytes: a v5 frame from this build matches a v5 frame
+    // from a pre-v6 build (same encoder path, no trailing epoch).
+    let mut pinned = Vec::new();
+    proto::encode_request_versioned(&mut pinned, 2, &put, 0, 5).unwrap();
+    assert_eq!(buf, pinned, "v5 data frames grew bytes they must not have");
+    proto::encode_request_traced(
+        &mut buf,
+        3,
+        &proto::Request::Get { key: b"v5peer".to_vec() },
+        0,
+        proto::TraceContext::NONE,
+        5,
+    )
+    .unwrap();
+    raw.write_all(&buf).unwrap();
+    assert_eq!(read_response_at(&mut raw, &mut inbuf, 5), proto::Response::PutOk);
+    assert_eq!(
+        read_response_at(&mut raw, &mut inbuf, 5),
+        proto::Response::Value(Some(b"ok".to_vec()))
+    );
+
+    // The v6 client still works after the old peer's traffic, and
+    // can read what the v5 peer wrote.
+    assert_eq!(v6.get(b"v6").unwrap().unwrap(), b"yes");
+    assert_eq!(v6.get(b"v5peer").unwrap().unwrap(), b"ok");
+    server.shutdown();
 }

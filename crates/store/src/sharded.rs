@@ -1018,50 +1018,18 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     /// an errored or unavailable reply means the write may or may not
     /// have been applied (the caller must treat it as unacknowledged).
     pub fn run_batch(&self, ops: Vec<BatchOp>) -> Vec<BatchReply> {
-        self.run_batch_traced(ops, Vec::new())
-    }
-
-    /// [`ShardedStore::run_batch`] with trace span cells riding along.
-    /// Each entry in `op_spans` is a sampled request's span plus the
-    /// half-open range of flat op indexes (into `ops`) that belong to
-    /// it; the span is handed to every shard group executing one of
-    /// those ops, gets its shard/op-count fields filled in here, and is
-    /// stamped through the lock-wait and execute stages.
-    pub fn run_batch_traced(
-        &self,
-        ops: Vec<BatchOp>,
-        op_spans: Vec<(std::ops::Range<usize>, Arc<SpanCell>)>,
-    ) -> Vec<BatchReply> {
         let groups = self.inner.groups;
         let total = ops.len();
-        let mut per_group_ops: Vec<Vec<BatchOp>> = (0..groups).map(|_| Vec::new()).collect();
+        let mut per_group: Vec<Vec<BatchOp>> = (0..groups).map(|_| Vec::new()).collect();
         let mut per_group_idx: Vec<Vec<usize>> = (0..groups).map(|_| Vec::new()).collect();
-        let mut op_group: Vec<usize> = Vec::with_capacity(total);
         for (i, op) in ops.into_iter().enumerate() {
             let group = self.shard_of(op.key());
-            op_group.push(group);
             per_group_idx[group].push(i);
-            per_group_ops[group].push(op);
+            per_group[group].push(op);
         }
-        let mut per_group_spans: Vec<Vec<Arc<SpanCell>>> =
-            (0..groups).map(|_| Vec::new()).collect();
-        for (range, span) in op_spans {
-            let mut gs: Vec<usize> = op_group[range.clone()].to_vec();
-            if gs.is_empty() {
-                continue;
-            }
-            span.set_shard(gs[0] as u32);
-            gs.sort_unstable();
-            gs.dedup();
-            span.set_ops(range.len() as u64);
-            for g in gs {
-                per_group_spans[g].push(Arc::clone(&span));
-            }
-        }
+        let no_spans = (0..groups).map(|_| Vec::new()).collect();
         let mut out: Vec<Option<BatchReply>> = (0..total).map(|_| None).collect();
-        for (group, replies) in
-            self.run_sharded_traced(per_group_ops, per_group_spans).into_iter().enumerate()
-        {
+        for (group, replies) in self.run_sharded(per_group, no_spans).into_iter().enumerate() {
             debug_assert_eq!(replies.len(), per_group_idx[group].len());
             for (&i, reply) in per_group_idx[group].iter().zip(replies) {
                 out[i] = Some(reply);
@@ -1082,18 +1050,15 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     /// the wrong shard. Replies come back in the same shape: one vector
     /// per group, one reply per op in submission order. Failure
     /// semantics are identical to [`ShardedStore::run_batch`].
-    pub fn run_sharded(&self, per_group: Vec<Vec<BatchOp>>) -> Vec<Vec<BatchReply>> {
-        let groups = per_group.len();
-        self.run_sharded_traced(per_group, (0..groups).map(|_| Vec::new()).collect())
-    }
-
-    /// [`ShardedStore::run_sharded`] with trace span cells riding along:
-    /// `per_group_spans[g]` holds the cells of sampled requests whose
-    /// ops landed in `per_group[g]`. The store stamps lock wait
-    /// (ENQUEUE → DEQUEUE) and execute stages (plus verify/cold/hot
-    /// attribution deltas) on the primary's run; backup applies carry
-    /// no spans so replicated writes are attributed exactly once.
-    pub fn run_sharded_traced(
+    ///
+    /// Trace span cells ride along in `per_group_spans` (one vector per
+    /// group, empty when nothing is sampled): `per_group_spans[g]`
+    /// holds the cells of sampled requests whose ops landed in
+    /// `per_group[g]`. The store stamps lock wait (ENQUEUE → DEQUEUE)
+    /// and execute stages (plus verify/cold/hot attribution deltas) on
+    /// the primary's run; backup applies carry no spans so replicated
+    /// writes are attributed exactly once.
+    pub fn run_sharded(
         &self,
         per_group: Vec<Vec<BatchOp>>,
         per_group_spans: Vec<Vec<Arc<SpanCell>>>,
@@ -2334,7 +2299,7 @@ mod tests {
             group_of.push(g);
             per_group[g].push(BatchOp::Put(key, i.to_le_bytes().to_vec()));
         }
-        let replies = store.run_sharded(per_group.clone());
+        let replies = store.run_sharded(per_group.clone(), (0..4).map(|_| Vec::new()).collect());
         assert_eq!(replies.len(), 4);
         for (g, group_replies) in replies.iter().enumerate() {
             assert_eq!(group_replies.len(), per_group[g].len(), "group {g} reply shape");
@@ -2345,12 +2310,26 @@ mod tests {
             let key = format!("rs{i}").into_bytes();
             assert_eq!(store.get(&key).unwrap().unwrap(), i.to_le_bytes());
         }
-        // Reads through run_sharded see the same data, and empty groups
-        // answer with empty vectors.
+        // Reads through run_sharded see the same data, empty groups
+        // answer with empty vectors, and a span cell riding with the
+        // read is stamped through lock wait and execution.
         let mut gets: Vec<Vec<BatchOp>> = (0..4).map(|_| Vec::new()).collect();
+        let mut spans: Vec<Vec<Arc<SpanCell>>> = (0..4).map(|_| Vec::new()).collect();
         let key0 = b"rs0".to_vec();
         gets[group_of[0]].push(BatchOp::Get(key0));
-        let got = store.run_sharded(gets);
+        let cell = Arc::new(SpanCell::new(7, 0));
+        spans[group_of[0]].push(Arc::clone(&cell));
+        let got = store.run_sharded(gets, spans);
+        let span = cell.to_span();
+        for st in [
+            trace_stage::ENQUEUE,
+            trace_stage::DEQUEUE,
+            trace_stage::EXEC_START,
+            trace_stage::EXEC_END,
+        ] {
+            assert_ne!(span.stages[st], 0, "stage {st} unstamped: {span:?}");
+        }
+        assert!(span.stages_monotone(), "stage stamps out of order: {span:?}");
         for (g, group_replies) in got.iter().enumerate() {
             if g == group_of[0] {
                 assert_eq!(

@@ -168,7 +168,8 @@ fn caller(
                     let op = pick_op(next(), (base + j) % KEYS_PER_CALLER);
                     per_group[store.shard_of(op.key())].push(op);
                 }
-                let replies = store.run_sharded(per_group.clone());
+                let no_spans = (0..SHARDS).map(|_| Vec::new()).collect();
+                let replies = store.run_sharded(per_group.clone(), no_spans);
                 for (gops, greplies) in per_group.iter().zip(replies) {
                     assert_eq!(gops.len(), greplies.len());
                     for (op, reply) in gops.iter().zip(greplies) {

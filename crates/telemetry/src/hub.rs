@@ -773,8 +773,7 @@ pub struct NetTelemetry {
     pub rejected_connections: Counter,
     /// Connections dropped for idling past the read timeout.
     pub timed_out_connections: Counter,
-    /// Connections currently pinned to reactor threads (gauge; 0 on
-    /// the thread-per-connection engine).
+    /// Connections currently pinned to reactor threads (gauge).
     pub reactor_conns: Gauge,
     /// Decoded store ops handed off per reactor tick (only ticks that
     /// submitted at least one op are recorded).
@@ -891,7 +890,7 @@ impl NetTelemetry {
 
 impl NetSnapshot {
     /// Average decoded ops amortized over one reactor → store
-    /// submission (0 when the reactor engine is idle or unused).
+    /// submission (0 when no reactor has submitted).
     pub fn coalesce_ratio(&self) -> f64 {
         if self.reactor_submissions == 0 {
             0.0

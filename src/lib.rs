@@ -71,8 +71,7 @@ pub mod prelude {
     pub use aria_crypto::{CipherSuite, RealSuite};
     pub use aria_mem::AllocStrategy;
     pub use aria_net::{
-        AriaClient, AriaServer, ClientConfig, Engine, ErrorCode, NetConfigError, NetError,
-        ServerConfig,
+        AriaClient, AriaServer, ClientConfig, ErrorCode, NetConfigError, NetError, ServerConfig,
     };
     pub use aria_shieldstore::ShieldStore;
     pub use aria_sim::{CostModel, Enclave, DEFAULT_EPC_BYTES};

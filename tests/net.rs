@@ -44,34 +44,23 @@ impl Drop for Watchdog {
     }
 }
 
-fn sharded_server(shards: usize, engine: Engine) -> (Arc<ShardedStore<AriaHash>>, AriaServer) {
+fn sharded_server(shards: usize) -> (Arc<ShardedStore<AriaHash>>, AriaServer) {
     let store = Arc::new(
         ShardedStore::with_shards(shards, |_| {
             AriaHash::new(StoreConfig::for_keys(32_768), Arc::new(Enclave::with_default_epc()))
         })
         .unwrap(),
     );
-    let config = ServerConfig::builder().engine(engine).build().expect("valid server config");
-    let server =
-        AriaServer::bind("127.0.0.1:0", Arc::clone(&store), config).expect("bind loopback server");
+    let server = AriaServer::bind("127.0.0.1:0", Arc::clone(&store), ServerConfig::default())
+        .expect("bind loopback server");
     (store, server)
 }
 
 /// The acceptance scenario: 4 shards, 6 pipelined client connections,
 /// zipfian keys, every response checked against a per-client sequential
 /// model (clients own disjoint id ranges, so each model is exact).
-/// Run against both serving engines — the wire contract is identical.
 #[test]
 fn pipelined_clients_match_sequential_model_over_tcp_reactor() {
-    pipelined_clients_match_sequential_model(Engine::Reactor);
-}
-
-#[test]
-fn pipelined_clients_match_sequential_model_over_tcp_threads() {
-    pipelined_clients_match_sequential_model(Engine::Threads);
-}
-
-fn pipelined_clients_match_sequential_model(engine: Engine) {
     const SHARDS: usize = 4;
     const CLIENTS: usize = 6;
     const WINDOWS_PER_CLIENT: usize = 120;
@@ -79,7 +68,7 @@ fn pipelined_clients_match_sequential_model(engine: Engine) {
     const IDS_PER_CLIENT: u64 = 2_000;
 
     let _wd = watchdog("pipelined_clients_match_sequential_model", Duration::from_secs(300));
-    let (store, server) = sharded_server(SHARDS, engine);
+    let (store, server) = sharded_server(SHARDS);
     let addr = server.local_addr();
 
     let handles: Vec<_> = (0..CLIENTS)
@@ -152,22 +141,12 @@ fn pipelined_clients_match_sequential_model(engine: Engine) {
 
 /// Killing the server mid-load: every client gets typed transport
 /// errors quickly — no hang (watchdog-enforced) and no bogus success.
-/// Run against both serving engines.
 #[test]
 fn killing_server_mid_load_yields_typed_errors_reactor() {
-    killing_server_mid_load(Engine::Reactor);
-}
-
-#[test]
-fn killing_server_mid_load_yields_typed_errors_threads() {
-    killing_server_mid_load(Engine::Threads);
-}
-
-fn killing_server_mid_load(engine: Engine) {
     const CLIENTS: usize = 4;
 
     let _wd = watchdog("killing_server_mid_load", Duration::from_secs(120));
-    let (_store, server) = sharded_server(4, engine);
+    let (_store, server) = sharded_server(4);
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
 

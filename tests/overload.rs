@@ -2,8 +2,7 @@
 //! shedding before execution, admission refusals with retry-after
 //! hints while the control plane stays responsive (brownout), the
 //! chaos-gated stuck-shard regression (stall → watchdog quarantine →
-//! recovery → re-admission), and v1–v3 wire compatibility on both
-//! engines.
+//! recovery → re-admission), and v1–v3 wire compatibility.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -43,6 +42,14 @@ impl Drop for Watchdog {
         self.0.store(false, Ordering::SeqCst);
     }
 }
+
+/// Reactors for the tests that wedge a shard. A reactor executes its
+/// tick inline, so one whose tick reaches the wedged shard blocks on
+/// its slot lock — and so does every connection pinned to it. Pinning
+/// is round-robin in accept order, so with four reactors each of a
+/// test's first connections lands on its own reactor: the control
+/// connection keeps answering while another waits out the stall.
+const STALL_REACTORS: usize = 4;
 
 fn server_with(shards: usize, config: ServerConfig) -> (Arc<ShardedStore<AriaHash>>, AriaServer) {
     let store = Arc::new(
@@ -114,61 +121,58 @@ fn raw_hello(addr: std::net::SocketAddr, version: u16) -> (TcpStream, Vec<u8>, u
 #[test]
 fn expired_deadline_sheds_before_execution_on_both_engines() {
     let _wd = watchdog("expired_deadline_sheds", Duration::from_secs(60));
-    for engine in [Engine::Threads, Engine::Reactor] {
-        let config = ServerConfig::builder().engine(engine).build().unwrap();
-        let (store, server) = server_with(1, config);
-        let (mut stream, mut rbuf, v4) = raw_hello(server.local_addr(), proto::PROTOCOL_VERSION);
-        assert_eq!(v4, proto::PROTOCOL_VERSION);
+    let (store, server) = server_with(1, ServerConfig::default());
+    let (mut stream, mut rbuf, v4) = raw_hello(server.local_addr(), proto::PROTOCOL_VERSION);
+    assert_eq!(v4, proto::PROTOCOL_VERSION);
 
-        // One pipelined window: a normal put, then a put whose budget
-        // (1 ns) has certainly lapsed by the time the server plans it.
-        let mut out = Vec::new();
-        proto::encode_request_versioned(
-            &mut out,
-            10,
-            &proto::Request::Put { key: b"live".to_vec(), value: b"v".to_vec() },
-            0, // no deadline
-            v4,
-        )
-        .unwrap();
-        proto::encode_request_versioned(
-            &mut out,
-            11,
-            &proto::Request::Put { key: b"dead".to_vec(), value: b"v".to_vec() },
-            1, // 1 ns: expired on arrival
-            v4,
-        )
-        .unwrap();
-        stream.write_all(&out).unwrap();
+    // One pipelined window: a normal put, then a put whose budget
+    // (1 ns) has certainly lapsed by the time the server plans it.
+    let mut out = Vec::new();
+    proto::encode_request_versioned(
+        &mut out,
+        10,
+        &proto::Request::Put { key: b"live".to_vec(), value: b"v".to_vec() },
+        0, // no deadline
+        v4,
+    )
+    .unwrap();
+    proto::encode_request_versioned(
+        &mut out,
+        11,
+        &proto::Request::Put { key: b"dead".to_vec(), value: b"v".to_vec() },
+        1, // 1 ns: expired on arrival
+        v4,
+    )
+    .unwrap();
+    stream.write_all(&out).unwrap();
 
-        let (id, resp) = read_resp(&mut stream, &mut rbuf, v4);
-        assert_eq!(id, 10, "{engine:?}");
-        assert!(matches!(resp, Response::PutOk), "{engine:?}: live op must run, got {resp:?}");
-        let (id, resp) = read_resp(&mut stream, &mut rbuf, v4);
-        assert_eq!(id, 11, "{engine:?}");
-        match resp {
-            Response::Error { code, retry_after_ms, .. } => {
-                assert_eq!(code, ErrorCode::DeadlineExceeded, "{engine:?}");
-                assert_eq!(retry_after_ms, 0, "{engine:?}: deadline refusals carry no hint");
-            }
-            other => panic!("{engine:?}: want DeadlineExceeded, got {other:?}"),
+    let (id, resp) = read_resp(&mut stream, &mut rbuf, v4);
+    assert_eq!(id, 10);
+    assert!(matches!(resp, Response::PutOk), "live op must run, got {resp:?}");
+    let (id, resp) = read_resp(&mut stream, &mut rbuf, v4);
+    assert_eq!(id, 11);
+    match resp {
+        Response::Error { code, retry_after_ms, .. } => {
+            assert_eq!(code, ErrorCode::DeadlineExceeded);
+            assert_eq!(retry_after_ms, 0, "deadline refusals carry no hint");
         }
-
-        // Refused ≠ acknowledged ≠ applied: the shed write must not
-        // exist, and the shed is visible in STATS.
-        assert_eq!(store.get(b"dead").unwrap(), None, "{engine:?}: shed write was applied");
-        assert_eq!(store.get(b"live").unwrap().unwrap(), b"v");
-        send_req(&mut stream, 12, &proto::Request::Stats, 0, v4);
-        let (_, resp) = read_resp(&mut stream, &mut rbuf, v4);
-        match resp {
-            Response::Stats(s) => {
-                assert_eq!(s.ops_shed_deadline, 1, "{engine:?}: shed count in STATS")
-            }
-            other => panic!("want Stats, got {other:?}"),
-        }
-        drop(stream);
-        server.shutdown();
+        other => panic!("want DeadlineExceeded, got {other:?}"),
     }
+
+    // Refused ≠ acknowledged ≠ applied: the shed write must not
+    // exist, and the shed is visible in STATS.
+    assert_eq!(store.get(b"dead").unwrap(), None, "shed write was applied");
+    assert_eq!(store.get(b"live").unwrap().unwrap(), b"v");
+    send_req(&mut stream, 12, &proto::Request::Stats, 0, v4);
+    let (_, resp) = read_resp(&mut stream, &mut rbuf, v4);
+    match resp {
+        Response::Stats(s) => {
+            assert_eq!(s.ops_shed_deadline, 1, "shed count in STATS")
+        }
+        other => panic!("want Stats, got {other:?}"),
+    }
+    drop(stream);
+    server.shutdown();
 }
 
 // --- admission control + brownout ----------------------------------------
@@ -181,7 +185,7 @@ fn expired_deadline_sheds_before_execution_on_both_engines() {
 fn overload_refusal_hints_retry_and_control_plane_stays_responsive() {
     let _wd = watchdog("overload_refusal_hints_retry", Duration::from_secs(60));
     let config = ServerConfig::builder()
-        .engine(Engine::Threads)
+        .reactors(STALL_REACTORS)
         .queue_delay_budget(Some(Duration::from_nanos(1)))
         .build()
         .unwrap();
@@ -273,7 +277,7 @@ fn overload_refusal_hints_retry_and_control_plane_stays_responsive() {
 fn chaos_shard_stall_quarantine_recovery_readmission() {
     let _wd = watchdog("chaos_shard_stall", Duration::from_secs(120));
     let config = ServerConfig::builder()
-        .engine(Engine::Threads)
+        .reactors(STALL_REACTORS)
         .watchdog_window(Some(Duration::from_millis(60)))
         .build()
         .unwrap();
@@ -338,53 +342,49 @@ fn chaos_shard_stall_quarantine_recovery_readmission() {
 
 // --- cross-version compatibility ------------------------------------------
 
-/// v1–v3 peers (and pre-HELLO base peers) still parse every response
-/// on both engines: the v4 deadline/retry-after fields are strictly
-/// version-gated.
+/// v1–v3 peers (and pre-HELLO base peers) still parse every response:
+/// the v4 deadline/retry-after fields are strictly version-gated.
 #[test]
 fn old_protocol_peers_parse_all_responses_on_both_engines() {
     let _wd = watchdog("old_protocol_peers", Duration::from_secs(60));
-    for engine in [Engine::Threads, Engine::Reactor] {
-        let config = ServerConfig::builder().engine(engine).build().unwrap();
-        let (_store, server) = server_with(2, config);
-        for version in 1..proto::PROTOCOL_VERSION {
-            let (mut stream, mut rbuf, v) = raw_hello(server.local_addr(), version);
-            assert_eq!(v, version, "{engine:?}: server must negotiate down to v{version}");
-            let key = format!("k-{engine:?}-{version}").into_bytes();
-            send_req(
-                &mut stream,
-                2,
-                &proto::Request::Put { key: key.clone(), value: b"old".to_vec() },
-                0,
-                v,
-            );
-            let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-            assert!(matches!(resp, Response::PutOk), "{engine:?} v{version}: got {resp:?}");
-            send_req(&mut stream, 3, &proto::Request::Get { key }, 0, v);
-            let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-            match resp {
-                Response::Value(Some(val)) => assert_eq!(val, b"old"),
-                other => panic!("{engine:?} v{version}: want value, got {other:?}"),
-            }
-            send_req(&mut stream, 4, &proto::Request::Stats, 0, v);
-            let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-            match resp {
-                Response::Stats(s) => {
-                    assert_eq!(s.shards, 2, "{engine:?} v{version}");
-                    // v4 fields are not on the pre-v4 wire: decode 0.
-                    assert_eq!(s.ops_shed_overload, 0);
-                    assert_eq!(s.queue_delay_ms, 0);
-                    assert_eq!(s.slow_disconnects, 0);
-                }
-                other => panic!("{engine:?} v{version}: want stats, got {other:?}"),
-            }
-            send_req(&mut stream, 5, &proto::Request::Health, 0, v);
-            let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-            match resp {
-                Response::Health(h) => assert_eq!(h.shards.len(), 2),
-                other => panic!("{engine:?} v{version}: want health, got {other:?}"),
-            }
+    let (_store, server) = server_with(2, ServerConfig::default());
+    for version in 1..proto::PROTOCOL_VERSION {
+        let (mut stream, mut rbuf, v) = raw_hello(server.local_addr(), version);
+        assert_eq!(v, version, "server must negotiate down to v{version}");
+        let key = format!("k-{version}").into_bytes();
+        send_req(
+            &mut stream,
+            2,
+            &proto::Request::Put { key: key.clone(), value: b"old".to_vec() },
+            0,
+            v,
+        );
+        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
+        assert!(matches!(resp, Response::PutOk), "v{version}: got {resp:?}");
+        send_req(&mut stream, 3, &proto::Request::Get { key }, 0, v);
+        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
+        match resp {
+            Response::Value(Some(val)) => assert_eq!(val, b"old"),
+            other => panic!("v{version}: want value, got {other:?}"),
         }
-        server.shutdown();
+        send_req(&mut stream, 4, &proto::Request::Stats, 0, v);
+        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
+        match resp {
+            Response::Stats(s) => {
+                assert_eq!(s.shards, 2, "v{version}");
+                // v4 fields are not on the pre-v4 wire: decode 0.
+                assert_eq!(s.ops_shed_overload, 0);
+                assert_eq!(s.queue_delay_ms, 0);
+                assert_eq!(s.slow_disconnects, 0);
+            }
+            other => panic!("v{version}: want stats, got {other:?}"),
+        }
+        send_req(&mut stream, 5, &proto::Request::Health, 0, v);
+        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
+        match resp {
+            Response::Health(h) => assert_eq!(h.shards.len(), 2),
+            other => panic!("v{version}: want health, got {other:?}"),
+        }
     }
+    server.shutdown();
 }
