@@ -1501,7 +1501,7 @@ fn run_reshard_client(
     (report, acked, epoch)
 }
 
-/// Replay one GET for `key` over a raw v6 connection, claiming
+/// Replay one GET for `key` over a raw connection, claiming
 /// `claim_epoch` as the routing epoch — a captured-frame replay from
 /// before a migration. Returns the server's answer.
 fn replay_with_claim(
@@ -1509,17 +1509,15 @@ fn replay_with_claim(
     key: &[u8],
     claim_epoch: u64,
 ) -> Option<aria_net::proto::Response> {
-    use aria_net::proto::{self, Decoded, Request, Response, TraceContext};
+    use aria_net::proto::{self, Decoded, Request, RequestMeta, Response};
     use std::io::Read as _;
     let mut stream = std::net::TcpStream::connect(addr).ok()?;
     stream.set_read_timeout(Some(Duration::from_secs(10))).ok()?;
-    let read_one = |stream: &mut std::net::TcpStream, version: u16| -> Option<Response> {
+    let read_one = |stream: &mut std::net::TcpStream| -> Option<Response> {
         let mut buf = Vec::new();
         let mut chunk = [0u8; 4096];
         loop {
-            if let Decoded::Frame(_, _, resp) =
-                proto::decode_response_versioned(&buf, version).ok()?
-            {
+            if let Decoded::Frame(_, _, resp) = proto::decode_response(&buf).ok()? {
                 return Some(resp);
             }
             let n = stream.read(&mut chunk).ok()?;
@@ -1537,23 +1535,14 @@ fn replay_with_claim(
     )
     .ok()?;
     stream.write_all(&out).ok()?;
-    let Response::HelloAck { version, .. } = read_one(&mut stream, proto::BASE_PROTOCOL_VERSION)?
-    else {
+    let Response::HelloAck { .. } = read_one(&mut stream)? else {
         return None;
     };
     out.clear();
-    proto::encode_request_routed(
-        &mut out,
-        2,
-        &Request::Get { key: key.to_vec() },
-        0,
-        TraceContext::NONE,
-        claim_epoch,
-        version,
-    )
-    .ok()?;
+    let claim = RequestMeta { routing_epoch: claim_epoch, ..RequestMeta::default() };
+    proto::encode_request_meta(&mut out, 2, &Request::Get { key: key.to_vec() }, &claim).ok()?;
     stream.write_all(&out).ok()?;
-    read_one(&mut stream, version)
+    read_one(&mut stream)
 }
 
 /// Drive one migration to commit through the chaos schedule: start it,

@@ -392,7 +392,7 @@ const MACED_OFFSET: usize = 8;
 /// driven by a shared [`ChaosEngine`].
 ///
 /// Install with [`HeapInjector::install`] (or `UserHeap::set_fault_hook`
-/// directly). Only entry-sized writes (≥ [`MIN_ENTRY_WRITE`] bytes) are
+/// directly). Only entry-sized writes (≥ `MIN_ENTRY_WRITE` bytes) are
 /// considered — 8/16-byte pointer-cell and free-list writes pass
 /// through untouched so every injected fault maps to a well-defined
 /// violation class.

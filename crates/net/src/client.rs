@@ -32,20 +32,16 @@
 //! out. Transport errors and every other server error are never
 //! retried.
 //!
-//! Each new connection opens with a versioned `HELLO` handshake
-//! ([`ClientConfig::handshake`], on by default): the client offers its
-//! protocol version and feature bits, the server answers with the
-//! negotiated pair ([`AriaClient::protocol_version`] /
-//! [`AriaClient::negotiated_features`]). A pre-HELLO server rejects
-//! the opcode and hangs up; the client redials once and speaks the
-//! base protocol, so old servers keep working transparently.
+//! Each new connection opens with a `HELLO` offering
+//! [`proto::PROTOCOL_VERSION`] and the client's feature bits. A server
+//! that refuses the version fails [`AriaClient::connect`] with its
+//! typed [`ErrorCode::UnsupportedVersion`] error.
 //!
-//! # Routing cache (v6)
+//! # Routing cache
 //!
-//! When the handshake lands on v6 with the `ROUTING_EPOCH` feature
-//! granted, the client keeps a *routing cache*: the server's routing
-//! epoch, fetched once per connection (a `RESHARD` mode-0 query right
-//! after `HELLO`) and stamped on every data frame as the v6 trailer.
+//! The client keeps a *routing cache*: the server's routing epoch,
+//! fetched once per connection (a `RESHARD` mode-0 query right after
+//! `HELLO`) and stamped on every data frame's trailer.
 //! A server mid-reshard refuses ops whose claimed epoch predates a
 //! slot move with the typed `WRONG_SHARD` reply; the client treats
 //! that as a *routing refresh*, not a failure — it adopts the epoch
@@ -86,17 +82,9 @@ pub struct ClientConfig {
     /// Sleep before the first op retry; doubles (with jitter) each
     /// further retry.
     pub retry_backoff: Duration,
-    /// Open each connection with a versioned `HELLO` handshake
-    /// (protocol version + feature bits). A pre-HELLO server answers
-    /// `UnknownOpcode` and hangs up; the client then redials once and
-    /// speaks the base protocol — so this is safe to leave on against
-    /// servers of any age. `false` skips the handshake entirely.
-    pub handshake: bool,
     /// Trace sampling rate: `0` disables tracing; `N` stamps roughly
     /// one in `N` requests with a sampled trace context so the server
-    /// captures a per-stage span for it. Only takes effect once the
-    /// `HELLO` handshake negotiates v5+ — against older servers the
-    /// trailer is never sent and the knob is inert.
+    /// captures a per-stage span for it.
     pub trace_sample: u32,
 }
 
@@ -110,7 +98,6 @@ impl Default for ClientConfig {
             retry_budget: 0,
             op_deadline: Duration::from_secs(30),
             retry_backoff: Duration::from_millis(5),
-            handshake: true,
             trace_sample: 0,
         }
     }
@@ -267,20 +254,13 @@ pub struct AriaClient {
     next_id: u64,
     /// splitmix64 state for backoff jitter (advanced per draw).
     rng: u64,
-    /// `(version, features)` from the last completed handshake;
-    /// `None` until a handshake has run (or with `handshake: false`).
-    negotiated: Option<(u16, u64)>,
     /// Wall-clock bound of the op currently inside [`AriaClient::one`];
-    /// v4+ data frames carry the remaining budget as their deadline
+    /// data frames carry the remaining budget as their deadline
     /// trailer. `None` for raw [`AriaClient::pipeline`] calls, which
     /// send "no deadline".
     op_deadline_hint: Option<Instant>,
-    /// The peer rejected `HELLO` once: skip the handshake on every
-    /// further redial instead of burning a connection each time.
-    peer_pre_hello: bool,
-    /// Cached routing epoch, stamped on v6 data frames when the
-    /// `ROUTING_EPOCH` feature was granted. 0 = no claim (pre-v6 peer,
-    /// feature not granted, or not yet fetched).
+    /// Cached routing epoch, stamped on every data frame (0 = no claim,
+    /// before the first fetch).
     routing_epoch: u64,
 }
 
@@ -306,27 +286,11 @@ impl AriaClient {
             conn: None,
             next_id: 1,
             rng,
-            negotiated: None,
             op_deadline_hint: None,
-            peer_pre_hello: false,
             routing_epoch: 0,
         };
         client.ensure_connected()?;
         Ok(client)
-    }
-
-    /// Protocol version negotiated by the `HELLO` handshake: the
-    /// server's answer, or [`proto::BASE_PROTOCOL_VERSION`] when the
-    /// peer predates `HELLO`. `None` until the first handshake (or
-    /// always, with [`ClientConfig::handshake`] off).
-    pub fn protocol_version(&self) -> Option<u16> {
-        self.negotiated.map(|(v, _)| v)
-    }
-
-    /// Feature bits granted by the server in the `HELLO` handshake
-    /// (`0` for pre-`HELLO` peers). `None` until the first handshake.
-    pub fn negotiated_features(&self) -> Option<u64> {
-        self.negotiated.map(|(_, f)| f)
     }
 
     /// Whether a live connection is currently held (it may still be
@@ -335,18 +299,10 @@ impl AriaClient {
         self.conn.is_some()
     }
 
-    /// The routing epoch this client currently claims on v6 data
-    /// frames (0 = no claim).
+    /// The routing epoch this client currently claims on data frames
+    /// (0 = no claim).
     pub fn routing_epoch(&self) -> u64 {
         self.routing_epoch
-    }
-
-    /// Whether the connection negotiated routing-epoch exchange (v6+
-    /// with the `ROUTING_EPOCH` feature granted).
-    fn routing_negotiated(&self) -> bool {
-        self.negotiated.is_some_and(|(v, f)| {
-            v >= proto::RESHARD_PROTOCOL_VERSION && f & proto::features::ROUTING_EPOCH != 0
-        })
     }
 
     /// The server address this client dials.
@@ -359,61 +315,49 @@ impl AriaClient {
             return Ok(());
         }
         self.dial()?;
-        if self.config.handshake && !self.peer_pre_hello {
-            match self.try_hello() {
-                Ok(Some(negotiated)) => self.negotiated = Some(negotiated),
-                Ok(None) => {
-                    // Pre-HELLO server: it reported the opcode as a
-                    // framing failure and hung up. Redial once and
-                    // speak the base protocol from here on.
-                    self.peer_pre_hello = true;
-                    self.negotiated = Some((proto::BASE_PROTOCOL_VERSION, 0));
-                    self.conn = None;
-                    self.dial()?;
-                }
-                Err(e) => {
-                    self.conn = None;
-                    return Err(e);
-                }
-            }
-            // Prime the routing cache once per connection so data
-            // frames claim a live epoch from the first op. A failure
-            // here fails the connect — a v6 server that cannot answer
-            // a RESHARD query is not healthy.
-            if self.routing_negotiated() {
-                if let Err(e) = self.fetch_routing_epoch() {
-                    self.conn = None;
-                    return Err(e);
-                }
-            }
+        let opened = self.open();
+        if opened.is_err() {
+            self.conn = None;
         }
+        opened
+    }
+
+    /// `HELLO`, then one `RESHARD` mode-0 query that primes the routing
+    /// cache so data frames claim a live epoch from the first op.
+    /// Either failing fails the connect: a refused `HELLO` surfaces as
+    /// the server's typed error, and a server that cannot answer a
+    /// `RESHARD` query is not healthy.
+    fn open(&mut self) -> Result<(), NetError> {
+        let hello = Request::Hello {
+            version: proto::PROTOCOL_VERSION,
+            features: proto::features::SUPPORTED,
+        };
+        let Response::HelloAck { .. } = self.exchange(&hello)? else {
+            return Err(NetError::UnexpectedResponse);
+        };
+        let query = Request::Reshard { mode: 0, source: 0, target: 0 };
+        let Response::Reshard { epoch, .. } = self.exchange(&query)? else {
+            return Err(NetError::UnexpectedResponse);
+        };
+        self.routing_epoch = self.routing_epoch.max(epoch);
         Ok(())
     }
 
-    /// One `RESHARD` mode-0 query on the live connection, adopting the
-    /// server's epoch into the routing cache.
-    fn fetch_routing_epoch(&mut self) -> Result<(), NetError> {
+    /// One request/response round on the fresh connection. An `ERROR`
+    /// reply under any id — a connection refused over the limit
+    /// answers on the control id — surfaces as [`NetError::Server`].
+    fn exchange(&mut self, req: &Request) -> Result<Response, NetError> {
         let id = self.next_id;
         self.next_id += 1;
-        let version = self.negotiated.map(|(v, _)| v).unwrap_or(proto::BASE_PROTOCOL_VERSION);
-        let conn = self.conn.as_mut().expect("connection is live");
+        let conn = self.conn.as_mut().expect("dial succeeded");
         let mut out = Vec::new();
-        proto::encode_request_versioned(
-            &mut out,
-            id,
-            &Request::Reshard { mode: 0, source: 0, target: 0 },
-            0,
-            version,
-        )?;
+        proto::encode_request(&mut out, id, req)?;
         conn.stream.write_all(&out)?;
-        match read_response(conn, version)? {
-            (rid, Response::Reshard { epoch, .. }) if rid == id => {
-                self.routing_epoch = self.routing_epoch.max(epoch);
-                Ok(())
-            }
+        match read_response(conn)? {
             (_, Response::Error { code, message, retry_after_ms }) => {
                 Err(NetError::Server { code, message, retry_after_ms })
             }
+            (rid, resp) if rid == id => Ok(resp),
             _ => Err(NetError::UnexpectedResponse),
         }
     }
@@ -441,40 +385,11 @@ impl AriaClient {
         Err(NetError::Io(last.expect("at least one connect attempt")))
     }
 
-    /// One `HELLO` exchange on the fresh connection. `Ok(Some(_))` is
-    /// the negotiated `(version, features)`; `Ok(None)` means the peer
-    /// predates `HELLO` (it answered `UnknownOpcode`).
-    fn try_hello(&mut self) -> Result<Option<(u16, u64)>, NetError> {
-        let id = self.next_id;
-        self.next_id += 1;
-        let conn = self.conn.as_mut().expect("dial succeeded");
-        let mut out = Vec::new();
-        proto::encode_request(
-            &mut out,
-            id,
-            &Request::Hello {
-                version: proto::PROTOCOL_VERSION,
-                features: proto::features::SUPPORTED,
-            },
-        )?;
-        conn.stream.write_all(&out)?;
-        // The ack itself is encoded pre-negotiation: decode at base.
-        let (rid, resp) = read_response(conn, proto::BASE_PROTOCOL_VERSION)?;
-        match resp {
-            Response::HelloAck { version, features } if rid == id => Ok(Some((version, features))),
-            Response::Error { code: ErrorCode::UnknownOpcode, .. } => Ok(None),
-            Response::Error { code, message, retry_after_ms } => {
-                Err(NetError::Server { code, message, retry_after_ms })
-            }
-            _ => Err(NetError::UnexpectedResponse),
-        }
-    }
-
-    /// One sampling decision: [`TraceContext::NONE`] when tracing is
-    /// off (or the 1-in-N draw misses), otherwise a sampled context
-    /// with a fresh nonzero trace id.
-    fn draw_trace(&mut self, trace_on: bool) -> proto::TraceContext {
-        if !trace_on {
+    /// One sampling decision: [`proto::TraceContext::NONE`] when
+    /// tracing is off (or the 1-in-N draw misses), otherwise a sampled
+    /// context with a fresh nonzero trace id.
+    fn draw_trace(&mut self) -> proto::TraceContext {
+        if self.config.trace_sample == 0 {
             return proto::TraceContext::NONE;
         }
         self.rng = splitmix64(self.rng);
@@ -511,10 +426,9 @@ impl AriaClient {
     }
 
     /// [`pipeline`](Self::pipeline), but every data frame in the window
-    /// carries the remaining budget until `deadline` (v4 peers only; on
-    /// older servers the window is sent without trailers). No retries —
-    /// `Overloaded`/`DeadlineExceeded` refusals surface as per-op error
-    /// responses for the caller to classify.
+    /// carries the remaining budget until `deadline` in its trailer. No
+    /// retries — `Overloaded`/`DeadlineExceeded` refusals surface as
+    /// per-op error responses for the caller to classify.
     pub fn pipeline_with_deadline(
         &mut self,
         reqs: &[Request],
@@ -531,46 +445,31 @@ impl AriaClient {
         first_id: u64,
         reqs: &[Request],
     ) -> Result<Vec<Response>, NetError> {
-        // Decode at what HELLO negotiated; without a handshake the
-        // server takes this peer for a base-version client and encodes
-        // responses (notably STATS) accordingly.
-        let version = self.negotiated.map(|(v, _)| v).unwrap_or(proto::BASE_PROTOCOL_VERSION);
-        // Deadline trailer (v4+): the remaining budget of the op in
-        // flight, clamped to ≥1ns so an about-to-expire deadline is not
-        // mistaken for "no deadline" (0).
-        let deadline_ns = match self.op_deadline_hint {
-            Some(d) if version >= proto::OVERLOAD_PROTOCOL_VERSION => {
-                (d.saturating_duration_since(Instant::now()).as_nanos() as u64).max(1)
-            }
-            _ => 0,
-        };
-        // Sampling decisions are drawn before the connection borrow;
-        // each sampled request gets a fresh splitmix64 trace id.
-        let trace_on = self.config.trace_sample > 0 && version >= proto::TRACE_PROTOCOL_VERSION;
-        let traces: Vec<proto::TraceContext> =
-            (0..reqs.len()).map(|_| self.draw_trace(trace_on)).collect();
-        // Routing claim (v6 + feature): the cached epoch rides on every
-        // data frame so the server can refuse against stale routing.
-        let routing_epoch = if self.routing_negotiated() { self.routing_epoch } else { 0 };
-        let conn = self.conn.as_mut().expect("ensure_connected succeeded");
+        // Deadline: the remaining budget of the op in flight, clamped to
+        // ≥1ns so an about-to-expire deadline is not mistaken for "no
+        // deadline" (0).
+        let deadline_ns = self
+            .op_deadline_hint
+            .map_or(0, |d| (d.saturating_duration_since(Instant::now()).as_nanos() as u64).max(1));
         let mut out = Vec::new();
         for (i, req) in reqs.iter().enumerate() {
+            // The cached epoch rides on every data frame so the server
+            // can refuse against stale routing; each sampled request
+            // gets a fresh splitmix64 trace id.
+            let meta = proto::RequestMeta {
+                deadline_ns,
+                trace: self.draw_trace(),
+                routing_epoch: self.routing_epoch,
+            };
             // An over-limit request fails the pipeline before any byte
             // hits the wire; the connection is still clean.
-            proto::encode_request_routed(
-                &mut out,
-                first_id + i as u64,
-                req,
-                deadline_ns,
-                traces[i],
-                routing_epoch,
-                version,
-            )?;
+            proto::encode_request_meta(&mut out, first_id + i as u64, req, &meta)?;
         }
+        let conn = self.conn.as_mut().expect("ensure_connected succeeded");
         conn.stream.write_all(&out)?;
         let mut responses = Vec::with_capacity(reqs.len());
         for i in 0..reqs.len() {
-            let (id, resp) = read_response(conn, version)?;
+            let (id, resp) = read_response(conn)?;
             if id == proto::CONTROL_ID {
                 // Connection-level server error (e.g. over the limit).
                 if let Response::Error { code, message, retry_after_ms } = resp {
@@ -592,8 +491,8 @@ impl AriaClient {
     /// failures included — fails on the first occurrence.
     fn one(&mut self, req: Request) -> Result<Response, NetError> {
         let deadline = Instant::now() + self.config.op_deadline;
-        // Expose the bound so v4+ request frames carry the remaining
-        // budget as their deadline trailer; cleared on every exit path.
+        // Expose the bound so data frames carry the remaining budget as
+        // their deadline trailer; cleared on every exit path.
         self.op_deadline_hint = Some(deadline);
         let result = self.one_with_deadline(req, deadline);
         self.op_deadline_hint = None;
@@ -836,13 +735,10 @@ fn fail<T>(resp: Response) -> Result<T, NetError> {
     }
 }
 
-/// Read one response frame, decoding at `version` — what `HELLO`
-/// negotiated, or [`proto::BASE_PROTOCOL_VERSION`] when the handshake
-/// was skipped (the server then treats this peer as a base-version
-/// client and encodes accordingly).
-fn read_response(conn: &mut Conn, version: u16) -> Result<(u64, Response), NetError> {
+/// Read one response frame.
+fn read_response(conn: &mut Conn) -> Result<(u64, Response), NetError> {
     loop {
-        match proto::decode_response_versioned(&conn.rbuf[conn.roff..conn.rend], version)? {
+        match proto::decode_response(&conn.rbuf[conn.roff..conn.rend])? {
             Decoded::Frame(consumed, id, resp) => {
                 conn.roff += consumed;
                 if conn.roff == conn.rend {
@@ -902,53 +798,36 @@ mod tests {
             let mut rbuf = Vec::new();
             let mut next = 0usize;
             let mut chunk = [0u8; 4096];
-            // Until HELLO negotiates higher, frames are base-version;
-            // after it the client sends v4 deadline trailers and
-            // expects v4-encoded responses.
-            let mut version = proto::BASE_PROTOCOL_VERSION;
             loop {
-                let frame = match proto::decode_request_ref_versioned(&rbuf, version) {
-                    Ok(Decoded::Frame(consumed, id, (req, _meta))) => {
-                        Some((consumed, id, req.to_owned()))
-                    }
+                let frame = match proto::decode_request(&rbuf) {
+                    Ok(Decoded::Frame(consumed, id, req)) => Some((consumed, id, req)),
                     Ok(Decoded::Incomplete) => None,
                     Err(_) => return,
                 };
                 match frame {
                     Some((consumed, id, req)) => {
                         rbuf.drain(..consumed);
-                        // Answer the connection handshake out-of-band so
-                        // scripts stay about the operations under test.
-                        if let Request::Hello { version: v, features } = req {
-                            let negotiated = v.min(proto::PROTOCOL_VERSION);
-                            let mut out = Vec::new();
-                            let ack = Response::HelloAck {
-                                version: negotiated,
+                        // Answer the connect-time HELLO and routing-cache
+                        // priming query out-of-band so scripts stay about
+                        // the operations under test.
+                        let opening = match req {
+                            Request::Hello { version, features } => Some(Response::HelloAck {
+                                version,
                                 features: features & proto::features::SUPPORTED,
-                            };
-                            // The ack itself is pre-negotiation (base).
-                            proto::encode_response(&mut out, id, &ack).expect("encode");
-                            if stream.write_all(&out).is_err() {
-                                return;
-                            }
-                            version = negotiated;
-                            continue;
-                        }
-                        // The connect-time routing-cache priming query
-                        // is likewise answered out-of-band so scripts
-                        // stay about the operations under test.
-                        if let Request::Reshard { mode: 0, .. } = req {
-                            let reply = Response::Reshard {
+                            }),
+                            Request::Reshard { mode: 0, .. } => Some(Response::Reshard {
                                 epoch: 1,
                                 slots: Vec::new(),
                                 state: 0,
                                 started: 0,
                                 committed: 0,
                                 aborted: 0,
-                            };
+                            }),
+                            _ => None,
+                        };
+                        if let Some(reply) = opening {
                             let mut out = Vec::new();
-                            proto::encode_response_versioned(&mut out, id, &reply, version)
-                                .expect("encode");
+                            proto::encode_response(&mut out, id, &reply).expect("encode");
                             if stream.write_all(&out).is_err() {
                                 return;
                             }
@@ -964,8 +843,7 @@ mod tests {
                             return; // script exhausted: hang up
                         };
                         let mut out = Vec::new();
-                        proto::encode_response_versioned(&mut out, id, &resp, version)
-                            .expect("encode");
+                        proto::encode_response(&mut out, id, &resp).expect("encode");
                         // Count before writing: the client may observe
                         // the response (and the test may assert) before
                         // this thread runs again.
@@ -1009,61 +887,30 @@ mod tests {
         }
     }
 
-    /// A server that predates `HELLO` reports the opcode as a framing
-    /// failure and hangs up; the client must redial, skip the
-    /// handshake, and settle on the base protocol version.
+    /// A server that refuses our `HELLO` fails `connect` with its typed
+    /// error, without a redial.
     #[test]
-    fn pre_hello_server_falls_back_to_base_protocol() {
+    fn refused_hello_fails_connect_with_the_typed_error() {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("local addr");
         let handle = thread::spawn(move || {
-            // First connection: reject the HELLO the way the old server
-            // rejects any unknown opcode — control error, then close.
             let (mut stream, _) = listener.accept().expect("accept");
-            let mut chunk = [0u8; 4096];
-            let _ = stream.read(&mut chunk).expect("read hello");
+            let _ = stream.read(&mut [0u8; 4096]).expect("read hello");
+            let refusal = Response::Error {
+                code: ErrorCode::UnsupportedVersion,
+                message: "speaks another version".into(),
+                retry_after_ms: 0,
+            };
             let mut out = Vec::new();
-            // An old server encodes at the base version — no v4
-            // retry-after bytes on the wire.
-            proto::encode_response_versioned(
-                &mut out,
-                proto::CONTROL_ID,
-                &Response::Error {
-                    code: ErrorCode::UnknownOpcode,
-                    message: "opcode".into(),
-                    retry_after_ms: 0,
-                },
-                proto::BASE_PROTOCOL_VERSION,
-            )
-            .expect("encode");
-            stream.write_all(&out).expect("write rejection");
-            drop(stream);
-            // Second connection: no handshake arrives; serve one ping.
-            let (mut stream, _) = listener.accept().expect("re-accept");
-            let mut rbuf = Vec::new();
-            loop {
-                if let Ok(Decoded::Frame(consumed, id, req)) = proto::decode_request(&rbuf) {
-                    rbuf.drain(..consumed);
-                    assert!(
-                        matches!(req, Request::Ping),
-                        "fallback connection must not re-send HELLO"
-                    );
-                    let mut out = Vec::new();
-                    proto::encode_response(&mut out, id, &Response::Pong).expect("encode");
-                    stream.write_all(&out).expect("write pong");
-                    return;
-                }
-                match stream.read(&mut chunk) {
-                    Ok(0) | Err(_) => return,
-                    Ok(n) => rbuf.extend_from_slice(&chunk[..n]),
-                }
-            }
+            proto::encode_response(&mut out, 1, &refusal).expect("encode");
+            stream.write_all(&out).expect("write refusal");
+            listener.set_nonblocking(true).expect("nonblocking");
+            thread::sleep(Duration::from_millis(100));
+            assert!(listener.accept().is_err(), "a refused client must not redial");
         });
-        let mut client = AriaClient::connect(addr, ClientConfig::default()).unwrap();
-        assert_eq!(client.protocol_version(), Some(proto::BASE_PROTOCOL_VERSION));
-        assert_eq!(client.negotiated_features(), Some(0));
-        client.ping().expect("base-protocol ops must work against the old server");
-        drop(client);
+        let config = ClientConfig { reconnect_attempts: 1, ..ClientConfig::default() };
+        let err = AriaClient::connect(addr, config).expect_err("refused HELLO");
+        assert_eq!(err.code(), Some(ErrorCode::UnsupportedVersion), "got {err:?}");
         handle.join().unwrap();
     }
 

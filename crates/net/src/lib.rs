@@ -5,8 +5,9 @@
 //!
 //! * [`proto`] — the compact length-prefixed binary wire protocol
 //!   (`GET`/`PUT`/`DELETE`/`MULTI_GET`/`PUT_BATCH`/`STATS`/`PING`,
-//!   client-chosen request ids, stable typed error codes, and a
-//!   versioned `HELLO` handshake with feature negotiation);
+//!   client-chosen request ids, stable typed error codes), one frame
+//!   layout, and a `HELLO` handshake that acks that layout's version
+//!   and refuses any other;
 //! * [`config`] — the validated [`ServerConfig`] builder;
 //! * [`server`] — [`AriaServer`], serving through the epoll
 //!   [`reactor`] engine: reactors that batch every connection's
@@ -16,8 +17,8 @@
 //!   a connection limit with clean rejection, and graceful
 //!   drain-then-join shutdown;
 //! * [`client`] — [`AriaClient`], a pipelined synchronous client with
-//!   reconnect-with-backoff, per-op timeouts, and automatic `HELLO`
-//!   version negotiation (falling back cleanly to pre-HELLO servers).
+//!   reconnect-with-backoff, per-op timeouts, and a `HELLO` handshake
+//!   on every connection.
 //!
 //! ## Quickstart
 //!
@@ -70,6 +71,6 @@ pub use client::{AriaClient, ClientConfig, KeyResult, NetError, ReshardReply};
 pub use config::{NetConfigError, ServerConfig, ServerConfigBuilder};
 pub use proto::{
     features, ErrorCode, HealthReply, Request, RequestRef, Response, ShardHealthInfo, StatsReply,
-    WireError, BASE_PROTOCOL_VERSION, PROTOCOL_VERSION,
+    WireError, PROTOCOL_VERSION,
 };
 pub use server::AriaServer;

@@ -17,6 +17,14 @@
 //! clients can react to e.g. an integrity violation without parsing
 //! log text. Code values are part of the protocol and must never be
 //! renumbered.
+//!
+//! There is one frame layout, [`PROTOCOL_VERSION`]. Every data request
+//! (GET/PUT/DELETE/MULTI_GET/PUT_BATCH) ends with the same 25-byte
+//! trailer — deadline, trace context, routing epoch — and every
+//! response carries its full field set. `HELLO` is the gate for the
+//! next layout: the server acks its own version and refuses any other
+//! with [`ErrorCode::UnsupportedVersion`]. A peer that never sends
+//! `HELLO` is served at [`PROTOCOL_VERSION`] all the same.
 
 use aria_store::{ShardHealth, StoreError, Violation};
 
@@ -31,60 +39,26 @@ pub const FRAME_HEADER_LEN: usize = 9;
 /// errors (e.g. rejecting a connection over the limit).
 pub const CONTROL_ID: u64 = 0;
 
-/// The protocol version this build speaks. Version 1 is the pre-`HELLO`
-/// wire format; version 2 adds the `HELLO` handshake itself; version 3
-/// adds the tiering fields (`hot_keys`, `cold_keys`, `recovering`) to
-/// the `STATS` reply; version 4 adds the overload control plane: a
-/// per-op deadline trailer on data requests (see
-/// [`encode_request_versioned`]), a retry-after hint on `ERROR`
-/// replies, and the shed/queue-delay fields on `STATS`; version 5 adds
-/// the trace-context trailer on data requests (`u64 trace_id` plus a
-/// flags byte, see [`encode_request_traced`]) and the `TRACE` opcode
-/// for streaming sampled spans and flight-recorder dumps; version 6
-/// adds elastic resharding: a `u64 routing_epoch` trailer on data
-/// requests (the client's claimed routing view, see
-/// [`encode_request_routed`]), the `RESHARD` control opcode for
-/// starting and observing shard migrations, and the typed
-/// `WRONG_SHARD` refusal that carries the server's current epoch so
-/// clients refresh routing instead of blind-retrying. A peer that
-/// never sends `HELLO` is treated as speaking
-/// [`BASE_PROTOCOL_VERSION`], which keeps every pre-handshake client
-/// working unchanged: the server emits version-gated fields only on
-/// connections whose negotiated version carries them (see
-/// [`encode_response_versioned`]), so older decoders never see them.
+/// The protocol version this build speaks — the only one it serves.
+/// `HELLO` offering any other version is refused with
+/// [`ErrorCode::UnsupportedVersion`]; a peer that skips `HELLO` is
+/// served at this version.
 pub const PROTOCOL_VERSION: u16 = 6;
 
-/// The first protocol version that carries the overload fields: the
-/// per-op deadline trailer on data requests, `retry_after_ms` on
-/// `ERROR` replies, and the shed counters on `STATS`.
-pub const OVERLOAD_PROTOCOL_VERSION: u16 = 4;
-
-/// The first protocol version that carries the trace-context trailer
-/// on data requests. (The `TRACE` opcode itself is not version-gated:
-/// it is a new opcode, so an old peer simply never sends it.)
-pub const TRACE_PROTOCOL_VERSION: u16 = 5;
-
-/// The first protocol version that carries the routing-epoch trailer
-/// on data requests and the typed `WRONG_SHARD` refusal. (The
-/// `RESHARD` opcode itself is not version-gated: it is a new opcode,
-/// so an old peer simply never sends it.)
-pub const RESHARD_PROTOCOL_VERSION: u16 = 6;
-
-/// The version assumed for clients that skip the `HELLO` handshake.
-pub const BASE_PROTOCOL_VERSION: u16 = 1;
+/// Alias of [`PROTOCOL_VERSION`], the version a `HELLO`-less peer is
+/// served at. Its only caller is `benchmark/src/openloop.rs`.
+#[doc(hidden)]
+pub const BASE_PROTOCOL_VERSION: u16 = PROTOCOL_VERSION;
 
 /// Feature bits a client may request in `HELLO`. The server answers
 /// with the intersection of what was asked and what it supports, so
 /// unknown bits degrade to "off" instead of failing the handshake.
-/// Bits are protocol surface: never renumber them.
+/// Bits are protocol surface: never renumber them (bit 0 is unused).
 pub mod features {
-    /// Placeholder bit reserved for the planned `SCAN` opcode
-    /// (ROADMAP item 2). No released server sets it yet.
-    pub const SCAN: u64 = 1 << 0;
     /// Routing-epoch exchange: the server publishes its routing epoch
     /// via `RESHARD` mode 0 and honors the client's claimed epoch on
-    /// v6 data ops, answering stale claims with `WRONG_SHARD` instead
-    /// of an opaque retryable error.
+    /// data ops, answering stale claims with `WRONG_SHARD` instead of
+    /// an opaque retryable error.
     pub const ROUTING_EPOCH: u64 = 1 << 1;
     /// Every feature bit this build understands.
     pub const SUPPORTED: u64 = ROUTING_EPOCH;
@@ -121,8 +95,12 @@ const OP_WRONG_SHARD: u8 = 0x8D;
 const OP_ERROR: u8 = 0xFF;
 
 /// Number of request opcodes (`0x01..=0x0C`), for per-opcode telemetry
-/// tables. Matches `aria_telemetry::NET_OPS`.
+/// tables.
 pub const REQUEST_OPCODES: usize = 12;
+
+// The server indexes `aria_telemetry`'s per-opcode tables with
+// `request_op_index`, so the two counts must agree.
+const _: () = assert!(REQUEST_OPCODES == aria_telemetry::NET_OPS);
 
 /// Telemetry table index of a request, `0..REQUEST_OPCODES`.
 pub fn request_op_index(req: &Request) -> usize {
@@ -142,7 +120,7 @@ pub fn request_op_index(req: &Request) -> usize {
     }
 }
 
-/// Trace context carried in the v5 data-request trailer.
+/// Trace context carried in the data-request trailer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceContext {
     /// Client-chosen trace id (nonzero for sampled requests).
@@ -152,22 +130,25 @@ pub struct TraceContext {
 }
 
 impl TraceContext {
-    /// The unsampled context — what every pre-v5 peer implicitly sends.
+    /// The unsampled context.
     pub const NONE: TraceContext = TraceContext { id: 0, sampled: false };
 }
 
-/// Per-request metadata decoded from the version-gated data-op
-/// trailers: the v4 deadline and the v5 trace context. Control ops —
-/// and data ops from peers below the gating version — decode to the
-/// zero values.
+/// The trailer every data request carries, in wire order:
+/// `u64 deadline_ns`, `u64 trace_id`, a flags byte (bit 0 = sampled,
+/// bits 1–7 reserved and rejected on decode), `u64 routing_epoch`.
+/// Control ops carry no trailer and decode to the zero values.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RequestMeta {
-    /// The client's remaining time budget in nanoseconds (0 = none).
+    /// The client's remaining time budget in nanoseconds, relative so
+    /// no clock synchronization is assumed (0 = none).
     pub deadline_ns: u64,
-    /// The v5 trace context ([`TraceContext::NONE`] when absent).
+    /// The trace context ([`TraceContext::NONE`] = unsampled).
     pub trace: TraceContext,
-    /// The routing epoch the client believes current (v6 trailer;
-    /// 0 = no claim, the server routes without a staleness check).
+    /// The routing epoch the client believes current (0 = no claim,
+    /// the server routes without a staleness check). A server whose
+    /// table moved the key's slot after this epoch refuses the op with
+    /// [`Response::WrongShard`] instead of serving it.
     pub routing_epoch: u64,
 }
 
@@ -222,7 +203,7 @@ pub enum ErrorCode {
     LogIo = 26,
     /// The shard's estimated queue delay exceeds its admission budget;
     /// the op was refused *before* execution (nothing was applied).
-    /// The `ERROR` reply carries a retry-after hint on v4 connections.
+    /// The `ERROR` reply carries a retry-after hint.
     Overloaded = 27,
     /// The op's propagated deadline had already expired when the server
     /// would have admitted it; it was refused *before* execution
@@ -230,11 +211,9 @@ pub enum ErrorCode {
     /// already gave up.
     DeadlineExceeded = 28,
     /// The key's slot moved to another shard after the routing epoch
-    /// the client claimed: refresh routing and retry. v6 connections
-    /// receive the typed `WRONG_SHARD` reply (epoch + owner hint)
-    /// instead of this bare code; pre-v6 peers see
-    /// [`ErrorCode::ShardQuarantined`] so their retry loops keep
-    /// working byte-identically.
+    /// the client claimed: refresh routing and retry. On the wire the
+    /// refusal is the typed `WRONG_SHARD` reply (epoch + owner hint);
+    /// the client surfaces this code when its refresh rounds run out.
     WrongShard = 29,
     /// The request frame could not be decoded.
     BadRequest = 32,
@@ -246,6 +225,9 @@ pub enum ErrorCode {
     ShuttingDown = 35,
     /// The connection limit is reached; try again later.
     TooManyConnections = 36,
+    /// `HELLO` offered a protocol version other than
+    /// [`PROTOCOL_VERSION`], the only one this server speaks.
+    UnsupportedVersion = 37,
 }
 
 impl ErrorCode {
@@ -279,6 +261,7 @@ impl ErrorCode {
             34 => FrameTooLarge,
             35 => ShuttingDown,
             36 => TooManyConnections,
+            37 => UnsupportedVersion,
             _ => return None,
         })
     }
@@ -361,11 +344,12 @@ pub enum Request {
     Health,
     /// Full telemetry snapshot (metrics + slow-op traces).
     Metrics,
-    /// Versioned handshake: the client's protocol version and the
-    /// feature bits it would like enabled. Optional — a client that
-    /// never sends it is served at [`BASE_PROTOCOL_VERSION`].
+    /// Versioned handshake, carrying the client's protocol version and
+    /// the feature bits it would like enabled. Optional — a client that
+    /// never sends it is served at [`PROTOCOL_VERSION`]; any other
+    /// version is refused with [`ErrorCode::UnsupportedVersion`].
     Hello {
-        /// The highest protocol version the client speaks.
+        /// The protocol version the client speaks.
         version: u16,
         /// Feature bits the client requests (see [`features`]).
         features: u64,
@@ -493,16 +477,15 @@ pub struct StatsReply {
     /// (crash recovery or anti-entropy re-sync in flight).
     pub recovering: bool,
     /// Data ops refused with [`ErrorCode::Overloaded`] since start
-    /// (admission refusals + sojourn sheds). v4+; 0 on older peers.
+    /// (admission refusals + sojourn sheds).
     pub ops_shed_overload: u64,
     /// Data ops refused with [`ErrorCode::DeadlineExceeded`] since
-    /// start. v4+; 0 on older peers.
+    /// start.
     pub ops_shed_deadline: u64,
     /// Worst current per-shard estimated queue delay, in milliseconds.
-    /// v4+; 0 on older peers.
     pub queue_delay_ms: u64,
     /// Connections dropped because the client read too slowly for the
-    /// write timeout. v4+; 0 on older peers.
+    /// write timeout.
     pub slow_disconnects: u64,
     /// Per-shard health, index = shard.
     pub health: Vec<ShardHealthInfo>,
@@ -538,9 +521,10 @@ pub enum Response {
     /// [`Response::Metrics`] — so the span layout can evolve without
     /// renumbering opcodes.
     Trace(Vec<u8>),
-    /// Answer to [`Request::Hello`]: the version the connection will
-    /// speak (`min(client, server)`) and the negotiated feature bits
-    /// (the intersection of requested and supported).
+    /// Answer to an accepted [`Request::Hello`]: the version the
+    /// connection speaks (always [`PROTOCOL_VERSION`]) and the
+    /// negotiated feature bits (the intersection of requested and
+    /// supported).
     HelloAck {
         /// Negotiated protocol version for this connection.
         version: u16,
@@ -565,13 +549,10 @@ pub enum Response {
         /// Migrations aborted since the server came up.
         aborted: u64,
     },
-    /// Typed refusal (v6 only): the key's slot moved after the routing
-    /// epoch the client claimed. Carries the server's current epoch —
-    /// at or above it the client's refreshed routing cannot be refused
-    /// again for the same move — plus the slot's owner as a hint.
-    /// Never sent on pre-v6 connections: those get
-    /// [`ErrorCode::ShardQuarantined`], which their retry loops
-    /// already handle.
+    /// Typed refusal: the key's slot moved after the routing epoch the
+    /// client claimed. Carries the server's current epoch — at or
+    /// above it the client's refreshed routing cannot be refused again
+    /// for the same move — plus the slot's owner as a hint.
     WrongShard {
         /// The server's current routing epoch.
         epoch: u64,
@@ -585,9 +566,8 @@ pub enum Response {
         /// Human-readable detail for logs; never required for handling.
         message: String,
         /// Server hint: wait this many milliseconds before retrying
-        /// (0 = no hint). Carried on the wire from v4; older peers
-        /// decode it as 0. Only [`ErrorCode::Overloaded`] replies set
-        /// it today.
+        /// (0 = no hint). Only [`ErrorCode::Overloaded`] replies set it
+        /// today.
         retry_after_ms: u64,
     },
 }
@@ -679,9 +659,9 @@ fn frame(
 }
 
 /// Whether a request is a data op (GET/PUT/DELETE/MULTI_GET/PUT_BATCH)
-/// as opposed to a control-plane op. Only data ops carry the v4
-/// deadline and v5 trace trailers, and only data ops are subject to
-/// admission control — PING/STATS/HEALTH/METRICS/HELLO/TRACE must stay
+/// as opposed to a control-plane op. Only data ops carry the
+/// [`RequestMeta`] trailer, and only data ops are subject to admission
+/// control — PING/STATS/HEALTH/METRICS/HELLO/TRACE/RESHARD must stay
 /// answerable while a server is shedding load.
 pub fn is_data_request(req: &Request) -> bool {
     matches!(
@@ -694,76 +674,28 @@ pub fn is_data_request(req: &Request) -> bool {
     )
 }
 
-/// Append `req` as one frame to `out`, encoded at
-/// [`BASE_PROTOCOL_VERSION`] (no deadline trailer). On
+/// Append `req` as one frame to `out` with the zero trailer: no
+/// deadline, unsampled, no routing claim. On
 /// [`WireError::FrameTooLarge`], `out` is left exactly as it was.
 pub fn encode_request(out: &mut Vec<u8>, id: u64, req: &Request) -> Result<(), WireError> {
-    encode_request_versioned(out, id, req, 0, BASE_PROTOCOL_VERSION)
+    encode_request_meta(out, id, req, &RequestMeta::default())
 }
 
-/// Append `req` as one frame to `out`, encoded for a peer speaking
-/// `version`, unsampled (the v5 trace trailer, when the version carries
-/// it, says "not sampled"). See [`encode_request_traced`].
-pub fn encode_request_versioned(
+/// Append `req` as one frame to `out`. Data-op bodies end with `meta`
+/// as the [`RequestMeta`] trailer; control ops carry no trailer and
+/// ignore `meta`. On [`WireError::FrameTooLarge`], `out` is left
+/// exactly as it was.
+pub fn encode_request_meta(
     out: &mut Vec<u8>,
     id: u64,
     req: &Request,
-    deadline_ns: u64,
-    version: u16,
-) -> Result<(), WireError> {
-    encode_request_traced(out, id, req, deadline_ns, TraceContext::NONE, version)
-}
-
-/// Append `req` as one frame to `out`, encoded for a peer speaking
-/// `version`. From v4, data-op bodies end with a `u64 deadline_ns`
-/// trailer: the client's remaining time budget for the op in
-/// nanoseconds (relative, so no clock synchronization is assumed;
-/// 0 = no deadline). From v5 the deadline is followed by the trace
-/// context: `u64 trace_id` plus a flags byte (bit 0 = sampled, all
-/// other bits reserved and rejected on decode). Control ops never
-/// carry either trailer. The v6 routing-epoch trailer encodes as 0
-/// (no claim) — see [`encode_request_routed`] for stamping a claim.
-/// On [`WireError::FrameTooLarge`], `out` is left exactly as it was.
-pub fn encode_request_traced(
-    out: &mut Vec<u8>,
-    id: u64,
-    req: &Request,
-    deadline_ns: u64,
-    trace: TraceContext,
-    version: u16,
-) -> Result<(), WireError> {
-    encode_request_routed(out, id, req, deadline_ns, trace, 0, version)
-}
-
-/// Append `req` as one frame to `out`, encoded for a peer speaking
-/// `version`, stamping the client's claimed routing epoch. From v6,
-/// data-op bodies end with a `u64 routing_epoch` trailer after the v5
-/// trace context: the epoch of the routing table the client used to
-/// pick this connection (0 = no claim). A server whose table moved the
-/// key's slot *after* that epoch refuses the op with
-/// [`Response::WrongShard`] instead of serving it from the wrong
-/// shard. Control ops never carry the trailer. On
-/// [`WireError::FrameTooLarge`], `out` is left exactly as it was.
-pub fn encode_request_routed(
-    out: &mut Vec<u8>,
-    id: u64,
-    req: &Request,
-    deadline_ns: u64,
-    trace: TraceContext,
-    routing_epoch: u64,
-    version: u16,
+    meta: &RequestMeta,
 ) -> Result<(), WireError> {
     let tail = |b: &mut Vec<u8>| {
-        if version >= OVERLOAD_PROTOCOL_VERSION {
-            put_u64(b, deadline_ns);
-        }
-        if version >= TRACE_PROTOCOL_VERSION {
-            put_u64(b, trace.id);
-            b.push(trace.sampled as u8);
-        }
-        if version >= RESHARD_PROTOCOL_VERSION {
-            put_u64(b, routing_epoch);
-        }
+        put_u64(b, meta.deadline_ns);
+        put_u64(b, meta.trace.id);
+        b.push(meta.trace.sampled as u8);
+        put_u64(b, meta.routing_epoch);
     };
     match req {
         Request::Ping => frame(out, OP_PING, id, |_| {}),
@@ -817,24 +749,9 @@ pub fn encode_request_routed(
     }
 }
 
-/// Append `resp` as one frame to `out`, encoded at [`PROTOCOL_VERSION`].
-/// On [`WireError::FrameTooLarge`], `out` is left exactly as it was.
+/// Append `resp` as one frame to `out`. On [`WireError::FrameTooLarge`],
+/// `out` is left exactly as it was.
 pub fn encode_response(out: &mut Vec<u8>, id: u64, resp: &Response) -> Result<(), WireError> {
-    encode_response_versioned(out, id, resp, PROTOCOL_VERSION)
-}
-
-/// Append `resp` as one frame to `out`, encoded for a peer speaking
-/// `version` (the connection's negotiated version, or
-/// [`BASE_PROTOCOL_VERSION`] before/without a `HELLO`). Fields that a
-/// given version does not know — today the v3 tiering fields of the
-/// `STATS` reply — are omitted so older decoders keep working. On
-/// [`WireError::FrameTooLarge`], `out` is left exactly as it was.
-pub fn encode_response_versioned(
-    out: &mut Vec<u8>,
-    id: u64,
-    resp: &Response,
-    version: u16,
-) -> Result<(), WireError> {
     match resp {
         Response::Pong => frame(out, OP_PONG, id, |_| {}),
         Response::Value(v) => frame(out, OP_VALUE, id, |b| match v {
@@ -875,17 +792,13 @@ pub fn encode_response_versioned(
             put_u32(b, s.active_connections);
             put_u64(b, s.connections_accepted);
             b.push(s.degraded as u8);
-            if version >= 3 {
-                put_u64(b, s.hot_keys);
-                put_u64(b, s.cold_keys);
-                b.push(s.recovering as u8);
-            }
-            if version >= OVERLOAD_PROTOCOL_VERSION {
-                put_u64(b, s.ops_shed_overload);
-                put_u64(b, s.ops_shed_deadline);
-                put_u64(b, s.queue_delay_ms);
-                put_u64(b, s.slow_disconnects);
-            }
+            put_u64(b, s.hot_keys);
+            put_u64(b, s.cold_keys);
+            b.push(s.recovering as u8);
+            put_u64(b, s.ops_shed_overload);
+            put_u64(b, s.ops_shed_deadline);
+            put_u64(b, s.queue_delay_ms);
+            put_u64(b, s.slow_disconnects);
             put_health(b, &s.health);
         }),
         Response::Health(h) => frame(out, OP_HEALTH_REPLY, id, |b| put_health(b, &h.shards)),
@@ -908,35 +821,14 @@ pub fn encode_response_versioned(
                 put_u64(b, *aborted);
             })
         }
-        // Pre-v6 peers never negotiated the typed refusal: degrade to
-        // the retryable error code their loops already understand, so
-        // the bytes on an old connection stay exactly what a pre-v6
-        // server would have sent.
-        Response::WrongShard { epoch, hint } => {
-            if version >= RESHARD_PROTOCOL_VERSION {
-                frame(out, OP_WRONG_SHARD, id, |b| {
-                    put_u64(b, *epoch);
-                    put_u32(b, *hint);
-                })
-            } else {
-                encode_response_versioned(
-                    out,
-                    id,
-                    &Response::Error {
-                        code: ErrorCode::ShardQuarantined,
-                        message: format!("wrong shard (moved; owner hint {hint})"),
-                        retry_after_ms: 0,
-                    },
-                    version,
-                )
-            }
-        }
+        Response::WrongShard { epoch, hint } => frame(out, OP_WRONG_SHARD, id, |b| {
+            put_u64(b, *epoch);
+            put_u32(b, *hint);
+        }),
         Response::Error { code, message, retry_after_ms } => frame(out, OP_ERROR, id, |b| {
             put_u16(b, *code as u16);
             put_bytes(b, message.as_bytes());
-            if version >= OVERLOAD_PROTOCOL_VERSION {
-                put_u64(b, *retry_after_ms);
-            }
+            put_u64(b, *retry_after_ms);
         }),
     }
 }
@@ -1085,7 +977,7 @@ pub enum RequestRef<'a> {
     Metrics,
     /// Versioned handshake (see [`Request::Hello`]).
     Hello {
-        /// The highest protocol version the client speaks.
+        /// The protocol version the client speaks.
         version: u16,
         /// Feature bits the client requests.
         features: u64,
@@ -1129,8 +1021,8 @@ impl RequestRef<'_> {
     }
 
     /// Whether this is a data op (see [`is_data_request`]): subject to
-    /// admission control and, from v4, followed by the deadline
-    /// trailer on the wire.
+    /// admission control and followed by the [`RequestMeta`] trailer
+    /// on the wire.
     pub fn is_data_op(&self) -> bool {
         matches!(
             self,
@@ -1175,29 +1067,11 @@ impl RequestRef<'_> {
 
 /// Decode one request frame from the front of `buf` without copying
 /// key/value bytes — they borrow from `buf` for the lifetime of the
-/// returned [`RequestRef`]. Decodes at [`BASE_PROTOCOL_VERSION`]
-/// (no deadline trailer); frames carrying the v4 trailer must go
-/// through [`decode_request_ref_versioned`].
-pub fn decode_request_ref(buf: &[u8]) -> Result<Decoded<RequestRef<'_>>, WireError> {
-    Ok(match decode_request_ref_versioned(buf, BASE_PROTOCOL_VERSION)? {
-        Decoded::Frame(consumed, id, (req, _meta)) => Decoded::Frame(consumed, id, req),
-        Decoded::Incomplete => Decoded::Incomplete,
-    })
-}
-
-/// Decode one request frame from the front of `buf` without copying,
-/// honoring the connection's negotiated `version`. From v4, data ops
-/// carry a trailing `u64 deadline_ns` (the client's remaining time
-/// budget, 0 = none), and from v5 additionally the trace context
-/// (`u64 trace_id` + flags byte); both are returned alongside the
-/// request as a [`RequestMeta`]. At older versions — and for control
-/// ops at any version — the meta decodes to its zero values. A trace
-/// flags byte with any bit other than bit 0 set is rejected as
-/// [`WireError::Malformed`] (reserved bits).
-pub fn decode_request_ref_versioned(
-    buf: &[u8],
-    version: u16,
-) -> Result<Decoded<(RequestRef<'_>, RequestMeta)>, WireError> {
+/// returned [`RequestRef`]. A data op's trailer comes back as its
+/// [`RequestMeta`]; control ops decode to the zero meta. A data frame
+/// without the full trailer, or with a reserved trace flag bit set, is
+/// [`WireError::Malformed`].
+pub fn decode_request_ref(buf: &[u8]) -> Result<Decoded<(RequestRef<'_>, RequestMeta)>, WireError> {
     let Some((consumed, opcode, id, body)) = split_frame(buf)? else {
         return Ok(Decoded::Incomplete);
     };
@@ -1251,45 +1125,40 @@ pub fn decode_request_ref_versioned(
     };
     let mut meta = RequestMeta::default();
     if req.is_data_op() {
-        if version >= OVERLOAD_PROTOCOL_VERSION {
-            meta.deadline_ns = c.u64()?;
+        meta.deadline_ns = c.u64()?;
+        let trace_id = c.u64()?;
+        let flags = c.u8()?;
+        if flags & !1 != 0 {
+            return Err(WireError::Malformed);
         }
-        if version >= TRACE_PROTOCOL_VERSION {
-            let id = c.u64()?;
-            let flags = c.u8()?;
-            if flags & !1 != 0 {
-                return Err(WireError::Malformed);
-            }
-            meta.trace = TraceContext { id, sampled: flags & 1 != 0 };
-        }
-        if version >= RESHARD_PROTOCOL_VERSION {
-            meta.routing_epoch = c.u64()?;
-        }
+        meta.trace = TraceContext { id: trace_id, sampled: flags & 1 != 0 };
+        meta.routing_epoch = c.u64()?;
     }
     c.finished()?;
     Ok(Decoded::Frame(consumed, id, (req, meta)))
 }
 
-/// Decode one request frame from the front of `buf`.
+/// Decode one request frame from the front of `buf` into an owned
+/// [`Request`], dropping its trailer (see [`decode_request_ref`]).
 pub fn decode_request(buf: &[u8]) -> Result<Decoded<Request>, WireError> {
     Ok(match decode_request_ref(buf)? {
-        Decoded::Frame(consumed, id, req) => Decoded::Frame(consumed, id, req.to_owned()),
+        Decoded::Frame(consumed, id, (req, _meta)) => Decoded::Frame(consumed, id, req.to_owned()),
         Decoded::Incomplete => Decoded::Incomplete,
     })
 }
 
-/// Decode one response frame from the front of `buf`, assuming the
-/// peer encoded it at [`PROTOCOL_VERSION`].
-pub fn decode_response(buf: &[u8]) -> Result<Decoded<Response>, WireError> {
-    decode_response_versioned(buf, PROTOCOL_VERSION)
+/// Forwards to [`decode_response`]; `version` is ignored. Its only
+/// caller is `benchmark/src/openloop.rs`.
+#[doc(hidden)]
+pub fn decode_response_versioned(
+    buf: &[u8],
+    _version: u16,
+) -> Result<Decoded<Response>, WireError> {
+    decode_response(buf)
 }
 
-/// Decode one response frame from the front of `buf`, assuming the
-/// peer encoded it for a connection speaking `version` (what `HELLO`
-/// negotiated, or [`BASE_PROTOCOL_VERSION`] without a handshake).
-/// Fields a given version does not carry — today the v3 tiering fields
-/// of the `STATS` reply — decode to their zero values.
-pub fn decode_response_versioned(buf: &[u8], version: u16) -> Result<Decoded<Response>, WireError> {
+/// Decode one response frame from the front of `buf`.
+pub fn decode_response(buf: &[u8]) -> Result<Decoded<Response>, WireError> {
     let Some((consumed, opcode, id, body)) = split_frame(buf)? else {
         return Ok(Decoded::Incomplete);
     };
@@ -1333,38 +1202,22 @@ pub fn decode_response_versioned(buf: &[u8], version: u16) -> Result<Decoded<Res
             }
             Response::BatchStatus(items)
         }
-        OP_STATS_REPLY => {
-            let shards = c.u32()?;
-            let len = c.u64()?;
-            let ops_served = c.u64()?;
-            let active_connections = c.u32()?;
-            let connections_accepted = c.u64()?;
-            let degraded = c.u8()? != 0;
-            let (hot_keys, cold_keys, recovering) =
-                if version >= 3 { (c.u64()?, c.u64()?, c.u8()? != 0) } else { (0, 0, false) };
-            let (ops_shed_overload, ops_shed_deadline, queue_delay_ms, slow_disconnects) =
-                if version >= OVERLOAD_PROTOCOL_VERSION {
-                    (c.u64()?, c.u64()?, c.u64()?, c.u64()?)
-                } else {
-                    (0, 0, 0, 0)
-                };
-            Response::Stats(StatsReply {
-                shards,
-                len,
-                ops_served,
-                active_connections,
-                connections_accepted,
-                degraded,
-                hot_keys,
-                cold_keys,
-                recovering,
-                ops_shed_overload,
-                ops_shed_deadline,
-                queue_delay_ms,
-                slow_disconnects,
-                health: c.health_list()?,
-            })
-        }
+        OP_STATS_REPLY => Response::Stats(StatsReply {
+            shards: c.u32()?,
+            len: c.u64()?,
+            ops_served: c.u64()?,
+            active_connections: c.u32()?,
+            connections_accepted: c.u64()?,
+            degraded: c.u8()? != 0,
+            hot_keys: c.u64()?,
+            cold_keys: c.u64()?,
+            recovering: c.u8()? != 0,
+            ops_shed_overload: c.u64()?,
+            ops_shed_deadline: c.u64()?,
+            queue_delay_ms: c.u64()?,
+            slow_disconnects: c.u64()?,
+            health: c.health_list()?,
+        }),
         OP_HEALTH_REPLY => Response::Health(HealthReply { shards: c.health_list()? }),
         OP_METRICS_REPLY => Response::Metrics(c.bytes()?),
         OP_TRACE_REPLY => Response::Trace(c.bytes()?),
@@ -1392,7 +1245,7 @@ pub fn decode_response_versioned(buf: &[u8], version: u16) -> Result<Decoded<Res
         OP_ERROR => Response::Error {
             code: ErrorCode::from_u16(c.u16()?).ok_or(WireError::Malformed)?,
             message: String::from_utf8_lossy(&c.bytes()?).into_owned(),
-            retry_after_ms: if version >= OVERLOAD_PROTOCOL_VERSION { c.u64()? } else { 0 },
+            retry_after_ms: c.u64()?,
         },
         other => return Err(WireError::UnknownOpcode(other)),
     };
@@ -1469,8 +1322,9 @@ mod tests {
         let mut offset = 0;
         for (i, want) in reqs.iter().enumerate() {
             match decode_request_ref(&buf[offset..]).unwrap() {
-                Decoded::Frame(consumed, id, got) => {
+                Decoded::Frame(consumed, id, (got, meta)) => {
                     assert_eq!(id, i as u64 + 1);
+                    assert_eq!(meta, RequestMeta::default());
                     assert_eq!(&got.to_owned(), want, "ref decode diverged for {want:?}");
                     assert_eq!(got.op_index(), request_op_index(want));
                     // The borrowed form must point into the frame buffer,
@@ -1551,15 +1405,94 @@ mod tests {
         });
     }
 
-    /// The v3 tiering fields of the STATS reply must stay invisible to
-    /// v1/v2 peers: encoded at an old version, the frame decodes
-    /// cleanly at that same version (with the tier fields zeroed and
-    /// the health list intact), and the old frame is a strict prefix
-    /// layout — no bytes an old decoder would misread as the
-    /// health-list length.
+    /// The one frame layout, pinned byte for byte: a GET carrying a
+    /// full trailer, a PUT with the zero trailer, a STATS reply and an
+    /// ERROR reply. Any change here is a wire break that needs a new
+    /// `PROTOCOL_VERSION`.
     #[test]
-    fn stats_tier_fields_are_gated_on_version() {
-        let stats = Response::Stats(StatsReply {
+    fn golden_frames_pin_the_wire_layout() {
+        #[rustfmt::skip]
+        let get: &[u8] = &[
+            39, 0, 0, 0,                    // frame_len
+            0x02,                           // GET
+            1, 0, 0, 0, 0, 0, 0, 0,         // request id
+            1, 0, 0, 0, b'k',               // key
+            0x02, 0x01, 0, 0, 0, 0, 0, 0,   // deadline_ns = 0x0102
+            0xAB, 0, 0, 0, 0, 0, 0, 0,      // trace id
+            1,                              // flags: sampled
+            3, 0, 0, 0, 0, 0, 0, 0,         // routing epoch
+        ];
+        #[rustfmt::skip]
+        let put: &[u8] = &[
+            44, 0, 0, 0,
+            0x03,                           // PUT
+            2, 0, 0, 0, 0, 0, 0, 0,
+            1, 0, 0, 0, b'k',               // key
+            1, 0, 0, 0, b'v',               // value
+            0, 0, 0, 0, 0, 0, 0, 0,         // zero trailer: deadline,
+            0, 0, 0, 0, 0, 0, 0, 0,         // trace id,
+            0,                              // flags,
+            0, 0, 0, 0, 0, 0, 0, 0,         // routing epoch
+        ];
+        #[rustfmt::skip]
+        let stats: &[u8] = &[
+            121, 0, 0, 0,
+            0x87,                           // STATS_REPLY
+            3, 0, 0, 0, 0, 0, 0, 0,
+            2, 0, 0, 0,                     // shards
+            10, 0, 0, 0, 0, 0, 0, 0,        // len
+            55, 0, 0, 0, 0, 0, 0, 0,        // ops_served
+            1, 0, 0, 0,                     // active_connections
+            4, 0, 0, 0, 0, 0, 0, 0,         // connections_accepted
+            0,                              // degraded
+            7, 0, 0, 0, 0, 0, 0, 0,         // hot_keys
+            3, 0, 0, 0, 0, 0, 0, 0,         // cold_keys
+            1,                              // recovering
+            9, 0, 0, 0, 0, 0, 0, 0,         // ops_shed_overload
+            4, 0, 0, 0, 0, 0, 0, 0,         // ops_shed_deadline
+            30, 0, 0, 0, 0, 0, 0, 0,        // queue_delay_ms
+            1, 0, 0, 0, 0, 0, 0, 0,         // slow_disconnects
+            1, 0, 0, 0,                     // health entries
+            1, 1,                           // state, role
+            42, 0, 0, 0, 0, 0, 0, 0,        // lag
+            5, 0, 0, 0, 0, 0, 0, 0,         // violations
+            6, 0, 0, 0, 0, 0, 0, 0,         // recoveries
+        ];
+        #[rustfmt::skip]
+        let error: &[u8] = &[
+            27, 0, 0, 0,
+            0xFF,                           // ERROR
+            4, 0, 0, 0, 0, 0, 0, 0,
+            27, 0,                          // code: Overloaded
+            4, 0, 0, 0, b'b', b'u', b's', b'y',
+            250, 0, 0, 0, 0, 0, 0, 0,       // retry_after_ms
+        ];
+
+        let meta = RequestMeta {
+            deadline_ns: 0x0102,
+            trace: TraceContext { id: 0xAB, sampled: true },
+            routing_epoch: 3,
+        };
+        let get_req = Request::Get { key: b"k".to_vec() };
+        let mut buf = Vec::new();
+        encode_request_meta(&mut buf, 1, &get_req, &meta).unwrap();
+        assert_eq!(buf, get);
+        match decode_request_ref(get).unwrap() {
+            Decoded::Frame(consumed, 1, (got, got_meta)) => {
+                assert_eq!(consumed, get.len());
+                assert_eq!(got.to_owned(), get_req);
+                assert_eq!(got_meta, meta);
+            }
+            other => panic!("GET did not decode: {other:?}"),
+        }
+
+        let put_req = Request::Put { key: b"k".to_vec(), value: b"v".to_vec() };
+        buf.clear();
+        encode_request(&mut buf, 2, &put_req).unwrap();
+        assert_eq!(buf, put);
+        assert_eq!(decode_request(put).unwrap(), Decoded::Frame(put.len(), 2, put_req));
+
+        let stats_resp = Response::Stats(StatsReply {
             shards: 2,
             len: 10,
             ops_served: 55,
@@ -1574,303 +1507,34 @@ mod tests {
             queue_delay_ms: 30,
             slow_disconnects: 1,
             health: vec![ShardHealthInfo {
-                state: 0,
-                role: 0,
-                lag: 0,
-                violations: 0,
-                recoveries: 0,
+                state: 1,
+                role: 1,
+                lag: 42,
+                violations: 5,
+                recoveries: 6,
             }],
         });
-        for old in [1u16, 2] {
-            let mut buf = Vec::new();
-            encode_response_versioned(&mut buf, 5, &stats, old).unwrap();
-            match decode_response_versioned(&buf, old).unwrap() {
-                Decoded::Frame(consumed, id, Response::Stats(got)) => {
-                    assert_eq!(consumed, buf.len());
-                    assert_eq!(id, 5);
-                    assert_eq!(got.shards, 2);
-                    assert_eq!(got.ops_served, 55);
-                    assert_eq!((got.hot_keys, got.cold_keys, got.recovering), (0, 0, false));
-                    assert_eq!(got.health.len(), 1, "health list survives the omitted fields");
-                }
-                other => panic!("expected a STATS frame, got {other:?}"),
-            }
-        }
-        // The old-version frame is exactly 17 bytes (8 + 8 + 1) shorter.
-        let (mut v1, mut v3) = (Vec::new(), Vec::new());
-        encode_response_versioned(&mut v1, 5, &stats, 1).unwrap();
-        encode_response_versioned(&mut v3, 5, &stats, 3).unwrap();
-        assert_eq!(v3.len(), v1.len() + 17);
-        // Mixing versions across the wire is detected, not misread: a
-        // v1 frame is short for a v3 decoder.
-        assert!(matches!(decode_response_versioned(&v1, 3), Err(WireError::Malformed)));
-    }
+        buf.clear();
+        encode_response(&mut buf, 3, &stats_resp).unwrap();
+        assert_eq!(buf, stats);
+        assert_eq!(decode_response(stats).unwrap(), Decoded::Frame(stats.len(), 3, stats_resp));
 
-    /// The v4 overload fields of the STATS reply must stay invisible to
-    /// v1–v3 peers — same contract as the v3 tiering fields above.
-    #[test]
-    fn stats_overload_fields_are_gated_on_version() {
-        let stats = Response::Stats(StatsReply {
-            shards: 2,
-            len: 10,
-            ops_served: 55,
-            active_connections: 1,
-            connections_accepted: 4,
-            degraded: true,
-            hot_keys: 7,
-            cold_keys: 3,
-            recovering: false,
-            ops_shed_overload: 900,
-            ops_shed_deadline: 41,
-            queue_delay_ms: 75,
-            slow_disconnects: 6,
-            health: vec![ShardHealthInfo::default()],
-        });
-        for old in [1u16, 2, 3] {
-            let mut buf = Vec::new();
-            encode_response_versioned(&mut buf, 5, &stats, old).unwrap();
-            match decode_response_versioned(&buf, old).unwrap() {
-                Decoded::Frame(consumed, id, Response::Stats(got)) => {
-                    assert_eq!(consumed, buf.len());
-                    assert_eq!(id, 5);
-                    assert_eq!(got.ops_served, 55);
-                    assert_eq!(
-                        (
-                            got.ops_shed_overload,
-                            got.ops_shed_deadline,
-                            got.queue_delay_ms,
-                            got.slow_disconnects
-                        ),
-                        (0, 0, 0, 0),
-                        "v{old} decode must zero the overload fields"
-                    );
-                    assert_eq!(got.health.len(), 1, "health list survives the omitted fields");
-                }
-                other => panic!("expected a STATS frame, got {other:?}"),
-            }
-        }
-        // The v3 frame is exactly the four u64s (32 bytes) shorter.
-        let (mut v3, mut v4) = (Vec::new(), Vec::new());
-        encode_response_versioned(&mut v3, 5, &stats, 3).unwrap();
-        encode_response_versioned(&mut v4, 5, &stats, 4).unwrap();
-        assert_eq!(v4.len(), v3.len() + 32);
-        // A v3 frame is short for a v4 decoder — detected, not misread.
-        assert!(matches!(decode_response_versioned(&v3, 4), Err(WireError::Malformed)));
-    }
-
-    /// The v4 retry-after hint on ERROR replies is gated the same way.
-    #[test]
-    fn error_retry_after_is_gated_on_version() {
-        let err = Response::Error {
+        let error_resp = Response::Error {
             code: ErrorCode::Overloaded,
-            message: "shard 1 overloaded".to_string(),
+            message: "busy".to_string(),
             retry_after_ms: 250,
         };
-        for old in [1u16, 2, 3] {
-            let mut buf = Vec::new();
-            encode_response_versioned(&mut buf, 9, &err, old).unwrap();
-            match decode_response_versioned(&buf, old).unwrap() {
-                Decoded::Frame(consumed, id, Response::Error { code, retry_after_ms, .. }) => {
-                    assert_eq!(consumed, buf.len());
-                    assert_eq!(id, 9);
-                    assert_eq!(code, ErrorCode::Overloaded);
-                    assert_eq!(retry_after_ms, 0, "v{old} decode must zero the hint");
-                }
-                other => panic!("expected an ERROR frame, got {other:?}"),
-            }
-        }
-        let (mut v3, mut v4) = (Vec::new(), Vec::new());
-        encode_response_versioned(&mut v3, 9, &err, 3).unwrap();
-        encode_response_versioned(&mut v4, 9, &err, 4).unwrap();
-        assert_eq!(v4.len(), v3.len() + 8);
-        assert!(matches!(decode_response_versioned(&v3, 4), Err(WireError::Malformed)));
-        match decode_response_versioned(&v4, 4).unwrap() {
-            Decoded::Frame(_, _, Response::Error { retry_after_ms, .. }) => {
-                assert_eq!(retry_after_ms, 250);
-            }
-            other => panic!("expected an ERROR frame, got {other:?}"),
-        }
-    }
+        buf.clear();
+        encode_response(&mut buf, 4, &error_resp).unwrap();
+        assert_eq!(buf, error);
+        assert_eq!(decode_response(error).unwrap(), Decoded::Frame(error.len(), 4, error_resp));
 
-    /// The v4 deadline trailer on data requests: carried and returned
-    /// at v4, absent at v1–v3, never attached to control ops.
-    #[test]
-    fn request_deadline_trailer_is_gated_on_version() {
-        let data_ops = [
-            Request::Get { key: b"k".to_vec() },
-            Request::Put { key: b"k".to_vec(), value: b"v".to_vec() },
-            Request::Delete { key: b"k".to_vec() },
-            Request::MultiGet { keys: vec![b"a".to_vec(), b"b".to_vec()] },
-            Request::PutBatch { pairs: vec![(b"a".to_vec(), b"1".to_vec())] },
-        ];
-        for req in &data_ops {
-            assert!(is_data_request(req));
-            let (mut v1, mut v4) = (Vec::new(), Vec::new());
-            encode_request_versioned(&mut v1, 7, req, 5_000_000, 1).unwrap();
-            encode_request_versioned(&mut v4, 7, req, 5_000_000, 4).unwrap();
-            assert_eq!(v4.len(), v1.len() + 8, "v4 adds exactly the u64 trailer for {req:?}");
-            match decode_request_ref_versioned(&v4, 4).unwrap() {
-                Decoded::Frame(consumed, id, (got, meta)) => {
-                    assert_eq!(consumed, v4.len());
-                    assert_eq!(id, 7);
-                    assert_eq!(&got.to_owned(), req);
-                    assert!(got.is_data_op());
-                    assert_eq!(meta.deadline_ns, 5_000_000);
-                    assert_eq!(meta.trace, TraceContext::NONE);
-                }
-                other => panic!("expected a frame, got {other:?}"),
-            }
-            // The v1 frame has no trailer and decodes cleanly at v1...
-            match decode_request_ref_versioned(&v1, 1).unwrap() {
-                Decoded::Frame(_, _, (got, meta)) => {
-                    assert_eq!(&got.to_owned(), req);
-                    assert_eq!(meta.deadline_ns, 0);
-                }
-                other => panic!("expected a frame, got {other:?}"),
-            }
-            // ...while mixing versions is detected, not misread.
-            assert_eq!(decode_request_ref_versioned(&v1, 4).map(|_| ()), Err(WireError::Malformed));
-            assert_eq!(decode_request_ref_versioned(&v4, 1).map(|_| ()), Err(WireError::Malformed));
-        }
-        // Control ops never carry the trailer, at any version.
-        for req in [Request::Ping, Request::Stats, Request::Health, Request::Metrics] {
-            assert!(!is_data_request(&req));
-            let (mut v1, mut v4) = (Vec::new(), Vec::new());
-            encode_request_versioned(&mut v1, 7, &req, 5_000_000, 1).unwrap();
-            encode_request_versioned(&mut v4, 7, &req, 5_000_000, 4).unwrap();
-            assert_eq!(v1, v4, "control frames are version-invariant for {req:?}");
-            match decode_request_ref_versioned(&v4, 4).unwrap() {
-                Decoded::Frame(_, _, (got, meta)) => {
-                    assert!(!got.is_data_op());
-                    assert_eq!(&got.to_owned(), &req);
-                    assert_eq!(meta.deadline_ns, 0);
-                }
-                other => panic!("expected a frame, got {other:?}"),
-            }
-        }
-    }
-
-    /// The v5 trace trailer on data requests: carried and returned at
-    /// v5, absent at v4, never attached to control ops, and reserved
-    /// flag bits are rejected.
-    #[test]
-    fn request_trace_trailer_is_gated_on_version() {
-        let req = Request::Get { key: b"k".to_vec() };
-        let trace = TraceContext { id: 0xDEAD_BEEF_F00D_CAFE, sampled: true };
-        let (mut v4, mut v5) = (Vec::new(), Vec::new());
-        encode_request_traced(&mut v4, 9, &req, 77, trace, 4).unwrap();
-        encode_request_traced(&mut v5, 9, &req, 77, trace, 5).unwrap();
-        assert_eq!(v5.len(), v4.len() + 9, "v5 adds exactly u64 id + flags byte");
-        match decode_request_ref_versioned(&v5, 5).unwrap() {
-            Decoded::Frame(consumed, id, (got, meta)) => {
-                assert_eq!(consumed, v5.len());
-                assert_eq!(id, 9);
-                assert_eq!(got.to_owned(), req);
-                assert_eq!(meta.deadline_ns, 77);
-                assert_eq!(meta.trace, trace);
-            }
-            other => panic!("expected a frame, got {other:?}"),
-        }
-        // Mixing v4 and v5 is detected, not misread.
-        assert_eq!(decode_request_ref_versioned(&v4, 5).map(|_| ()), Err(WireError::Malformed));
-        assert_eq!(decode_request_ref_versioned(&v5, 4).map(|_| ()), Err(WireError::Malformed));
-        // Unsampled requests still carry the trailer at v5 (fixed-size
-        // tail keeps the framing version-deterministic), decoding NONE.
-        let mut plain = Vec::new();
-        encode_request_versioned(&mut plain, 9, &req, 0, 5).unwrap();
-        match decode_request_ref_versioned(&plain, 5).unwrap() {
-            Decoded::Frame(_, _, (_, meta)) => assert_eq!(meta.trace, TraceContext::NONE),
-            other => panic!("expected a frame, got {other:?}"),
-        }
-        // Reserved flag bits fail closed.
-        *v5.last_mut().unwrap() = 0b10;
-        assert_eq!(decode_request_ref_versioned(&v5, 5).map(|_| ()), Err(WireError::Malformed));
-        // Control ops never carry the trailer, even when a trace is given.
-        let (mut c4, mut c5) = (Vec::new(), Vec::new());
-        encode_request_traced(&mut c4, 9, &Request::Stats, 77, trace, 4).unwrap();
-        encode_request_traced(&mut c5, 9, &Request::Stats, 77, trace, 5).unwrap();
-        assert_eq!(c4, c5, "control frames are version-invariant");
-    }
-
-    /// The v6 routing-epoch trailer on data requests: carried and
-    /// returned at v6, absent at v5, never attached to control ops.
-    #[test]
-    fn request_routing_epoch_trailer_is_gated_on_version() {
-        let req = Request::Put { key: b"k".to_vec(), value: b"v".to_vec() };
-        let (mut v5, mut v6) = (Vec::new(), Vec::new());
-        encode_request_routed(&mut v5, 9, &req, 77, TraceContext::NONE, 42, 5).unwrap();
-        encode_request_routed(&mut v6, 9, &req, 77, TraceContext::NONE, 42, 6).unwrap();
-        assert_eq!(v6.len(), v5.len() + 8, "v6 adds exactly the u64 epoch trailer");
-        match decode_request_ref_versioned(&v6, 6).unwrap() {
-            Decoded::Frame(consumed, id, (got, meta)) => {
-                assert_eq!(consumed, v6.len());
-                assert_eq!(id, 9);
-                assert_eq!(got.to_owned(), req);
-                assert_eq!(meta.deadline_ns, 77);
-                assert_eq!(meta.routing_epoch, 42);
-            }
-            other => panic!("expected a frame, got {other:?}"),
-        }
-        // A v5 peer's frame decodes at v5 with no claim...
-        match decode_request_ref_versioned(&v5, 5).unwrap() {
-            Decoded::Frame(_, _, (_, meta)) => assert_eq!(meta.routing_epoch, 0),
-            other => panic!("expected a frame, got {other:?}"),
-        }
-        // ...and mixing versions is detected, not misread.
-        assert_eq!(decode_request_ref_versioned(&v5, 6).map(|_| ()), Err(WireError::Malformed));
-        assert_eq!(decode_request_ref_versioned(&v6, 5).map(|_| ()), Err(WireError::Malformed));
-        // encode_request_traced is the epoch-0 (no claim) form.
-        let mut traced = Vec::new();
-        encode_request_traced(&mut traced, 9, &req, 77, TraceContext::NONE, 6).unwrap();
-        match decode_request_ref_versioned(&traced, 6).unwrap() {
-            Decoded::Frame(_, _, (_, meta)) => assert_eq!(meta.routing_epoch, 0),
-            other => panic!("expected a frame, got {other:?}"),
-        }
-        // Control ops never carry the trailer, even with a claim set.
-        for req in [
-            Request::Stats,
-            Request::Trace { mode: 0, cursors: vec![] },
-            Request::Reshard { mode: 0, source: 0, target: 0 },
-        ] {
-            assert!(!is_data_request(&req));
-            let (mut c5, mut c6) = (Vec::new(), Vec::new());
-            encode_request_routed(&mut c5, 9, &req, 77, TraceContext::NONE, 42, 5).unwrap();
-            encode_request_routed(&mut c6, 9, &req, 77, TraceContext::NONE, 42, 6).unwrap();
-            assert_eq!(c5, c6, "control frames are version-invariant for {req:?}");
-        }
-    }
-
-    /// A typed WRONG_SHARD refusal must never reach a pre-v6 decoder:
-    /// encoded for an old connection it degrades to the retryable
-    /// ShardQuarantined error those peers already handle, byte-layout
-    /// identical to what a pre-v6 server would send.
-    #[test]
-    fn wrong_shard_degrades_below_v6() {
-        let ws = Response::WrongShard { epoch: 9, hint: 5 };
-        for old in [1u16, 2, 3, 4, 5] {
-            let mut buf = Vec::new();
-            encode_response_versioned(&mut buf, 21, &ws, old).unwrap();
-            assert_eq!(buf[4], OP_ERROR, "v{old} peers see a plain ERROR frame");
-            match decode_response_versioned(&buf, old).unwrap() {
-                Decoded::Frame(consumed, id, Response::Error { code, retry_after_ms, .. }) => {
-                    assert_eq!(consumed, buf.len());
-                    assert_eq!(id, 21);
-                    assert_eq!(code, ErrorCode::ShardQuarantined);
-                    if old < OVERLOAD_PROTOCOL_VERSION {
-                        assert_eq!(retry_after_ms, 0);
-                    }
-                }
-                other => panic!("expected an ERROR frame at v{old}, got {other:?}"),
-            }
-        }
-        // At v6 the typed form goes out and comes back intact.
-        let mut buf = Vec::new();
-        encode_response_versioned(&mut buf, 21, &ws, 6).unwrap();
-        assert_eq!(buf[4], OP_WRONG_SHARD);
-        match decode_response_versioned(&buf, 6).unwrap() {
-            Decoded::Frame(_, _, got) => assert_eq!(got, ws),
-            other => panic!("expected a WRONG_SHARD frame, got {other:?}"),
-        }
+        // Control ops carry no trailer, whatever meta the caller holds.
+        let (mut plain, mut with_meta) = (Vec::new(), Vec::new());
+        encode_request(&mut plain, 5, &Request::Stats).unwrap();
+        encode_request_meta(&mut with_meta, 5, &Request::Stats, &meta).unwrap();
+        assert_eq!(plain, with_meta);
+        assert_eq!(plain.len(), 4 + FRAME_HEADER_LEN);
     }
 
     /// The TRACE opcode round-trips its mode and cursor list, and the
@@ -1976,6 +1640,15 @@ mod tests {
         frame(&mut buf, OP_GET, 3, |b| put_u32(b, 100)).unwrap();
         assert_eq!(decode_request(&buf), Err(WireError::Malformed));
 
+        // So is a data frame one byte short of its trailer.
+        let mut buf = Vec::new();
+        frame(&mut buf, OP_DELETE, 3, |b| {
+            put_bytes(b, b"k");
+            b.extend_from_slice(&[0; 24]);
+        })
+        .unwrap();
+        assert_eq!(decode_request(&buf), Err(WireError::Malformed));
+
         // Trailing junk after a valid body is malformed too.
         let mut buf = Vec::new();
         frame(&mut buf, OP_PING, 3, |b| b.push(0)).unwrap();
@@ -1984,37 +1657,15 @@ mod tests {
 
     #[test]
     fn error_codes_are_stable_and_reversible() {
-        for code in [
-            ErrorCode::MerkleMismatch,
-            ErrorCode::EntryMacMismatch,
-            ErrorCode::CounterReuse,
-            ErrorCode::UnauthorizedDeletion,
-            ErrorCode::AllocatorMetadata,
-            ErrorCode::CorruptPointer,
-            ErrorCode::EpcExhausted,
-            ErrorCode::CountersExhausted,
-            ErrorCode::Heap,
-            ErrorCode::KeyTooLong,
-            ErrorCode::ValueTooLong,
-            ErrorCode::ShardUnavailable,
-            ErrorCode::ShardQuarantined,
-            ErrorCode::ReplicaDiverged,
-            ErrorCode::ExportUnsupported,
-            ErrorCode::RecoveryDiverged,
-            ErrorCode::LogIo,
-            ErrorCode::Overloaded,
-            ErrorCode::DeadlineExceeded,
-            ErrorCode::DataDestroyed,
-            ErrorCode::BadRequest,
-            ErrorCode::UnknownOpcode,
-            ErrorCode::FrameTooLarge,
-            ErrorCode::ShuttingDown,
-            ErrorCode::TooManyConnections,
-        ] {
-            assert_eq!(ErrorCode::from_u16(code as u16), Some(code));
+        let mut decodable = 0;
+        for v in 0..=u16::MAX {
+            if let Some(c) = ErrorCode::from_u16(v) {
+                assert_eq!(c as u16, v, "{c:?} decodes from the wrong value");
+                decodable += 1;
+            }
         }
-        assert_eq!(ErrorCode::from_u16(0), None);
-        assert_eq!(ErrorCode::from_u16(9999), None);
+        // 1..=7 integrity, 16..=29 resource, 32..=37 protocol.
+        assert_eq!(decodable, 7 + 14 + 6);
     }
 
     #[test]

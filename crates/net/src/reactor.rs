@@ -377,10 +377,6 @@ struct Conn {
     /// When the bytes now buffered arrived: the sojourn lower bound
     /// used by deadline/overload shedding at plan time.
     read_stamp: Instant,
-    /// What this peer speaks: the base version until a HELLO negotiates
-    /// higher. Responses (notably STATS) are encoded at this version,
-    /// and v4+ request frames carry the deadline trailer.
-    version: u16,
     /// Sampled-request spans whose responses sit in `wbuf`: FLUSH is
     /// stamped and the span published once the buffer drains (or the
     /// connection closes — a span is never lost to a dead peer).
@@ -500,7 +496,7 @@ fn reactor_loop<S: KvStore + Send + 'static>(
             let sojourn_ns = conn.read_stamp.elapsed().as_nanos() as u64;
             let mut decoded = 0usize;
             while decoded < cfg.pipeline_window() {
-                match proto::decode_request_ref_versioned(&conn.rbuf[conn.roff..], conn.version) {
+                match proto::decode_request_ref(&conn.rbuf[conn.roff..]) {
                     Ok(Decoded::Frame(consumed, id, (req, meta))) => {
                         op_idxs.push(req.op_index());
                         let span = if meta.trace.sampled && aria_telemetry::enabled() {
@@ -601,13 +597,7 @@ fn reactor_loop<S: KvStore + Send + 'static>(
                 }
                 match conns.get_mut(token).and_then(Option::as_mut) {
                     Some(conn) => {
-                        encode_or_substitute(&mut conn.wbuf, id, &resp, conn.version);
-                        // Responses after the HELLO ack (even later in
-                        // this tick) use the version the handshake
-                        // negotiated.
-                        if let proto::Response::HelloAck { version, .. } = resp {
-                            conn.version = version;
-                        }
+                        encode_or_substitute(&mut conn.wbuf, id, &resp);
                         if let Some(s) = span {
                             conn.unflushed_spans.push(s);
                         }
@@ -707,10 +697,7 @@ fn reactor_loop<S: KvStore + Send + 'static>(
 /// Whether the connection's buffer could still yield a complete frame
 /// (or holds a framing error that must be reported).
 fn frames_possible(conn: &Conn) -> bool {
-    matches!(
-        proto::decode_request_ref_versioned(&conn.rbuf[conn.roff..], conn.version),
-        Ok(Decoded::Frame(..)) | Err(_)
-    )
+    matches!(proto::decode_request_ref(&conn.rbuf[conn.roff..]), Ok(Decoded::Frame(..)) | Err(_))
 }
 
 fn adopt_new(inbox: &Inbox, conns: &mut Vec<Option<Conn>>, poller: &mut Poller, shared: &Shared) {
@@ -750,7 +737,6 @@ fn adopt_new(inbox: &Inbox, conns: &mut Vec<Option<Conn>>, poller: &mut Poller, 
             more_buffered: false,
             unflushed_spans: Vec::new(),
             read_stamp: Instant::now(),
-            version: proto::BASE_PROTOCOL_VERSION,
         });
         shared.tele.net.reactor_conns.add(1);
     }
@@ -788,12 +774,7 @@ fn read_into(conn: &mut Conn, chunk: &mut [u8], shared: &Shared) {
 /// the connection to close once everything is flushed.
 fn poison(conn: &mut Conn, e: &WireError) {
     conn.poisoned = true;
-    encode_or_substitute(
-        &mut conn.wbuf,
-        proto::CONTROL_ID,
-        &wire_failure_response(e),
-        conn.version,
-    );
+    encode_or_substitute(&mut conn.wbuf, proto::CONTROL_ID, &wire_failure_response(e));
 }
 
 /// Write as much pending output as the socket accepts. `WouldBlock`

@@ -134,7 +134,8 @@ impl AriaServer {
 
     /// The telemetry hub this server snapshots for METRICS requests.
     /// Shares the store's per-shard recorders; the caller can snapshot
-    /// or scrape ([`aria_telemetry::render_prometheus`]) at any time.
+    /// or scrape ([`aria_telemetry::TelemetrySnapshot::render_prometheus`])
+    /// at any time.
     pub fn telemetry(&self) -> &Arc<TelemetryHub> {
         &self.shared.tele
     }
@@ -275,7 +276,6 @@ pub(crate) fn reject_connection(mut stream: TcpStream, write_timeout: Duration) 
             message: "connection limit reached".to_string(),
             retry_after_ms: 0,
         },
-        proto::BASE_PROTOCOL_VERSION,
     );
     let _ = stream.write_all(&buf);
     let _ = stream.shutdown(Shutdown::Both);

@@ -141,11 +141,10 @@ pub(crate) fn shed_or_plan(
         if let Some(shed) = verdict {
             return shed;
         }
-        // Routing-epoch admission: a v6 client that claimed an epoch is
+        // Routing-epoch admission: a client that claimed an epoch is
         // refused (whole request, nothing planned) if any of its keys'
         // slots moved after that epoch — serving it could honor routing
-        // the client no longer holds. Claims of 0 never refuse, so v5-
-        // and-older peers (who cannot claim) are untouched.
+        // the client no longer holds. A claim of 0 never refuses.
         if let Some((hint, epoch)) = first_stale_key(req, stale) {
             return Slot::WrongShard { epoch, hint: hint as u32 };
         }
@@ -219,12 +218,23 @@ pub(crate) struct ServerStats {
     pub connections_accepted: u64,
 }
 
-/// HELLO negotiation: meet at the lower protocol version (never below
-/// the base version every peer speaks) and grant only the feature bits
-/// both sides know.
+/// HELLO negotiation: ack [`proto::PROTOCOL_VERSION`], granting only
+/// the feature bits both sides know, and refuse any other version. The
+/// refusal needs no connection state: a peer that keeps talking in
+/// another layout fails to decode and the connection closes.
 pub(crate) fn negotiate_hello(version: u16, features: u64) -> Response {
+    if version != proto::PROTOCOL_VERSION {
+        return Response::Error {
+            code: ErrorCode::UnsupportedVersion,
+            message: format!(
+                "protocol version {version} is not supported; this server speaks {}",
+                proto::PROTOCOL_VERSION
+            ),
+            retry_after_ms: 0,
+        };
+    }
     Response::HelloAck {
-        version: version.clamp(proto::BASE_PROTOCOL_VERSION, proto::PROTOCOL_VERSION),
+        version: proto::PROTOCOL_VERSION,
         features: features & proto::features::SUPPORTED,
     }
 }
@@ -375,11 +385,8 @@ fn reshard_reply<S: KvStore + Send + 'static>(store: &ShardedStore<S>) -> Respon
 }
 
 pub(crate) fn error_response(e: &aria_store::StoreError) -> Response {
-    // A stale routing claim gets the typed refusal so v6 clients can
-    // refresh-and-retry in one round; the encode layer degrades it to
-    // the retryable ShardQuarantined code for pre-v6 peers (who can
-    // only see it if something other than their own claim produced it
-    // — they never stamp an epoch).
+    // A stale routing claim gets the typed refusal so clients can
+    // refresh-and-retry in one round.
     if let aria_store::StoreError::WrongShard { epoch, hint, .. } = e {
         return Response::WrongShard { epoch: *epoch, hint: *hint as u32 };
     }
@@ -390,20 +397,17 @@ pub(crate) fn error_response(e: &aria_store::StoreError) -> Response {
     Response::Error { code: ErrorCode::from_store_error(e), message: e.to_string(), retry_after_ms }
 }
 
-/// Encode `resp` for a connection speaking `version` (what `HELLO`
-/// negotiated, [`proto::BASE_PROTOCOL_VERSION`] before/without one); if
-/// it exceeds the wire frame cap, send a typed error frame under the
-/// same request id instead — the client always gets an answer for every
-/// id, never a silently dropped response.
-pub(crate) fn encode_or_substitute(wbuf: &mut Vec<u8>, id: u64, resp: &Response, version: u16) {
-    if let Err(e) = proto::encode_response_versioned(wbuf, id, resp, version) {
+/// Encode `resp`; if it exceeds the wire frame cap, send a typed error
+/// frame under the same request id instead — the client always gets an
+/// answer for every id, never a silently dropped response.
+pub(crate) fn encode_or_substitute(wbuf: &mut Vec<u8>, id: u64, resp: &Response) {
+    if let Err(e) = proto::encode_response(wbuf, id, resp) {
         let fallback = Response::Error {
             code: ErrorCode::FrameTooLarge,
             message: e.to_string(),
             retry_after_ms: 0,
         };
-        proto::encode_response_versioned(wbuf, id, &fallback, version)
-            .expect("error frames are tiny");
+        proto::encode_response(wbuf, id, &fallback).expect("error frames are tiny");
     }
 }
 
@@ -458,22 +462,20 @@ mod tests {
     use super::*;
 
     #[test]
-    fn hello_negotiation_meets_low_and_masks_features() {
-        // Newer client: meet at our version, grant no unknown bits.
-        match negotiate_hello(9, u64::MAX) {
-            Response::HelloAck { version, features } => {
-                assert_eq!(version, proto::PROTOCOL_VERSION);
-                assert_eq!(features, proto::features::SUPPORTED);
+    fn hello_acks_only_our_version_and_masks_features() {
+        assert_eq!(
+            negotiate_hello(proto::PROTOCOL_VERSION, u64::MAX),
+            Response::HelloAck {
+                version: proto::PROTOCOL_VERSION,
+                features: proto::features::SUPPORTED
             }
-            other => panic!("expected HelloAck, got {other:?}"),
-        }
-        // Older (or zero) client version never negotiates below base.
-        match negotiate_hello(0, 0) {
-            Response::HelloAck { version, features } => {
-                assert_eq!(version, proto::BASE_PROTOCOL_VERSION);
-                assert_eq!(features, 0);
+        );
+        // Older, newer and zero versions are all refused, typed.
+        for v in [0, 1, proto::PROTOCOL_VERSION - 1, proto::PROTOCOL_VERSION + 1, u16::MAX] {
+            match negotiate_hello(v, 0) {
+                Response::Error { code: ErrorCode::UnsupportedVersion, .. } => {}
+                other => panic!("v{v}: expected UnsupportedVersion, got {other:?}"),
             }
-            other => panic!("expected HelloAck, got {other:?}"),
         }
     }
 

@@ -154,39 +154,6 @@ fn same_key_pipelined_writes_read_their_own_writes() {
     server.shutdown();
 }
 
-/// A base-version peer (one that never sends HELLO) must keep decoding
-/// the STATS reply: the server notices the connection never negotiated
-/// v3 and omits the tiering fields. A handshaking client on the same
-/// server sees the full v3 reply.
-#[test]
-fn base_version_client_still_decodes_stats() {
-    let _wd = watchdog("base_version_client_still_decodes_stats", Duration::from_secs(60));
-    let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
-
-    let mut old = AriaClient::connect(
-        server.local_addr(),
-        ClientConfig { handshake: false, ..quick_config() },
-    )
-    .unwrap();
-    assert_eq!(old.protocol_version(), None, "no handshake ran");
-    old.put(b"k", b"v").unwrap();
-    let stats = old.stats().expect("v1 peer must still parse STATS");
-    assert_eq!(stats.shards, 2);
-    assert_eq!(stats.len, 1);
-    assert_eq!(
-        (stats.hot_keys, stats.cold_keys, stats.recovering),
-        (0, 0, false),
-        "fields the base version does not carry decode to zero"
-    );
-
-    let mut new = quick_client(server.local_addr());
-    assert_eq!(new.protocol_version(), Some(proto::PROTOCOL_VERSION));
-    let stats = new.stats().expect("negotiated peer parses the v3 STATS");
-    assert_eq!(stats.shards, 2);
-    assert_eq!(stats.len, 1);
-    server.shutdown();
-}
-
 #[test]
 fn connection_limit_rejects_cleanly() {
     let _wd = watchdog("connection_limit_rejects_cleanly", Duration::from_secs(60));
@@ -241,13 +208,9 @@ fn malformed_frames_get_typed_error_then_close() {
     raw.write_all(&buf).unwrap();
     let mut resp = Vec::new();
     raw.read_to_end(&mut resp).unwrap(); // server answers then closes
-                                         // No HELLO ran on this raw socket, so the server answers at the
-                                         // base version; decode accordingly.
-    match aria_net::proto::decode_response_versioned(&resp, aria_net::proto::BASE_PROTOCOL_VERSION)
-        .unwrap()
-    {
-        aria_net::proto::Decoded::Frame(_, id, aria_net::proto::Response::Error { code, .. }) => {
-            assert_eq!(id, aria_net::proto::CONTROL_ID);
+    match proto::decode_response(&resp).unwrap() {
+        proto::Decoded::Frame(_, id, proto::Response::Error { code, .. }) => {
+            assert_eq!(id, proto::CONTROL_ID);
             assert_eq!(code, ErrorCode::UnknownOpcode);
         }
         other => panic!("want control error frame, got {other:?}"),
@@ -522,7 +485,7 @@ fn store_panic_is_contained_and_the_connection_keeps_serving() {
     }
 }
 
-/// End-to-end tracing: a v5 client sampling every
+/// End-to-end tracing: a client sampling every
 /// request produces server-side spans whose stamps cross
 /// decode → admission → queue → execute → encode → flush in causal
 /// order, streamable over the TRACE opcode; a wire dump request
@@ -537,7 +500,6 @@ fn sampled_requests_stream_spans_end_to_end() {
         ClientConfig { trace_sample: 1, ..quick_config() },
     )
     .unwrap();
-    assert_eq!(client.protocol_version(), Some(proto::PROTOCOL_VERSION));
 
     client.put(b"traced", b"v").unwrap();
     assert_eq!(client.get(b"traced").unwrap().unwrap(), b"v");
@@ -592,163 +554,114 @@ fn sampled_requests_stream_spans_end_to_end() {
     server.shutdown();
 }
 
-/// Pop the next response frame off a raw socket at the given
-/// negotiated version, carrying unconsumed bytes in `buf` across
-/// calls (pipelined replies can share one read).
-fn read_response_at(
-    stream: &mut std::net::TcpStream,
-    buf: &mut Vec<u8>,
-    version: u16,
-) -> proto::Response {
-    use std::io::Read;
-    let mut chunk = [0u8; 4096];
-    loop {
-        match proto::decode_response_versioned(buf, version).expect("well-formed reply") {
-            proto::Decoded::Frame(consumed, _, resp) => {
-                buf.drain(..consumed);
-                return resp;
+/// A raw socket speaking hand-built frames, with unconsumed reply bytes
+/// carried across reads (pipelined replies can share one read).
+struct RawPeer {
+    stream: std::net::TcpStream,
+    inbuf: Vec<u8>,
+}
+
+impl RawPeer {
+    fn connect(addr: std::net::SocketAddr) -> RawPeer {
+        let stream = std::net::TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        RawPeer { stream, inbuf: Vec::new() }
+    }
+
+    fn send(&mut self, frame: &[u8]) {
+        use std::io::Write;
+        self.stream.write_all(frame).unwrap();
+    }
+
+    fn request(&mut self, id: u64, req: &proto::Request) -> proto::Response {
+        let mut buf = Vec::new();
+        proto::encode_request(&mut buf, id, req).unwrap();
+        self.send(&buf);
+        let (got_id, resp) = self.read();
+        assert_eq!(got_id, id, "reply for {req:?}");
+        resp
+    }
+
+    /// The next reply frame, or `None` once the server has closed.
+    fn try_read(&mut self) -> Option<(u64, proto::Response)> {
+        use std::io::Read;
+        let mut chunk = [0u8; 4096];
+        loop {
+            if let proto::Decoded::Frame(consumed, id, resp) =
+                proto::decode_response(&self.inbuf).expect("well-formed reply")
+            {
+                self.inbuf.drain(..consumed);
+                return Some((id, resp));
             }
-            proto::Decoded::Incomplete => {}
+            match self.stream.read(&mut chunk).expect("read reply") {
+                0 => return None,
+                n => self.inbuf.extend_from_slice(&chunk[..n]),
+            }
         }
-        let n = stream.read(&mut chunk).expect("read reply");
-        assert!(n > 0, "server closed mid-frame");
-        buf.extend_from_slice(&chunk[..n]);
+    }
+
+    fn read(&mut self) -> (u64, proto::Response) {
+        self.try_read().expect("server closed mid-frame")
     }
 }
 
-/// Peers below v5 are untouched by the trace trailer: a hand-rolled
-/// peer that negotiates v4 and a client that never sends HELLO both
-/// keep round-tripping data ops, even while the same server serves a
-/// sampling v5 client.
+/// A peer built against v5 offers `HELLO{5}` and is refused with the
+/// typed `UnsupportedVersion` error. If it carries on regardless, its
+/// first v5 data frame (no routing-epoch trailer) fails to decode and
+/// the connection closes after a control-id `BadRequest`.
 #[test]
-fn pre_v5_peers_interoperate_unchanged() {
-    use std::io::Write;
-    let _wd = watchdog("pre_v5_peers_interoperate_unchanged", Duration::from_secs(120));
+fn old_version_hello_is_refused_with_a_typed_error() {
+    let _wd = watchdog("old_version_hello_is_refused", Duration::from_secs(60));
     let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
-
-    // A sampling v5 client shares the server the whole time.
-    let mut v5 = AriaClient::connect(
-        server.local_addr(),
-        ClientConfig { trace_sample: 1, ..quick_config() },
-    )
-    .unwrap();
-    v5.put(b"v5", b"yes").unwrap();
-
-    // Pre-HELLO peer: the client speaks the base protocol; the
-    // sampling knob is inert without a negotiated v5.
-    let mut old = AriaClient::connect(
-        server.local_addr(),
-        ClientConfig { handshake: false, trace_sample: 1, ..quick_config() },
-    )
-    .unwrap();
-    assert_eq!(old.protocol_version(), None);
-    old.put(b"base", b"ok").unwrap();
-    assert_eq!(old.get(b"base").unwrap().unwrap(), b"ok");
-
-    // Hand-rolled v4 peer: HELLO caps the connection at v4, after
-    // which data frames carry the deadline trailer but no trace
-    // trailer — and the server answers them cleanly.
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut inbuf = Vec::new();
-    let mut buf = Vec::new();
-    proto::encode_request(&mut buf, 1, &proto::Request::Hello { version: 4, features: 0 }).unwrap();
-    raw.write_all(&buf).unwrap();
-    match read_response_at(&mut raw, &mut inbuf, proto::BASE_PROTOCOL_VERSION) {
-        proto::Response::HelloAck { version, .. } => {
-            assert_eq!(version, 4, "server meets an old peer at its version");
-        }
-        other => panic!("want HelloAck, got {other:?}"),
+    let mut peer = RawPeer::connect(server.local_addr());
+    match peer.request(1, &proto::Request::Hello { version: 5, features: 0 }) {
+        proto::Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVersion),
+        other => panic!("want UnsupportedVersion, got {other:?}"),
     }
-    buf.clear();
-    proto::encode_request_versioned(
-        &mut buf,
-        2,
-        &proto::Request::Put { key: b"v4".to_vec(), value: b"ok".to_vec() },
-        0,
-        4,
-    )
-    .unwrap();
-    proto::encode_request_versioned(
-        &mut buf,
-        3,
-        &proto::Request::Get { key: b"v4".to_vec() },
-        0,
-        4,
-    )
-    .unwrap();
-    raw.write_all(&buf).unwrap();
-    assert_eq!(read_response_at(&mut raw, &mut inbuf, 4), proto::Response::PutOk);
-    assert_eq!(
-        read_response_at(&mut raw, &mut inbuf, 4),
-        proto::Response::Value(Some(b"ok".to_vec()))
-    );
 
-    // The v5 client still works after the old peers' traffic.
-    assert_eq!(v5.get(b"v5").unwrap().unwrap(), b"yes");
+    // A v5 PUT: the current layout minus the trailing u64 epoch.
+    let mut frame = Vec::new();
+    let put = proto::Request::Put { key: b"v5".to_vec(), value: b"x".to_vec() };
+    proto::encode_request(&mut frame, 2, &put).unwrap();
+    frame.truncate(frame.len() - 8);
+    let frame_len = (frame.len() - 4) as u32;
+    frame[..4].copy_from_slice(&frame_len.to_le_bytes());
+    peer.send(&frame);
+    match peer.read() {
+        (id, proto::Response::Error { code, .. }) => {
+            assert_eq!(id, proto::CONTROL_ID);
+            assert_eq!(code, ErrorCode::BadRequest);
+        }
+        other => panic!("want a control-id BadRequest, got {other:?}"),
+    }
+    assert!(peer.try_read().is_none(), "the server closes a poisoned connection");
+
+    // The refusal touched nothing else: a current client is served.
+    let mut client = quick_client(server.local_addr());
+    assert_eq!(client.get(b"v5").unwrap(), None, "the malformed PUT was never applied");
     server.shutdown();
 }
 
-/// Peers below v6 are untouched by the routing-epoch trailer: a
-/// hand-rolled peer that negotiates v5 keeps sending trace-trailer
-/// frames byte-identical to the pre-reshard wire and round-trips data
-/// ops, even while a v6 client (which stamps epoch claims on every
-/// data op) shares the server.
+/// A peer that never sends `HELLO` is served at the current version:
+/// its data frames carry the full (zero) trailer and its replies carry
+/// every field.
 #[test]
-fn pre_v6_peers_interoperate_unchanged() {
-    use std::io::Write;
-    let _wd = watchdog("pre_v6_peers_interoperate_unchanged", Duration::from_secs(120));
+fn hello_less_peer_is_served_at_the_current_version() {
+    let _wd = watchdog("hello_less_peer_is_served", Duration::from_secs(60));
     let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
-
-    // A v6 client shares the server the whole time and stamps its
-    // cached routing epoch on every data frame.
-    let mut v6 = AriaClient::connect(server.local_addr(), quick_config()).unwrap();
-    assert_eq!(v6.protocol_version(), Some(proto::PROTOCOL_VERSION));
-    assert_eq!(v6.routing_epoch(), 1, "connect primes the routing cache");
-    v6.put(b"v6", b"yes").unwrap();
-
-    // Hand-rolled v5 peer: HELLO caps the connection at v5, after
-    // which its data frames end at the trace trailer — no epoch
-    // claim — and must be byte-identical to the pre-v6 encoding.
-    let mut raw = std::net::TcpStream::connect(server.local_addr()).unwrap();
-    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let mut inbuf = Vec::new();
-    let mut buf = Vec::new();
-    proto::encode_request(&mut buf, 1, &proto::Request::Hello { version: 5, features: 0 }).unwrap();
-    raw.write_all(&buf).unwrap();
-    match read_response_at(&mut raw, &mut inbuf, proto::BASE_PROTOCOL_VERSION) {
-        proto::Response::HelloAck { version, .. } => {
-            assert_eq!(version, 5, "server meets an old peer at its version");
-        }
-        other => panic!("want HelloAck, got {other:?}"),
-    }
-    let put = proto::Request::Put { key: b"v5peer".to_vec(), value: b"ok".to_vec() };
-    buf.clear();
-    proto::encode_request_traced(&mut buf, 2, &put, 0, proto::TraceContext::NONE, 5).unwrap();
-    // Pin the bytes: a v5 frame from this build matches a v5 frame
-    // from a pre-v6 build (same encoder path, no trailing epoch).
-    let mut pinned = Vec::new();
-    proto::encode_request_versioned(&mut pinned, 2, &put, 0, 5).unwrap();
-    assert_eq!(buf, pinned, "v5 data frames grew bytes they must not have");
-    proto::encode_request_traced(
-        &mut buf,
-        3,
-        &proto::Request::Get { key: b"v5peer".to_vec() },
-        0,
-        proto::TraceContext::NONE,
-        5,
-    )
-    .unwrap();
-    raw.write_all(&buf).unwrap();
-    assert_eq!(read_response_at(&mut raw, &mut inbuf, 5), proto::Response::PutOk);
+    let mut peer = RawPeer::connect(server.local_addr());
+    let put = proto::Request::Put { key: b"k".to_vec(), value: b"v".to_vec() };
+    assert_eq!(peer.request(1, &put), proto::Response::PutOk);
     assert_eq!(
-        read_response_at(&mut raw, &mut inbuf, 5),
-        proto::Response::Value(Some(b"ok".to_vec()))
+        peer.request(2, &proto::Request::Get { key: b"k".to_vec() }),
+        proto::Response::Value(Some(b"v".to_vec()))
     );
-
-    // The v6 client still works after the old peer's traffic, and
-    // can read what the v5 peer wrote.
-    assert_eq!(v6.get(b"v6").unwrap().unwrap(), b"yes");
-    assert_eq!(v6.get(b"v5peer").unwrap().unwrap(), b"ok");
+    match peer.request(3, &proto::Request::Stats) {
+        proto::Response::Stats(s) => {
+            assert_eq!((s.shards, s.len, s.active_connections), (2, 1, 1));
+            assert_eq!(s.health.len(), 2);
+        }
+        other => panic!("want Stats, got {other:?}"),
+    }
     server.shutdown();
 }

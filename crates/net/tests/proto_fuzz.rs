@@ -4,22 +4,33 @@
 //! and never panic, over-read, or accept a frame beyond the 4 MiB cap.
 
 use aria_net::proto::{
-    self, decode_request, decode_request_ref, decode_request_ref_versioned, decode_response,
-    decode_response_versioned, Decoded, ErrorCode, Request, Response, TraceContext, WireError,
-    BASE_PROTOCOL_VERSION, MAX_FRAME_LEN, OVERLOAD_PROTOCOL_VERSION, PROTOCOL_VERSION,
-    RESHARD_PROTOCOL_VERSION, TRACE_PROTOCOL_VERSION,
+    self, decode_request, decode_request_ref, decode_response, Decoded, ErrorCode, Request,
+    RequestMeta, Response, TraceContext, WireError, MAX_FRAME_LEN,
 };
 use proptest::prelude::*;
 
-/// A small request generator for stream-level properties: every opcode
-/// the wire speaks, with short keys/values so many frames fit a case.
-fn arb_request() -> impl Strategy<Value = Request> {
-    fn key() -> impl Strategy<Value = Vec<u8>> {
-        collection::vec(any::<u8>(), 0..24)
-    }
-    fn val() -> impl Strategy<Value = Vec<u8>> {
-        collection::vec(any::<u8>(), 0..48)
-    }
+fn key() -> impl Strategy<Value = Vec<u8>> {
+    collection::vec(any::<u8>(), 0..24)
+}
+
+fn val() -> impl Strategy<Value = Vec<u8>> {
+    collection::vec(any::<u8>(), 0..48)
+}
+
+/// Data ops — the requests that carry the trailer — with short
+/// keys/values so many frames fit a case.
+fn arb_data_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        key().prop_map(|key| Request::Get { key }),
+        (key(), val()).prop_map(|(key, value)| Request::Put { key, value }),
+        key().prop_map(|key| Request::Delete { key }),
+        collection::vec(key(), 0..4).prop_map(|keys| Request::MultiGet { keys }),
+        collection::vec((key(), val()), 0..4).prop_map(|pairs| Request::PutBatch { pairs }),
+    ]
+}
+
+/// Control ops: every other opcode.
+fn arb_control_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Ping),
         Just(Request::Stats),
@@ -27,14 +38,31 @@ fn arb_request() -> impl Strategy<Value = Request> {
         Just(Request::Metrics),
         (any::<u16>(), any::<u64>())
             .prop_map(|(version, features)| Request::Hello { version, features }),
-        key().prop_map(|key| Request::Get { key }),
-        (key(), val()).prop_map(|(key, value)| Request::Put { key, value }),
-        key().prop_map(|key| Request::Delete { key }),
-        collection::vec(key(), 0..4).prop_map(|keys| Request::MultiGet { keys }),
-        collection::vec((key(), val()), 0..4).prop_map(|pairs| Request::PutBatch { pairs }),
+        (any::<u8>(), collection::vec(any::<u64>(), 0..8))
+            .prop_map(|(mode, cursors)| Request::Trace { mode, cursors }),
         (any::<u8>(), any::<u32>(), any::<u32>())
             .prop_map(|(mode, source, target)| Request::Reshard { mode, source, target }),
     ]
+}
+
+/// Every opcode the wire speaks, for stream-level properties.
+fn arb_request() -> impl Strategy<Value = Request> {
+    prop_oneof![5 => arb_data_request(), 7 => arb_control_request()]
+}
+
+/// `resp` must round-trip, and every truncation must stay `Incomplete`.
+fn check_response_round_trip(id: u64, resp: Response) -> Result<(), TestCaseError> {
+    let mut buf = Vec::new();
+    proto::encode_response(&mut buf, id, &resp).expect("small frame encodes");
+    prop_assert_eq!(decode_response(&buf), Ok(Decoded::Frame(buf.len(), id, resp)));
+    for cut in 0..buf.len() {
+        prop_assert!(
+            matches!(decode_response(&buf[..cut]), Ok(Decoded::Incomplete)),
+            "truncated response at {} must be Incomplete",
+            cut
+        );
+    }
+    Ok(())
 }
 
 /// Exercise one decoder over a buffer and sanity-check what comes back.
@@ -147,9 +175,10 @@ proptest! {
             other => prop_assert!(false, "hello failed to decode: {other:?}"),
         }
         match decode_request_ref(&buf) {
-            Ok(Decoded::Frame(_, got_id, got)) => {
+            Ok(Decoded::Frame(_, got_id, (got, meta))) => {
                 prop_assert_eq!(got_id, id);
                 prop_assert_eq!(got.to_owned(), req);
+                prop_assert_eq!(meta, RequestMeta::default());
             }
             other => prop_assert!(false, "borrowed hello decode failed: {other:?}"),
         }
@@ -212,7 +241,7 @@ proptest! {
             let mut roff = 0;
             loop {
                 match decode_request_ref(&rbuf[roff..]) {
-                    Ok(Decoded::Frame(consumed, id, req)) => {
+                    Ok(Decoded::Frame(consumed, id, (req, _meta))) => {
                         got.push((id, req.to_owned()));
                         roff += consumed;
                     }
@@ -233,206 +262,98 @@ proptest! {
     /// than bytes exist) must be rejected, not trusted as a capacity.
     #[test]
     fn hostile_batch_counts_are_malformed(count in 1_000_000u32..u32::MAX) {
-        // Hand-build: opcode 0x04 (MULTI_GET), id 0, body = count only.
+        // Hand-build: opcode 0x05 (MULTI_GET), id 0, body = count only.
         let mut buf = Vec::new();
         let body_len = 9u32 + 4; // opcode + id + u32 count
         buf.extend_from_slice(&body_len.to_le_bytes());
-        buf.push(0x04);
+        buf.push(0x05);
         buf.extend_from_slice(&0u64.to_le_bytes());
         buf.extend_from_slice(&count.to_le_bytes());
         prop_assert_eq!(decode_request(&buf), Err(WireError::Malformed));
     }
 
-    /// v4 data ops carry a `deadline_ns` trailer: any (request, deadline)
-    /// pair must round-trip at v4, every truncation must stay
-    /// `Incomplete`, and the strict cross-version rule must hold — a v4
-    /// data frame decoded at an older version is `Malformed` (trailing
-    /// bytes), never silently misparsed.
+    /// Every data op ends with the deadline / trace / routing-epoch
+    /// trailer: any (request, trailer) combination must round-trip and
+    /// every truncation must stay `Incomplete`.
     #[test]
-    fn deadline_trailer_round_trips_and_gates(
+    fn request_trailer_round_trips(
         id in any::<u64>(),
-        klen in 0usize..32,
+        req in arb_data_request(),
         deadline_ns in any::<u64>(),
-        old_version in 1u16..OVERLOAD_PROTOCOL_VERSION,
+        trace_id in any::<u64>(),
+        sampled in any::<bool>(),
+        routing_epoch in any::<u64>(),
     ) {
-        let req = Request::Put { key: vec![0xB7; klen], value: b"v".to_vec() };
+        let meta = RequestMeta {
+            deadline_ns,
+            trace: TraceContext { id: trace_id, sampled },
+            routing_epoch,
+        };
         let mut buf = Vec::new();
-        proto::encode_request_versioned(&mut buf, id, &req, deadline_ns, PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        match decode_request_ref_versioned(&buf, PROTOCOL_VERSION) {
+        proto::encode_request_meta(&mut buf, id, &req, &meta).expect("small frame encodes");
+        match decode_request_ref(&buf) {
             Ok(Decoded::Frame(consumed, got_id, (got, got_meta))) => {
                 prop_assert_eq!(consumed, buf.len());
                 prop_assert_eq!(got_id, id);
                 prop_assert_eq!(got.to_owned(), req.clone());
-                prop_assert_eq!(got_meta.deadline_ns, deadline_ns);
-                prop_assert_eq!(got_meta.trace, TraceContext::NONE, "unsampled encode");
+                prop_assert_eq!(got_meta, meta);
             }
-            other => prop_assert!(false, "v4 frame failed to decode: {other:?}"),
+            other => prop_assert!(false, "data frame failed to decode: {other:?}"),
         }
         for cut in 0..buf.len() {
             prop_assert!(
-                matches!(
-                    decode_request_ref_versioned(&buf[..cut], PROTOCOL_VERSION),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated v4 frame at {} must be Incomplete", cut
+                matches!(decode_request_ref(&buf[..cut]), Ok(Decoded::Incomplete)),
+                "truncated data frame at {} must be Incomplete", cut
             );
         }
-        prop_assert!(
-            matches!(
-                decode_request_ref_versioned(&buf, old_version),
-                Err(WireError::Malformed)
-            ),
-            "a v4 data frame must not parse at v{}", old_version
-        );
-        // And the mirror image: an old-version frame decoded at v4 is
-        // missing its trailer — also Malformed, never a garbage deadline.
-        let mut old = Vec::new();
-        proto::encode_request_versioned(&mut old, id, &req, 0, old_version)
-            .expect("small frame encodes");
-        prop_assert_eq!(
-            decode_request_ref_versioned(&old, PROTOCOL_VERSION)
-                .map(|_| ()),
-            Err(WireError::Malformed),
-            "a v{} data frame must not parse at v4", old_version
-        );
     }
 
-    /// The v4 `retry_after_ms` field of error responses round-trips at
-    /// v4, every truncation stays `Incomplete`, and peers at v1–v3
-    /// still parse the error encoded *for them* (the field is omitted,
-    /// decoding as 0) — version gating on the response side.
+    /// Control ops carry no trailer: whatever meta the caller holds, the
+    /// frame is the zero-meta frame, it decodes with the zero meta, and
+    /// every truncation stays `Incomplete`.
     #[test]
-    fn retry_after_field_round_trips_and_gates(
+    fn control_ops_carry_no_trailer(
+        id in any::<u64>(),
+        req in arb_control_request(),
+        deadline_ns in any::<u64>(),
+        routing_epoch in any::<u64>(),
+    ) {
+        let meta = RequestMeta { deadline_ns, trace: TraceContext::NONE, routing_epoch };
+        let (mut plain, mut with_meta) = (Vec::new(), Vec::new());
+        proto::encode_request(&mut plain, id, &req).expect("small frame encodes");
+        proto::encode_request_meta(&mut with_meta, id, &req, &meta).expect("small frame encodes");
+        prop_assert_eq!(&plain, &with_meta, "control frame grew a trailer");
+        match decode_request_ref(&plain) {
+            Ok(Decoded::Frame(consumed, got_id, (got, got_meta))) => {
+                prop_assert_eq!(consumed, plain.len());
+                prop_assert_eq!(got_id, id);
+                prop_assert_eq!(got.to_owned(), req.clone());
+                prop_assert_eq!(got_meta, RequestMeta::default());
+            }
+            other => prop_assert!(false, "control frame failed to decode: {other:?}"),
+        }
+        for cut in 0..plain.len() {
+            prop_assert!(
+                matches!(decode_request_ref(&plain[..cut]), Ok(Decoded::Incomplete)),
+                "truncated control frame at {} must be Incomplete", cut
+            );
+        }
+    }
+
+    /// The `retry_after_ms` field of error responses round-trips and
+    /// every truncation stays `Incomplete`.
+    #[test]
+    fn retry_after_field_round_trips(
         id in any::<u64>(),
         retry_after_ms in any::<u64>(),
         mlen in 0usize..32,
-        old_version in 1u16..OVERLOAD_PROTOCOL_VERSION,
     ) {
         let resp = Response::Error {
             code: ErrorCode::Overloaded,
             message: "x".repeat(mlen),
             retry_after_ms,
         };
-        let mut buf = Vec::new();
-        proto::encode_response_versioned(&mut buf, id, &resp, PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        match decode_response_versioned(&buf, PROTOCOL_VERSION) {
-            Ok(Decoded::Frame(consumed, got_id, got)) => {
-                prop_assert_eq!(consumed, buf.len());
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(got, resp.clone());
-            }
-            other => prop_assert!(false, "v4 error failed to decode: {other:?}"),
-        }
-        for cut in 0..buf.len() {
-            prop_assert!(
-                matches!(
-                    decode_response_versioned(&buf[..cut], PROTOCOL_VERSION),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated v4 error at {} must be Incomplete", cut
-            );
-        }
-        // Encoded for an older peer: the hint is omitted and decodes 0.
-        let mut old = Vec::new();
-        proto::encode_response_versioned(&mut old, id, &resp, old_version)
-            .expect("small frame encodes");
-        match decode_response_versioned(&old, old_version) {
-            Ok(Decoded::Frame(_, _, Response::Error { code, message, retry_after_ms: got })) => {
-                prop_assert_eq!(code, ErrorCode::Overloaded);
-                prop_assert_eq!(message.len(), mlen);
-                prop_assert_eq!(got, 0, "pre-v4 wire carries no hint");
-            }
-            other => prop_assert!(false, "v{} error failed to decode: {other:?}", old_version),
-        }
-    }
-
-    /// Control ops are version-invariant: their frames are byte-for-byte
-    /// identical at every version, so pre-v4 peers parse them unchanged.
-    #[test]
-    fn control_ops_are_version_invariant(id in any::<u64>(), version in 1u16..=PROTOCOL_VERSION) {
-        for req in [
-            Request::Ping,
-            Request::Stats,
-            Request::Health,
-            Request::Metrics,
-            Request::Hello { version: 7, features: 0b101 },
-        ] {
-            let mut base = Vec::new();
-            proto::encode_request_versioned(&mut base, id, &req, 0, BASE_PROTOCOL_VERSION)
-                .expect("control frames are tiny");
-            let mut at_v = Vec::new();
-            proto::encode_request_versioned(&mut at_v, id, &req, u64::MAX, version)
-                .expect("control frames are tiny");
-            prop_assert_eq!(&base, &at_v, "control frame differs at v{}", version);
-            // Both ends of the version range parse it.
-            prop_assert!(matches!(
-                decode_request_ref_versioned(&at_v, BASE_PROTOCOL_VERSION),
-                Ok(Decoded::Frame(..))
-            ));
-            prop_assert!(matches!(
-                decode_request_ref_versioned(&at_v, PROTOCOL_VERSION),
-                Ok(Decoded::Frame(..))
-            ));
-        }
-    }
-
-    /// v5 data ops carry the trace-context trailer after the deadline:
-    /// any (trace id, sampled) pair must round-trip at v5, every
-    /// truncation must stay `Incomplete`, and the strict cross-version
-    /// rule must hold in both directions — a v5 frame at v4 and a v4
-    /// frame at v5 are each `Malformed`, never silently misparsed.
-    #[test]
-    fn trace_trailer_round_trips_and_gates(
-        id in any::<u64>(),
-        klen in 0usize..32,
-        deadline_ns in any::<u64>(),
-        trace_id in any::<u64>(),
-        sampled in any::<bool>(),
-    ) {
-        let req = Request::Get { key: vec![0x5E; klen] };
-        let trace = TraceContext { id: trace_id, sampled };
-        let mut buf = Vec::new();
-        proto::encode_request_traced(
-            &mut buf, id, &req, deadline_ns, trace, TRACE_PROTOCOL_VERSION,
-        )
-        .expect("small frame encodes");
-        match decode_request_ref_versioned(&buf, TRACE_PROTOCOL_VERSION) {
-            Ok(Decoded::Frame(consumed, got_id, (got, got_meta))) => {
-                prop_assert_eq!(consumed, buf.len());
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(got.to_owned(), req.clone());
-                prop_assert_eq!(got_meta.deadline_ns, deadline_ns);
-                prop_assert_eq!(got_meta.trace, trace);
-            }
-            other => prop_assert!(false, "v5 frame failed to decode: {other:?}"),
-        }
-        for cut in 0..buf.len() {
-            prop_assert!(
-                matches!(
-                    decode_request_ref_versioned(&buf[..cut], TRACE_PROTOCOL_VERSION),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated v5 frame at {} must be Incomplete", cut
-            );
-        }
-        prop_assert!(
-            matches!(
-                decode_request_ref_versioned(&buf, OVERLOAD_PROTOCOL_VERSION),
-                Err(WireError::Malformed)
-            ),
-            "a v5 data frame must not parse at v4"
-        );
-        // Mirror image: a v4 frame at v5 is missing the trace trailer.
-        let mut old = Vec::new();
-        proto::encode_request_versioned(&mut old, id, &req, deadline_ns, OVERLOAD_PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        prop_assert_eq!(
-            decode_request_ref_versioned(&old, TRACE_PROTOCOL_VERSION).map(|_| ()),
-            Err(WireError::Malformed),
-            "a v4 data frame must not parse at v5"
-        );
+        check_response_round_trip(id, resp)?;
     }
 
     /// The trace flags byte reserves bits 1–7: a frame whose flags byte
@@ -445,212 +366,31 @@ proptest! {
         bad_flags in 2u8..=u8::MAX,
     ) {
         let req = Request::Get { key: b"k".to_vec() };
+        let meta = RequestMeta {
+            trace: TraceContext { id: trace_id, sampled: true },
+            ..RequestMeta::default()
+        };
         let mut buf = Vec::new();
-        proto::encode_request_traced(
-            &mut buf,
-            id,
-            &req,
-            0,
-            TraceContext { id: trace_id, sampled: true },
-            TRACE_PROTOCOL_VERSION,
-        )
-        .expect("small frame encodes");
-        // The flags byte is the final byte of the frame body.
-        *buf.last_mut().expect("non-empty frame") = bad_flags;
+        proto::encode_request_meta(&mut buf, id, &req, &meta).expect("small frame encodes");
+        // The flags byte sits just before the trailing u64 epoch.
+        let flags_at = buf.len() - 9;
+        buf[flags_at] = bad_flags;
         prop_assert_eq!(
-            decode_request_ref_versioned(&buf, TRACE_PROTOCOL_VERSION).map(|_| ()),
+            decode_request_ref(&buf).map(|_| ()),
             Err(WireError::Malformed),
             "reserved flag bits must be rejected"
         );
     }
 
-    /// TRACE is a control op: its frames are version-invariant (no data
-    /// trailers at any version), any (mode, cursors) pair round-trips,
-    /// and every truncation stays `Incomplete`.
+    /// The typed `WRONG_SHARD` refusal round-trips and every truncation
+    /// stays `Incomplete`.
     #[test]
-    fn trace_requests_round_trip_at_every_version(
-        id in any::<u64>(),
-        mode in any::<u8>(),
-        cursors in proptest::collection::vec(any::<u64>(), 0..8),
-        version in 1u16..=PROTOCOL_VERSION,
-    ) {
-        let req = Request::Trace { mode, cursors };
-        let mut base = Vec::new();
-        proto::encode_request_versioned(&mut base, id, &req, 0, BASE_PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        let mut at_v = Vec::new();
-        proto::encode_request_versioned(&mut at_v, id, &req, u64::MAX, version)
-            .expect("small frame encodes");
-        prop_assert_eq!(&base, &at_v, "TRACE frame differs at v{}", version);
-        match decode_request_ref_versioned(&at_v, version) {
-            Ok(Decoded::Frame(consumed, got_id, (got, got_meta))) => {
-                prop_assert_eq!(consumed, at_v.len());
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(got.to_owned(), req.clone());
-                prop_assert_eq!(got_meta.deadline_ns, 0, "control ops carry no deadline");
-                prop_assert_eq!(got_meta.trace, TraceContext::NONE);
-            }
-            other => prop_assert!(false, "TRACE frame failed to decode: {other:?}"),
-        }
-        for cut in 0..at_v.len() {
-            prop_assert!(
-                matches!(
-                    decode_request_ref_versioned(&at_v[..cut], version),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated TRACE frame at {} must be Incomplete", cut
-            );
-        }
+    fn wrong_shard_replies_round_trip(id in any::<u64>(), epoch in any::<u64>(), hint in any::<u32>()) {
+        check_response_round_trip(id, Response::WrongShard { epoch, hint })?;
     }
 
-    /// v6 data ops carry a `routing_epoch` trailer after the v5 trace
-    /// context: any (request, epoch) combination must round-trip at v6,
-    /// every truncation must stay `Incomplete`, and the strict
-    /// cross-version rule must hold in both directions — a v6 frame at
-    /// v5 and a v5 frame at v6 are each `Malformed`, never silently
-    /// misparsed (an epoch claim can never be misread as key bytes).
-    #[test]
-    fn routing_epoch_trailer_round_trips_and_gates(
-        id in any::<u64>(),
-        klen in 0usize..32,
-        deadline_ns in any::<u64>(),
-        trace_id in any::<u64>(),
-        sampled in any::<bool>(),
-        routing_epoch in any::<u64>(),
-    ) {
-        let req = Request::Get { key: vec![0x6A; klen] };
-        let trace = TraceContext { id: trace_id, sampled };
-        let mut buf = Vec::new();
-        proto::encode_request_routed(
-            &mut buf, id, &req, deadline_ns, trace, routing_epoch, RESHARD_PROTOCOL_VERSION,
-        )
-        .expect("small frame encodes");
-        match decode_request_ref_versioned(&buf, RESHARD_PROTOCOL_VERSION) {
-            Ok(Decoded::Frame(consumed, got_id, (got, got_meta))) => {
-                prop_assert_eq!(consumed, buf.len());
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(got.to_owned(), req.clone());
-                prop_assert_eq!(got_meta.deadline_ns, deadline_ns);
-                prop_assert_eq!(got_meta.trace, trace);
-                prop_assert_eq!(got_meta.routing_epoch, routing_epoch);
-            }
-            other => prop_assert!(false, "v6 frame failed to decode: {other:?}"),
-        }
-        for cut in 0..buf.len() {
-            prop_assert!(
-                matches!(
-                    decode_request_ref_versioned(&buf[..cut], RESHARD_PROTOCOL_VERSION),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated v6 frame at {} must be Incomplete", cut
-            );
-        }
-        prop_assert!(
-            matches!(
-                decode_request_ref_versioned(&buf, TRACE_PROTOCOL_VERSION),
-                Err(WireError::Malformed)
-            ),
-            "a v6 data frame must not parse at v5"
-        );
-        // Mirror image: a v5 frame at v6 is missing the epoch trailer.
-        let mut old = Vec::new();
-        proto::encode_request_traced(&mut old, id, &req, deadline_ns, trace, TRACE_PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        prop_assert_eq!(
-            decode_request_ref_versioned(&old, RESHARD_PROTOCOL_VERSION).map(|_| ()),
-            Err(WireError::Malformed),
-            "a v5 data frame must not parse at v6"
-        );
-    }
-
-    /// RESHARD is a control op: its frames are byte-identical at every
-    /// version (no data trailers), any (mode, source, target) triple
-    /// round-trips, and every truncation stays `Incomplete` — so a v6
-    /// control plane can never disturb the pre-v6 data framing.
-    #[test]
-    fn reshard_requests_round_trip_at_every_version(
-        id in any::<u64>(),
-        mode in any::<u8>(),
-        source in any::<u32>(),
-        target in any::<u32>(),
-        version in 1u16..=PROTOCOL_VERSION,
-    ) {
-        let req = Request::Reshard { mode, source, target };
-        let mut base = Vec::new();
-        proto::encode_request_versioned(&mut base, id, &req, 0, BASE_PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        let mut at_v = Vec::new();
-        proto::encode_request_versioned(&mut at_v, id, &req, u64::MAX, version)
-            .expect("small frame encodes");
-        prop_assert_eq!(&base, &at_v, "RESHARD frame differs at v{}", version);
-        match decode_request_ref_versioned(&at_v, version) {
-            Ok(Decoded::Frame(consumed, got_id, (got, got_meta))) => {
-                prop_assert_eq!(consumed, at_v.len());
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(got.to_owned(), req.clone());
-                prop_assert_eq!(got_meta.deadline_ns, 0, "control ops carry no deadline");
-                prop_assert_eq!(got_meta.routing_epoch, 0, "control ops carry no epoch claim");
-            }
-            other => prop_assert!(false, "RESHARD frame failed to decode: {other:?}"),
-        }
-        for cut in 0..at_v.len() {
-            prop_assert!(
-                matches!(
-                    decode_request_ref_versioned(&at_v[..cut], version),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated RESHARD frame at {} must be Incomplete", cut
-            );
-        }
-    }
-
-    /// The typed `WRONG_SHARD` refusal round-trips at v6 and degrades
-    /// below v6 to a plain quarantine error a pre-v6 peer already
-    /// understands — never a new opcode an old decoder would reject the
-    /// connection over.
-    #[test]
-    fn wrong_shard_replies_round_trip_and_degrade(
-        id in any::<u64>(),
-        epoch in any::<u64>(),
-        hint in any::<u32>(),
-        old_version in 1u16..RESHARD_PROTOCOL_VERSION,
-    ) {
-        let resp = Response::WrongShard { epoch, hint };
-        let mut buf = Vec::new();
-        proto::encode_response_versioned(&mut buf, id, &resp, RESHARD_PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        match decode_response_versioned(&buf, RESHARD_PROTOCOL_VERSION) {
-            Ok(Decoded::Frame(consumed, got_id, got)) => {
-                prop_assert_eq!(consumed, buf.len());
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(got, resp.clone());
-            }
-            other => prop_assert!(false, "v6 WRONG_SHARD failed to decode: {other:?}"),
-        }
-        for cut in 0..buf.len() {
-            prop_assert!(
-                matches!(
-                    decode_response_versioned(&buf[..cut], RESHARD_PROTOCOL_VERSION),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated WRONG_SHARD at {} must be Incomplete", cut
-            );
-        }
-        let mut old = Vec::new();
-        proto::encode_response_versioned(&mut old, id, &resp, old_version)
-            .expect("small frame encodes");
-        match decode_response_versioned(&old, old_version) {
-            Ok(Decoded::Frame(_, got_id, Response::Error { code, retry_after_ms, .. })) => {
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(code, ErrorCode::ShardQuarantined);
-                prop_assert_eq!(retry_after_ms, 0);
-            }
-            other => prop_assert!(false, "degraded WRONG_SHARD must be a typed error: {other:?}"),
-        }
-    }
-
-    /// RESHARD replies round-trip any owner table at every version that
-    /// can carry them, and every truncation stays `Incomplete`.
+    /// RESHARD replies round-trip any owner table, and every truncation
+    /// stays `Incomplete`.
     #[test]
     fn reshard_replies_round_trip(
         id in any::<u64>(),
@@ -661,26 +401,7 @@ proptest! {
     ) {
         let (started, committed, aborted) = counters;
         let resp = Response::Reshard { epoch, slots, state, started, committed, aborted };
-        let mut buf = Vec::new();
-        proto::encode_response_versioned(&mut buf, id, &resp, RESHARD_PROTOCOL_VERSION)
-            .expect("small frame encodes");
-        match decode_response_versioned(&buf, RESHARD_PROTOCOL_VERSION) {
-            Ok(Decoded::Frame(consumed, got_id, got)) => {
-                prop_assert_eq!(consumed, buf.len());
-                prop_assert_eq!(got_id, id);
-                prop_assert_eq!(got, resp.clone());
-            }
-            other => prop_assert!(false, "RESHARD reply failed to decode: {other:?}"),
-        }
-        for cut in 0..buf.len() {
-            prop_assert!(
-                matches!(
-                    decode_response_versioned(&buf[..cut], RESHARD_PROTOCOL_VERSION),
-                    Ok(Decoded::Incomplete)
-                ),
-                "truncated RESHARD reply at {} must be Incomplete", cut
-            );
-        }
+        check_response_round_trip(id, resp)?;
     }
 
     /// A hostile RESHARD-reply slot count that promises more owners
@@ -696,15 +417,11 @@ proptest! {
             aborted: 0,
         };
         let mut buf = Vec::new();
-        proto::encode_response_versioned(&mut buf, id, &reply, RESHARD_PROTOCOL_VERSION)
-            .expect("small frame encodes");
+        proto::encode_response(&mut buf, id, &reply).expect("small frame encodes");
         // The slot count is a u32 right after the u64 epoch in the body
         // (13-byte frame header, then epoch).
         buf[21..25].copy_from_slice(&count.to_le_bytes());
-        prop_assert_eq!(
-            decode_response_versioned(&buf, RESHARD_PROTOCOL_VERSION).map(|_| ()),
-            Err(WireError::Malformed)
-        );
+        prop_assert_eq!(decode_response(&buf).map(|_| ()), Err(WireError::Malformed));
     }
 
     /// A hostile TRACE cursor count that promises more cursors than the

@@ -283,7 +283,7 @@ pub mod collection {
         }
     }
 
-    /// See [`vec`].
+    /// See [`vec()`].
     pub struct VecStrategy<S, Z> {
         elem: S,
         size: Z,

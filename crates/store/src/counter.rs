@@ -196,7 +196,7 @@ impl CounterArea {
     }
 
     /// Attach telemetry recorders to every Secure Cache (existing and,
-    /// via [`CounterArea::expand`], future ones).
+    /// via `CounterArea::expand`, future ones).
     pub fn set_telemetry(&mut self, cache: Arc<CacheTelemetry>, merkle: Arc<MerkleTelemetry>) {
         for c in &mut self.caches {
             c.set_telemetry(Arc::clone(&cache), Arc::clone(&merkle));

@@ -1,8 +1,8 @@
 //! End-to-end request spans: per-stage monotonic timestamps recorded
 //! into per-shard lock-free ring buffers.
 //!
-//! A request that carries a *sampled* trace context (the v5 wire
-//! trailer) gets one [`SpanCell`] allocated at decode time. Every stage
+//! A request that carries a *sampled* trace context (in the data-op
+//! wire trailer) gets one [`SpanCell`] allocated at decode time. Every stage
 //! the request passes — decode, admission verdict, shard-queue
 //! enqueue/dequeue, execute, encode, flush — is one relaxed atomic
 //! store of [`clock_nanos`] into the cell; unsampled requests never

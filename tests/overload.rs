@@ -2,7 +2,7 @@
 //! shedding before execution, admission refusals with retry-after
 //! hints while the control plane stays responsive (brownout), the
 //! chaos-gated stuck-shard regression (stall → watchdog quarantine →
-//! recovery → re-admission), and v1–v3 wire compatibility.
+//! recovery → re-admission).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -63,17 +63,22 @@ fn server_with(shards: usize, config: ServerConfig) -> (Arc<ShardedStore<AriaHas
     (store, server)
 }
 
-// --- raw-frame helpers (for exact version / deadline control) ------------
+// --- raw-frame helpers (for exact deadline control) -----------------------
 
-fn send_req(stream: &mut TcpStream, id: u64, req: &proto::Request, deadline_ns: u64, version: u16) {
+fn encode_req(out: &mut Vec<u8>, id: u64, req: &proto::Request, deadline_ns: u64) {
+    let meta = proto::RequestMeta { deadline_ns, ..Default::default() };
+    proto::encode_request_meta(out, id, req, &meta).expect("encode");
+}
+
+fn send_req(stream: &mut TcpStream, id: u64, req: &proto::Request, deadline_ns: u64) {
     let mut out = Vec::new();
-    proto::encode_request_versioned(&mut out, id, req, deadline_ns, version).expect("encode");
+    encode_req(&mut out, id, req, deadline_ns);
     stream.write_all(&out).expect("write frame");
 }
 
-fn read_resp(stream: &mut TcpStream, rbuf: &mut Vec<u8>, version: u16) -> (u64, Response) {
+fn read_resp(stream: &mut TcpStream, rbuf: &mut Vec<u8>) -> (u64, Response) {
     loop {
-        match proto::decode_response_versioned(rbuf, version).expect("typed decode") {
+        match proto::decode_response(rbuf).expect("typed decode") {
             Decoded::Frame(consumed, id, resp) => {
                 rbuf.drain(..consumed);
                 return (id, resp);
@@ -88,29 +93,19 @@ fn read_resp(stream: &mut TcpStream, rbuf: &mut Vec<u8>, version: u16) -> (u64, 
     }
 }
 
-/// Open a raw connection and run the HELLO handshake offering
-/// `version`; returns the negotiated version (= `version` for v1–v4
-/// against this server).
-fn raw_hello(addr: std::net::SocketAddr, version: u16) -> (TcpStream, Vec<u8>, u16) {
+/// Open a raw connection and run the HELLO handshake.
+fn raw_hello(addr: std::net::SocketAddr) -> (TcpStream, Vec<u8>) {
     let mut stream = TcpStream::connect(addr).expect("connect");
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     stream.set_nodelay(true).unwrap();
     let mut rbuf = Vec::new();
-    send_req(
-        &mut stream,
-        1,
-        &proto::Request::Hello { version, features: 0 },
-        0,
-        proto::BASE_PROTOCOL_VERSION,
-    );
-    let (id, resp) = read_resp(&mut stream, &mut rbuf, proto::BASE_PROTOCOL_VERSION);
-    assert_eq!(id, 1);
-    let negotiated = match resp {
-        Response::HelloAck { version: v, .. } => v,
+    let hello = proto::Request::Hello { version: proto::PROTOCOL_VERSION, features: 0 };
+    send_req(&mut stream, 1, &hello, 0);
+    match read_resp(&mut stream, &mut rbuf) {
+        (1, Response::HelloAck { version, .. }) => assert_eq!(version, proto::PROTOCOL_VERSION),
         other => panic!("want HelloAck, got {other:?}"),
-    };
-    assert_eq!(negotiated, version.min(proto::PROTOCOL_VERSION));
-    (stream, rbuf, negotiated)
+    }
+    (stream, rbuf)
 }
 
 // --- deadline shedding ----------------------------------------------------
@@ -119,37 +114,23 @@ fn raw_hello(addr: std::net::SocketAddr, version: u16) -> (TcpStream, Vec<u8>, u
 /// refused with `DeadlineExceeded` *before* execution — the write must
 /// never be applied — while a no-deadline op in the same window runs.
 #[test]
-fn expired_deadline_sheds_before_execution_on_both_engines() {
+fn expired_deadline_sheds_before_execution() {
     let _wd = watchdog("expired_deadline_sheds", Duration::from_secs(60));
     let (store, server) = server_with(1, ServerConfig::default());
-    let (mut stream, mut rbuf, v4) = raw_hello(server.local_addr(), proto::PROTOCOL_VERSION);
-    assert_eq!(v4, proto::PROTOCOL_VERSION);
+    let (mut stream, mut rbuf) = raw_hello(server.local_addr());
 
     // One pipelined window: a normal put, then a put whose budget
     // (1 ns) has certainly lapsed by the time the server plans it.
     let mut out = Vec::new();
-    proto::encode_request_versioned(
-        &mut out,
-        10,
-        &proto::Request::Put { key: b"live".to_vec(), value: b"v".to_vec() },
-        0, // no deadline
-        v4,
-    )
-    .unwrap();
-    proto::encode_request_versioned(
-        &mut out,
-        11,
-        &proto::Request::Put { key: b"dead".to_vec(), value: b"v".to_vec() },
-        1, // 1 ns: expired on arrival
-        v4,
-    )
-    .unwrap();
+    let put = |key: &[u8]| proto::Request::Put { key: key.to_vec(), value: b"v".to_vec() };
+    encode_req(&mut out, 10, &put(b"live"), 0); // no deadline
+    encode_req(&mut out, 11, &put(b"dead"), 1); // 1 ns: expired on arrival
     stream.write_all(&out).unwrap();
 
-    let (id, resp) = read_resp(&mut stream, &mut rbuf, v4);
+    let (id, resp) = read_resp(&mut stream, &mut rbuf);
     assert_eq!(id, 10);
     assert!(matches!(resp, Response::PutOk), "live op must run, got {resp:?}");
-    let (id, resp) = read_resp(&mut stream, &mut rbuf, v4);
+    let (id, resp) = read_resp(&mut stream, &mut rbuf);
     assert_eq!(id, 11);
     match resp {
         Response::Error { code, retry_after_ms, .. } => {
@@ -163,8 +144,8 @@ fn expired_deadline_sheds_before_execution_on_both_engines() {
     // exist, and the shed is visible in STATS.
     assert_eq!(store.get(b"dead").unwrap(), None, "shed write was applied");
     assert_eq!(store.get(b"live").unwrap().unwrap(), b"v");
-    send_req(&mut stream, 12, &proto::Request::Stats, 0, v4);
-    let (_, resp) = read_resp(&mut stream, &mut rbuf, v4);
+    send_req(&mut stream, 12, &proto::Request::Stats, 0);
+    let (_, resp) = read_resp(&mut stream, &mut rbuf);
     match resp {
         Response::Stats(s) => {
             assert_eq!(s.ops_shed_deadline, 1, "shed count in STATS")
@@ -337,54 +318,5 @@ fn chaos_shard_stall_quarantine_recovery_readmission() {
     client.put(b"after", b"v").expect("re-admitted shard must serve");
     assert_eq!(client.get(b"after").unwrap().unwrap(), b"v");
     assert_eq!(engine.stats().site(FaultSite::ShardStall).injected, 1);
-    server.shutdown();
-}
-
-// --- cross-version compatibility ------------------------------------------
-
-/// v1–v3 peers (and pre-HELLO base peers) still parse every response:
-/// the v4 deadline/retry-after fields are strictly version-gated.
-#[test]
-fn old_protocol_peers_parse_all_responses_on_both_engines() {
-    let _wd = watchdog("old_protocol_peers", Duration::from_secs(60));
-    let (_store, server) = server_with(2, ServerConfig::default());
-    for version in 1..proto::PROTOCOL_VERSION {
-        let (mut stream, mut rbuf, v) = raw_hello(server.local_addr(), version);
-        assert_eq!(v, version, "server must negotiate down to v{version}");
-        let key = format!("k-{version}").into_bytes();
-        send_req(
-            &mut stream,
-            2,
-            &proto::Request::Put { key: key.clone(), value: b"old".to_vec() },
-            0,
-            v,
-        );
-        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-        assert!(matches!(resp, Response::PutOk), "v{version}: got {resp:?}");
-        send_req(&mut stream, 3, &proto::Request::Get { key }, 0, v);
-        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-        match resp {
-            Response::Value(Some(val)) => assert_eq!(val, b"old"),
-            other => panic!("v{version}: want value, got {other:?}"),
-        }
-        send_req(&mut stream, 4, &proto::Request::Stats, 0, v);
-        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-        match resp {
-            Response::Stats(s) => {
-                assert_eq!(s.shards, 2, "v{version}");
-                // v4 fields are not on the pre-v4 wire: decode 0.
-                assert_eq!(s.ops_shed_overload, 0);
-                assert_eq!(s.queue_delay_ms, 0);
-                assert_eq!(s.slow_disconnects, 0);
-            }
-            other => panic!("v{version}: want stats, got {other:?}"),
-        }
-        send_req(&mut stream, 5, &proto::Request::Health, 0, v);
-        let (_, resp) = read_resp(&mut stream, &mut rbuf, v);
-        match resp {
-            Response::Health(h) => assert_eq!(h.shards.len(), 2),
-            other => panic!("v{version}: want health, got {other:?}"),
-        }
-    }
     server.shutdown();
 }
