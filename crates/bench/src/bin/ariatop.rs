@@ -3,8 +3,8 @@
 //! Polls the `METRICS` opcode over aria-net, diffs consecutive
 //! snapshots, and renders a refreshing per-shard view: throughput,
 //! p50/p95/p99 store latency, counter-cache hit ratio, live keys,
-//! quarantine state, violations, plus the network plane and the
-//! slow-op tail.
+//! quarantine state, violations, plus the network plane and the span
+//! counts (slow runs themselves are listed by `ariatrace`).
 //!
 //! ```sh
 //! cargo run --release -p aria-bench --bin ariatop -- \
@@ -228,13 +228,16 @@ fn render(addr: &str, snap: &TelemetrySnapshot, delta: &TelemetrySnapshot, secs:
             quarantines,
         );
     }
-    if snap.traces.spans_recorded > 0 {
+    if snap.traces.spans_recorded + snap.traces.tail_spans > 0 {
         use aria_telemetry::stage;
         let t = &delta.traces;
         println!(
-            "traces: {:.0} span/s ({} total)  hot {}  cold {}  queue-wait p99 {}us  exec p99 {}us",
+            "traces: {:.0} span/s ({} total)  tail {:.0}/s ({} total)  hot {}  cold {}  \
+             queue-wait p99 {}us  exec p99 {}us",
             t.spans_recorded as f64 / secs,
             snap.traces.spans_recorded,
+            t.tail_spans as f64 / secs,
+            snap.traces.tail_spans,
             snap.traces.hot_spans,
             snap.traces.cold_spans,
             us(t.stage_nanos.get(stage::DEQUEUE).map_or(0, |h| h.percentile(0.99))),
@@ -252,36 +255,5 @@ fn render(addr: &str, snap: &TelemetrySnapshot, delta: &TelemetrySnapshot, secs:
             .map(|(i, &v)| format!("{}={v}", FAULT_SITE_NAMES.get(i).copied().unwrap_or("unknown")))
             .collect();
         println!("chaos: {injected} injected ({})", sites.join(" "));
-    }
-
-    if !snap.slow_ops.is_empty() {
-        let tail: Vec<Vec<String>> = snap
-            .slow_ops
-            .iter()
-            .rev()
-            .take(8)
-            .map(|op| {
-                vec![
-                    op.seq.to_string(),
-                    op.shard.to_string(),
-                    op.kind.name().to_string(),
-                    format!("{:016x}", op.key_hash),
-                    op.batch.to_string(),
-                    us(op.total_nanos),
-                    op.index_probes.to_string(),
-                    op.counter_fetches.to_string(),
-                    op.verify_depth.to_string(),
-                    op.crypt_bytes.to_string(),
-                ]
-            })
-            .collect();
-        print_table(
-            &format!("slow ops (newest first, {} dropped)", snap.slow_dropped),
-            &[
-                "seq", "shard", "kind", "keyhash", "batch", "tot us", "probes", "fetch", "depth",
-                "crypt B",
-            ],
-            &tail,
-        );
     }
 }

@@ -1,11 +1,13 @@
 //! ariatrace — live critical-path viewer for a running Aria server.
 //!
-//! Attaches over aria-net, streams sampled request spans through the
-//! `TRACE` opcode (resume cursors keep each poll incremental), and
-//! renders the per-stage critical path: how long sampled requests
+//! Attaches over aria-net, streams spans through the `TRACE` opcode
+//! (resume cursors keep each poll incremental), and renders the
+//! per-stage critical path of the head-sampled requests: how long they
 //! spent in decode → admission → shard queue → execute → encode →
-//! flush, split per shard and hot-vs-cold. `--dump` instead asks the
-//! server's flight recorder for its JSON post-mortem and prints it.
+//! flush, split per shard and hot-vs-cold. Below it, the newest tail
+//! spans: store runs that crossed the server's slow threshold, with
+//! their per-run cost attribution. `--dump` instead asks the server's
+//! flight recorder for its JSON post-mortem and prints it.
 //!
 //! ```sh
 //! cargo run --release -p aria-bench --bin ariatrace -- \
@@ -22,7 +24,7 @@ use std::time::Duration;
 
 use aria_bench::{print_table, Args};
 use aria_net::{AriaClient, ClientConfig};
-use aria_telemetry::{outcome, stage, Span, STAGE_NAMES};
+use aria_telemetry::{outcome, stage, Span, NET_OP_NAMES, STAGE_NAMES};
 
 fn main() {
     let args = Args::parse();
@@ -119,31 +121,40 @@ fn stage_delta(span: &Span, st: usize) -> Option<u64> {
     Some(end.saturating_sub(start))
 }
 
-/// Whole-span latency: first stamp to last stamp.
-fn span_total(span: &Span) -> u64 {
-    let first = span.stages.iter().copied().find(|&s| s != 0).unwrap_or(0);
-    let last = span.stages.iter().rev().copied().find(|&s| s != 0).unwrap_or(0);
-    last.saturating_sub(first)
-}
-
-fn render(addr: &str, spans: &[Span], total: u64, raw: usize, clear: bool) {
+fn render(addr: &str, all: &[Span], total: u64, raw: usize, clear: bool) {
     if clear {
         print!("\x1b[2J\x1b[H");
     }
+    let (tail, spans): (Vec<Span>, Vec<Span>) = all.iter().partition(|s| s.is_tail());
     let shed = spans.iter().filter(|s| s.outcome == outcome::SHED).count();
     let errors = spans.iter().filter(|s| s.outcome == outcome::ERROR).count();
     println!(
-        "ariatrace — {addr} — {} new span(s) ({} total, {} shed, {} error)",
-        spans.len(),
+        "ariatrace — {addr} — {} new span(s) ({} total, {} shed, {} error, {} slow run(s))",
+        all.len(),
         total,
         shed,
         errors,
+        tail.len(),
     );
     if spans.is_empty() {
         println!("no sampled spans this window (is the client sampling? --trace-sample N)");
-        return;
+    } else {
+        render_head(&spans);
     }
+    if !tail.is_empty() {
+        render_tail(&tail);
+    }
+    if raw > 0 {
+        for span in all.iter().rev().take(raw) {
+            let mut line = String::new();
+            aria_telemetry::span_json(&mut line, span);
+            println!("{line}");
+        }
+    }
+}
 
+/// Critical path and per-shard split of the head-sampled spans.
+fn render_head(spans: &[Span]) {
     // Critical path: stage-to-stage latency across every new span.
     let mut rows = Vec::new();
     for (st, name) in STAGE_NAMES.iter().enumerate().take(stage::COUNT).skip(1) {
@@ -156,7 +167,7 @@ fn render(addr: &str, spans: &[Span], total: u64, raw: usize, clear: bool) {
             pct_us(&nanos, 0.99),
         ]);
     }
-    let mut totals: Vec<u64> = spans.iter().map(span_total).collect();
+    let mut totals: Vec<u64> = spans.iter().map(Span::total_nanos).collect();
     totals.sort_unstable();
     rows.push(vec![
         "total".to_string(),
@@ -173,10 +184,10 @@ fn render(addr: &str, spans: &[Span], total: u64, raw: usize, clear: bool) {
     let mut rows = Vec::new();
     for shard in shards {
         let on: Vec<&Span> = spans.iter().filter(|s| s.shard == shard).collect();
-        let mut totals: Vec<u64> = on.iter().map(|s| span_total(s)).collect();
+        let mut totals: Vec<u64> = on.iter().map(|s| s.total_nanos()).collect();
         totals.sort_unstable();
-        let cold = on.iter().filter(|s| s.cold_reads > 0).count();
-        let verify: u64 = on.iter().map(|s| s.verify_depth).sum();
+        let cold = on.iter().filter(|s| s.is_cold()).count();
+        let verify: u64 = on.iter().map(|s| s.attribution.verify_depth).sum();
         rows.push(vec![
             if shard == u32::MAX { "-".to_string() } else { shard.to_string() },
             on.len().to_string(),
@@ -192,12 +203,31 @@ fn render(addr: &str, spans: &[Span], total: u64, raw: usize, clear: bool) {
         &["shard", "spans", "p50 us", "p99 us", "hot", "cold", "verify lvls"],
         &rows,
     );
+}
 
-    if raw > 0 {
-        for span in spans.iter().rev().take(raw) {
-            let mut line = String::new();
-            aria_telemetry::span_json(&mut line, span);
-            println!("{line}");
-        }
-    }
+/// The newest tail spans: slow store runs with their attribution.
+fn render_tail(tail: &[Span]) {
+    let rows: Vec<Vec<String>> = tail
+        .iter()
+        .rev()
+        .take(8)
+        .map(|s| {
+            let a = &s.attribution;
+            vec![
+                s.shard.to_string(),
+                NET_OP_NAMES.get(s.kind as usize).copied().unwrap_or("?").to_string(),
+                s.ops.to_string(),
+                format!("{:.1}", s.total_nanos() as f64 / 1e3),
+                a.index_probes.to_string(),
+                a.counter_fetches.to_string(),
+                a.verify_depth.to_string(),
+                a.crypt_bytes.to_string(),
+            ]
+        })
+        .collect();
+    print_table(
+        "slow runs (tail)",
+        &["shard", "kind", "ops", "exec us", "probes", "fetches", "depth", "crypt B"],
+        &rows,
+    );
 }

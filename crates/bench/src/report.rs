@@ -16,7 +16,10 @@ use crate::harness::RunResult;
 /// * 3 — netbench points and the chaosbench document embed a
 ///   `telemetry` snapshot (counters + trimmed histogram bucket arrays,
 ///   see `aria_telemetry::TelemetrySnapshot::to_json`).
-pub const SCHEMA_VERSION: u32 = 3;
+/// * 4 — the embedded telemetry drops the slow-op count and its drop
+///   count (slow store runs are tail spans) and gains
+///   `traces.tail_spans`.
+pub const SCHEMA_VERSION: u32 = 4;
 
 /// The git revision results are stamped with, so `results/*.json*` and
 /// committed `BENCH_*` snapshots stay comparable across PRs. Resolution
@@ -132,7 +135,8 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
-/// Append rows to `<out>/<experiment>.jsonl`.
+/// Write rows to `<out>/<experiment>.jsonl`, replacing what an earlier
+/// run left there: one file holds one run.
 pub fn write_jsonl(out_dir: &str, experiment: &str, rows: &[Row]) {
     let dir = Path::new(out_dir);
     if fs::create_dir_all(dir).is_err() {
@@ -140,7 +144,7 @@ pub fn write_jsonl(out_dir: &str, experiment: &str, rows: &[Row]) {
         return;
     }
     let path = dir.join(format!("{experiment}.jsonl"));
-    let mut file = match fs::OpenOptions::new().create(true).append(true).open(&path) {
+    let mut file = match fs::File::create(&path) {
         Ok(f) => f,
         Err(e) => {
             eprintln!("warning: cannot open {path:?}: {e}");
@@ -150,7 +154,7 @@ pub fn write_jsonl(out_dir: &str, experiment: &str, rows: &[Row]) {
     for row in rows {
         let _ = writeln!(file, "{}", row.to_json());
     }
-    println!("\nresults appended to {}", path.display());
+    println!("\nresults written to {}", path.display());
 }
 
 /// Count the `aria-flight-*.json` post-mortems under `dir` and read
@@ -233,5 +237,31 @@ mod tests {
         assert!(json.contains("\"git_rev\":\""), "{json}");
         assert!(json.contains("\"experiment\":\"exp\""), "{json}");
         assert!(!git_rev().is_empty());
+    }
+
+    fn row(series: &str) -> Row {
+        Row {
+            experiment: "exp".to_string(),
+            series: series.to_string(),
+            x: "x".to_string(),
+            throughput: 1.0,
+            cycles: 1,
+            ops: 1,
+            page_faults: 0,
+            macs: 0,
+            epc_used: 0,
+        }
+    }
+
+    #[test]
+    fn write_jsonl_keeps_only_the_latest_run() {
+        let dir = std::env::temp_dir().join(format!("aria-report-{}", std::process::id()));
+        let out = dir.to_str().expect("utf-8 temp dir");
+        write_jsonl(out, "exp", &[row("first"), row("first")]);
+        write_jsonl(out, "exp", &[row("second")]);
+        let body = fs::read_to_string(dir.join("exp.jsonl")).expect("results file");
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(body.lines().count(), 1, "{body}");
+        assert!(body.contains("\"series\":\"second\""), "{body}");
     }
 }

@@ -640,7 +640,8 @@ impl AriaClient {
         }
     }
 
-    /// Full telemetry snapshot (metrics + slow-op traces) of the server.
+    /// Full telemetry snapshot (metrics plus span counts) of the server;
+    /// the spans themselves stream through [`AriaClient::trace_spans`].
     ///
     /// A decode failure means the peer speaks an incompatible telemetry
     /// codec version and is reported as [`NetError::UnexpectedResponse`].
@@ -652,8 +653,10 @@ impl AriaClient {
         }
     }
 
-    /// Stream the server's sampled spans, resuming from `cursors`
-    /// (per-shard-ring positions; empty = everything still buffered).
+    /// Stream the server's spans, resuming from `cursors` (one position
+    /// per shard ring, then the tail ring's; empty = everything still
+    /// buffered). Tail spans ([`aria_telemetry::Span::is_tail`]) are
+    /// slow store runs rather than sampled requests.
     /// Returns the spans plus the cursors to pass on the next call.
     pub fn trace_spans(
         &mut self,
@@ -668,7 +671,7 @@ impl AriaClient {
     }
 
     /// Request an on-demand flight-recorder post-mortem (JSON: trigger
-    /// reason, recent system events, and the buffered sampled spans).
+    /// reason, recent system events, and the buffered spans).
     pub fn flight_dump(&mut self) -> Result<String, NetError> {
         match self.one(Request::Trace { mode: 1, cursors: Vec::new() })? {
             Response::Trace(bytes) => {

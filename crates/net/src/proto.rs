@@ -342,7 +342,8 @@ pub enum Request {
     Stats,
     /// Per-shard health (quarantine state machine).
     Health,
-    /// Full telemetry snapshot (metrics + slow-op traces).
+    /// Full telemetry snapshot (metrics plus span counts; the spans
+    /// themselves stream through `Trace`).
     Metrics,
     /// Versioned handshake, carrying the client's protocol version and
     /// the feature bits it would like enabled. Optional — a client that
@@ -354,8 +355,9 @@ pub enum Request {
         /// Feature bits the client requests (see [`features`]).
         features: u64,
     },
-    /// Fetch tracing data. Mode 0 streams sampled spans newer than the
-    /// supplied per-ring cursors (the reply carries new cursors to
+    /// Fetch tracing data. Mode 0 streams spans (head-sampled requests,
+    /// then tail spans for slow store runs) newer than the supplied
+    /// per-ring cursors (the reply carries new cursors to
     /// resume from); mode 1 requests a flight-recorder post-mortem
     /// dump. Control-plane: answerable while shedding, never carries
     /// the data-op trailers.

@@ -78,11 +78,12 @@ impl AriaServer {
             // once per unhealthy transition.)
             store.start_maintenance((window / 4).max(Duration::from_millis(10)));
         }
-        // The hub shares the store's live recorders and slow-op tracer,
-        // so a METRICS snapshot covers every layer below the socket.
+        // The hub shares the store's live recorders and span rings, so a
+        // METRICS snapshot covers every layer below the socket and TRACE
+        // streams the store's tail spans beside the sampled requests.
         let tele = Arc::new(TelemetryHub::with_parts(
             store.telemetry().to_vec(),
-            Arc::clone(store.slow_ops()),
+            Arc::clone(store.traces()),
         ));
         let shared = Arc::new(Shared {
             shutdown: AtomicBool::new(false),

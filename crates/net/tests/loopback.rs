@@ -494,7 +494,11 @@ fn store_panic_is_contained_and_the_connection_keeps_serving() {
 fn sampled_requests_stream_spans_end_to_end() {
     use aria_telemetry::{outcome, stage};
     let _wd = watchdog("sampled_requests_stream_spans_end_to_end", Duration::from_secs(120));
-    let server = AriaServer::bind("127.0.0.1:0", sharded(2), ServerConfig::default()).unwrap();
+    let store = sharded(2);
+    // A slow run (likely in a debug build) would add a tail span to the
+    // stream; this test pins the head-sampled path only.
+    store.traces().set_tail_threshold_nanos(u64::MAX);
+    let server = AriaServer::bind("127.0.0.1:0", store, ServerConfig::default()).unwrap();
     let mut client = AriaClient::connect(
         server.local_addr(),
         ClientConfig { trace_sample: 1, ..quick_config() },
@@ -511,7 +515,7 @@ fn sampled_requests_stream_spans_end_to_end() {
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let spans = loop {
         let (spans, cursors) = client.trace_spans(&[]).unwrap();
-        assert!(!cursors.is_empty(), "one resume cursor per trace ring");
+        assert_eq!(cursors.len(), 3, "one resume cursor per shard ring, then the tail ring");
         if spans.len() >= 3 {
             break spans;
         }
@@ -544,7 +548,10 @@ fn sampled_requests_stream_spans_end_to_end() {
     );
     // Executed spans attribute their cache traffic: the get and the
     // multi-get hit the hot tier.
-    assert!(spans.iter().any(|s| s.hot_hits > 0), "no span attributed a hot hit: {spans:?}");
+    assert!(
+        spans.iter().any(|s| s.attribution.hot_hits > 0),
+        "no span attributed a hot hit: {spans:?}"
+    );
 
     // A wire-requested flight dump renders the JSON post-mortem.
     let dump = client.flight_dump().expect("mode-1 TRACE answers with a dump");

@@ -121,7 +121,8 @@ use std::time::{Duration, Instant};
 
 use aria_sim::{EnclaveSnapshot, EnclaveStats};
 use aria_telemetry::{
-    stage as trace_stage, OpKind as TeleOpKind, ShardTelemetry, SlowOp, SlowOpTracer, SpanCell,
+    clock_nanos, stage as trace_stage, Attribution, Histogram, ShardTelemetry, Span, SpanCell,
+    TraceHub, DEFAULT_TRACE_CAPACITY,
 };
 
 use crate::btree::KvPair;
@@ -597,7 +598,7 @@ pub(crate) struct Inner<S: KvStore + Send + 'static> {
     pub(crate) ctls: Vec<GroupCtl>,
     pub(crate) tele: Vec<Arc<ShardTelemetry>>,
     factory: Box<Factory<S>>,
-    slow_ops: Arc<SlowOpTracer>,
+    traces: Arc<TraceHub>,
     pub(crate) shutdown: AtomicBool,
     /// Every background thread the store started (maintenance tickers,
     /// re-syncs, the reshard driver, detached closures); [`teardown`]
@@ -754,7 +755,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
                 .collect(),
             tele: (0..slots).map(|_| Arc::new(ShardTelemetry::default())).collect(),
             factory: Box::new(factory),
-            slow_ops: Arc::new(SlowOpTracer::default()),
+            traces: Arc::new(TraceHub::new(slots, DEFAULT_TRACE_CAPACITY)),
             shutdown: AtomicBool::new(false),
             threads: Mutex::new(Vec::new()),
             resync_fault: RwLock::new(None),
@@ -787,9 +788,11 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         &self.inner.tele
     }
 
-    /// The slow-op tracer every slot records into.
-    pub fn slow_ops(&self) -> &Arc<SlowOpTracer> {
-        &self.inner.slow_ops
+    /// The span rings: every slot publishes its slow runs into the tail
+    /// ring, and a server publishes its sampled requests into the
+    /// per-shard rings.
+    pub fn traces(&self) -> &Arc<TraceHub> {
+        &self.inner.traces
     }
 
     /// Number of shard groups the store is sized for (logical shards;
@@ -1939,33 +1942,15 @@ fn execute_batch<S: KvStore + Send + 'static>(
     let n = ops.len() as u64;
     let started = Instant::now();
     tele.store.batch_size.observe(n);
-    // Trace stamps and attribution baselines only when a sampled
-    // request rode along (rare); the un-sampled hot path sees one
-    // `is_empty` branch. ENQUEUE → DEQUEUE is the wait for the lock.
-    let trace_base = if spans.is_empty() {
-        None
-    } else {
-        for s in spans {
-            s.stamp(trace_stage::DEQUEUE);
-            s.stamp(trace_stage::EXEC_START);
-        }
-        Some((
-            tele.cache.verify_depth.sum(),
-            tele.store.cold_read_latency.count(),
-            tele.cache.hits.get(),
-        ))
-    };
-    let mut replies = apply_ops_validated(inner, slot, store, ops);
-    if let Some((verify0, cold0, hot0)) = trace_base {
-        let verify = tele.cache.verify_depth.sum().saturating_sub(verify0);
-        let cold = tele.store.cold_read_latency.count().saturating_sub(cold0);
-        let hot = tele.cache.hits.get().saturating_sub(hot0);
-        for s in spans {
-            s.stamp(trace_stage::EXEC_END);
-            // Batch-level deltas: every sampled span in the batch
-            // shares the coalesced run's cost.
-            s.add_attribution(verify, cold, hot);
-        }
+    // ENQUEUE → DEQUEUE is the wait for the lock. The runs add their
+    // attribution to every sampled span in the batch (`apply_ops`).
+    for s in spans {
+        s.stamp(trace_stage::DEQUEUE);
+        s.stamp(trace_stage::EXEC_START);
+    }
+    let mut replies = apply_ops_validated(inner, slot, store, ops, spans);
+    for s in spans {
+        s.stamp(trace_stage::EXEC_END);
     }
     let per_op = (started.elapsed().as_nanos() as u64) / n.max(1);
     let prev = st.ewma_op_ns.load(Ordering::Relaxed);
@@ -2013,6 +1998,7 @@ fn apply_ops_validated<S: KvStore + Send + 'static>(
     slot: usize,
     store: &mut S,
     ops: &[BatchOp],
+    spans: &[Arc<SpanCell>],
 ) -> Vec<BatchReply> {
     let group = slot / inner.replicas;
     let routing = &inner.routing;
@@ -2032,11 +2018,11 @@ fn apply_ops_validated<S: KvStore + Send + 'static>(
     };
     let verdicts: Vec<Option<StoreError>> = ops.iter().map(verdict).collect();
     if verdicts.iter().all(Option::is_none) {
-        return apply_ops(inner, slot, store, ops);
+        return apply_ops(inner, slot, store, ops, spans);
     }
     let kept: Vec<BatchOp> =
         ops.iter().zip(&verdicts).filter(|(_, v)| v.is_none()).map(|(op, _)| op.clone()).collect();
-    let mut applied = apply_ops(inner, slot, store, &kept).into_iter();
+    let mut applied = apply_ops(inner, slot, store, &kept, spans).into_iter();
     ops.iter()
         .zip(verdicts)
         .map(|(op, v)| match v {
@@ -2046,90 +2032,46 @@ fn apply_ops_validated<S: KvStore + Send + 'static>(
         .collect()
 }
 
-/// Pre-segment readings of the per-shard activity counters. The slow-op
-/// tracer attributes a run's time to stages by differencing these
-/// around the run — no per-stage clocks on the hot path.
-struct SegmentProbe {
-    start: Instant,
-    index_probes: u64,
-    counter_fetches: u64,
-    verify_sum: u64,
-    admit_evict: u64,
-    crypt_bytes: u64,
-}
-
-impl SegmentProbe {
-    fn begin<S: KvStore>(store: &S, t: &ShardTelemetry) -> Option<SegmentProbe> {
-        if !aria_telemetry::enabled() {
-            return None;
-        }
-        Some(SegmentProbe {
-            start: Instant::now(),
-            index_probes: t.store.index_probes.get(),
-            counter_fetches: t.cache.hits.get() + t.cache.misses.get(),
-            verify_sum: t.cache.verify_depth.sum(),
-            admit_evict: t.cache.inserts.get() + t.cache.evictions.get(),
-            crypt_bytes: store.enclave().bytes_crypted(),
-        })
-    }
-
-    /// Close the segment: record per-op latency for the run and, if the
-    /// amortized per-op time crossed the tracer threshold, a structured
-    /// slow-op span built from the counter deltas.
-    #[allow(clippy::too_many_arguments)]
-    fn finish<S: KvStore>(
-        self,
-        store: &S,
-        t: &ShardTelemetry,
-        slow_ops: &SlowOpTracer,
-        shard: u32,
-        kind: TeleOpKind,
-        first_key: &[u8],
-        n: u64,
-    ) {
-        let elapsed = self.start.elapsed().as_nanos() as u64;
-        let per_op = elapsed / n.max(1);
-        match kind {
-            TeleOpKind::Get => t.store.get_latency.observe_n(per_op, n),
-            TeleOpKind::Put => t.store.put_latency.observe_n(per_op, n),
-            TeleOpKind::Delete => t.store.delete_latency.observe_n(per_op, n),
-            TeleOpKind::Other => {}
-        }
-        if per_op < slow_ops.threshold_nanos() {
-            return;
-        }
-        slow_ops.record(SlowOp {
-            seq: 0, // assigned by the tracer
-            shard,
-            kind,
-            key_hash: splitmix64(fnv1a(first_key)),
-            batch: n.min(u32::MAX as u64) as u32,
-            total_nanos: elapsed,
-            index_probes: t.store.index_probes.get().saturating_sub(self.index_probes),
-            counter_fetches: (t.cache.hits.get() + t.cache.misses.get())
-                .saturating_sub(self.counter_fetches),
-            verify_depth: t.cache.verify_depth.sum().saturating_sub(self.verify_sum),
-            cache_admit_evict: (t.cache.inserts.get() + t.cache.evictions.get())
-                .saturating_sub(self.admit_evict),
-            crypt_bytes: store.enclave().bytes_crypted().saturating_sub(self.crypt_bytes),
-        });
+/// One reading of the slot's activity counters; a run's [`Attribution`]
+/// is the difference of two readings taken around it, so the hot path
+/// needs no per-stage clocks.
+fn attribution_reading<S: KvStore>(store: &S, t: &ShardTelemetry) -> Attribution {
+    let hits = t.cache.hits.get();
+    // A histogram count sums 64 buckets. Every cold read takes a
+    // nonzero time, so a zero sum means a zero count: a store without
+    // a cold tier pays one load here, not 64.
+    let cold = &t.store.cold_read_latency;
+    Attribution {
+        index_probes: t.store.index_probes.get(),
+        counter_fetches: hits + t.cache.misses.get(),
+        verify_depth: t.cache.verify_depth.sum(),
+        cache_admit_evict: t.cache.inserts.get() + t.cache.evictions.get(),
+        crypt_bytes: store.enclave().bytes_crypted(),
+        cold_reads: if cold.sum() == 0 { 0 } else { cold.count() },
+        hot_hits: hits,
     }
 }
 
 /// Apply a batch, feeding maximal same-kind runs to the batched trait
-/// methods so stores that amortize per-request costs get to.
+/// methods so stores that amortize per-request costs get to. Each run
+/// records its amortized per-op latency; its counter deltas go to the
+/// sampled `spans` and, when the run crossed the tail threshold, into a
+/// tail span.
 fn apply_ops<S: KvStore + Send + 'static>(
     inner: &Inner<S>,
     slot: usize,
     store: &mut S,
     ops: &[BatchOp],
+    spans: &[Arc<SpanCell>],
 ) -> Vec<BatchReply> {
     let tele = &inner.tele[slot];
     let mut out = Vec::with_capacity(ops.len());
     let mut i = 0;
     while i < ops.len() {
-        let probe = SegmentProbe::begin(store, tele);
-        let (kind, j) = match &ops[i] {
+        let before =
+            aria_telemetry::enabled().then(|| (Instant::now(), attribution_reading(store, tele)));
+        // `kind` is the op's position in `NET_OP_NAMES`.
+        let (latency, kind, j): (&Histogram, u8, usize) = match &ops[i] {
             BatchOp::Get(_) => {
                 let mut j = i;
                 while j < ops.len() && matches!(ops[j], BatchOp::Get(_)) {
@@ -2137,7 +2079,7 @@ fn apply_ops<S: KvStore + Send + 'static>(
                 }
                 let keys: Vec<&[u8]> = ops[i..j].iter().map(BatchOp::key).collect();
                 out.extend(store.multi_get(&keys).into_iter().map(BatchReply::Get));
-                (TeleOpKind::Get, j)
+                (&tele.store.get_latency, 1, j)
             }
             BatchOp::Put(..) => {
                 let mut j = i;
@@ -2152,7 +2094,7 @@ fn apply_ops<S: KvStore + Send + 'static>(
                     })
                     .collect();
                 out.extend(store.put_batch(&pairs).into_iter().map(BatchReply::Put));
-                (TeleOpKind::Put, j)
+                (&tele.store.put_latency, 2, j)
             }
             BatchOp::Delete(_) => {
                 let mut j = i;
@@ -2162,12 +2104,26 @@ fn apply_ops<S: KvStore + Send + 'static>(
                 for op in &ops[i..j] {
                     out.push(BatchReply::Delete(store.delete(op.key())));
                 }
-                (TeleOpKind::Delete, j)
+                (&tele.store.delete_latency, 3, j)
             }
         };
-        if let Some(probe) = probe {
+        if let Some((started, reading)) = before {
+            let elapsed = started.elapsed().as_nanos() as u64;
             let n = (j - i) as u64;
-            probe.finish(store, tele, &inner.slow_ops, slot as u32, kind, ops[i].key(), n);
+            let per_op = elapsed / n;
+            latency.observe_n(per_op, n);
+            let slow = per_op >= inner.traces.tail_threshold_nanos();
+            if slow || !spans.is_empty() {
+                let run = attribution_reading(store, tele).since(&reading);
+                for s in spans {
+                    s.add_attribution(&run);
+                }
+                if slow {
+                    let end = clock_nanos();
+                    let start = end.saturating_sub(elapsed).max(1);
+                    inner.traces.publish_tail(&Span::tail(slot as u32, kind, n, start, end, run));
+                }
+            }
         }
         i = j;
     }
@@ -2330,6 +2286,10 @@ mod tests {
             assert_ne!(span.stages[st], 0, "stage {st} unstamped: {span:?}");
         }
         assert!(span.stages_monotone(), "stage stamps out of order: {span:?}");
+        if aria_telemetry::enabled() {
+            let a = span.attribution;
+            assert!(a.index_probes > 0 && a.crypt_bytes > 0, "run cost not attributed: {a:?}");
+        }
         for (g, group_replies) in got.iter().enumerate() {
             if g == group_of[0] {
                 assert_eq!(
@@ -2339,6 +2299,39 @@ mod tests {
             } else {
                 assert!(group_replies.is_empty(), "group {g} had no ops");
             }
+        }
+    }
+
+    #[test]
+    fn slow_runs_become_tail_spans() {
+        let store = small_sharded(2);
+        store.traces().set_tail_threshold_nanos(0);
+        // One put run then one get run, on one group: two tail spans.
+        let keys: Vec<Vec<u8>> = (0..40u32).map(|i| format!("t{i}").into_bytes()).collect();
+        let group = store.shard_of(&keys[0]);
+        let mine: Vec<&Vec<u8>> = keys.iter().filter(|k| store.shard_of(k) == group).collect();
+        let mut ops: Vec<BatchOp> =
+            mine.iter().map(|k| BatchOp::Put(k.to_vec(), b"v".to_vec())).collect();
+        ops.extend(mine.iter().map(|k| BatchOp::Get(k.to_vec())));
+        store.run_batch(ops);
+        let (spans, _) = store.traces().read_since(&[]);
+        if !aria_telemetry::enabled() {
+            assert!(spans.is_empty());
+            return;
+        }
+        assert_eq!(spans.len(), 2, "{spans:?}");
+        assert_eq!(store.traces().summary().tail_spans, 2);
+        assert_eq!(store.traces().summary().stage_nanos[trace_stage::EXEC_END].count(), 0);
+        for (s, name) in spans.iter().zip(["put", "get"]) {
+            assert!(s.is_tail());
+            assert_eq!(aria_telemetry::NET_OP_NAMES[s.kind as usize], name);
+            assert_eq!(s.shard as usize, group);
+            assert_eq!(s.ops as usize, mine.len());
+            assert_ne!(s.stages[trace_stage::EXEC_START], 0, "{s:?}");
+            assert!(s.stages[trace_stage::EXEC_END] >= s.stages[trace_stage::EXEC_START]);
+            assert!(s.attribution.index_probes > 0, "{s:?}");
+            assert!(s.attribution.counter_fetches > 0, "{s:?}");
+            assert!(s.attribution.crypt_bytes > 0, "{s:?}");
         }
     }
 

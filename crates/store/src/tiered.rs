@@ -1045,6 +1045,36 @@ mod tests {
     }
 
     #[test]
+    fn tail_spans_count_cold_reads_through_the_sharded_front_end() {
+        use crate::sharded::{BatchOp, ShardedStore};
+        let dir = tmpdir("tail-cold");
+        let factory_dir = dir.clone();
+        let store = ShardedStore::with_shards(1, move |_| {
+            TieredStore::open(hot_store(), MASTER, opts(&factory_dir))
+        })
+        .unwrap();
+        store.run_batch((0..200).map(|i| BatchOp::Put(key(i), value(i))).collect());
+        let cold = store.with_shard(0, |s: &mut TieredStore<AriaHash>| {
+            s.maintain().unwrap();
+            s.cold.len()
+        });
+        assert!(cold > 0, "the hot budget forced no migration");
+        store.traces().set_tail_threshold_nanos(0);
+        store.run_batch((0..200).map(|i| BatchOp::Get(key(i))).collect());
+        let (spans, _) = store.traces().read_since(&[]);
+        let cold_reads: u64 = spans.iter().map(|s| s.attribution.cold_reads).sum();
+        let observed = store.telemetry()[0].store.cold_read_latency.count();
+        if aria_telemetry::enabled() {
+            assert!(observed > 0, "no cold GET was served");
+            assert_eq!(cold_reads, observed, "tail spans miscount cold reads: {spans:?}");
+        } else {
+            assert_eq!(cold_reads, 0);
+        }
+        drop(store);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn put_get_delete_with_tiering() {
         let dir = tmpdir("basic");
         let mut s = TieredStore::open(hot_store(), MASTER, opts(&dir)).unwrap();

@@ -14,8 +14,7 @@ use crate::hub::{
     VIOLATION_CLASSES,
 };
 use crate::metrics::{HistSnapshot, BUCKETS};
-use crate::span::{stage, Span, TraceSummary};
-use crate::trace::{OpKind, SlowOp};
+use crate::span::{stage, Attribution, Span, TraceSummary};
 
 /// Magic prefix of an encoded snapshot.
 pub const MAGIC: [u8; 4] = *b"ATEL";
@@ -23,8 +22,9 @@ pub const MAGIC: [u8; 4] = *b"ATEL";
 /// Magic prefix of an encoded span stream (`TRACE` opcode payload).
 pub const SPANS_MAGIC: [u8; 4] = *b"ATRC";
 
-/// Version of the span-stream layout.
-const SPANS_VERSION: u32 = 1;
+/// Version of the span-stream layout. v2 carries all seven
+/// [`Attribution`] counters per span (v1 carried three).
+const SPANS_VERSION: u32 = 2;
 
 /// Decoding failure.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -148,11 +148,6 @@ impl TelemetrySnapshot {
         }
         encode_net(&mut b, &self.net);
         put_counters(&mut b, &self.chaos.injected);
-        put_u32(&mut b, self.slow_ops.len() as u32);
-        for op in &self.slow_ops {
-            encode_slow_op(&mut b, op);
-        }
-        put_u64(&mut b, self.slow_dropped);
         encode_traces(&mut b, &self.traces);
         b
     }
@@ -175,31 +170,17 @@ impl TelemetrySnapshot {
         let shards = (0..nshards).map(|_| decode_shard(&mut c)).collect::<Result<Vec<_>, _>>()?;
         let net = decode_net(&mut c)?;
         let chaos = ChaosSnapshot { injected: c.counters(FAULT_SITES)? };
-        let nslow = c.u32()? as usize;
-        if nslow > MAX_LIST {
-            return Err(CodecError::Malformed);
-        }
-        let slow_ops = (0..nslow).map(|_| decode_slow_op(&mut c)).collect::<Result<Vec<_>, _>>()?;
-        let slow_dropped = c.u64()?;
         let traces = decode_traces(&mut c)?;
         if !c.finished() {
             return Err(CodecError::Malformed);
         }
-        Ok(TelemetrySnapshot {
-            version,
-            unix_millis,
-            shards,
-            net,
-            chaos,
-            slow_ops,
-            slow_dropped,
-            traces,
-        })
+        Ok(TelemetrySnapshot { version, unix_millis, shards, net, chaos, traces })
     }
 }
 
 fn encode_traces(b: &mut Vec<u8>, t: &TraceSummary) {
     put_u64(b, t.spans_recorded);
+    put_u64(b, t.tail_spans);
     put_u64(b, t.cold_spans);
     put_u64(b, t.hot_spans);
     put_u32(b, t.stage_nanos.len() as u32);
@@ -210,6 +191,7 @@ fn encode_traces(b: &mut Vec<u8>, t: &TraceSummary) {
 
 fn decode_traces(c: &mut Cursor<'_>) -> Result<TraceSummary, CodecError> {
     let spans_recorded = c.u64()?;
+    let tail_spans = c.u64()?;
     let cold_spans = c.u64()?;
     let hot_spans = c.u64()?;
     let nstages = c.u32()? as usize;
@@ -217,7 +199,7 @@ fn decode_traces(c: &mut Cursor<'_>) -> Result<TraceSummary, CodecError> {
         return Err(CodecError::Malformed);
     }
     let stage_nanos = (0..nstages).map(|_| c.hist()).collect::<Result<Vec<_>, _>>()?;
-    Ok(TraceSummary { spans_recorded, cold_spans, hot_spans, stage_nanos })
+    Ok(TraceSummary { spans_recorded, tail_spans, cold_spans, hot_spans, stage_nanos })
 }
 
 fn encode_span(b: &mut Vec<u8>, s: &Span) {
@@ -226,12 +208,9 @@ fn encode_span(b: &mut Vec<u8>, s: &Span) {
     b.push(s.kind);
     b.push(s.outcome);
     put_u32(b, s.ops);
-    for &st in &s.stages {
-        put_u64(b, st);
+    for v in s.stages.into_iter().chain(s.attribution.to_words()) {
+        put_u64(b, v);
     }
-    put_u64(b, s.verify_depth);
-    put_u64(b, s.cold_reads);
-    put_u64(b, s.hot_hits);
 }
 
 fn decode_span(c: &mut Cursor<'_>) -> Result<Span, CodecError> {
@@ -244,6 +223,10 @@ fn decode_span(c: &mut Cursor<'_>) -> Result<Span, CodecError> {
     for st in stages.iter_mut() {
         *st = c.u64()?;
     }
+    let mut attribution = [0u64; Attribution::WORDS];
+    for a in attribution.iter_mut() {
+        *a = c.u64()?;
+    }
     Ok(Span {
         trace_id,
         shard,
@@ -251,9 +234,7 @@ fn decode_span(c: &mut Cursor<'_>) -> Result<Span, CodecError> {
         outcome,
         ops,
         stages,
-        verify_depth: c.u64()?,
-        cold_reads: c.u64()?,
-        hot_hits: c.u64()?,
+        attribution: Attribution::from_words(attribution),
     })
 }
 
@@ -511,40 +492,6 @@ fn decode_net(c: &mut Cursor<'_>) -> Result<NetSnapshot, CodecError> {
     })
 }
 
-fn encode_slow_op(b: &mut Vec<u8>, op: &SlowOp) {
-    put_u64(b, op.seq);
-    put_u32(b, op.shard);
-    b.push(op.kind as u8);
-    put_u64(b, op.key_hash);
-    put_u32(b, op.batch);
-    for v in [
-        op.total_nanos,
-        op.index_probes,
-        op.counter_fetches,
-        op.verify_depth,
-        op.cache_admit_evict,
-        op.crypt_bytes,
-    ] {
-        put_u64(b, v);
-    }
-}
-
-fn decode_slow_op(c: &mut Cursor<'_>) -> Result<SlowOp, CodecError> {
-    Ok(SlowOp {
-        seq: c.u64()?,
-        shard: c.u32()?,
-        kind: OpKind::from_u8(c.u8()?),
-        key_hash: c.u64()?,
-        batch: c.u32()?,
-        total_nanos: c.u64()?,
-        index_probes: c.u64()?,
-        counter_fetches: c.u64()?,
-        verify_depth: c.u64()?,
-        cache_admit_evict: c.u64()?,
-        crypt_bytes: c.u64()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -589,20 +536,8 @@ mod tests {
         hub.net.ops_shed_overload.add(9);
         hub.chaos.record_injection(3);
         hub.chaos.record_injection(7);
-        hub.slow_ops.record(crate::trace::SlowOp {
-            seq: 0,
-            shard: 1,
-            kind: OpKind::Put,
-            key_hash: 42,
-            batch: 4,
-            total_nanos: 500_000,
-            index_probes: 9,
-            counter_fetches: 4,
-            verify_depth: 6,
-            cache_admit_evict: 2,
-            crypt_bytes: 256,
-        });
         hub.traces.publish(&sample_span(7, 1));
+        hub.traces.publish_tail(&Span::tail(1, 2, 4, 10, 500_010, sample_attribution()));
         hub.snapshot()
     }
 
@@ -618,7 +553,17 @@ mod tests {
             outcome: 0,
             ops: 3,
             stages,
-            verify_depth: 9,
+            attribution: sample_attribution(),
+        }
+    }
+
+    fn sample_attribution() -> Attribution {
+        Attribution {
+            index_probes: 9,
+            counter_fetches: 4,
+            verify_depth: 6,
+            cache_admit_evict: 2,
+            crypt_bytes: 256,
             cold_reads: 1,
             hot_hits: 2,
         }
@@ -630,6 +575,9 @@ mod tests {
         let bytes = s.encode();
         let back = TelemetrySnapshot::decode(&bytes).expect("decode");
         assert_eq!(back, s);
+        if crate::enabled() {
+            assert_eq!(back.traces.tail_spans, 1);
+        }
     }
 
     #[test]
@@ -652,8 +600,9 @@ mod tests {
 
     #[test]
     fn spans_round_trip() {
-        let spans: Vec<Span> = (0..5).map(|i| sample_span(i, i as u32 % 2)).collect();
-        let cursors = vec![3u64, 2];
+        let mut spans: Vec<Span> = (0..5).map(|i| sample_span(i + 1, i as u32 % 2)).collect();
+        spans.push(Span::tail(0, 1, 70_000, 10, 20, sample_attribution()));
+        let cursors = vec![3u64, 2, 1];
         let bytes = encode_spans(&spans, &cursors);
         let (back, cur) = decode_spans(&bytes).expect("decode");
         assert_eq!(back, spans);

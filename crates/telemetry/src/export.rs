@@ -177,10 +177,9 @@ impl TelemetrySnapshot {
             let name = FAULT_SITE_NAMES.get(i).copied().unwrap_or("unknown");
             prom_line(&mut o, "aria_chaos_injected_total", &format!("site=\"{name}\""), v);
         }
-        prom_line(&mut o, "aria_slow_ops", "", self.slow_ops.len() as u64);
-        prom_line(&mut o, "aria_slow_ops_dropped_total", "", self.slow_dropped);
         let t = &self.traces;
         prom_line(&mut o, "aria_trace_spans_recorded_total", "", t.spans_recorded);
+        prom_line(&mut o, "aria_trace_tail_spans_total", "", t.tail_spans);
         prom_line(&mut o, "aria_trace_cold_spans_total", "", t.cold_spans);
         prom_line(&mut o, "aria_trace_hot_spans_total", "", t.hot_spans);
         // Index 0 (decode) has no preceding stage and stays empty.
@@ -255,16 +254,11 @@ impl TelemetrySnapshot {
             let name = FAULT_SITE_NAMES.get(i).copied().unwrap_or("unknown");
             o.push_str(&format!("\"{name}\":{v}"));
         }
-        o.push_str(&format!(
-            "}},\"slow_ops\":{},\"slow_ops_dropped\":{}",
-            self.slow_ops.len(),
-            self.slow_dropped
-        ));
         let t = &self.traces;
         o.push_str(&format!(
-            ",\"traces\":{{\"spans_recorded\":{},\"cold_spans\":{},\"hot_spans\":{},\
-             \"stage_nanos\":{{",
-            t.spans_recorded, t.cold_spans, t.hot_spans
+            "}},\"traces\":{{\"spans_recorded\":{},\"tail_spans\":{},\"cold_spans\":{},\
+             \"hot_spans\":{},\"stage_nanos\":{{",
+            t.spans_recorded, t.tail_spans, t.cold_spans, t.hot_spans
         ));
         let mut first = true;
         for (i, h) in t.stage_nanos.iter().enumerate() {
@@ -387,7 +381,7 @@ fn shard_json(o: &mut String, s: &ShardSnapshot) {
 #[cfg(test)]
 mod tests {
     use crate::hub::TelemetryHub;
-    use crate::span::{stage, Span};
+    use crate::span::{stage, Attribution, Span};
 
     fn traced_hub() -> TelemetryHub {
         let hub = TelemetryHub::with_shards(1);
@@ -402,9 +396,7 @@ mod tests {
             outcome: 0,
             ops: 1,
             stages,
-            verify_depth: 2,
-            cold_reads: 0,
-            hot_hits: 1,
+            attribution: Attribution { verify_depth: 2, hot_hits: 1, ..Attribution::default() },
         });
         hub
     }
@@ -430,7 +422,7 @@ mod tests {
             "aria_store_admission_shed_total{shard=\"0\"}",
             "aria_store_queue_delay_nanos{shard=\"0\"}",
             "aria_chaos_injected_total{site=\"shard_stall\"}",
-            "aria_slow_ops_dropped_total",
+            "aria_trace_tail_spans_total",
             "aria_trace_spans_recorded_total",
             "aria_trace_hot_spans_total",
         ] {
@@ -484,6 +476,7 @@ mod tests {
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"shards\":["));
         assert!(j.contains("\"traces\":{\"spans_recorded\":"));
+        assert!(j.contains("\"tail_spans\":0"));
         if crate::enabled() {
             assert!(j.contains("\"admit\":{\"buckets\":"));
         }

@@ -16,7 +16,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::metrics::{Counter, Gauge, HistSnapshot, Histogram};
 use crate::recorder::FlightRecorder;
 use crate::span::{TraceHub, TraceSummary, DEFAULT_TRACE_CAPACITY};
-use crate::trace::{SlowOp, SlowOpTracer};
 
 /// Version of the snapshot layout carried on the wire.
 ///
@@ -39,7 +38,10 @@ use crate::trace::{SlowOp, SlowOpTracer};
 /// `reshards_aborted` to the store section), grew the chaos site table
 /// to 15 (`migration_stream_tamper`, `target_kill`,
 /// `stale_epoch_replay`) and the net opcode table to 12 (`reshard`).
-pub const SNAPSHOT_VERSION: u32 = 7;
+/// v8 removed the slow-op section (its ops and drop count; slow store
+/// runs are tail spans now) and added `tail_spans` to the `traces`
+/// section.
+pub const SNAPSHOT_VERSION: u32 = 8;
 
 /// Number of integrity-violation classes (mirrors the store's
 /// `Violation` variants / wire error codes 1..=7).
@@ -1056,8 +1058,7 @@ impl ShardSnapshot {
 }
 
 /// Process-wide telemetry: per-shard bundles plus the net and chaos
-/// sections, the slow-op tracer, the span rings, and the flight
-/// recorder.
+/// sections, the span rings, and the flight recorder.
 pub struct TelemetryHub {
     /// Per-shard bundles.
     pub shards: Vec<Arc<ShardTelemetry>>,
@@ -1065,9 +1066,7 @@ pub struct TelemetryHub {
     pub net: Arc<NetTelemetry>,
     /// Chaos section.
     pub chaos: Arc<ChaosTelemetry>,
-    /// Slow-op ring.
-    pub slow_ops: Arc<SlowOpTracer>,
-    /// Per-shard span rings (end-to-end request tracing).
+    /// Span rings: head-sampled requests and tail-retained slow runs.
     pub traces: Arc<TraceHub>,
     /// Black-box event ring + anomaly dump renderer.
     pub recorder: Arc<FlightRecorder>,
@@ -1077,8 +1076,8 @@ impl TelemetryHub {
     /// Hub over existing per-shard bundles (e.g. from a running
     /// `ShardedStore`).
     pub fn new(shards: Vec<Arc<ShardTelemetry>>) -> Self {
-        let slow_ops = Arc::new(SlowOpTracer::default());
-        Self::with_parts(shards, slow_ops)
+        let traces = Arc::new(TraceHub::new(shards.len(), DEFAULT_TRACE_CAPACITY));
+        Self::with_parts(shards, traces)
     }
 
     /// Hub with `n` freshly created shard bundles.
@@ -1086,31 +1085,26 @@ impl TelemetryHub {
         Self::new((0..n).map(|_| Arc::new(ShardTelemetry::default())).collect())
     }
 
-    /// Hub over existing shard bundles *and* an existing slow-op tracer
-    /// (the one the store's shards already record into).
-    pub fn with_parts(shards: Vec<Arc<ShardTelemetry>>, slow_ops: Arc<SlowOpTracer>) -> Self {
-        let n = shards.len();
+    /// Hub over existing shard bundles *and* an existing trace hub
+    /// (the one the store's shards publish tail spans into).
+    pub fn with_parts(shards: Vec<Arc<ShardTelemetry>>, traces: Arc<TraceHub>) -> Self {
         TelemetryHub {
             shards,
             net: Arc::new(NetTelemetry::default()),
             chaos: Arc::new(ChaosTelemetry::default()),
-            slow_ops,
-            traces: Arc::new(TraceHub::new(n.max(1), DEFAULT_TRACE_CAPACITY)),
+            traces,
             recorder: Arc::new(FlightRecorder::default()),
         }
     }
 
     /// Point-in-time copy of everything.
     pub fn snapshot(&self) -> TelemetrySnapshot {
-        let (slow_ops, slow_dropped) = self.slow_ops.snapshot();
         TelemetrySnapshot {
             version: SNAPSHOT_VERSION,
             unix_millis: unix_millis(),
             shards: self.shards.iter().map(|s| s.snapshot()).collect(),
             net: self.net.snapshot(),
             chaos: self.chaos.snapshot(),
-            slow_ops,
-            slow_dropped,
             traces: self.traces.summary(),
         }
     }
@@ -1129,11 +1123,7 @@ pub struct TelemetrySnapshot {
     pub net: NetSnapshot,
     /// Chaos section.
     pub chaos: ChaosSnapshot,
-    /// Recent slow ops, oldest first.
-    pub slow_ops: Vec<SlowOp>,
-    /// Slow ops dropped from the ring.
-    pub slow_dropped: u64,
-    /// Trace section: sampled-span volume and per-stage latency.
+    /// Trace section: span volume and per-stage latency.
     pub traces: TraceSummary,
 }
 
@@ -1145,8 +1135,6 @@ impl Default for TelemetrySnapshot {
             shards: Vec::new(),
             net: NetSnapshot::default(),
             chaos: ChaosSnapshot::default(),
-            slow_ops: Vec::new(),
-            slow_dropped: 0,
             traces: TraceSummary::default(),
         }
     }
@@ -1163,8 +1151,7 @@ impl TelemetrySnapshot {
     }
 
     /// Activity since `earlier`. Shards are matched by index; shards
-    /// missing from `earlier` are reported in full. Slow ops are
-    /// filtered to those newer than `earlier`'s latest.
+    /// missing from `earlier` are reported in full.
     pub fn delta(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
         let empty = ShardSnapshot::default();
         let shards = self
@@ -1173,20 +1160,12 @@ impl TelemetrySnapshot {
             .enumerate()
             .map(|(i, s)| s.delta(earlier.shards.get(i).unwrap_or(&empty)))
             .collect();
-        let horizon = earlier.slow_ops.last().map(|o| o.seq);
         TelemetrySnapshot {
             version: self.version,
             unix_millis: self.unix_millis,
             shards,
             net: self.net.delta(&earlier.net),
             chaos: self.chaos.delta(&earlier.chaos),
-            slow_ops: self
-                .slow_ops
-                .iter()
-                .filter(|o| horizon.map_or(true, |h| o.seq > h))
-                .cloned()
-                .collect(),
-            slow_dropped: self.slow_dropped.saturating_sub(earlier.slow_dropped),
             traces: self.traces.delta(&earlier.traces),
         }
     }

@@ -2,7 +2,8 @@
 //!
 //! Low-overhead observability plane for the Aria store: lock-free
 //! counters/gauges and log2-bucketed histograms with mergeable
-//! snapshot-and-delta semantics, a bounded slow-op tracer, and three
+//! snapshot-and-delta semantics, one tracing plane (head-sampled
+//! request spans plus tail spans for slow store runs), and three
 //! exports — a versioned binary snapshot (for the `METRICS` wire
 //! opcode), a Prometheus-style text exposition, and hand-written JSON
 //! for bench result rows.
@@ -11,8 +12,8 @@
 //!
 //! * **The hot path is one relaxed atomic add.** Recording a counter
 //!   never locks, allocates, or fences; histograms are two relaxed
-//!   adds. Slow paths (slow-op spans, health transitions, snapshots)
-//!   may take a mutex.
+//!   adds. Slow paths (health transitions, snapshots) may take a
+//!   mutex; span rings never do.
 //! * **Telemetry is untrusted state.** Nothing here is security
 //!   metadata: counters live in ordinary host memory, are not
 //!   MAC-protected, and are never consulted by verification logic. A
@@ -31,7 +32,6 @@ mod hub;
 mod metrics;
 mod recorder;
 mod span;
-mod trace;
 
 pub use codec::{decode_spans, encode_spans, CodecError, MAGIC, SPANS_MAGIC};
 pub use hub::{
@@ -49,10 +49,9 @@ pub use recorder::{
     DEFAULT_FLIGHT_EVENTS, DEFAULT_SHED_SPIKE, SHARD_NONE,
 };
 pub use span::{
-    clock_nanos, outcome, stage, Span, SpanCell, TraceHub, TraceRing, TraceSummary,
+    clock_nanos, outcome, stage, Attribution, Span, SpanCell, TraceHub, TraceRing, TraceSummary,
     DEFAULT_TRACE_CAPACITY, STAGE_NAMES,
 };
-pub use trace::{OpKind, SlowOp, SlowOpTracer, DEFAULT_SLOW_OP_CAPACITY, DEFAULT_SLOW_OP_NANOS};
 
 /// `true` when the telemetry plane is compiled in (the `telemetry-off`
 /// feature is **not** active).

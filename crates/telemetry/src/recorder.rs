@@ -1,7 +1,7 @@
 //! Black-box flight recorder: a bounded ring of recent system events
 //! (quarantines, failovers, re-syncs, shed spikes, watchdog fires,
 //! checkpoints) plus a JSON post-mortem renderer that bundles those
-//! events with the most recent sampled spans.
+//! events with the most recent spans (head-sampled and tail).
 //!
 //! The recorder never touches a request hot path. A watcher (the
 //! server's recorder thread) polls [`TelemetrySnapshot`]s at a coarse
@@ -19,7 +19,7 @@ use std::sync::Mutex;
 
 use crate::hub::{unix_millis, TelemetrySnapshot};
 use crate::metrics::Counter;
-use crate::span::{Span, STAGE_NAMES};
+use crate::span::{Attribution, Span, STAGE_NAMES};
 
 /// Kinds of system events the recorder tracks. Stable `u8` encoding.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -347,14 +347,14 @@ pub fn span_json(o: &mut String, s: &Span) {
         o.push_str(&v.to_string());
     }
     o.push_str(&format!(
-        "],\"monotone\":{},\"total_nanos\":{},\"verify_depth\":{},\"cold_reads\":{},\
-         \"hot_hits\":{}}}",
+        "],\"monotone\":{},\"total_nanos\":{}",
         s.stages_monotone(),
-        s.total_nanos(),
-        s.verify_depth,
-        s.cold_reads,
-        s.hot_hits
+        s.total_nanos()
     ));
+    for (name, v) in Attribution::NAMES.iter().zip(s.attribution.to_words()) {
+        o.push_str(&format!(",\"{name}\":{v}"));
+    }
+    o.push('}');
 }
 
 fn json_escape(s: &str) -> String {
@@ -376,7 +376,7 @@ fn json_escape(s: &str) -> String {
 mod tests {
     use super::*;
     use crate::hub::TelemetryHub;
-    use crate::span::{outcome, stage};
+    use crate::span::{outcome, stage, TraceHub};
 
     fn sample_span() -> Span {
         let mut stages = [0u64; stage::COUNT];
@@ -390,9 +390,7 @@ mod tests {
             outcome: outcome::OK,
             ops: 1,
             stages,
-            verify_depth: 2,
-            cold_reads: 1,
-            hot_hits: 0,
+            attribution: Attribution { verify_depth: 2, cold_reads: 1, ..Attribution::default() },
         }
     }
 
@@ -489,6 +487,38 @@ mod tests {
             "\"trace_id\":7",
             "\"monotone\":true",
             "\"cold_reads\":1",
+        ] {
+            assert!(j.contains(needle), "missing {needle} in:\n{j}");
+        }
+    }
+
+    #[test]
+    fn dump_carries_a_slow_run_with_its_attribution() {
+        let hub = TraceHub::new(2, 8);
+        hub.publish(&sample_span());
+        let attribution = Attribution {
+            index_probes: 11,
+            counter_fetches: 5,
+            verify_depth: 7,
+            cache_admit_evict: 3,
+            crypt_bytes: 512,
+            cold_reads: 2,
+            hot_hits: 4,
+        };
+        hub.publish_tail(&Span::tail(1, 2, 70_000, 5_000, 905_000, attribution));
+        let (spans, _) = hub.read_since(&[]);
+        let j = FlightRecorder::default().render_dump("request", &[], &spans);
+        if !crate::enabled() {
+            assert!(j.contains("\"spans\":[]"), "{j}");
+            return;
+        }
+        for needle in [
+            "\"trace_id\":0,\"shard\":1,\"kind\":2,\"outcome\":0,\"ops\":70000",
+            "\"stages\":[0,0,0,0,5000,905000,0,0]",
+            "\"total_nanos\":900000,\"index_probes\":11,\"counter_fetches\":5,\
+             \"verify_depth\":7,\"cache_admit_evict\":3,\"crypt_bytes\":512,\"cold_reads\":2,\
+             \"hot_hits\":4}",
+            "\"trace_id\":7",
         ] {
             assert!(j.contains(needle), "missing {needle} in:\n{j}");
         }

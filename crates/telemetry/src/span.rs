@@ -1,17 +1,23 @@
 //! End-to-end request spans: per-stage monotonic timestamps recorded
-//! into per-shard lock-free ring buffers.
+//! into lock-free ring buffers, under two retention policies.
 //!
-//! A request that carries a *sampled* trace context (in the data-op
-//! wire trailer) gets one [`SpanCell`] allocated at decode time. Every stage
-//! the request passes — decode, admission verdict, shard-queue
-//! enqueue/dequeue, execute, encode, flush — is one relaxed atomic
-//! store of [`clock_nanos`] into the cell; unsampled requests never
-//! allocate a cell, so their cost is a branch on an empty `Option`.
-//! When the response is flushed the net layer folds the cell into a
-//! plain [`Span`] and publishes it into the owning shard's
-//! [`TraceRing`], a fixed-capacity multi-writer ring readable without
+//! * **Head sampling.** A request that carries a *sampled* trace
+//!   context (in the data-op wire trailer) gets one [`SpanCell`]
+//!   allocated at decode time. Every stage the request passes — decode,
+//!   admission verdict, shard-queue enqueue/dequeue, execute, encode,
+//!   flush — is one relaxed atomic store of [`clock_nanos`] into the
+//!   cell; unsampled requests never allocate a cell, so their cost is a
+//!   branch on an empty `Option`. When the response is flushed the net
+//!   layer folds the cell into a plain [`Span`] and publishes it into
+//!   the owning shard's [`TraceRing`].
+//! * **Tail retention.** A store run whose amortized per-op time
+//!   crosses [`TraceHub::tail_threshold_nanos`] becomes one *tail span*
+//!   ([`Span::tail`], trace id 0) in the hub's separate tail ring,
+//!   whatever the sampling coin said.
+//!
+//! Rings are fixed-capacity, multi-writer and readable without
 //! consuming (cursors are reader-side), so the `TRACE` opcode, the
-//! flight recorder, and `ariatrace` can all stream the same spans.
+//! flight recorder, and `ariatrace` all stream the same spans.
 //!
 //! Like every other telemetry structure, spans are **untrusted state**:
 //! they live in ordinary host memory, are not MAC-protected, and are
@@ -87,12 +93,9 @@ pub struct SpanCell {
     /// Ops covered by this request (1 for point ops, n for batches).
     ops: AtomicU64,
     stages: [AtomicU64; stage::COUNT],
-    /// Merkle levels walked during execution (counter delta).
-    verify_depth: AtomicU64,
-    /// Cold-tier segment reads during execution (counter delta).
-    cold_reads: AtomicU64,
-    /// Hot-tier cache hits during execution (counter delta).
-    hot_hits: AtomicU64,
+    /// [`Attribution`] deltas accumulated during execution, in
+    /// [`Attribution::to_words`] order.
+    attribution: [AtomicU64; Attribution::WORDS],
 }
 
 impl SpanCell {
@@ -105,9 +108,7 @@ impl SpanCell {
             outcome: AtomicU64::new(outcome::OK as u64),
             ops: AtomicU64::new(1),
             stages: std::array::from_fn(|_| AtomicU64::new(0)),
-            verify_depth: AtomicU64::new(0),
-            cold_reads: AtomicU64::new(0),
-            hot_hits: AtomicU64::new(0),
+            attribution: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 
@@ -140,10 +141,10 @@ impl SpanCell {
     /// Add execution attribution deltas (accumulating across the
     /// coalesced runs of one batch).
     #[inline]
-    pub fn add_attribution(&self, verify_depth: u64, cold_reads: u64, hot_hits: u64) {
-        self.verify_depth.fetch_add(verify_depth, Ordering::Relaxed);
-        self.cold_reads.fetch_add(cold_reads, Ordering::Relaxed);
-        self.hot_hits.fetch_add(hot_hits, Ordering::Relaxed);
+    pub fn add_attribution(&self, a: &Attribution) {
+        for (w, v) in self.attribution.iter().zip(a.to_words()) {
+            w.fetch_add(v, Ordering::Relaxed);
+        }
     }
 
     /// Fold the cell into a plain [`Span`] (relaxed loads).
@@ -155,38 +156,138 @@ impl SpanCell {
             outcome: self.outcome.load(Ordering::Relaxed) as u8,
             ops: self.ops.load(Ordering::Relaxed) as u32,
             stages: std::array::from_fn(|i| self.stages[i].load(Ordering::Relaxed)),
-            verify_depth: self.verify_depth.load(Ordering::Relaxed),
-            cold_reads: self.cold_reads.load(Ordering::Relaxed),
-            hot_hits: self.hot_hits.load(Ordering::Relaxed),
+            attribution: Attribution::from_words(std::array::from_fn(|i| {
+                self.attribution[i].load(Ordering::Relaxed)
+            })),
         }
     }
 }
 
-/// One completed request span: plain data, wire-encodable.
+/// Execution cost of a store run, as deltas of the executing shard's
+/// activity counters taken around it — no per-stage clocks on the hot
+/// path. The store differences two readings ([`Attribution::since`]);
+/// a span carries the result.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Attribution {
+    /// Index cells (bucket heads / chain `next` pointers) probed.
+    pub index_probes: u64,
+    /// Counter-cache fetches (hits + misses) performed.
+    pub counter_fetches: u64,
+    /// Merkle levels walked before verification stopped.
+    pub verify_depth: u64,
+    /// Cache admissions plus evictions triggered.
+    pub cache_admit_evict: u64,
+    /// Bytes run through the cipher (seal + open).
+    pub crypt_bytes: u64,
+    /// Cold-tier segment reads.
+    pub cold_reads: u64,
+    /// Counter-cache hits.
+    pub hot_hits: u64,
+}
+
+impl Attribution {
+    /// Number of counters (ring words, codec fields).
+    pub const WORDS: usize = 7;
+
+    /// Stable field names, in [`Attribution::to_words`] order.
+    pub const NAMES: [&'static str; Attribution::WORDS] = [
+        "index_probes",
+        "counter_fetches",
+        "verify_depth",
+        "cache_admit_evict",
+        "crypt_bytes",
+        "cold_reads",
+        "hot_hits",
+    ];
+
+    /// Field-wise saturating difference: `self` read after `earlier`.
+    pub fn since(&self, earlier: &Attribution) -> Attribution {
+        let (a, b) = (self.to_words(), earlier.to_words());
+        Attribution::from_words(std::array::from_fn(|i| a[i].saturating_sub(b[i])))
+    }
+
+    /// The counters in [`Attribution::NAMES`] order.
+    pub fn to_words(&self) -> [u64; Attribution::WORDS] {
+        [
+            self.index_probes,
+            self.counter_fetches,
+            self.verify_depth,
+            self.cache_admit_evict,
+            self.crypt_bytes,
+            self.cold_reads,
+            self.hot_hits,
+        ]
+    }
+
+    /// Inverse of [`Attribution::to_words`].
+    pub fn from_words(w: [u64; Attribution::WORDS]) -> Attribution {
+        Attribution {
+            index_probes: w[0],
+            counter_fetches: w[1],
+            verify_depth: w[2],
+            cache_admit_evict: w[3],
+            crypt_bytes: w[4],
+            cold_reads: w[5],
+            hot_hits: w[6],
+        }
+    }
+}
+
+/// One completed span: plain data, wire-encodable. A head-sampled
+/// span covers one request; a tail span ([`Span::tail`]) covers one
+/// slow store run and carries no key, value or key hash (DESIGN.md
+/// §17).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
-    /// Wire trace id.
+    /// Wire trace id (0 for a tail span).
     pub trace_id: u64,
     /// Executing shard.
     pub shard: u32,
-    /// Request op-index.
+    /// Request op-index (`NET_OP_NAMES` position).
     pub kind: u8,
     /// Outcome byte (see [`outcome`]).
     pub outcome: u8,
-    /// Ops covered (1 for point ops).
+    /// Ops covered (1 for point ops, the run length for a tail span).
     pub ops: u32,
     /// [`clock_nanos`] at each stage, index = [`stage`] constant;
     /// 0 = the stage was never reached (e.g. shed before enqueue).
     pub stages: [u64; stage::COUNT],
-    /// Merkle levels walked during execution.
-    pub verify_depth: u64,
-    /// Cold-tier segment reads during execution.
-    pub cold_reads: u64,
-    /// Hot-tier cache hits during execution.
-    pub hot_hits: u64,
+    /// Execution cost attributed from counter deltas.
+    pub attribution: Attribution,
 }
 
 impl Span {
+    /// Tail span for one slow store run on `shard`: `ops` ops of op-index
+    /// `kind`, executed between `exec_start` and `exec_end`
+    /// ([`clock_nanos`]). Only the two exec stages are stamped.
+    pub fn tail(
+        shard: u32,
+        kind: u8,
+        ops: u64,
+        exec_start: u64,
+        exec_end: u64,
+        attribution: Attribution,
+    ) -> Span {
+        let mut stages = [0u64; stage::COUNT];
+        stages[stage::EXEC_START] = exec_start;
+        stages[stage::EXEC_END] = exec_end;
+        Span {
+            trace_id: 0,
+            shard,
+            kind,
+            outcome: outcome::OK,
+            ops: ops.min(u32::MAX as u64) as u32,
+            stages,
+            attribution,
+        }
+    }
+
+    /// Whether this is a tail span (a slow store run, not a sampled
+    /// request: sampled requests always carry a nonzero trace id).
+    pub fn is_tail(&self) -> bool {
+        self.trace_id == 0
+    }
+
     /// Whether every stamped stage is in causal order (later stages,
     /// when present, never precede earlier ones). Unstamped stages (0)
     /// are skipped.
@@ -225,24 +326,21 @@ impl Span {
 
     /// Whether the executing shard read from the cold tier.
     pub fn is_cold(&self) -> bool {
-        self.cold_reads > 0
+        self.attribution.cold_reads > 0
     }
 }
 
-/// Words a span packs into inside a ring slot.
-const SPAN_WORDS: usize = 2 + stage::COUNT + 3;
+/// Words a span packs into inside a ring slot: trace id, shard | ops,
+/// kind | outcome, the stages, the attribution.
+const SPAN_WORDS: usize = 3 + stage::COUNT + Attribution::WORDS;
 
 fn span_to_words(s: &Span) -> [u64; SPAN_WORDS] {
     let mut w = [0u64; SPAN_WORDS];
     w[0] = s.trace_id;
-    w[1] = (s.shard as u64)
-        | ((s.kind as u64) << 32)
-        | ((s.outcome as u64) << 40)
-        | (((s.ops.min(u16::MAX as u32)) as u64) << 48);
-    w[2..2 + stage::COUNT].copy_from_slice(&s.stages);
-    w[2 + stage::COUNT] = s.verify_depth;
-    w[3 + stage::COUNT] = s.cold_reads;
-    w[4 + stage::COUNT] = s.hot_hits;
+    w[1] = (s.shard as u64) | ((s.ops as u64) << 32);
+    w[2] = (s.kind as u64) | ((s.outcome as u64) << 8);
+    w[3..3 + stage::COUNT].copy_from_slice(&s.stages);
+    w[3 + stage::COUNT..].copy_from_slice(&s.attribution.to_words());
     w
 }
 
@@ -250,13 +348,11 @@ fn span_from_words(w: &[u64; SPAN_WORDS]) -> Span {
     Span {
         trace_id: w[0],
         shard: w[1] as u32,
-        kind: (w[1] >> 32) as u8,
-        outcome: (w[1] >> 40) as u8,
-        ops: ((w[1] >> 48) & 0xFFFF) as u32,
-        stages: std::array::from_fn(|i| w[2 + i]),
-        verify_depth: w[2 + stage::COUNT],
-        cold_reads: w[3 + stage::COUNT],
-        hot_hits: w[4 + stage::COUNT],
+        ops: (w[1] >> 32) as u32,
+        kind: w[2] as u8,
+        outcome: (w[2] >> 8) as u8,
+        stages: std::array::from_fn(|i| w[3 + i]),
+        attribution: Attribution::from_words(std::array::from_fn(|i| w[3 + stage::COUNT + i])),
     }
 }
 
@@ -342,14 +438,21 @@ impl TraceRing {
     }
 }
 
-/// Per-shard span rings plus publish-time aggregates: stage-latency
-/// histograms over the *deltas* between consecutive stamped stages, and
-/// hot/cold execution counters. Owned by the
-/// [`TelemetryHub`](crate::TelemetryHub).
+/// Span rings plus publish-time aggregates. Head-sampled spans go to
+/// one ring per shard and feed the stage-latency histograms (over the
+/// *deltas* between consecutive stamped stages) and the hot/cold
+/// counters; tail spans go to one separate ring, so a 1-in-1 sampling
+/// storm cannot evict slow runs, and feed only [`TraceHub::tail_spans`],
+/// so the aggregates stay unbiased head samples. Owned by the store
+/// and shared with the [`TelemetryHub`](crate::TelemetryHub).
 pub struct TraceHub {
     rings: Vec<TraceRing>,
-    /// Spans published since start.
+    tail: TraceRing,
+    tail_threshold_nanos: AtomicU64,
+    /// Head-sampled spans published since start.
     pub spans_recorded: Counter,
+    /// Tail spans (slow store runs) published since start.
+    pub tail_spans: Counter,
     /// Stage-to-stage latency histograms (nanos); index = the *ending*
     /// stage (`stage_nanos[stage::ADMIT]` is decode→admit time, …).
     /// Index [`stage::DECODE`] is unused and stays empty.
@@ -360,32 +463,59 @@ pub struct TraceHub {
     pub hot_spans: Counter,
 }
 
+/// Default tail threshold: 200µs of wall time per (amortized) op.
+const DEFAULT_TAIL_THRESHOLD_NANOS: u64 = 200_000;
+
 impl TraceHub {
-    /// Hub with one ring of `capacity` spans per shard.
+    /// Hub with one ring of `capacity` spans per shard plus a tail ring
+    /// of the same capacity.
     pub fn new(shards: usize, capacity: usize) -> TraceHub {
+        // Anchor the span clock now, so a run timed from before the
+        // first stamp still maps to a positive `clock_nanos` start.
+        clock_nanos();
         TraceHub {
             rings: (0..shards.max(1)).map(|_| TraceRing::new(capacity)).collect(),
+            tail: TraceRing::new(capacity),
+            tail_threshold_nanos: AtomicU64::new(DEFAULT_TAIL_THRESHOLD_NANOS),
             spans_recorded: Counter::new(),
+            tail_spans: Counter::new(),
             stage_nanos: (0..stage::COUNT).map(|_| Histogram::new()).collect(),
             cold_spans: Counter::new(),
             hot_spans: Counter::new(),
         }
     }
 
-    /// Number of rings (== shards).
+    /// Number of head rings (== shards).
     pub fn rings(&self) -> usize {
         self.rings.len()
     }
 
-    /// The ring for `shard` (modulo the ring count, so a routing layer
-    /// with more groups than rings still lands somewhere).
+    /// The head ring for `shard` (modulo the ring count, so a routing
+    /// layer with more groups than rings still lands somewhere).
     pub fn ring(&self, shard: u32) -> &TraceRing {
         &self.rings[shard as usize % self.rings.len()]
     }
 
-    /// Publish a completed span into its shard's ring and fold its
-    /// stage deltas into the aggregate histograms. Not a hot path: only
-    /// sampled requests reach it.
+    /// Amortized per-op nanoseconds at or above which a store run is
+    /// published as a tail span. Returns `u64::MAX` under
+    /// `telemetry-off` so the comparison is never true.
+    #[inline]
+    pub fn tail_threshold_nanos(&self) -> u64 {
+        if crate::enabled() {
+            self.tail_threshold_nanos.load(Ordering::Relaxed)
+        } else {
+            u64::MAX
+        }
+    }
+
+    /// Adjust the tail threshold at runtime.
+    pub fn set_tail_threshold_nanos(&self, nanos: u64) {
+        self.tail_threshold_nanos.store(nanos, Ordering::Relaxed);
+    }
+
+    /// Publish a completed head-sampled span into its shard's ring and
+    /// fold its stage deltas into the aggregate histograms. Not a hot
+    /// path: only requests that won the 1-in-N sampling coin reach it.
     pub fn publish(&self, span: &Span) {
         if !crate::enabled() {
             return;
@@ -411,12 +541,23 @@ impl TraceHub {
         }
     }
 
-    /// Read every ring since the matching cursor (missing/extra cursors
-    /// are treated as 0), returning all spans plus the new cursors.
+    /// Publish a tail span ([`Span::tail`]) into the tail ring. It
+    /// counts only in [`TraceHub::tail_spans`].
+    pub fn publish_tail(&self, span: &Span) {
+        if !crate::enabled() {
+            return;
+        }
+        self.tail.publish(span);
+        self.tail_spans.inc();
+    }
+
+    /// Read every head ring, then the tail ring, since the matching
+    /// cursor (missing/extra cursors are treated as 0), returning all
+    /// spans plus the new cursors (the tail ring's is last).
     pub fn read_since(&self, cursors: &[u64]) -> (Vec<Span>, Vec<u64>) {
         let mut spans = Vec::new();
-        let mut next = Vec::with_capacity(self.rings.len());
-        for (i, ring) in self.rings.iter().enumerate() {
+        let mut next = Vec::with_capacity(self.rings.len() + 1);
+        for (i, ring) in self.rings.iter().chain([&self.tail]).enumerate() {
             let (mut s, n) = ring.read_since(cursors.get(i).copied().unwrap_or(0));
             spans.append(&mut s);
             next.push(n);
@@ -428,6 +569,7 @@ impl TraceHub {
     pub fn summary(&self) -> TraceSummary {
         TraceSummary {
             spans_recorded: self.spans_recorded.get(),
+            tail_spans: self.tail_spans.get(),
             cold_spans: self.cold_spans.get(),
             hot_spans: self.hot_spans.get(),
             stage_nanos: self.stage_nanos.iter().map(|h| h.snapshot()).collect(),
@@ -439,8 +581,10 @@ impl TraceHub {
 /// section of [`TelemetrySnapshot`](crate::TelemetrySnapshot).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceSummary {
-    /// Spans published since start.
+    /// Head-sampled spans published since start.
     pub spans_recorded: u64,
+    /// Tail spans (slow store runs) published since start.
+    pub tail_spans: u64,
     /// Sampled requests whose execution touched the cold tier.
     pub cold_spans: u64,
     /// Sampled requests served entirely from the hot tier.
@@ -455,6 +599,7 @@ impl Default for TraceSummary {
     fn default() -> Self {
         TraceSummary {
             spans_recorded: 0,
+            tail_spans: 0,
             cold_spans: 0,
             hot_spans: 0,
             stage_nanos: (0..stage::COUNT).map(|_| crate::HistSnapshot::empty()).collect(),
@@ -467,6 +612,7 @@ impl TraceSummary {
     pub fn delta(&self, earlier: &TraceSummary) -> TraceSummary {
         TraceSummary {
             spans_recorded: self.spans_recorded.saturating_sub(earlier.spans_recorded),
+            tail_spans: self.tail_spans.saturating_sub(earlier.tail_spans),
             cold_spans: self.cold_spans.saturating_sub(earlier.cold_spans),
             hot_spans: self.hot_spans.saturating_sub(earlier.hot_spans),
             stage_nanos: self
@@ -496,10 +642,21 @@ mod tests {
             outcome: outcome::OK,
             ops: 1,
             stages,
-            verify_depth: 3,
-            cold_reads: 0,
-            hot_hits: 1,
+            attribution: Attribution { verify_depth: 3, hot_hits: 1, ..Attribution::default() },
         }
+    }
+
+    fn tail_span(ops: u64) -> Span {
+        let attribution = Attribution {
+            index_probes: 9,
+            counter_fetches: 4,
+            verify_depth: 6,
+            cache_admit_evict: 2,
+            crypt_bytes: 256,
+            cold_reads: 1,
+            hot_hits: 3,
+        };
+        Span::tail(1, 2, ops, 1_000, 501_000, attribution)
     }
 
     #[test]
@@ -517,14 +674,24 @@ mod tests {
         for st in 0..stage::COUNT {
             cell.stamp(st);
         }
-        cell.add_attribution(5, 0, 2);
+        cell.add_attribution(&Attribution {
+            verify_depth: 5,
+            hot_hits: 2,
+            ..Attribution::default()
+        });
+        cell.add_attribution(&Attribution {
+            verify_depth: 1,
+            crypt_bytes: 64,
+            ..Attribution::default()
+        });
         let s = cell.to_span();
         assert_eq!(s.trace_id, 42);
         assert_eq!(s.shard, 3);
         assert!(s.stages.iter().all(|&v| v != 0));
         assert!(s.stages_monotone(), "{:?}", s.stages);
-        assert_eq!(s.verify_depth, 5);
-        assert_eq!(s.hot_hits, 2);
+        assert_eq!(s.attribution.verify_depth, 6, "runs accumulate");
+        assert_eq!(s.attribution.hot_hits, 2);
+        assert_eq!(s.attribution.crypt_bytes, 64);
         // A racing re-stamp can only move a stage forward.
         let frozen = s.stages[stage::ADMIT];
         cell.stamp(stage::ADMIT);
@@ -556,6 +723,33 @@ mod tests {
     }
 
     #[test]
+    fn ring_round_trips_full_width_ops_and_attribution() {
+        // A tail span covers a whole store run, which can exceed the
+        // 16 bits an earlier slot layout gave `ops`.
+        let ring = TraceRing::new(2);
+        let tail = tail_span(70_000);
+        ring.publish(&tail);
+        let (spans, _) = ring.read_since(0);
+        assert_eq!(spans, vec![tail]);
+        assert_eq!(spans[0].ops, 70_000);
+    }
+
+    #[test]
+    fn tail_span_shape() {
+        let s = tail_span(3);
+        assert!(s.is_tail());
+        assert!(!span(1, 0).is_tail());
+        assert_eq!(s.outcome, outcome::OK);
+        let stamped: Vec<usize> = (0..stage::COUNT).filter(|&i| s.stages[i] != 0).collect();
+        assert_eq!(stamped, vec![stage::EXEC_START, stage::EXEC_END]);
+        assert_eq!(s.total_nanos(), 500_000);
+        let a = s.attribution;
+        assert_eq!(Attribution::from_words(a.to_words()), a);
+        assert_eq!(a.since(&a), Attribution::default());
+        assert_eq!(a.since(&Attribution::default()), a);
+    }
+
+    #[test]
     fn concurrent_publishers_never_yield_torn_spans() {
         let ring = Arc::new(TraceRing::new(8));
         let writers: Vec<_> = (0..4)
@@ -567,7 +761,7 @@ mod tests {
                         // writer id, so a torn mix is detectable.
                         let mut s = span(w * 10_000 + i, w as u32);
                         s.stages = [w * 10_000 + i + 1; stage::COUNT];
-                        s.verify_depth = w * 10_000 + i + 1;
+                        s.attribution.verify_depth = w * 10_000 + i + 1;
                         ring.publish(&s);
                     }
                 })
@@ -579,10 +773,10 @@ mod tests {
             cursor = next;
             for s in spans {
                 assert_eq!(
-                    s.stages[0], s.verify_depth,
+                    s.stages[0], s.attribution.verify_depth,
                     "torn span: stages from one writer, attribution from another"
                 );
-                assert_eq!(s.trace_id + 1, s.verify_depth, "torn span header");
+                assert_eq!(s.trace_id + 1, s.attribution.verify_depth, "torn span header");
             }
         }
         for w in writers {
@@ -594,13 +788,13 @@ mod tests {
     fn hub_publishes_aggregates_and_reads_all_rings() {
         let hub = TraceHub::new(2, 8);
         let mut cold = span(1, 0);
-        cold.cold_reads = 2;
+        cold.attribution.cold_reads = 2;
         hub.publish(&cold);
         hub.publish(&span(2, 1));
         let (spans, cursors) = hub.read_since(&[]);
         if crate::enabled() {
             assert_eq!(spans.len(), 2);
-            assert_eq!(cursors, vec![1, 1]);
+            assert_eq!(cursors, vec![1, 1, 0], "two head rings, then the tail ring");
             let sum = hub.summary();
             assert_eq!(sum.spans_recorded, 2);
             assert_eq!(sum.cold_spans, 1);
@@ -613,6 +807,59 @@ mod tests {
             assert_eq!(d.stage_nanos[stage::ADMIT].count(), 0);
         } else {
             assert!(spans.is_empty());
+        }
+    }
+
+    #[test]
+    fn tail_spans_bypass_head_aggregates() {
+        let hub = TraceHub::new(2, 8);
+        hub.publish(&span(1, 0));
+        let before = hub.summary();
+        hub.publish_tail(&tail_span(4));
+        let after = hub.summary();
+        if crate::enabled() {
+            assert_eq!(after.tail_spans, 1);
+            assert_eq!(after.spans_recorded, before.spans_recorded);
+            assert_eq!(after.stage_nanos, before.stage_nanos, "tail spans fed stage_nanos");
+            assert_eq!(after.cold_spans, before.cold_spans);
+            assert_eq!(after.hot_spans, before.hot_spans);
+            let (spans, cursors) = hub.read_since(&[]);
+            assert_eq!(spans.last(), Some(&tail_span(4)), "tail ring is read last");
+            assert_eq!(cursors, vec![1, 0, 1]);
+            assert_eq!(after.delta(&before).tail_spans, 1);
+        } else {
+            assert_eq!(after.tail_spans, 0);
+            assert!(hub.read_since(&[]).0.is_empty());
+        }
+    }
+
+    #[test]
+    fn head_storm_does_not_evict_tail_spans() {
+        let hub = TraceHub::new(2, DEFAULT_TRACE_CAPACITY);
+        hub.publish_tail(&tail_span(1));
+        for i in 0..10_000 {
+            hub.publish(&span(i + 1, (i % 2) as u32));
+        }
+        let (spans, _) = hub.read_since(&[]);
+        let tails: Vec<&Span> = spans.iter().filter(|s| s.is_tail()).collect();
+        if crate::enabled() {
+            assert_eq!(tails, vec![&tail_span(1)], "head publishes evicted the tail span");
+            assert_eq!(spans.len(), 2 * DEFAULT_TRACE_CAPACITY + 1);
+        } else {
+            assert!(spans.is_empty());
+        }
+    }
+
+    #[test]
+    fn tail_threshold_defaults_and_sets() {
+        let hub = TraceHub::new(1, 4);
+        if crate::enabled() {
+            assert_eq!(hub.tail_threshold_nanos(), DEFAULT_TAIL_THRESHOLD_NANOS);
+            hub.set_tail_threshold_nanos(0);
+            assert_eq!(hub.tail_threshold_nanos(), 0);
+        } else {
+            hub.set_tail_threshold_nanos(0);
+            assert_eq!(hub.tail_threshold_nanos(), u64::MAX);
         }
     }
 

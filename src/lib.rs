@@ -23,7 +23,7 @@
 //!   untrusted boundary (bit flips, torn writes, stale-node replays),
 //!   the adversary of the `chaosbench` robustness harness;
 //! * [`telemetry`] — the lock-free observability plane: per-shard
-//!   counters/gauges/histograms, a bounded slow-op tracer, and the
+//!   counters/gauges/histograms, request and slow-run spans, and the
 //!   snapshot served by the `METRICS` wire opcode (watch it live with
 //!   the `ariatop` binary).
 //!

@@ -1,8 +1,8 @@
 //! End-to-end telemetry: the `METRICS` opcode round-trips a full
 //! snapshot over aria-net, the snapshot's cache accounting agrees with
 //! the store's own `CacheStats` to within one op, the verify-depth
-//! histogram is populated by real cache misses, slow-op spans surface
-//! over the wire, and `STATS` keeps counting quarantined shards
+//! histogram is populated by real cache misses, tail spans for slow
+//! store runs surface over the wire with their attribution, and `STATS` keeps counting quarantined shards
 //! (reporting `degraded`) instead of silently excluding them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -12,7 +12,7 @@ use std::time::Duration;
 
 use aria::prelude::*;
 use aria::store::ShardHealth;
-use aria::telemetry::SNAPSHOT_VERSION;
+use aria::telemetry::{stage, SNAPSHOT_VERSION};
 use aria::workload::encode_key;
 
 /// Abort instead of hanging the test job if a connection wedges.
@@ -61,9 +61,9 @@ fn metrics_round_trip_matches_store_accounting() {
 
     let _wd = watchdog("metrics_round_trip_matches_store_accounting", Duration::from_secs(180));
     let (store, server) = sharded_server(SHARDS);
-    // Trace every op so the slow-op ring is exercised without relying
-    // on wall-clock luck.
-    store.slow_ops().set_threshold_nanos(0);
+    // Every store run becomes a tail span, so the tail ring is
+    // exercised without relying on wall-clock luck.
+    store.traces().set_tail_threshold_nanos(0);
     let mut client = AriaClient::connect(server.local_addr(), ClientConfig::default()).unwrap();
 
     for id in 0..KEYS {
@@ -111,11 +111,24 @@ fn metrics_round_trip_matches_store_accounting() {
     assert_eq!(agg.store.keys_live, KEYS, "keys_live gauge wrong");
     assert!(agg.store.index_probes > 0, "index probes never recorded");
 
-    // With a zero threshold every batch records a span.
-    assert!(!snap.slow_ops.is_empty(), "slow-op ring stayed empty at threshold 0");
-    let op = &snap.slow_ops[0];
-    assert!((op.shard as usize) < SHARDS);
-    assert!(op.batch >= 1);
+    // With a zero threshold every run records a tail span. The client
+    // samples nothing, so every span TRACE returns is a tail span.
+    assert!(snap.traces.tail_spans > 0, "no tail span counted at threshold 0");
+    assert_eq!(snap.traces.spans_recorded, 0, "tail spans counted as head samples");
+    let (spans, cursors) = client.trace_spans(&[]).expect("TRACE round-trips");
+    assert_eq!(cursors.len(), SHARDS + 1, "one cursor per shard ring, then the tail ring");
+    assert!(!spans.is_empty(), "tail ring stayed empty at threshold 0");
+    for s in &spans {
+        assert_eq!(s.trace_id, 0, "not a tail span: {s:?}");
+        assert!((s.shard as usize) < SHARDS, "{s:?}");
+        assert!(s.ops >= 1, "{s:?}");
+        for (st, &at) in s.stages.iter().enumerate() {
+            let exec = st == stage::EXEC_START || st == stage::EXEC_END;
+            assert_eq!(at != 0, exec, "stage {st} of a tail span: {s:?}");
+        }
+    }
+    let probes: u64 = spans.iter().map(|s| s.attribution.index_probes).sum();
+    assert!(probes > 0, "tail spans carry no index probes");
 
     // The per-opcode net histograms saw our traffic (get=1, put=2).
     assert!(snap.net.op_latency[1].count() >= GETS);
