@@ -1,19 +1,47 @@
 //! chaosbench — end-to-end robustness harness for the untrusted boundary.
 //!
-//! Runs a zipfian read/write load over the real TCP service layer while
-//! a deterministic, seed-scheduled adversary (`aria-chaos`) corrupts
-//! untrusted state underneath it: bit flips and torn writes on the
-//! sealed-entry write path, stale Merkle-node replays, node flips,
-//! index-connection pointer swaps and free-list metadata tampering.
-//!
-//! The harness asserts the stack's graceful-degradation contract:
+//! One driver runs three scenarios. Each scenario brings its own store,
+//! its own adversary and its own checks; the driver gives all three the
+//! same zipfian 50/50 model clients over the real TCP service layer, the
+//! same watchdog, the same final sweep and the same verdict:
 //!
 //! * **no panic, no hang** — a watchdog kills the run (exit 2) if it
 //!   outlives its deadline;
-//! * **no acknowledged-then-wrong read** — every client tracks the last
-//!   acked value per key; a `GET` must return it (or a typed integrity
-//!   error, or a typed quarantine refusal) — never a wrong or silently
-//!   missing value;
+//! * **no acknowledged-then-wrong read** — every client keeps the set of
+//!   versions each of its keys may legally hold (the last acked write,
+//!   plus any write whose outcome an error left in doubt); a `GET` must
+//!   return one of them, never a wrong, stale or silently missing value;
+//! * **the sweep** — after the run, every key is read once more and
+//!   checked against the merged model the same way (a never-written key
+//!   must still hold its preloaded version 0). An error without a wire
+//!   code (a transport failure) counts as wrong; only the plain scenario,
+//!   whose adversary legitimately destroys entries, accepts a typed error;
+//! * **p99 below 500 ms**, and a document at `<out>/<experiment>.json`
+//!   whose `verdict` is `pass`; any failed check exits 1.
+//!
+//! ```sh
+//! cargo run --release -p aria-bench --bin chaosbench -- \
+//!     [--failover | --reshard] [--shards 4] [--clients 4] [--keys 8192] \
+//!     [--ops N] [--watchdog-secs N] [--smoke] [--seed N] [--out results] \
+//!     [--listen 127.0.0.1:0]
+//! ```
+//!
+//! `--listen` pins the server address (default: an ephemeral loopback
+//! port) so a live `ariatop --addr <listen>` can watch shard health,
+//! hit ratios and the quarantine → recovery cycle during the run; the
+//! bound address is printed either way. The committed `BENCH_chaos.json`,
+//! `BENCH_failover.json` and `BENCH_reshard.json` are snapshots of full
+//! default runs.
+//!
+//! ## Plain scenario (default; `chaos.json`)
+//!
+//! Sharded `AriaHash` under a deterministic, seed-scheduled adversary
+//! (`aria-chaos`): bit flips and torn writes on the sealed-entry write
+//! path (`HeapInjector`, `--heap-rate`), and a driver thread delivering
+//! stale Merkle-node replays, node flips, index-connection pointer swaps
+//! and free-list metadata tampering (`--driver-rate`, `--budget`). It
+//! asserts
+//!
 //! * **containment** — a violation quarantines only its shard; siblings
 //!   keep serving (probed live via the `HEALTH` opcode while a shard is
 //!   down) and at least one full quarantine → recovery → re-admission
@@ -21,35 +49,20 @@
 //! * **accountability** — every injected fault is either detected
 //!   (typed violation, shard quarantine, final-audit destruction) or
 //!   provably masked (the post-run audit re-verifies every surviving
-//!   entry and the model sweep finds no wrong answers).
+//!   entry and the sweep finds no wrong answers).
 //!
-//! ```sh
-//! cargo run --release -p aria-bench --bin chaosbench -- \
-//!     [--shards 4] [--clients 4] [--keys 8192] [--ops 120000] \
-//!     [--budget 12000] [--heap-rate 600] [--driver-rate 4000] \
-//!     [--watchdog-secs 300] [--smoke] [--out results] \
-//!     [--listen 127.0.0.1:0]
-//! ```
+//! `--trace-sample N` samples client requests; `--flight-dir` arms the
+//! flight recorder, and the quarantine cycle must then leave an anomaly
+//! post-mortem there.
 //!
-//! `--listen` pins the server address (default: an ephemeral loopback
-//! port) so a live `ariatop --addr <listen>` can watch shard health,
-//! hit ratios and the quarantine → recovery cycle during the run; the
-//! bound address is printed either way.
+//! ## Failover scenario (`--failover`; `failover.json`)
 //!
-//! Results go to `<out>/chaos.json`; the committed `BENCH_chaos.json`
-//! is a snapshot of a full default run.
+//! Every shard group runs a primary plus a synchronous backup, and a
+//! seed-scheduled killer panics acting primaries mid-load (≥ `--kills`,
+//! only when the whole group is healthy so each kill exercises a
+//! complete cycle). It asserts
 //!
-//! ## Failover mode (`--failover`)
-//!
-//! With `--failover`, the harness instead exercises the *replication*
-//! contract: every shard group runs a primary plus a synchronous
-//! backup, a seed-scheduled killer panics acting primaries mid-load
-//! (≥ `--kills`, only when the whole group is healthy so each kill
-//! exercises a complete cycle), and the run asserts
-//!
-//! * **zero acknowledged-write loss** — every write acked to a client
-//!   is readable after promotion and after re-admission (in-run model
-//!   checks plus a final sweep);
+//! * **zero acknowledged-write loss** across promotion and re-admission;
 //! * **sibling service** — other groups keep answering (probed via
 //!   `HEALTH` + live `GET`s) during every failover window;
 //! * **verified re-admission** — each kill completes a
@@ -60,24 +73,18 @@
 //!   hook) is detected as `ReplicaDiverged` and the replica is never
 //!   re-admitted.
 //!
-//! Results go to `<out>/failover.json`; the committed
-//! `BENCH_failover.json` is a snapshot of a full default run.
+//! ## Reshard scenario (`--reshard`; `reshard.json`)
 //!
-//! ## Reshard mode (`--reshard`)
+//! An elastic store starts with `--shards` active groups (twice that
+//! many sized), clients with routing caches churn it, and a conductor
+//! splits `--splits` groups, then merges them back — while the chaos
+//! engine tampers with migration copy streams
+//! ([`FaultSite::MigrationStreamTamper`]), kills targets mid-copy
+//! ([`FaultSite::TargetKill`]) and replays data ops stamped with
+//! pre-migration routing epochs ([`FaultSite::StaleEpochReplay`]). It
+//! asserts
 //!
-//! With `--reshard`, the harness exercises the *elastic resharding*
-//! contract: an elastic store starts with `--shards` active groups
-//! (twice that many sized), zipfian clients with routing caches churn
-//! it, and a conductor splits every group (4 → 8 by default), then
-//! merges them back — while the chaos engine tampers with migration
-//! copy streams ([`FaultSite::MigrationStreamTamper`]), kills targets
-//! mid-copy ([`FaultSite::TargetKill`]) and replays data ops stamped
-//! with pre-migration routing epochs
-//! ([`FaultSite::StaleEpochReplay`]). The run asserts
-//!
-//! * **zero acked-write loss across every flip** — the per-key model
-//!   plus a final sweep: no acknowledged-then-wrong, no
-//!   acknowledged-then-lost;
+//! * **zero acked-write loss across every flip**;
 //! * **aborts are clean** — a scripted tampered-stream migration and a
 //!   scripted target-kill migration both abort with the old epoch
 //!   still serving, the target scrubbed, and an anomaly flight dump
@@ -88,25 +95,25 @@
 //! * **convergence** — every planned migration commits (retrying
 //!   through the chaos schedule), the epoch advances once per commit,
 //!   and the group count returns to where it started.
-//!
-//! Results go to `<out>/reshard.json`; the committed
-//! `BENCH_reshard.json` is a snapshot of a full default run.
 
 use std::collections::HashMap;
 use std::io::Write as _;
+use std::net::SocketAddr;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::thread;
+use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use aria_bench::{git_rev, json_str, newest_flight_dump, print_table, Args, SCHEMA_VERSION};
+use aria_bench::{newest_flight_dump, percentile, print_table, write_doc, Args, Obj};
 use aria_chaos::{ChaosEngine, FaultPlan, FaultSite, HeapInjector, SITE_COUNT};
 use aria_merkle::NodeId;
 use aria_net::{AriaClient, ClientConfig, ErrorCode, NetError};
 use aria_net::{AriaServer, ServerConfig};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
-use aria_store::{AriaHash, KvStore, RecoveryReport, ShardHealth, StoreConfig};
+use aria_store::{AriaHash, KvStore, RecoveryReport, ShardHealth, StoreConfig, StoreError};
+use aria_telemetry::TelemetrySnapshot;
 use aria_workload::{encode_key, ScrambledZipfian};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -114,8 +121,20 @@ use rand::{Rng, SeedableRng};
 const VALUE_LEN: usize = 16;
 const READ_RATIO_PCT: u64 = 50;
 
-/// Pool of stale-node snapshots awaiting replay: (shard, tree, node, bytes).
-type SnapshotPool = Mutex<Vec<(usize, usize, NodeId, Vec<u8>)>>;
+fn main() {
+    let args = Args::parse();
+    if args.flag("failover") {
+        failover(&args);
+    } else if args.flag("reshard") {
+        reshard(&args);
+    } else {
+        plain(&args);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The driver: what every scenario shares
+// ---------------------------------------------------------------------------
 
 /// Encode the value we expect to read back: key id ‖ version.
 fn value_for(key_id: u64, version: u64) -> Vec<u8> {
@@ -134,6 +153,214 @@ fn decode_value(bytes: &[u8]) -> Option<(u64, u64)> {
     Some((key_id, version))
 }
 
+/// The settings every scenario reads the same way, and the flag the
+/// watchdog, the clients and the adversaries watch.
+struct Driver {
+    /// Prefix of every console line (`chaosbench[failover]`, ...).
+    tag: &'static str,
+    clients: usize,
+    keys: u64,
+    seed: u64,
+    out_dir: String,
+    listen: String,
+    watchdog_secs: u64,
+    done: Arc<AtomicBool>,
+}
+
+impl Driver {
+    /// Read the shared settings and start the watchdog: a run that
+    /// outlives `--watchdog-secs` exits 2, whatever it is stuck on.
+    fn start(args: &Args, tag: &'static str, watchdog_secs: u64) -> Driver {
+        let secs = args.get("watchdog-secs", watchdog_secs);
+        let done = Arc::new(AtomicBool::new(false));
+        {
+            let done = Arc::clone(&done);
+            thread::spawn(move || {
+                let deadline = Instant::now() + Duration::from_secs(secs);
+                while !done.load(Ordering::Relaxed) {
+                    if Instant::now() > deadline {
+                        eprintln!("{tag}: WATCHDOG — run exceeded {secs}s, aborting");
+                        std::process::exit(2);
+                    }
+                    thread::sleep(Duration::from_millis(100));
+                }
+            });
+        }
+        Driver {
+            tag,
+            clients: args.get("clients", 4usize),
+            keys: args.get("keys", 8_192u64),
+            seed: args.seed(),
+            out_dir: args.out_dir(),
+            listen: args.get_str("listen", "127.0.0.1:0"),
+            watchdog_secs: secs,
+            done,
+        }
+    }
+
+    /// Keep the backtraces of a scenario's own injected panics (payload
+    /// containing `msg`) out of the output; any other panic is a real
+    /// bug and prints as usual.
+    fn expect_panics(msg: &'static str) {
+        let default_hook = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            let payload = info.payload();
+            let text = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str));
+            if !text.is_some_and(|s| s.contains(msg)) {
+                default_hook(info);
+            }
+        }));
+    }
+
+    /// Write `value_for(id, 0)` for every id in `ids`.
+    fn preload(store: &ShardedStore<AriaHash>, ids: Range<u64>) {
+        let mut batch = Vec::with_capacity(512);
+        for id in ids {
+            batch.push(BatchOp::Put(encode_key(id).to_vec(), value_for(id, 0)));
+            if batch.len() == 512 {
+                store.run_batch(std::mem::take(&mut batch));
+            }
+        }
+        store.run_batch(batch);
+    }
+
+    /// Serve `store` on `--listen` with room for the clients and the
+    /// scenario's own probes, and route the chaos engine's injection
+    /// counts into the server's METRICS.
+    fn serve(
+        &self,
+        store: &Arc<ShardedStore<AriaHash>>,
+        engine: &ChaosEngine,
+        flight_dir: Option<std::path::PathBuf>,
+    ) -> AriaServer {
+        let server = AriaServer::bind(
+            self.listen.as_str(),
+            Arc::clone(store),
+            ServerConfig::builder()
+                .max_connections(self.clients + 8)
+                .flight_dir(flight_dir)
+                .build()
+                .expect("valid chaos server config"),
+        )
+        .expect("bind chaos server");
+        println!("{}: serving on {}", self.tag, server.local_addr());
+        engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
+        server
+    }
+
+    /// Start `--clients` model clients, each on its own slice of the
+    /// first `--keys` ids, splitting `stop`'s op count between them.
+    fn spawn_clients(&self, addr: SocketAddr, config: ClientConfig, stop: Stop) -> Clients {
+        let n = self.clients as u64;
+        let range = self.keys / n;
+        let start = Instant::now();
+        let workers = (0..n)
+            .map(|c| {
+                let done = Arc::clone(&self.done);
+                let seed = self.seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c + 1);
+                let (config, stop) = (config.clone(), stop.per_client(n));
+                thread::spawn(move || run_client(addr, config, c * range, range, seed, stop, &done))
+            })
+            .collect();
+        Clients { start, workers }
+    }
+
+    /// Finish a scenario: add the checks every scenario shares to its
+    /// own, write `<out>/<experiment>.json` (the shared fields, then
+    /// `fields`), print the verdict, and exit 1 on any failed check.
+    fn conclude(&self, experiment: &str, run: &Run, mut checks: Checks, fields: Obj) {
+        let r = &run.report;
+        let (p50, p99) = run.latency();
+        checks.check(r.wrong_reads == 0, "acknowledged-then-wrong reads observed");
+        checks.check(run.sweep.wrong == 0, "final sweep lost or corrupted an acknowledged write");
+        checks.check(p99.is_nan() || p99 < 500_000.0, "p99 latency above 500ms (hang-adjacent)");
+        let failures = checks.0;
+        let doc = Obj::new()
+            .field("seed", self.seed)
+            .field("elapsed_s", run.elapsed.as_secs_f64())
+            .field("ops", r.ops)
+            .field("wrong_reads", r.wrong_reads)
+            .field("quarantined_errors", r.quarantined_errs)
+            .field("unavailable_errors", r.unavailable_errs)
+            .field("transport_errors", r.transport_errs)
+            .field("other_errors", r.other_errs)
+            .field("sweep", run.sweep.to_json())
+            .field("latency_us", Obj::new().field("p50", p50).field("p99", p99))
+            .extend(fields)
+            .field("telemetry", &run.telemetry)
+            .field("verdict", if failures.is_empty() { "pass" } else { "fail" })
+            .field("failures", &failures);
+        write_doc(&self.out_dir, experiment, doc);
+        if failures.is_empty() {
+            println!("{}: PASS", self.tag);
+        } else {
+            for f in &failures {
+                eprintln!("{}: FAIL — {f}", self.tag);
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+/// One shard replica: `AriaHash` sized for twice its share of the keys,
+/// under the harness-only fast cipher suite.
+fn shard_store(
+    keys: u64,
+    groups: usize,
+) -> impl Fn(usize) -> Result<AriaHash, StoreError> + Send + Sync + 'static {
+    let per_shard_keys = (keys / groups as u64) * 2 + 1_024;
+    move |_| {
+        let suite = Arc::new(aria_crypto::FastSuite::from_master(&[0x42; 16]))
+            as Arc<dyn aria_crypto::CipherSuite>;
+        AriaHash::with_suite(
+            StoreConfig::for_keys(per_shard_keys),
+            Arc::new(Enclave::with_default_epc()),
+            Some(suite),
+        )
+    }
+}
+
+/// When a model client stops issuing ops.
+#[derive(Clone, Copy)]
+enum Stop {
+    /// After this many ops, or as soon as the run is done.
+    Cap(u64),
+    /// Not before the run is done, and not before this many ops (so a
+    /// scenario's adversary always overlaps live traffic).
+    Floor(u64),
+}
+
+impl Stop {
+    /// One of `clients` clients' share.
+    fn per_client(self, clients: u64) -> Stop {
+        match self {
+            Stop::Cap(n) => Stop::Cap(n / clients),
+            Stop::Floor(n) => Stop::Floor(n / clients),
+        }
+    }
+
+    fn go(self, ops: u64, done: bool) -> bool {
+        match self {
+            Stop::Cap(n) => !done && ops < n,
+            Stop::Floor(n) => !done || ops < n,
+        }
+    }
+}
+
+/// The client config of the scenarios whose refusals are transient:
+/// ride failover and migration windows out with retries.
+fn retrying() -> ClientConfig {
+    ClientConfig {
+        retry_budget: 64,
+        op_deadline: Duration::from_secs(20),
+        retry_backoff: Duration::from_millis(2),
+        ..ClientConfig::default()
+    }
+}
+
 /// Per-key client-side model: the set of versions a read may legally
 /// return. Usually one (the last acked write); a put that failed or
 /// timed out may or may not have applied, so its version joins the set
@@ -143,6 +370,7 @@ struct KeyModel {
     next_version: u64,
 }
 
+/// What the model clients saw, merged.
 #[derive(Default)]
 struct ClientReport {
     ops: u64,
@@ -154,52 +382,57 @@ struct ClientReport {
     transport_errs: u64,
     other_errs: u64,
     latencies_us: Vec<f64>,
+    /// Per key id: the versions a read may still legally return.
+    acked: HashMap<u64, Vec<u64>>,
+    /// The highest routing epoch a client's cache ended on.
+    routing_epoch: u64,
 }
 
-fn classify(report: &mut ClientReport, err: &NetError) {
-    match err.code() {
-        Some(c) if (c as u16) >= 1 && (c as u16) <= 6 => report.integrity_errs += 1,
-        Some(ErrorCode::DataDestroyed) => report.destroyed_errs += 1,
-        Some(ErrorCode::ShardQuarantined) => report.quarantined_errs += 1,
-        Some(ErrorCode::ShardUnavailable) => report.unavailable_errs += 1,
-        Some(_) => report.other_errs += 1,
-        None => report.transport_errs += 1,
+impl ClientReport {
+    fn classify(&mut self, err: &NetError) {
+        match err.code() {
+            Some(c) if (c as u16) >= 1 && (c as u16) <= 6 => self.integrity_errs += 1,
+            Some(ErrorCode::DataDestroyed) => self.destroyed_errs += 1,
+            Some(ErrorCode::ShardQuarantined) => self.quarantined_errs += 1,
+            Some(ErrorCode::ShardUnavailable) => self.unavailable_errs += 1,
+            Some(_) => self.other_errs += 1,
+            None => self.transport_errs += 1,
+        }
+    }
+
+    fn absorb(&mut self, other: ClientReport) {
+        self.ops += other.ops;
+        self.wrong_reads += other.wrong_reads;
+        self.integrity_errs += other.integrity_errs;
+        self.destroyed_errs += other.destroyed_errs;
+        self.quarantined_errs += other.quarantined_errs;
+        self.unavailable_errs += other.unavailable_errs;
+        self.transport_errs += other.transport_errs;
+        self.other_errs += other.other_errs;
+        self.latencies_us.extend(other.latencies_us);
+        self.acked.extend(other.acked); // client key ranges are disjoint
+        self.routing_epoch = self.routing_epoch.max(other.routing_epoch);
     }
 }
 
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
-}
-
-/// One client: zipfian 50/50 read/write loop over its own key range,
-/// checking every read against the acked-value model.
-#[allow(clippy::too_many_arguments)]
+/// One model client: zipfian 50/50 read/write loop over its own key
+/// range, checking every read against its acked-version model.
 fn run_client(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
+    config: ClientConfig,
     base: u64,
     range: u64,
-    ops: u64,
     seed: u64,
-    trace_sample: u32,
-    done: Arc<AtomicBool>,
+    stop: Stop,
+    done: &AtomicBool,
 ) -> ClientReport {
-    let mut client =
-        AriaClient::connect(addr, ClientConfig { trace_sample, ..ClientConfig::default() })
-            .expect("connect chaos client");
+    let mut client = AriaClient::connect(addr, config).expect("connect chaos client");
     let mut rng = StdRng::seed_from_u64(seed);
     let zipf = ScrambledZipfian::new(range, 0.99);
     let mut model: HashMap<u64, KeyModel> = HashMap::new();
     let mut report = ClientReport::default();
-    report.latencies_us.reserve(ops as usize);
 
-    for _ in 0..ops {
-        if done.load(Ordering::Relaxed) {
-            break;
-        }
+    while stop.go(report.ops, done.load(Ordering::Relaxed)) {
         let key_id = base + zipf.next(&mut rng);
         let key = encode_key(key_id);
         let entry =
@@ -218,7 +451,7 @@ fn run_client(
                 // a silent loss, which the chain verification + trusted
                 // per-bucket counts are supposed to make impossible.
                 Ok(None) => report.wrong_reads += 1,
-                Err(e) => classify(&mut report, &e),
+                Err(e) => report.classify(&e),
             }
         } else {
             let v = entry.next_version;
@@ -229,28 +462,169 @@ fn run_client(
                     // The put may or may not have applied before the
                     // error: both versions are now plausible.
                     entry.acceptable.push(v);
-                    classify(&mut report, &e);
+                    report.classify(&e);
                 }
             }
         }
         report.latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
         report.ops += 1;
     }
+    report.routing_epoch = client.routing_epoch();
+    report.acked = model.into_iter().map(|(k, m)| (k, m.acceptable)).collect();
     report
 }
+
+/// Running model clients.
+struct Clients {
+    start: Instant,
+    workers: Vec<JoinHandle<ClientReport>>,
+}
+
+impl Clients {
+    /// Join every client; the merged report (latencies sorted) and the
+    /// wall time since the clients started.
+    fn join(self) -> (ClientReport, Duration) {
+        let mut report = ClientReport::default();
+        for w in self.workers {
+            report.absorb(w.join().expect("model client panicked"));
+        }
+        report.latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
+        (report, self.start.elapsed())
+    }
+}
+
+/// The final sweep's tally.
+struct Sweep {
+    ok: u64,
+    /// Typed errors, counted only where the scenario accepts them.
+    typed: Option<u64>,
+    wrong: u64,
+}
+
+impl Sweep {
+    /// Read every key in `ids` once more and check it against the
+    /// merged model: the value must carry the key's id and a version in
+    /// its acceptable set (version 0 for a key no client wrote). A
+    /// missing value, or an error without a wire code, is wrong; a
+    /// typed error is wrong too unless `typed_ok`.
+    fn run(
+        client: &mut AriaClient,
+        ids: Range<u64>,
+        acked: &HashMap<u64, Vec<u64>>,
+        typed_ok: bool,
+    ) -> Sweep {
+        let (mut ok, mut typed, mut wrong) = (0, 0, 0);
+        for id in ids {
+            let acceptable = acked.get(&id).map_or(&[0][..], Vec::as_slice);
+            match client.get(&encode_key(id)) {
+                Ok(Some(bytes)) => match decode_value(&bytes) {
+                    Some((k, v)) if k == id && acceptable.contains(&v) => ok += 1,
+                    _ => wrong += 1,
+                },
+                Err(e) if typed_ok && e.code().is_some() => typed += 1,
+                _ => wrong += 1,
+            }
+        }
+        Sweep { ok, typed: typed_ok.then_some(typed), wrong }
+    }
+
+    fn to_json(&self) -> Obj {
+        let obj = Obj::new().field("ok", self.ok).field("wrong", self.wrong);
+        match self.typed {
+            Some(typed) => obj.field("typed_errors", typed),
+            None => obj,
+        }
+    }
+
+    fn summary(&self) -> String {
+        match self.typed {
+            Some(typed) => format!("sweep ok/typed/wrong={}/{typed}/{}", self.ok, self.wrong),
+            None => format!("sweep ok/wrong={}/{}", self.ok, self.wrong),
+        }
+    }
+}
+
+/// The client side of a finished scenario.
+struct Run {
+    report: ClientReport,
+    elapsed: Duration,
+    sweep: Sweep,
+    telemetry: TelemetrySnapshot,
+}
+
+impl Run {
+    /// Client latency p50 and p99, microseconds.
+    fn latency(&self) -> (f64, f64) {
+        (percentile(&self.report.latencies_us, 0.50), percentile(&self.report.latencies_us, 0.99))
+    }
+
+    /// The start of every scenario's summary line.
+    fn summary(&self) -> String {
+        let (p50, p99) = self.latency();
+        format!(
+            "ops={} elapsed={:.2}s p50={p50:.0}us p99={p99:.0}us wrong_reads={} {}",
+            self.report.ops,
+            self.elapsed.as_secs_f64(),
+            self.report.wrong_reads,
+            self.sweep.summary(),
+        )
+    }
+}
+
+/// A scenario's failed checks, in the order they were made.
+#[derive(Default)]
+struct Checks(Vec<String>);
+
+impl Checks {
+    fn check(&mut self, ok: bool, msg: &str) {
+        if !ok {
+            self.0.push(msg.to_string());
+        }
+    }
+}
+
+/// A 64-bit LCG step, for the probes' key picks.
+fn lcg(state: &mut u64) -> u64 {
+    *state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
+    *state
+}
+
+/// Whether `client` reads probe key `id` back at its preloaded version.
+fn serves_preloaded(client: &mut AriaClient, id: u64) -> bool {
+    matches!(client.get(&encode_key(id)), Ok(Some(bytes)) if decode_value(&bytes) == Some((id, 0)))
+}
+
+/// Up to `per_group` ids from `ids` that each group owns: preloaded
+/// keys no client writes, for probing a group that should be serving.
+fn probe_ids(store: &ShardedStore<AriaHash>, ids: Range<u64>, per_group: usize) -> Vec<Vec<u64>> {
+    let mut probes = vec![Vec::new(); store.shards()];
+    for id in ids {
+        let g = store.shard_of(&encode_key(id));
+        if probes[g].len() < per_group {
+            probes[g].push(id);
+        }
+    }
+    probes
+}
+
+// ---------------------------------------------------------------------------
+// Plain scenario: integrity faults on untrusted memory
+// ---------------------------------------------------------------------------
+
+/// Pool of stale-node snapshots awaiting replay: (shard, tree, node, bytes).
+type SnapshotPool = Mutex<Vec<(usize, usize, NodeId, Vec<u8>)>>;
 
 /// Driver-side adversary: consults the engine's schedule and delivers
 /// stale-node replays, node flips, pointer swaps and free-list
 /// tampering to *healthy* shards via detached shard closures.
-#[allow(clippy::too_many_arguments)]
 fn run_driver(
     store: Arc<ShardedStore<AriaHash>>,
     engine: Arc<ChaosEngine>,
     shard_keys: Arc<Vec<Vec<Vec<u8>>>>,
-    snapshots: Arc<SnapshotPool>,
     delivered: Arc<[AtomicU64; SITE_COUNT]>,
     done: Arc<AtomicBool>,
 ) {
+    let snapshots: Arc<SnapshotPool> = Arc::default();
     let shards = store.shards();
     let mut tick = 0usize;
     while !done.load(Ordering::Relaxed) && !engine.budget_spent() {
@@ -348,12 +722,12 @@ fn deliver(
             }
         }
         // Write-path sites are the HeapInjector's job, not ours; the
-        // replication sites belong to the failover mode's killer and
+        // replication sites belong to the failover scenario's killer and
         // re-sync hook; the durability-log sites belong to durabench,
         // which owns a tiered store with an on-disk log to strike;
         // shard stalls belong to the overload tests, which own the
         // watchdog that must catch them; the migration sites belong to
-        // the reshard mode's fault hook and raw replay probes.
+        // the reshard scenario's fault hook and raw replay probes.
         FaultSite::EntryFlip
         | FaultSite::TornWrite
         | FaultSite::PrimaryKill
@@ -368,70 +742,32 @@ fn deliver(
     }
 }
 
-fn main() {
-    let args = Args::parse();
-    if args.flag("failover") {
-        return run_failover(&args);
-    }
-    if args.flag("reshard") {
-        return run_reshard(&args);
-    }
+fn plain(args: &Args) {
     let smoke = args.flag("smoke");
+    let d = Driver::start(args, "chaosbench", if smoke { 180 } else { 600 });
     let shards = args.get("shards", 4usize);
-    let clients = args.get("clients", 4usize);
-    let keys = args.get("keys", 8_192u64);
     let ops = args.get("ops", if smoke { 16_000u64 } else { 120_000 });
     let budget = args.get("budget", if smoke { 1_000u64 } else { 12_000 });
     let heap_rate = args.get("heap-rate", 600u32);
     let driver_rate = args.get("driver-rate", 4_000u32);
-    let watchdog_secs = args.get("watchdog-secs", if smoke { 180u64 } else { 600 });
-    let seed = args.seed();
-    let out_dir = args.out_dir();
     let injected_floor = args.get("min-injected", if smoke { 200u64 } else { 10_000 });
-    let listen = args.get_str("listen", "127.0.0.1:0");
     let trace_sample = args.get("trace-sample", 0u32);
     let flight_dir = {
-        let d = args.get_str("flight-dir", "");
-        (!d.is_empty()).then(|| std::path::PathBuf::from(d))
+        let dir = args.get_str("flight-dir", "");
+        (!dir.is_empty()).then(|| std::path::PathBuf::from(dir))
     };
-
     println!(
-        "chaosbench: shards={shards} clients={clients} keys={keys} ops={ops} \
-         budget={budget} heap-rate={heap_rate} driver-rate={driver_rate} seed={seed}"
+        "chaosbench: shards={shards} clients={} keys={} ops={ops} budget={budget} \
+         heap-rate={heap_rate} driver-rate={driver_rate} seed={}",
+        d.clients, d.keys, d.seed
     );
-
-    // --- watchdog: no hang, ever -----------------------------------------
-    let done = Arc::new(AtomicBool::new(false));
-    {
-        let done = Arc::clone(&done);
-        thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(watchdog_secs);
-            while !done.load(Ordering::Relaxed) {
-                if Instant::now() > deadline {
-                    eprintln!("chaosbench: WATCHDOG — run exceeded {watchdog_secs}s, aborting");
-                    std::process::exit(2);
-                }
-                thread::sleep(Duration::from_millis(100));
-            }
-        });
-    }
 
     // --- store + chaos engine ---------------------------------------------
-    let per_shard_keys = (keys / shards as u64) * 2 + 1_024;
     let store = Arc::new(
-        ShardedStore::with_shards(shards, move |_| {
-            let suite = Arc::new(aria_crypto::FastSuite::from_master(&[0x42; 16]))
-                as Arc<dyn aria_crypto::CipherSuite>;
-            AriaHash::with_suite(
-                StoreConfig::for_keys(per_shard_keys),
-                Arc::new(Enclave::with_default_epc()),
-                Some(suite),
-            )
-        })
-        .expect("construct sharded store"),
+        ShardedStore::with_shards(shards, shard_store(d.keys, shards))
+            .expect("construct sharded store"),
     );
-
-    let plan = FaultPlan::new(seed)
+    let plan = FaultPlan::new(d.seed)
         .with_rate(FaultSite::EntryFlip, heap_rate)
         .with_rate(FaultSite::TornWrite, heap_rate)
         .with_rate(FaultSite::StaleNodeReplay, driver_rate)
@@ -449,99 +785,51 @@ fn main() {
     }
 
     // --- preload: client keys + per-shard probe keys ----------------------
-    let probe_per_shard = 8u64;
-    let total_keys = keys + shards as u64 * probe_per_shard * 4;
-    let mut batch = Vec::with_capacity(512);
-    let mut probe_keys: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); shards];
-    for id in 0..total_keys {
-        let key = encode_key(id);
-        if id >= keys {
-            let shard = store.shard_of(&key);
-            if (probe_keys[shard].len() as u64) < probe_per_shard {
-                probe_keys[shard].push((id, key.to_vec()));
-            }
-        }
-        batch.push(BatchOp::Put(key.to_vec(), value_for(id, 0)));
-        if batch.len() == 512 {
-            store.run_batch(std::mem::take(&mut batch));
-        }
-    }
-    store.run_batch(batch);
-
+    let total_keys = d.keys + shards as u64 * 8 * 4;
+    Driver::preload(&store, 0..total_keys);
+    let probes = probe_ids(&store, d.keys..total_keys, 8);
     // Partition the client keyspace by owning shard for targeted faults.
     let mut shard_keys: Vec<Vec<Vec<u8>>> = vec![Vec::new(); shards];
-    for id in 0..keys {
+    for id in 0..d.keys {
         let key = encode_key(id);
         shard_keys[store.shard_of(&key)].push(key.to_vec());
     }
     let shard_keys = Arc::new(shard_keys);
 
-    // --- server ------------------------------------------------------------
-    let server = AriaServer::bind(
-        listen.as_str(),
-        Arc::clone(&store),
-        ServerConfig::builder()
-            .max_connections(clients + 8)
-            .flight_dir(flight_dir.clone())
-            .build()
-            .expect("valid chaos server config"),
-    )
-    .expect("bind chaos server");
+    let server = d.serve(&store, &engine, flight_dir.clone());
     let addr = server.local_addr();
-    println!("chaosbench: serving on {addr}");
-    // Injections recorded per fault site in the same snapshot the
-    // METRICS opcode serves.
-    engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
 
     // --- health poller: HEALTH opcode, cycle + containment evidence -------
     let poll_done = Arc::new(AtomicBool::new(false));
     let poller = {
         let poll_done = Arc::clone(&poll_done);
-        let store = Arc::clone(&store);
-        let probe_keys = probe_keys.clone();
         thread::spawn(move || {
             let mut client =
                 AriaClient::connect(addr, ClientConfig::default()).expect("connect health poller");
             let mut saw_quarantine = 0u64;
             let mut sibling_serves = 0u64;
-            let mut max_recoveries = vec![0u64; store.shards()];
+            let mut max_recoveries = vec![0u64; shards];
             let mut probe_rng: u64 = 0x1234_5678;
             while !poll_done.load(Ordering::Relaxed) {
                 if let Ok(reply) = client.health() {
-                    let degraded: Vec<usize> = reply
-                        .shards
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, i)| {
-                            matches!(i.health(), ShardHealth::Quarantined | ShardHealth::Recovering)
-                        })
-                        .map(|(s, _)| s)
-                        .collect();
+                    let health: Vec<ShardHealth> =
+                        reply.shards.iter().map(|i| i.health()).collect();
                     for (s, info) in reply.shards.iter().enumerate() {
                         max_recoveries[s] = max_recoveries[s].max(info.recoveries);
                     }
-                    if !degraded.is_empty() {
+                    let degraded = |h: &ShardHealth| {
+                        matches!(h, ShardHealth::Quarantined | ShardHealth::Recovering)
+                    };
+                    if health.iter().any(degraded) {
                         saw_quarantine += 1;
                         // Containment probe: a *different*, healthy shard
                         // must keep answering while this one is down.
-                        let healthy: Vec<usize> = reply
-                            .shards
-                            .iter()
-                            .enumerate()
-                            .filter(|(s, i)| {
-                                i.health() == ShardHealth::Healthy && !degraded.contains(s)
-                            })
-                            .map(|(s, _)| s)
-                            .collect();
-                        if let Some(&s) = healthy.first() {
-                            probe_rng = probe_rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            let picks = &probe_keys[s];
+                        if let Some(s) = health.iter().position(|h| *h == ShardHealth::Healthy) {
+                            let picks = &probes[s];
                             if !picks.is_empty() {
-                                let (id, key) = &picks[(probe_rng % picks.len() as u64) as usize];
-                                if let Ok(Some(bytes)) = client.get(key) {
-                                    if decode_value(&bytes) == Some((*id, 0)) {
-                                        sibling_serves += 1;
-                                    }
+                                let id = picks[(lcg(&mut probe_rng) % picks.len() as u64) as usize];
+                                if serves_preloaded(&mut client, id) {
+                                    sibling_serves += 1;
                                 }
                             }
                         }
@@ -556,45 +844,15 @@ fn main() {
     // --- run: clients + driver-side adversary ------------------------------
     engine.arm(true);
     let delivered: Arc<[AtomicU64; SITE_COUNT]> = Arc::new(Default::default());
-    let snapshots = Arc::new(Mutex::new(Vec::new()));
     let driver = {
-        let store = Arc::clone(&store);
-        let engine = Arc::clone(&engine);
-        let shard_keys = Arc::clone(&shard_keys);
-        let snapshots = Arc::clone(&snapshots);
-        let delivered = Arc::clone(&delivered);
-        let done = Arc::clone(&done);
-        thread::spawn(move || run_driver(store, engine, shard_keys, snapshots, delivered, done))
+        let (store, engine) = (Arc::clone(&store), Arc::clone(&engine));
+        let (shard_keys, delivered) = (Arc::clone(&shard_keys), Arc::clone(&delivered));
+        let done = Arc::clone(&d.done);
+        thread::spawn(move || run_driver(store, engine, shard_keys, delivered, done))
     };
-
-    let start = Instant::now();
-    let ops_per_client = ops / clients as u64;
-    let keys_per_client = keys / clients as u64;
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            let done = Arc::clone(&done);
-            let base = c as u64 * keys_per_client;
-            let cseed = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c as u64 + 1);
-            thread::spawn(move || {
-                run_client(addr, base, keys_per_client, ops_per_client, cseed, trace_sample, done)
-            })
-        })
-        .collect();
-    let mut report = ClientReport::default();
-    for w in workers {
-        let r = w.join().expect("client thread panicked");
-        report.ops += r.ops;
-        report.wrong_reads += r.wrong_reads;
-        report.integrity_errs += r.integrity_errs;
-        report.destroyed_errs += r.destroyed_errs;
-        report.quarantined_errs += r.quarantined_errs;
-        report.unavailable_errs += r.unavailable_errs;
-        report.transport_errs += r.transport_errs;
-        report.other_errs += r.other_errs;
-        report.latencies_us.extend(r.latencies_us);
-    }
-    let elapsed = start.elapsed();
-    done.store(true, Ordering::Relaxed);
+    let config = ClientConfig { trace_sample, ..ClientConfig::default() };
+    let (report, elapsed) = d.spawn_clients(addr, config, Stop::Cap(ops)).join();
+    d.done.store(true, Ordering::Relaxed);
     driver.join().expect("driver thread panicked");
 
     // --- settle + disarm + final audit -------------------------------------
@@ -616,69 +874,40 @@ fn main() {
         poller.join().expect("health poller panicked");
 
     let healths = store.healths();
-    let mut audits: Vec<Option<RecoveryReport>> = Vec::with_capacity(shards);
-    for (s, info) in healths.iter().enumerate() {
-        if info.health == ShardHealth::Dead {
-            audits.push(None);
-            continue;
-        }
-        audits.push(Some(
-            store.with_shard(s, |st: &mut AriaHash| st.recover().expect("final audit")),
-        ));
-    }
+    let audits: Vec<Option<RecoveryReport>> = healths
+        .iter()
+        .enumerate()
+        .map(|(s, info)| {
+            (info.health != ShardHealth::Dead).then(|| {
+                store.with_shard(s, |st: &mut AriaHash| st.recover().expect("final audit"))
+            })
+        })
+        .collect();
 
-    // --- model sweep: every acked value must still read correctly (or
-    // fail with a typed, accounted error) -----------------------------------
+    // The adversary legitimately destroys entries here, so a typed
+    // refusal is an accounted answer; a stale or missing value is not.
     let mut sweep_client =
         AriaClient::connect(addr, ClientConfig::default()).expect("connect sweep client");
-    let mut sweep_ok = 0u64;
-    let mut sweep_typed = 0u64;
-    let mut sweep_wrong = 0u64;
-    for id in 0..keys {
-        match sweep_client.get(&encode_key(id)) {
-            Ok(Some(bytes)) => match decode_value(&bytes) {
-                Some((k, _)) if k == id => sweep_ok += 1,
-                _ => sweep_wrong += 1,
-            },
-            Ok(None) => sweep_wrong += 1,
-            Err(e) if e.code().is_some() => sweep_typed += 1,
-            Err(_) => sweep_typed += 1,
-        }
-    }
-    let telemetry = server.telemetry().snapshot();
+    let sweep = Sweep::run(&mut sweep_client, 0..d.keys, &report.acked, true);
+    let run = Run { report, elapsed, sweep, telemetry: server.telemetry().snapshot() };
     server.shutdown();
 
     // --- verdict ------------------------------------------------------------
     let stats = engine.stats();
-    let injected = stats.injected_total;
+    let r = &run.report;
     let total_recoveries: u64 = healths.iter().map(|h| h.recoveries).sum();
     let total_violations: u64 = healths.iter().map(|h| h.violations).sum();
-    let audit_destroyed: u64 = audits.iter().flatten().map(|r| r.entries_destroyed).sum();
-    let audit_condemned: u64 = audits.iter().flatten().map(|r| r.merkle_nodes_condemned).sum();
-    let detected_events = report.integrity_errs
-        + report.destroyed_errs
-        + total_violations
-        + audit_destroyed
-        + audit_condemned;
+    let audit_destroyed: u64 = audits.iter().flatten().map(|a| a.entries_destroyed).sum();
+    let audit_condemned: u64 = audits.iter().flatten().map(|a| a.merkle_nodes_condemned).sum();
+    let detected_events =
+        r.integrity_errs + r.destroyed_errs + total_violations + audit_destroyed + audit_condemned;
 
-    report.latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p50 = percentile(&report.latencies_us, 0.50);
-    let p99 = percentile(&report.latencies_us, 0.99);
-
-    let mut failures: Vec<String> = Vec::new();
-    let mut check = |ok: bool, msg: &str| {
-        if !ok {
-            failures.push(msg.to_string());
-        }
-    };
-    check(report.wrong_reads == 0, "acknowledged-then-wrong reads observed");
-    check(sweep_wrong == 0, "final model sweep returned wrong/missing values");
-    check(injected >= injected_floor, "injected fault count below floor");
-    check(total_recoveries >= 1, "no quarantine → recovery → re-admission cycle completed");
-    check(saw_quarantine >= 1, "HEALTH opcode never observed a quarantined shard");
-    check(sibling_serves >= 1, "no healthy sibling served while a shard was quarantined");
-    check(detected_events >= 1, "no injected fault was ever detected");
-    check(p99 < 500_000.0, "p99 latency above 500ms (hang-adjacent)");
+    let mut checks = Checks::default();
+    checks.check(stats.injected_total >= injected_floor, "injected fault count below floor");
+    checks.check(total_recoveries >= 1, "no quarantine → recovery → re-admission cycle completed");
+    checks.check(saw_quarantine >= 1, "HEALTH opcode never observed a quarantined shard");
+    checks.check(sibling_serves >= 1, "no healthy sibling served while a shard was quarantined");
+    checks.check(detected_events >= 1, "no injected fault was ever detected");
     if let Some(dir) = &flight_dir {
         // Quarantines are flight-recorder anomalies: with the recorder
         // armed, the cycle this run provokes must leave a post-mortem.
@@ -689,12 +918,12 @@ fn main() {
                     path.display(),
                     dump.matches("\"trace_id\"").count(),
                 );
-                check(
+                checks.check(
                     dump.contains("\"reason\":\"anomaly\"") && dump.contains("\"events\""),
                     "flight dump is not an anomaly post-mortem",
                 );
             }
-            None => check(false, "quarantine cycle left no flight dump"),
+            None => checks.check(false, "quarantine cycle left no flight dump"),
         }
     }
 
@@ -730,287 +959,88 @@ fn main() {
         &health_rows,
     );
     println!(
-        "ops={} elapsed={:.2}s p50={:.0}us p99={:.0}us wrong_reads={} injected={} \
-         detected_events={} recoveries={} sweep ok/typed/wrong={}/{}/{}",
-        report.ops,
-        elapsed.as_secs_f64(),
-        p50,
-        p99,
-        report.wrong_reads,
-        injected,
-        detected_events,
-        total_recoveries,
-        sweep_ok,
-        sweep_typed,
-        sweep_wrong,
+        "{} injected={} detected_events={detected_events} recoveries={total_recoveries}",
+        run.summary(),
+        stats.injected_total,
     );
 
-    write_json(
-        &out_dir,
-        seed,
-        &report,
-        &stats,
-        &delivered,
-        &healths,
-        &audits,
-        (saw_quarantine, sibling_serves),
-        (sweep_ok, sweep_typed, sweep_wrong),
-        (p50, p99),
-        elapsed,
-        &failures,
-        &telemetry,
-    );
-
-    if failures.is_empty() {
-        println!("chaosbench: PASS");
-    } else {
-        for f in &failures {
-            eprintln!("chaosbench: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_json(
-    out_dir: &str,
-    seed: u64,
-    report: &ClientReport,
-    stats: &aria_chaos::ChaosStats,
-    delivered: &[AtomicU64; SITE_COUNT],
-    healths: &[aria_store::ShardHealthSnapshot],
-    audits: &[Option<RecoveryReport>],
-    (saw_quarantine, sibling_serves): (u64, u64),
-    (sweep_ok, sweep_typed, sweep_wrong): (u64, u64, u64),
-    (p50, p99): (f64, f64),
-    elapsed: Duration,
-    failures: &[String],
-    telemetry: &aria_telemetry::TelemetrySnapshot,
-) {
-    let sites = FaultSite::ALL
+    let sites: Vec<Obj> = FaultSite::ALL
         .iter()
         .map(|&s| {
-            format!(
-                "{{\"site\":{},\"draws\":{},\"injected\":{},\"delivered\":{}}}",
-                json_str(s.name()),
-                stats.site(s).draws,
-                stats.site(s).injected,
-                delivered[s as usize].load(Ordering::Relaxed)
-            )
+            Obj::new()
+                .field("site", s.name())
+                .field("draws", stats.site(s).draws)
+                .field("injected", stats.site(s).injected)
+                .field("delivered", delivered[s as usize].load(Ordering::Relaxed))
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let shard_json = healths
+        .collect();
+    let shard_docs: Vec<Obj> = healths
         .iter()
+        .zip(&audits)
         .enumerate()
-        .map(|(s, h)| {
-            let audit = match &audits[s] {
-                Some(r) => format!(
-                    "{{\"entries_verified\":{},\"entries_destroyed\":{},\
-                     \"buckets_poisoned\":{},\"merkle_nodes_condemned\":{},\
-                     \"counters_reinitialized\":{}}}",
-                    r.entries_verified,
-                    r.entries_destroyed,
-                    r.buckets_poisoned,
-                    r.merkle_nodes_condemned,
-                    r.counters_reinitialized
-                ),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"shard\":{s},\"state\":{},\"violations\":{},\"recoveries\":{},\
-                 \"final_audit\":{audit}}}",
-                json_str(&h.health.to_string()),
-                h.violations,
-                h.recoveries
-            )
+        .map(|(s, (h, audit))| {
+            let audit = audit.as_ref().map(|a| {
+                Obj::new()
+                    .field("entries_verified", a.entries_verified)
+                    .field("entries_destroyed", a.entries_destroyed)
+                    .field("buckets_poisoned", a.buckets_poisoned)
+                    .field("merkle_nodes_condemned", a.merkle_nodes_condemned)
+                    .field("counters_reinitialized", a.counters_reinitialized)
+            });
+            Obj::new()
+                .field("shard", s)
+                .field("state", h.health.to_string())
+                .field("violations", h.violations)
+                .field("recoveries", h.recoveries)
+                .field("final_audit", audit)
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let failures_json = failures.iter().map(|f| json_str(f)).collect::<Vec<_>>().join(",");
-    let doc = format!(
-        "{{\n\"schema_version\":{SCHEMA_VERSION},\n\"experiment\":\"chaos\",\n\
-         \"git_rev\":{},\n\"seed\":{seed},\n\"elapsed_s\":{:.3},\n\"ops\":{},\n\
-         \"wrong_reads\":{},\n\"integrity_errors\":{},\n\"destroyed_errors\":{},\n\
-         \"quarantined_errors\":{},\n\"unavailable_errors\":{},\n\
-         \"transport_errors\":{},\n\"other_errors\":{},\n\
-         \"injected_total\":{},\n\"sites\":[{sites}],\n\"shards\":[{shard_json}],\n\
-         \"health_polls_with_quarantine\":{saw_quarantine},\n\
-         \"sibling_serves_during_quarantine\":{sibling_serves},\n\
-         \"sweep\":{{\"ok\":{sweep_ok},\"typed_errors\":{sweep_typed},\"wrong\":{sweep_wrong}}},\n\
-         \"latency_us\":{{\"p50\":{:.1},\"p99\":{:.1}}},\n\
-         \"telemetry\":{},\n\
-         \"verdict\":{},\n\"failures\":[{failures_json}]\n}}\n",
-        json_str(git_rev()),
-        elapsed.as_secs_f64(),
-        report.ops,
-        report.wrong_reads,
-        report.integrity_errs,
-        report.destroyed_errs,
-        report.quarantined_errs,
-        report.unavailable_errs,
-        report.transport_errs,
-        report.other_errs,
-        stats.injected_total,
-        p50,
-        p99,
-        telemetry.to_json(),
-        json_str(if failures.is_empty() { "pass" } else { "fail" }),
-    );
-    std::fs::create_dir_all(out_dir).expect("create out dir");
-    let path = format!("{out_dir}/chaos.json");
-    let mut f = std::fs::File::create(&path).expect("create chaos.json");
-    f.write_all(doc.as_bytes()).expect("write chaos.json");
-    println!("wrote {path}");
+        .collect();
+    let fields = Obj::new()
+        .field("integrity_errors", r.integrity_errs)
+        .field("destroyed_errors", r.destroyed_errs)
+        .field("injected_total", stats.injected_total)
+        .field("sites", sites)
+        .field("shards", shard_docs)
+        .field("health_polls_with_quarantine", saw_quarantine)
+        .field("sibling_serves_during_quarantine", sibling_serves);
+    d.conclude("chaos", &run, checks, fields);
 }
 
 // ---------------------------------------------------------------------------
-// Failover mode
+// Failover scenario: primary kills under a replicated store
 // ---------------------------------------------------------------------------
 
-/// One failover-mode client: zipfian 50/50 read/write loop with the
-/// retry budget enabled (so failover windows are ridden out instead of
-/// surfaced), returning both its report and its final acked-value
-/// model for the post-run sweep.
-fn run_failover_client(
-    addr: std::net::SocketAddr,
-    base: u64,
-    range: u64,
-    ops: u64,
-    seed: u64,
-    done: Arc<AtomicBool>,
-) -> (ClientReport, HashMap<u64, Vec<u64>>) {
-    let config = ClientConfig {
-        retry_budget: 64,
-        op_deadline: Duration::from_secs(20),
-        retry_backoff: Duration::from_millis(2),
-        ..ClientConfig::default()
-    };
-    let mut client = AriaClient::connect(addr, config).expect("connect failover client");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zipf = ScrambledZipfian::new(range, 0.99);
-    let mut model: HashMap<u64, KeyModel> = HashMap::new();
-    let mut report = ClientReport::default();
-    report.latencies_us.reserve(ops as usize);
-
-    for _ in 0..ops {
-        if done.load(Ordering::Relaxed) {
-            break;
-        }
-        let key_id = base + zipf.next(&mut rng);
-        let key = encode_key(key_id);
-        let entry =
-            model.entry(key_id).or_insert(KeyModel { acceptable: vec![0], next_version: 1 });
-        let is_get = rng.gen_range(0..100u64) < READ_RATIO_PCT;
-        let start = Instant::now();
-        if is_get {
-            match client.get(&key) {
-                Ok(Some(bytes)) => match decode_value(&bytes) {
-                    Some((k, v)) if k == key_id && entry.acceptable.contains(&v) => {
-                        entry.acceptable = vec![v];
-                    }
-                    _ => report.wrong_reads += 1,
-                },
-                Ok(None) => report.wrong_reads += 1,
-                Err(e) => classify(&mut report, &e),
-            }
-        } else {
-            let v = entry.next_version;
-            entry.next_version += 1;
-            match client.put(&key, &value_for(key_id, v)) {
-                Ok(()) => entry.acceptable = vec![v],
-                Err(e) => {
-                    // The put may or may not have applied before the
-                    // error: both versions stay plausible.
-                    entry.acceptable.push(v);
-                    classify(&mut report, &e);
-                }
-            }
-        }
-        report.latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-        report.ops += 1;
-    }
-    let acked = model.into_iter().map(|(k, m)| (k, m.acceptable)).collect();
-    (report, acked)
-}
+/// Panic payload of an injected primary kill.
+const PRIMARY_KILL: &str = "chaosbench: injected primary kill";
 
 fn all_replicas_healthy(stats: &[aria_store::sharded::GroupStats]) -> bool {
     stats.iter().all(|g| g.replicas.iter().all(|r| r.health == ShardHealth::Healthy))
 }
 
-fn run_failover(args: &Args) {
+fn failover(args: &Args) {
     let smoke = args.flag("smoke");
+    Driver::expect_panics(PRIMARY_KILL);
+    let d = Driver::start(args, "chaosbench[failover]", if smoke { 240 } else { 600 });
     let groups = args.get("shards", 4usize);
     let replicas = 2usize;
-    let clients = args.get("clients", 4usize);
-    let keys = args.get("keys", 8_192u64);
     let ops = args.get("ops", if smoke { 24_000u64 } else { 160_000 });
     let kill_floor = args.get("kills", if smoke { 4u64 } else { 20 });
-    let watchdog_secs = args.get("watchdog-secs", if smoke { 240u64 } else { 600 });
-    let seed = args.seed();
-    let out_dir = args.out_dir();
-    let listen = args.get_str("listen", "127.0.0.1:0");
-
     println!(
-        "chaosbench[failover]: groups={groups} replicas={replicas} clients={clients} \
-         keys={keys} ops={ops} kills>={kill_floor} seed={seed}"
+        "chaosbench[failover]: groups={groups} replicas={replicas} clients={} keys={} \
+         ops={ops} kills>={kill_floor} seed={}",
+        d.clients, d.keys, d.seed
     );
-
-    // Injected primary kills panic under a slot lock on purpose; keep the
-    // expected backtraces out of the output while letting any *other*
-    // panic (a real bug) print as usual.
-    const KILL_MSG: &str = "chaosbench: injected primary kill";
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let expected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains(KILL_MSG))
-            .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.contains(KILL_MSG)))
-            .unwrap_or(false);
-        if !expected {
-            default_hook(info);
-        }
-    }));
-
-    // --- watchdog: no hang, ever -------------------------------------------
-    let done = Arc::new(AtomicBool::new(false));
-    {
-        let done = Arc::clone(&done);
-        thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(watchdog_secs);
-            while !done.load(Ordering::Relaxed) {
-                if Instant::now() > deadline {
-                    eprintln!(
-                        "chaosbench[failover]: WATCHDOG — run exceeded {watchdog_secs}s, aborting"
-                    );
-                    std::process::exit(2);
-                }
-                thread::sleep(Duration::from_millis(100));
-            }
-        });
-    }
 
     // --- replicated store + kill schedule ----------------------------------
-    let per_shard_keys = (keys / groups as u64) * 2 + 1_024;
     let store = Arc::new(
-        ShardedStore::with_replicas(groups, replicas, move |_| {
-            let suite = Arc::new(aria_crypto::FastSuite::from_master(&[0x42; 16]))
-                as Arc<dyn aria_crypto::CipherSuite>;
-            AriaHash::with_suite(
-                StoreConfig::for_keys(per_shard_keys),
-                Arc::new(Enclave::with_default_epc()),
-                Some(suite),
-            )
-        })
-        .expect("construct replicated store"),
+        ShardedStore::with_replicas(groups, replicas, shard_store(d.keys, groups))
+            .expect("construct replicated store"),
     );
-
     // The kill schedule and the divergence injection both come from the
     // deterministic chaos engine: PrimaryKill fires on every consult
     // (the killer's own health gating paces it), ReplicaDivergence only
     // when the post-run phase arms the re-sync fault hook.
-    let plan = FaultPlan::new(seed)
+    let plan = FaultPlan::new(d.seed)
         .with_rate(FaultSite::PrimaryKill, 10_000)
         .with_rate(FaultSite::ReplicaDivergence, 10_000)
         .with_budget(kill_floor * 8 + 64);
@@ -1027,38 +1057,12 @@ fn run_failover(args: &Args) {
     }
 
     // --- preload: client keys + per-group probe keys ------------------------
-    let probe_per_group = 8usize;
-    let total_keys = keys + (groups * probe_per_group) as u64 * 4;
-    let mut probe_keys: Vec<Vec<(u64, Vec<u8>)>> = vec![Vec::new(); groups];
-    let mut batch = Vec::with_capacity(512);
-    for id in 0..total_keys {
-        let key = encode_key(id);
-        if id >= keys {
-            let group = store.shard_of(&key);
-            if probe_keys[group].len() < probe_per_group {
-                probe_keys[group].push((id, key.to_vec()));
-            }
-        }
-        batch.push(BatchOp::Put(key.to_vec(), value_for(id, 0)));
-        if batch.len() == 512 {
-            store.run_batch(std::mem::take(&mut batch));
-        }
-    }
-    store.run_batch(batch);
+    let total_keys = d.keys + (groups * 8) as u64 * 4;
+    Driver::preload(&store, 0..total_keys);
+    let probes = probe_ids(&store, d.keys..total_keys, 8);
 
-    // --- server --------------------------------------------------------------
-    let server = AriaServer::bind(
-        listen.as_str(),
-        Arc::clone(&store),
-        ServerConfig::builder()
-            .max_connections(clients + 8)
-            .build()
-            .expect("valid chaos server config"),
-    )
-    .expect("bind failover server");
+    let server = d.serve(&store, &engine, None);
     let addr = server.local_addr();
-    println!("chaosbench[failover]: serving on {addr}");
-    engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
 
     // --- health poller + traffic pulse ---------------------------------------
     // The pulse GET is load-bearing beyond evidence gathering: it keeps
@@ -1068,7 +1072,7 @@ fn run_failover(args: &Args) {
     let poll_done = Arc::new(AtomicBool::new(false));
     let poller = {
         let poll_done = Arc::clone(&poll_done);
-        let probe_keys = probe_keys.clone();
+        let probes = probes.clone();
         thread::spawn(move || {
             let mut client =
                 AriaClient::connect(addr, ClientConfig::default()).expect("connect health poller");
@@ -1081,15 +1085,12 @@ fn run_failover(args: &Args) {
             while !poll_done.load(Ordering::Relaxed) {
                 if let Ok(reply) = client.health() {
                     // Entries are group-major: group * replicas + replica.
+                    let entries = |g: usize| &reply.shards[g * replicas..(g + 1) * replicas];
                     let degraded: Vec<usize> = (0..groups)
-                        .filter(|g| {
-                            reply.shards[g * replicas..(g + 1) * replicas]
-                                .iter()
-                                .any(|i| i.health() != ShardHealth::Healthy)
-                        })
+                        .filter(|&g| entries(g).iter().any(|i| i.health() != ShardHealth::Healthy))
                         .collect();
                     for (g, last) in last_primary.iter_mut().enumerate() {
-                        let entries = &reply.shards[g * replicas..(g + 1) * replicas];
+                        let entries = entries(g);
                         max_lag_seen =
                             max_lag_seen.max(entries.iter().map(|i| i.lag).max().unwrap_or(0));
                         let primary = entries
@@ -1108,23 +1109,19 @@ fn run_failover(args: &Args) {
                         degraded_polls += 1;
                         // Containment probe: a fully healthy *other* group
                         // must keep answering during this failover.
-                        if let Some(&g) = (0..groups).find(|g| !degraded.contains(g)).as_ref() {
-                            pulse_rng = pulse_rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                            let picks = &probe_keys[g];
+                        if let Some(g) = (0..groups).find(|g| !degraded.contains(g)) {
+                            let picks = &probes[g];
                             if !picks.is_empty() {
-                                let (id, key) = &picks[(pulse_rng % picks.len() as u64) as usize];
-                                if let Ok(Some(bytes)) = client.get(key) {
-                                    if decode_value(&bytes) == Some((*id, 0)) {
-                                        sibling_serves += 1;
-                                    }
+                                let id = picks[(lcg(&mut pulse_rng) % picks.len() as u64) as usize];
+                                if serves_preloaded(&mut client, id) {
+                                    sibling_serves += 1;
                                 }
                             }
                         }
                     }
                 }
                 // Traffic pulse: one GET on the full keyspace.
-                pulse_rng = pulse_rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                let _ = client.get(&encode_key(pulse_rng % total_keys));
+                let _ = client.get(&encode_key(lcg(&mut pulse_rng) % total_keys));
                 thread::sleep(Duration::from_millis(2));
             }
             (sibling_serves, degraded_polls, promotions_seen, max_lag_seen)
@@ -1152,7 +1149,7 @@ fn run_failover(args: &Args) {
                     if stats[g].replicas.iter().all(|r| r.health == ShardHealth::Healthy) {
                         let p = stats[g].primary;
                         if store.exec_detached_replica(g, p, |_st: &mut AriaHash| {
-                            panic!("chaosbench: injected primary kill")
+                            panic!("{PRIMARY_KILL}")
                         }) {
                             kills.fetch_add(1, Ordering::SeqCst);
                         }
@@ -1164,40 +1161,11 @@ fn run_failover(args: &Args) {
     };
 
     // --- run: zipfian clients across the kill schedule ----------------------
-    let start = Instant::now();
-    let ops_per_client = ops / clients as u64;
-    let keys_per_client = keys / clients as u64;
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            let done = Arc::clone(&done);
-            let base = c as u64 * keys_per_client;
-            let cseed = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c as u64 + 1);
-            thread::spawn(move || {
-                run_failover_client(addr, base, keys_per_client, ops_per_client, cseed, done)
-            })
-        })
-        .collect();
-
-    let mut report = ClientReport::default();
-    let mut acked: HashMap<u64, Vec<u64>> = HashMap::new();
-    for w in workers {
-        let (r, model) = w.join().expect("failover client panicked");
-        report.ops += r.ops;
-        report.wrong_reads += r.wrong_reads;
-        report.integrity_errs += r.integrity_errs;
-        report.destroyed_errs += r.destroyed_errs;
-        report.quarantined_errs += r.quarantined_errs;
-        report.unavailable_errs += r.unavailable_errs;
-        report.transport_errs += r.transport_errs;
-        report.other_errs += r.other_errs;
-        report.latencies_us.extend(r.latencies_us);
-        acked.extend(model); // client key ranges are disjoint
-    }
-    let elapsed = start.elapsed();
+    let (report, elapsed) = d.spawn_clients(addr, retrying(), Stop::Cap(ops)).join();
 
     // Clients are done; the poller's pulse keeps recovery moving until
     // the kill floor is reached and every group settles.
-    let kill_deadline = Instant::now() + Duration::from_secs(watchdog_secs / 2);
+    let kill_deadline = Instant::now() + Duration::from_secs(d.watchdog_secs / 2);
     while kills.load(Ordering::SeqCst) < kill_floor && Instant::now() < kill_deadline {
         thread::sleep(Duration::from_millis(5));
     }
@@ -1218,25 +1186,12 @@ fn run_failover(args: &Args) {
         }
         thread::sleep(Duration::from_millis(5));
     }
-    done.store(true, Ordering::SeqCst);
+    d.done.store(true, Ordering::SeqCst);
 
-    // --- sweep: every acknowledged write must be readable --------------------
-    let mut sweep_client =
+    let mut client =
         AriaClient::connect(addr, ClientConfig { retry_budget: 16, ..ClientConfig::default() })
             .expect("connect sweep client");
-    let mut sweep_ok = 0u64;
-    let mut sweep_wrong = 0u64;
-    let preloaded = vec![0u64];
-    for id in 0..keys {
-        let acceptable = acked.get(&id).unwrap_or(&preloaded);
-        match sweep_client.get(&encode_key(id)) {
-            Ok(Some(bytes)) => match decode_value(&bytes) {
-                Some((k, v)) if k == id && acceptable.contains(&v) => sweep_ok += 1,
-                _ => sweep_wrong += 1,
-            },
-            _ => sweep_wrong += 1,
-        }
-    }
+    let sweep = Sweep::run(&mut client, 0..d.keys, &report.acked, false);
 
     // --- divergence phase: a corrupted rejoiner must never re-admit ----------
     let stats_before = store.group_stats();
@@ -1244,15 +1199,15 @@ fn run_failover(args: &Args) {
     let div_primary = stats_before[div_group].primary;
     hook_armed.store(true, Ordering::SeqCst);
     store.exec_detached_replica(div_group, div_primary, |_st: &mut AriaHash| {
-        panic!("chaosbench: injected primary kill")
+        panic!("{PRIMARY_KILL}")
     });
     let div_deadline = Instant::now() + Duration::from_secs(60);
     let mut diverged_detected = false;
     while Instant::now() < div_deadline {
         // Drive traffic so the kill is noticed and the re-sync runs.
-        let _ = sweep_client.get(&encode_key(0));
+        let _ = client.get(&encode_key(0));
         let g = &store.group_stats()[div_group];
-        if matches!(g.last_resync_error, Some(aria_store::StoreError::ReplicaDiverged { .. })) {
+        if matches!(g.last_resync_error, Some(StoreError::ReplicaDiverged { .. })) {
             diverged_detected = true;
             break;
         }
@@ -1265,46 +1220,29 @@ fn run_failover(args: &Args) {
     let div_stats = &store.group_stats()[div_group];
     let diverged_readmitted = div_stats.resyncs > stats_before[div_group].resyncs;
     let dead_replicas = div_stats.replicas.iter().filter(|r| r.health == ShardHealth::Dead).count();
-    let survivor_serves = probe_keys[div_group]
-        .first()
-        .map(|(id, key)| {
-            matches!(sweep_client.get(key), Ok(Some(bytes))
-                if decode_value(&bytes) == Some((*id, 0)))
-        })
-        .unwrap_or(false);
+    let survivor_serves =
+        probes[div_group].first().is_some_and(|&id| serves_preloaded(&mut client, id));
 
     poll_done.store(true, Ordering::SeqCst);
     let (sibling_serves, degraded_polls, promotions_seen, max_lag_seen) =
         poller.join().expect("health poller panicked");
-    let telemetry = server.telemetry().snapshot();
+    let run = Run { report, elapsed, sweep, telemetry: server.telemetry().snapshot() };
     let group_stats = store.group_stats();
     server.shutdown();
 
     // --- verdict --------------------------------------------------------------
     let failovers: u64 = group_stats.iter().map(|g| g.failovers).sum();
     let resyncs: u64 = group_stats.iter().map(|g| g.resyncs).sum();
-    report.latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p50 = percentile(&report.latencies_us, 0.50);
-    let p99 = percentile(&report.latencies_us, 0.99);
-
-    let mut failures: Vec<String> = Vec::new();
-    let mut check = |ok: bool, msg: &str| {
-        if !ok {
-            failures.push(msg.to_string());
-        }
-    };
-    check(kills >= kill_floor, "primary-kill count below floor");
-    check(report.wrong_reads == 0, "acknowledged-then-wrong reads observed");
-    check(sweep_wrong == 0, "final sweep lost or corrupted an acknowledged write");
-    check(failovers >= kills, "fewer promotions than kills");
-    check(resyncs >= kills, "fewer verified re-sync cycles than kills");
-    check(sibling_serves >= 1, "no sibling group served during a failover window");
-    check(promotions_seen >= 1, "HEALTH opcode never observed a promotion");
-    check(diverged_detected, "injected divergence was not detected as ReplicaDiverged");
-    check(!diverged_readmitted, "a diverged replica was re-admitted");
-    check(dead_replicas == 1, "diverged replica is not parked as Dead");
-    check(survivor_serves, "survivor stopped serving after the divergence refusal");
-    check(p99 < 500_000.0, "p99 latency above 500ms (hang-adjacent)");
+    let mut checks = Checks::default();
+    checks.check(kills >= kill_floor, "primary-kill count below floor");
+    checks.check(failovers >= kills, "fewer promotions than kills");
+    checks.check(resyncs >= kills, "fewer verified re-sync cycles than kills");
+    checks.check(sibling_serves >= 1, "no sibling group served during a failover window");
+    checks.check(promotions_seen >= 1, "HEALTH opcode never observed a promotion");
+    checks.check(diverged_detected, "injected divergence was not detected as ReplicaDiverged");
+    checks.check(!diverged_readmitted, "a diverged replica was re-admitted");
+    checks.check(dead_replicas == 1, "diverged replica is not parked as Dead");
+    checks.check(survivor_serves, "survivor stopped serving after the divergence refusal");
 
     // --- report ---------------------------------------------------------------
     let group_rows: Vec<Vec<String>> = group_stats
@@ -1329,183 +1267,68 @@ fn run_failover(args: &Args) {
         &group_rows,
     );
     println!(
-        "ops={} elapsed={:.2}s p50={:.0}us p99={:.0}us kills={} failovers={} resyncs={} \
-         wrong_reads={} sweep ok/wrong={}/{} sibling_serves={} degraded_polls={} \
-         promotions_seen={} max_lag_seen={} diverged detected/readmitted={}/{}",
-        report.ops,
-        elapsed.as_secs_f64(),
-        p50,
-        p99,
-        kills,
-        failovers,
-        resyncs,
-        report.wrong_reads,
-        sweep_ok,
-        sweep_wrong,
-        sibling_serves,
-        degraded_polls,
-        promotions_seen,
-        max_lag_seen,
-        diverged_detected,
-        diverged_readmitted,
+        "{} kills={kills} failovers={failovers} resyncs={resyncs} \
+         sibling_serves={sibling_serves} degraded_polls={degraded_polls} \
+         promotions_seen={promotions_seen} max_lag_seen={max_lag_seen} \
+         diverged detected/readmitted={diverged_detected}/{diverged_readmitted}",
+        run.summary(),
     );
 
-    let group_json = group_stats
+    let group_docs: Vec<Obj> = group_stats
         .iter()
         .map(|g| {
-            let replicas = g
+            let replicas: Vec<Obj> = g
                 .replicas
                 .iter()
                 .map(|r| {
-                    format!(
-                        "{{\"replica\":{},\"role\":{},\"state\":{},\"lag\":{},\
-                         \"violations\":{},\"recoveries\":{}}}",
-                        r.replica,
-                        json_str(&r.role.to_string()),
-                        json_str(&r.health.to_string()),
-                        r.lag,
-                        r.violations,
-                        r.recoveries
-                    )
+                    Obj::new()
+                        .field("replica", r.replica)
+                        .field("role", r.role.to_string())
+                        .field("state", r.health.to_string())
+                        .field("lag", r.lag)
+                        .field("violations", r.violations)
+                        .field("recoveries", r.recoveries)
                 })
-                .collect::<Vec<_>>()
-                .join(",");
-            format!(
-                "{{\"group\":{},\"primary\":{},\"failovers\":{},\"resyncs\":{},\
-                 \"last_resync_error\":{},\"replicas\":[{replicas}]}}",
-                g.group,
-                g.primary,
-                g.failovers,
-                g.resyncs,
-                match &g.last_resync_error {
-                    Some(e) => json_str(&e.to_string()),
-                    None => "null".to_string(),
-                }
-            )
+                .collect();
+            Obj::new()
+                .field("group", g.group)
+                .field("primary", g.primary)
+                .field("failovers", g.failovers)
+                .field("resyncs", g.resyncs)
+                .field("last_resync_error", g.last_resync_error.as_ref().map(|e| e.to_string()))
+                .field("replicas", replicas)
         })
-        .collect::<Vec<_>>()
-        .join(",");
-    let failures_json = failures.iter().map(|f| json_str(f)).collect::<Vec<_>>().join(",");
-    let doc = format!(
-        "{{\n\"schema_version\":{SCHEMA_VERSION},\n\"experiment\":\"failover\",\n\
-         \"git_rev\":{},\n\"seed\":{seed},\n\"elapsed_s\":{:.3},\n\
-         \"groups\":{groups},\n\"replicas\":{replicas},\n\"ops\":{},\n\
-         \"kills\":{kills},\n\"failovers\":{failovers},\n\"resyncs\":{resyncs},\n\
-         \"wrong_reads\":{},\n\"quarantined_errors\":{},\n\"unavailable_errors\":{},\n\
-         \"transport_errors\":{},\n\"other_errors\":{},\n\
-         \"sweep\":{{\"ok\":{sweep_ok},\"wrong\":{sweep_wrong}}},\n\
-         \"sibling_serves_during_failover\":{sibling_serves},\n\
-         \"degraded_health_polls\":{degraded_polls},\n\
-         \"promotions_seen_via_health\":{promotions_seen},\n\
-         \"max_replica_lag_seen\":{max_lag_seen},\n\
-         \"divergence\":{{\"detected\":{diverged_detected},\
-         \"readmitted\":{diverged_readmitted},\"survivor_serves\":{survivor_serves}}},\n\
-         \"latency_us\":{{\"p50\":{:.1},\"p99\":{:.1}}},\n\
-         \"group_stats\":[{group_json}],\n\
-         \"telemetry\":{},\n\
-         \"verdict\":{},\n\"failures\":[{failures_json}]\n}}\n",
-        json_str(git_rev()),
-        elapsed.as_secs_f64(),
-        report.ops,
-        report.wrong_reads,
-        report.quarantined_errs,
-        report.unavailable_errs,
-        report.transport_errs,
-        report.other_errs,
-        p50,
-        p99,
-        telemetry.to_json(),
-        json_str(if failures.is_empty() { "pass" } else { "fail" }),
-    );
-    std::fs::create_dir_all(&out_dir).expect("create out dir");
-    let path = format!("{out_dir}/failover.json");
-    std::fs::write(&path, doc).expect("write failover.json");
-    println!("wrote {path}");
-
-    if failures.is_empty() {
-        println!("chaosbench[failover]: PASS");
-    } else {
-        for f in &failures {
-            eprintln!("chaosbench[failover]: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
+        .collect();
+    let fields = Obj::new()
+        .field("groups", groups)
+        .field("replicas", replicas)
+        .field("kills", kills)
+        .field("failovers", failovers)
+        .field("resyncs", resyncs)
+        .field("sibling_serves_during_failover", sibling_serves)
+        .field("degraded_health_polls", degraded_polls)
+        .field("promotions_seen_via_health", promotions_seen)
+        .field("max_replica_lag_seen", max_lag_seen)
+        .field(
+            "divergence",
+            Obj::new()
+                .field("detected", diverged_detected)
+                .field("readmitted", diverged_readmitted)
+                .field("survivor_serves", survivor_serves),
+        )
+        .field("group_stats", group_docs);
+    d.conclude("failover", &run, checks, fields);
 }
 
 // ---------------------------------------------------------------------------
-// Reshard mode
+// Reshard scenario: split and merge under migration faults
 // ---------------------------------------------------------------------------
-
-/// One reshard-mode client: the failover loop plus routing-cache
-/// evidence — runs until the conductor finishes (and its op floor is
-/// met) so migrations always overlap live traffic, and reports the
-/// routing epoch it ended on (> 1 proves a `WRONG_SHARD` refusal
-/// refreshed the cache mid-run).
-fn run_reshard_client(
-    addr: std::net::SocketAddr,
-    base: u64,
-    range: u64,
-    min_ops: u64,
-    seed: u64,
-    done: Arc<AtomicBool>,
-) -> (ClientReport, HashMap<u64, Vec<u64>>, u64) {
-    let config = ClientConfig {
-        retry_budget: 64,
-        op_deadline: Duration::from_secs(20),
-        retry_backoff: Duration::from_millis(2),
-        ..ClientConfig::default()
-    };
-    let mut client = AriaClient::connect(addr, config).expect("connect reshard client");
-    let mut rng = StdRng::seed_from_u64(seed);
-    let zipf = ScrambledZipfian::new(range, 0.99);
-    let mut model: HashMap<u64, KeyModel> = HashMap::new();
-    let mut report = ClientReport::default();
-    report.latencies_us.reserve(min_ops as usize);
-
-    while !done.load(Ordering::Relaxed) || report.ops < min_ops {
-        let key_id = base + zipf.next(&mut rng);
-        let key = encode_key(key_id);
-        let entry =
-            model.entry(key_id).or_insert(KeyModel { acceptable: vec![0], next_version: 1 });
-        let is_get = rng.gen_range(0..100u64) < READ_RATIO_PCT;
-        let start = Instant::now();
-        if is_get {
-            match client.get(&key) {
-                Ok(Some(bytes)) => match decode_value(&bytes) {
-                    Some((k, v)) if k == key_id && entry.acceptable.contains(&v) => {
-                        entry.acceptable = vec![v];
-                    }
-                    _ => report.wrong_reads += 1,
-                },
-                Ok(None) => report.wrong_reads += 1,
-                Err(e) => classify(&mut report, &e),
-            }
-        } else {
-            let v = entry.next_version;
-            entry.next_version += 1;
-            match client.put(&key, &value_for(key_id, v)) {
-                Ok(()) => entry.acceptable = vec![v],
-                Err(e) => {
-                    // The put may or may not have applied before the
-                    // error: both versions stay plausible.
-                    entry.acceptable.push(v);
-                    classify(&mut report, &e);
-                }
-            }
-        }
-        report.latencies_us.push(start.elapsed().as_secs_f64() * 1e6);
-        report.ops += 1;
-    }
-    let epoch = client.routing_epoch();
-    let acked = model.into_iter().map(|(k, m)| (k, m.acceptable)).collect();
-    (report, acked, epoch)
-}
 
 /// Replay one GET for `key` over a raw connection, claiming
 /// `claim_epoch` as the routing epoch — a captured-frame replay from
 /// before a migration. Returns the server's answer.
 fn replay_with_claim(
-    addr: std::net::SocketAddr,
+    addr: SocketAddr,
     key: &[u8],
     claim_epoch: u64,
 ) -> Option<aria_net::proto::Response> {
@@ -1571,17 +1394,7 @@ fn drive_to_commit(
             thread::sleep(Duration::from_millis(5));
             continue;
         }
-        let settled = loop {
-            let st = client.reshard_status().expect("reshard status");
-            if st.state != aria_store::ReshardState::Running.as_u8() {
-                break st;
-            }
-            if Instant::now() > deadline {
-                return None;
-            }
-            thread::sleep(Duration::from_millis(2));
-        };
-        if settled.committed > before {
+        if settled(client, deadline)?.committed > before {
             return Some(aborts);
         }
         aborts += 1;
@@ -1591,93 +1404,51 @@ fn drive_to_commit(
     }
 }
 
-/// Await the single-flight migration driver settling out of `Running`.
-fn await_reshard_settled(client: &mut AriaClient, deadline: Instant) -> aria_net::ReshardReply {
+/// Await the single-flight migration driver settling out of `Running`;
+/// `None` if `deadline` passes first.
+fn settled(client: &mut AriaClient, deadline: Instant) -> Option<aria_net::ReshardReply> {
     loop {
         let st = client.reshard_status().expect("reshard status");
         if st.state != aria_store::ReshardState::Running.as_u8() {
-            return st;
+            return Some(st);
         }
-        assert!(Instant::now() < deadline, "migration never settled");
+        if Instant::now() > deadline {
+            return None;
+        }
         thread::sleep(Duration::from_millis(2));
     }
 }
 
-fn run_reshard(args: &Args) {
+fn reshard(args: &Args) {
     use aria_store::{ReshardFault, ReshardMode, ReshardState};
 
     let smoke = args.flag("smoke");
+    // Injected target kills panic under a slot lock on purpose.
+    Driver::expect_panics("injected reshard target kill");
+    let d = Driver::start(args, "chaosbench[reshard]", if smoke { 300 } else { 1_800 });
     let start_groups = args.get("shards", 4usize);
     let max_groups = start_groups * 2;
-    let clients = args.get("clients", 4usize);
-    let keys = args.get("keys", 8_192u64);
     let ops = args.get("ops", if smoke { 24_000u64 } else { 160_000 });
     let splits = args.get("splits", if smoke { 1u64 } else { start_groups as u64 }) as usize;
     assert!(splits >= 1 && splits <= start_groups, "--splits must be in 1..=--shards");
-    let watchdog_secs = args.get("watchdog-secs", if smoke { 300u64 } else { 1_800 });
     let tamper_rate = args.get("tamper-rate", 2_500u32);
     let kill_rate = args.get("kill-rate", 800u32);
     let budget = args.get("budget", 32u64);
-    let seed = args.seed();
-    let out_dir = args.out_dir();
-    let listen = args.get_str("listen", "127.0.0.1:0");
-
     println!(
-        "chaosbench[reshard]: groups={start_groups}->{} clients={clients} keys={keys} \
-         ops>={ops} splits={splits} tamper-rate={tamper_rate} kill-rate={kill_rate} seed={seed}",
+        "chaosbench[reshard]: groups={start_groups}->{} clients={} keys={} ops>={ops} \
+         splits={splits} tamper-rate={tamper_rate} kill-rate={kill_rate} seed={}",
         start_groups + splits,
+        d.clients,
+        d.keys,
+        d.seed,
     );
-
-    // Injected target kills panic under a slot lock on purpose; keep the
-    // expected backtraces quiet while any other panic prints as usual.
-    const KILL_MSG: &str = "injected reshard target kill";
-    let default_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(move |info| {
-        let expected = info
-            .payload()
-            .downcast_ref::<&str>()
-            .map(|s| s.contains(KILL_MSG))
-            .or_else(|| info.payload().downcast_ref::<String>().map(|s| s.contains(KILL_MSG)))
-            .unwrap_or(false);
-        if !expected {
-            default_hook(info);
-        }
-    }));
-
-    // --- watchdog: no hang, ever -------------------------------------------
-    let done = Arc::new(AtomicBool::new(false));
-    {
-        let done = Arc::clone(&done);
-        thread::spawn(move || {
-            let deadline = Instant::now() + Duration::from_secs(watchdog_secs);
-            while !done.load(Ordering::Relaxed) {
-                if Instant::now() > deadline {
-                    eprintln!(
-                        "chaosbench[reshard]: WATCHDOG — run exceeded {watchdog_secs}s, aborting"
-                    );
-                    std::process::exit(2);
-                }
-                thread::sleep(Duration::from_millis(100));
-            }
-        });
-    }
 
     // --- elastic store + chaos-consulting fault hook ------------------------
-    let per_shard_keys = (keys / start_groups as u64) * 2 + 1_024;
     let store = Arc::new(
-        ShardedStore::with_elastic(start_groups, max_groups, 1, move |_| {
-            let suite = Arc::new(aria_crypto::FastSuite::from_master(&[0x42; 16]))
-                as Arc<dyn aria_crypto::CipherSuite>;
-            AriaHash::with_suite(
-                StoreConfig::for_keys(per_shard_keys),
-                Arc::new(Enclave::with_default_epc()),
-                Some(suite),
-            )
-        })
-        .expect("construct elastic store"),
+        ShardedStore::with_elastic(start_groups, max_groups, 1, shard_store(d.keys, start_groups))
+            .expect("construct elastic store"),
     );
-
-    let plan = FaultPlan::new(seed)
+    let plan = FaultPlan::new(d.seed)
         .with_rate(FaultSite::MigrationStreamTamper, tamper_rate)
         .with_rate(FaultSite::TargetKill, kill_rate)
         .with_rate(FaultSite::StaleEpochReplay, FaultPlan::RATE_SCALE)
@@ -1717,38 +1488,20 @@ fn run_reshard(args: &Args) {
 
     // --- preload: client keys + probe keys the clients never write ----------
     let probe_count = 64u64;
-    let total_keys = keys + probe_count;
-    let mut batch = Vec::with_capacity(512);
-    for id in 0..total_keys {
-        batch.push(BatchOp::Put(encode_key(id).to_vec(), value_for(id, 0)));
-        if batch.len() == 512 {
-            store.run_batch(std::mem::take(&mut batch));
-        }
-    }
-    store.run_batch(batch);
-    let probe_ids: Vec<u64> = (keys..total_keys).collect();
+    let total_keys = d.keys + probe_count;
+    Driver::preload(&store, 0..total_keys);
 
-    // --- server (flight recorder armed: aborts must leave a post-mortem) ----
-    let flight_dir = std::path::PathBuf::from(format!("{out_dir}/flight-reshard"));
+    // Flight recorder armed: aborts must leave a post-mortem.
+    let flight_dir = std::path::PathBuf::from(format!("{}/flight-reshard", d.out_dir));
     let _ = std::fs::remove_dir_all(&flight_dir);
-    let server = AriaServer::bind(
-        listen.as_str(),
-        Arc::clone(&store),
-        ServerConfig::builder()
-            .max_connections(clients + 8)
-            .flight_dir(Some(flight_dir.clone()))
-            .build()
-            .expect("valid reshard server config"),
-    )
-    .expect("bind reshard server");
+    let server = d.serve(&store, &engine, Some(flight_dir.clone()));
     let addr = server.local_addr();
-    println!("chaosbench[reshard]: serving on {addr}");
-    engine.set_telemetry(Arc::clone(&server.telemetry().chaos));
 
     // --- epoch observer: watches the control plane from outside -------------
     let poll_done = Arc::new(AtomicBool::new(false));
     let poller = {
         let poll_done = Arc::clone(&poll_done);
+        let keys = d.keys;
         thread::spawn(move || {
             let mut client =
                 AriaClient::connect(addr, ClientConfig::default()).expect("connect epoch poller");
@@ -1759,16 +1512,13 @@ fn run_reshard(args: &Args) {
             while !poll_done.load(Ordering::Relaxed) {
                 if let Ok(st) = client.reshard_status() {
                     max_epoch = max_epoch.max(st.epoch);
-                    if st.state == aria_store::ReshardState::Running.as_u8() {
+                    if st.state == ReshardState::Running.as_u8() {
                         running_polls += 1;
                         // The store must keep serving mid-migration:
                         // probe a key the clients never touch.
-                        pulse_rng = pulse_rng.wrapping_mul(6364136223846793005).wrapping_add(1);
-                        let id = keys + pulse_rng % probe_count;
-                        if let Ok(Some(bytes)) = client.get(&encode_key(id)) {
-                            if decode_value(&bytes) == Some((id, 0)) {
-                                serves_during_migration += 1;
-                            }
+                        let id = keys + lcg(&mut pulse_rng) % probe_count;
+                        if serves_preloaded(&mut client, id) {
+                            serves_during_migration += 1;
                         }
                     }
                 }
@@ -1779,27 +1529,30 @@ fn run_reshard(args: &Args) {
     };
 
     // --- clients: zipfian churn across every flip ----------------------------
-    let start = Instant::now();
-    let ops_per_client = ops / clients as u64;
-    let keys_per_client = keys / clients as u64;
-    let workers: Vec<_> = (0..clients)
-        .map(|c| {
-            let done = Arc::clone(&done);
-            let base = c as u64 * keys_per_client;
-            let cseed = seed ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(c as u64 + 1);
-            thread::spawn(move || {
-                run_reshard_client(addr, base, keys_per_client, ops_per_client, cseed, done)
-            })
-        })
-        .collect();
+    let clients = d.spawn_clients(addr, retrying(), Stop::Floor(ops));
 
     // --- conductor: scripted aborts, then the split/merge schedule ----------
     let mut ctl = AriaClient::connect(addr, ClientConfig::default()).expect("connect conductor");
-    let deadline = Instant::now() + Duration::from_secs(watchdog_secs.saturating_sub(60).max(60));
-    let probe_key = encode_key(probe_ids[0]);
-    let probe_serves = |ctl: &mut AriaClient| -> bool {
-        matches!(ctl.get(&probe_key), Ok(Some(bytes))
-            if decode_value(&bytes) == Some((probe_ids[0], 0)))
+    let deadline = Instant::now() + Duration::from_secs(d.watchdog_secs.saturating_sub(60).max(60));
+    let probe_id = d.keys;
+    // A scripted abort is clean when the driver settled as Aborted with
+    // the counters and epoch unmoved, no group was added, the target
+    // owns no slot, and the old owner still serves.
+    let abort_clean = |ctl: &mut AriaClient, before: &aria_net::ReshardReply, what: &str| {
+        let st = settled(ctl, deadline).expect("migration never settled");
+        let clean = st.state == ReshardState::Aborted.as_u8()
+            && st.aborted == before.aborted + 1
+            && st.committed == before.committed
+            && st.epoch == before.epoch
+            && store.active_shards() == start_groups
+            && store.routing().owned_slots(start_groups).is_empty()
+            && serves_preloaded(ctl, probe_id);
+        println!(
+            "chaosbench[reshard]: scripted {what} abort {} (epoch {} unchanged)",
+            if clean { "clean" } else { "DIRTY" },
+            st.epoch,
+        );
+        clean
     };
 
     // Scripted abort #1: a tampered copy stream. The content-root
@@ -1808,55 +1561,31 @@ fn run_reshard(args: &Args) {
     let before = ctl.reshard_status().expect("reshard status");
     force_tamper.store(true, Ordering::SeqCst);
     ctl.start_split(0, start_groups as u32).expect("start tampered split");
-    let st = await_reshard_settled(&mut ctl, deadline);
-    let tamper_abort_clean = st.state == ReshardState::Aborted.as_u8()
-        && st.aborted == before.aborted + 1
-        && st.committed == before.committed
-        && st.epoch == before.epoch
-        && store.active_shards() == start_groups
-        && store.routing().owned_slots(start_groups).is_empty()
-        && matches!(
-            store.reshard_status().last_error,
-            Some(aria_store::StoreError::ReplicaDiverged { .. })
-        )
-        && probe_serves(&mut ctl);
-    println!(
-        "chaosbench[reshard]: scripted tamper abort {} (epoch {} unchanged)",
-        if tamper_abort_clean { "clean" } else { "DIRTY" },
-        st.epoch,
-    );
+    let tamper_abort_clean = abort_clean(&mut ctl, &before, "tamper")
+        && matches!(store.reshard_status().last_error, Some(StoreError::ReplicaDiverged { .. }));
 
     // Scripted abort #2: the target's primary dies mid-copy. Same
     // contract: abort, no epoch movement, no target residue.
     let before = ctl.reshard_status().expect("reshard status");
     force_kill.store(true, Ordering::SeqCst);
     ctl.start_split(0, start_groups as u32).expect("start killed split");
-    let st = await_reshard_settled(&mut ctl, deadline);
-    let kill_abort_clean = st.state == ReshardState::Aborted.as_u8()
-        && st.aborted == before.aborted + 1
-        && st.committed == before.committed
-        && st.epoch == before.epoch
-        && store.active_shards() == start_groups
-        && store.routing().owned_slots(start_groups).is_empty()
-        && probe_serves(&mut ctl);
-    println!(
-        "chaosbench[reshard]: scripted target-kill abort {} (epoch {} unchanged)",
-        if kill_abort_clean { "clean" } else { "DIRTY" },
-        st.epoch,
-    );
+    let kill_abort_clean = abort_clean(&mut ctl, &before, "target-kill");
 
     // The split/merge schedule, with seed-scheduled tampering and kills
     // riding along (each abort is retried until the migration commits).
     ride_along.store(true, Ordering::SeqCst);
     let mut ride_along_aborts = 0u64;
     let mut commits = 0u64;
-    for i in 0..splits {
-        let (s, t) = (i as u32, (start_groups + i) as u32);
-        let aborts = drive_to_commit(&mut ctl, ReshardMode::Split, s, t, deadline)
-            .unwrap_or_else(|| panic!("split {s}->{t} never committed"));
+    let mut migrate = |ctl: &mut AriaClient, mode: ReshardMode, s: usize, t: usize| {
+        let (s, t) = (s as u32, t as u32);
+        let aborts = drive_to_commit(ctl, mode, s, t, deadline)
+            .unwrap_or_else(|| panic!("{mode:?} {s}->{t} never committed"));
         ride_along_aborts += aborts;
         commits += 1;
-        println!("chaosbench[reshard]: split {s}->{t} committed after {aborts} abort(s)");
+        println!("chaosbench[reshard]: {mode:?} {s}->{t} committed after {aborts} abort(s)");
+    };
+    for i in 0..splits {
+        migrate(&mut ctl, ReshardMode::Split, i, start_groups + i);
     }
 
     // Stale-epoch replays: frames captured before the splits, played
@@ -1888,52 +1617,15 @@ fn run_reshard(args: &Args) {
     );
 
     for i in (0..splits).rev() {
-        let (s, t) = ((start_groups + i) as u32, i as u32);
-        let aborts = drive_to_commit(&mut ctl, ReshardMode::Merge, s, t, deadline)
-            .unwrap_or_else(|| panic!("merge {s}->{t} never committed"));
-        ride_along_aborts += aborts;
-        commits += 1;
-        println!("chaosbench[reshard]: merge {s}->{t} committed after {aborts} abort(s)");
+        migrate(&mut ctl, ReshardMode::Merge, start_groups + i, i);
     }
-    done.store(true, Ordering::SeqCst);
+    d.done.store(true, Ordering::SeqCst);
+    let (report, elapsed) = clients.join();
 
-    // --- join clients, merge models ------------------------------------------
-    let mut report = ClientReport::default();
-    let mut acked: HashMap<u64, Vec<u64>> = HashMap::new();
-    let mut max_client_epoch = 0u64;
-    for w in workers {
-        let (r, model, epoch) = w.join().expect("reshard client panicked");
-        report.ops += r.ops;
-        report.wrong_reads += r.wrong_reads;
-        report.integrity_errs += r.integrity_errs;
-        report.destroyed_errs += r.destroyed_errs;
-        report.quarantined_errs += r.quarantined_errs;
-        report.unavailable_errs += r.unavailable_errs;
-        report.transport_errs += r.transport_errs;
-        report.other_errs += r.other_errs;
-        report.latencies_us.extend(r.latencies_us);
-        acked.extend(model); // client key ranges are disjoint
-        max_client_epoch = max_client_epoch.max(epoch);
-    }
-    let elapsed = start.elapsed();
-
-    // --- sweep: every acknowledged write must still be readable --------------
-    let mut sweep_client =
+    let mut client =
         AriaClient::connect(addr, ClientConfig { retry_budget: 16, ..ClientConfig::default() })
             .expect("connect sweep client");
-    let mut sweep_ok = 0u64;
-    let mut sweep_wrong = 0u64;
-    let preloaded = vec![0u64];
-    for id in 0..total_keys {
-        let acceptable = acked.get(&id).unwrap_or(&preloaded);
-        match sweep_client.get(&encode_key(id)) {
-            Ok(Some(bytes)) => match decode_value(&bytes) {
-                Some((k, v)) if k == id && acceptable.contains(&v) => sweep_ok += 1,
-                _ => sweep_wrong += 1,
-            },
-            _ => sweep_wrong += 1,
-        }
-    }
+    let sweep = Sweep::run(&mut client, 0..total_keys, &report.acked, false);
 
     // --- flight dump: the scripted aborts must leave a post-mortem ----------
     let dump_deadline = Instant::now() + Duration::from_secs(30);
@@ -1944,9 +1636,9 @@ fn run_reshard(args: &Args) {
                     "flight recorder: {count} dump(s), newest {} records the abort",
                     path.display()
                 );
-                break Some(dump);
+                break true;
             }
-            _ if Instant::now() > dump_deadline => break None,
+            _ if Instant::now() > dump_deadline => break false,
             _ => thread::sleep(Duration::from_millis(100)),
         }
     };
@@ -1955,117 +1647,83 @@ fn run_reshard(args: &Args) {
     let (max_epoch_polled, running_polls, serves_during_migration) =
         poller.join().expect("epoch poller panicked");
     let status = store.reshard_status();
-    let telemetry = server.telemetry().snapshot();
+    let run = Run { report, elapsed, sweep, telemetry: server.telemetry().snapshot() };
     server.shutdown();
 
     // --- verdict --------------------------------------------------------------
     let final_epoch = status.epoch;
-    report.latencies_us.sort_by(|a, b| a.partial_cmp(b).expect("finite latencies"));
-    let p50 = percentile(&report.latencies_us, 0.50);
-    let p99 = percentile(&report.latencies_us, 0.99);
-
-    let mut failures: Vec<String> = Vec::new();
-    let mut check = |ok: bool, msg: &str| {
-        if !ok {
-            failures.push(msg.to_string());
-        }
-    };
-    check(report.wrong_reads == 0, "acknowledged-then-wrong reads observed");
-    check(sweep_wrong == 0, "final sweep lost or corrupted an acknowledged write");
-    check(tamper_abort_clean, "tampered-stream migration did not abort cleanly");
-    check(kill_abort_clean, "target-kill migration did not abort cleanly");
-    check(status.committed == commits && commits == 2 * splits as u64, "commit count mismatch");
-    check(final_epoch == 1 + commits, "epoch did not advance exactly once per commit");
-    check(store.active_shards() == start_groups, "group count did not return to the start");
-    check(status.aborted >= 2, "fewer than the two scripted aborts were recorded");
-    check(replays_attempted >= 1, "no stale-epoch replay was attempted");
-    check(replays_refused == replays_attempted, "a stale-epoch replay was not refused");
-    check(fresh_claim_serves, "a fresh-epoch claim on a moved key was refused");
-    check(max_client_epoch > 1, "no client routing cache was refreshed by a WRONG_SHARD refusal");
-    check(max_epoch_polled == final_epoch, "RESHARD status never exposed the final epoch");
-    check(running_polls >= 1, "RESHARD status never observed a running migration");
-    check(serves_during_migration >= 1, "no probe was served mid-migration");
-    check(abort_dump.is_some(), "scripted aborts left no flight-recorder post-mortem");
-    check(p99 < 500_000.0, "p99 latency above 500ms (hang-adjacent)");
+    let max_client_epoch = run.report.routing_epoch;
+    let mut checks = Checks::default();
+    checks.check(tamper_abort_clean, "tampered-stream migration did not abort cleanly");
+    checks.check(kill_abort_clean, "target-kill migration did not abort cleanly");
+    checks.check(
+        status.committed == commits && commits == 2 * splits as u64,
+        "commit count mismatch",
+    );
+    checks.check(final_epoch == 1 + commits, "epoch did not advance exactly once per commit");
+    checks.check(store.active_shards() == start_groups, "group count did not return to the start");
+    checks.check(status.aborted >= 2, "fewer than the two scripted aborts were recorded");
+    checks.check(replays_attempted >= 1, "no stale-epoch replay was attempted");
+    checks.check(replays_refused == replays_attempted, "a stale-epoch replay was not refused");
+    checks.check(fresh_claim_serves, "a fresh-epoch claim on a moved key was refused");
+    checks.check(
+        max_client_epoch > 1,
+        "no client routing cache was refreshed by a WRONG_SHARD refusal",
+    );
+    checks.check(max_epoch_polled == final_epoch, "RESHARD status never exposed the final epoch");
+    checks.check(running_polls >= 1, "RESHARD status never observed a running migration");
+    checks.check(serves_during_migration >= 1, "no probe was served mid-migration");
+    checks.check(abort_dump, "scripted aborts left no flight-recorder post-mortem");
 
     // --- report ---------------------------------------------------------------
+    let (tamper_fires, kill_fires) =
+        (tamper_fires.load(Ordering::SeqCst), kill_fires.load(Ordering::SeqCst));
     println!(
-        "ops={} elapsed={:.2}s p50={:.0}us p99={:.0}us commits={} aborts={} \
-         (scripted=2 ride-along={}) tamper_fires={} kill_fires={} epoch={} \
-         wrong_reads={} sweep ok/wrong={}/{} max_client_epoch={} replays {}/{}",
-        report.ops,
-        elapsed.as_secs_f64(),
-        p50,
-        p99,
+        "{} commits={} aborts={} (scripted=2 ride-along={ride_along_aborts}) \
+         tamper_fires={tamper_fires} kill_fires={kill_fires} epoch={final_epoch} \
+         max_client_epoch={max_client_epoch} replays {replays_refused}/{replays_attempted}",
+        run.summary(),
         status.committed,
         status.aborted,
-        ride_along_aborts,
-        tamper_fires.load(Ordering::SeqCst),
-        kill_fires.load(Ordering::SeqCst),
-        final_epoch,
-        report.wrong_reads,
-        sweep_ok,
-        sweep_wrong,
-        max_client_epoch,
-        replays_refused,
-        replays_attempted,
     );
 
-    let failures_json = failures.iter().map(|f| json_str(f)).collect::<Vec<_>>().join(",");
-    let doc = format!(
-        "{{\n\"schema_version\":{SCHEMA_VERSION},\n\"experiment\":\"reshard\",\n\
-         \"git_rev\":{},\n\"seed\":{seed},\n\"elapsed_s\":{:.3},\n\
-         \"groups_start\":{start_groups},\n\"groups_max\":{max_groups},\n\
-         \"splits\":{splits},\n\"merges\":{splits},\n\"ops\":{},\n\
-         \"migrations\":{{\"started\":{},\"committed\":{},\"aborted\":{},\
-         \"ride_along_aborts\":{ride_along_aborts},\
-         \"tamper_fires\":{},\"kill_fires\":{}}},\n\
-         \"scripted_aborts\":{{\"tamper_clean\":{tamper_abort_clean},\
-         \"target_kill_clean\":{kill_abort_clean}}},\n\
-         \"routing\":{{\"final_epoch\":{final_epoch},\
-         \"max_epoch_polled\":{max_epoch_polled},\
-         \"max_client_epoch\":{max_client_epoch},\
-         \"running_polls\":{running_polls},\
-         \"serves_during_migration\":{serves_during_migration}}},\n\
-         \"stale_replays\":{{\"attempted\":{replays_attempted},\
-         \"refused\":{replays_refused},\"fresh_claim_serves\":{fresh_claim_serves}}},\n\
-         \"wrong_reads\":{},\n\"quarantined_errors\":{},\n\"unavailable_errors\":{},\n\
-         \"transport_errors\":{},\n\"other_errors\":{},\n\
-         \"sweep\":{{\"ok\":{sweep_ok},\"wrong\":{sweep_wrong}}},\n\
-         \"abort_flight_dump\":{},\n\
-         \"latency_us\":{{\"p50\":{:.1},\"p99\":{:.1}}},\n\
-         \"telemetry\":{},\n\
-         \"verdict\":{},\n\"failures\":[{failures_json}]\n}}\n",
-        json_str(git_rev()),
-        elapsed.as_secs_f64(),
-        report.ops,
-        status.started,
-        status.committed,
-        status.aborted,
-        tamper_fires.load(Ordering::SeqCst),
-        kill_fires.load(Ordering::SeqCst),
-        report.wrong_reads,
-        report.quarantined_errs,
-        report.unavailable_errs,
-        report.transport_errs,
-        report.other_errs,
-        abort_dump.is_some(),
-        p50,
-        p99,
-        telemetry.to_json(),
-        json_str(if failures.is_empty() { "pass" } else { "fail" }),
-    );
-    std::fs::create_dir_all(&out_dir).expect("create out dir");
-    let path = format!("{out_dir}/reshard.json");
-    std::fs::write(&path, doc).expect("write reshard.json");
-    println!("wrote {path}");
-
-    if failures.is_empty() {
-        println!("chaosbench[reshard]: PASS");
-    } else {
-        for f in &failures {
-            eprintln!("chaosbench[reshard]: FAIL — {f}");
-        }
-        std::process::exit(1);
-    }
+    let fields = Obj::new()
+        .field("groups_start", start_groups)
+        .field("groups_max", max_groups)
+        .field("splits", splits)
+        .field("merges", splits)
+        .field(
+            "migrations",
+            Obj::new()
+                .field("started", status.started)
+                .field("committed", status.committed)
+                .field("aborted", status.aborted)
+                .field("ride_along_aborts", ride_along_aborts)
+                .field("tamper_fires", tamper_fires)
+                .field("kill_fires", kill_fires),
+        )
+        .field(
+            "scripted_aborts",
+            Obj::new()
+                .field("tamper_clean", tamper_abort_clean)
+                .field("target_kill_clean", kill_abort_clean),
+        )
+        .field(
+            "routing",
+            Obj::new()
+                .field("final_epoch", final_epoch)
+                .field("max_epoch_polled", max_epoch_polled)
+                .field("max_client_epoch", max_client_epoch)
+                .field("running_polls", running_polls)
+                .field("serves_during_migration", serves_during_migration),
+        )
+        .field(
+            "stale_replays",
+            Obj::new()
+                .field("attempted", replays_attempted)
+                .field("refused", replays_refused)
+                .field("fresh_claim_serves", fresh_claim_serves),
+        )
+        .field("abort_flight_dump", abort_dump);
+    d.conclude("reshard", &run, checks, fields);
 }

@@ -33,7 +33,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::time::Instant;
 
-use aria_bench::report::{git_rev, json_f64, json_str, print_table, SCHEMA_VERSION};
+use aria_bench::report::{print_table, write_doc, Obj};
 use aria_bench::Args;
 use aria_chaos::{ChaosEngine, FaultPlan, FaultSite};
 use aria_sim::Enclave;
@@ -485,66 +485,43 @@ fn write_json(
     rec: &RecoveryResults,
     chaos: &ChaosResults,
 ) {
-    let mut doc = String::new();
-    doc.push_str(&format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":{},\"experiment\":\"durability\",\
-         \"dataset_bytes\":{},\"hot_budget_bytes\":{},\"keys\":{},\"value_len\":{},",
-        json_str(git_rev()),
-        sz.dataset_bytes(),
-        sz.hot_budget,
-        sz.keys,
-        sz.value_len,
-    ));
-    doc.push_str("\"sweep\":[");
-    for (i, p) in sweep.iter().enumerate() {
-        if i > 0 {
-            doc.push(',');
-        }
-        doc.push_str(&format!(
-            "{{\"theta\":{},\"throughput\":{},\"hot_hit_rate\":{},\"hot_entries\":{},\
-             \"cold_entries\":{},\"cold_read_p99_us\":{}}}",
-            json_f64(p.theta),
-            json_f64(p.throughput),
-            json_f64(p.hot_hit_rate),
-            p.hot_entries,
-            p.cold_entries,
-            json_f64(p.cold_read_p99_us),
-        ));
-    }
-    doc.push_str("],");
-    doc.push_str(&format!(
-        "\"recovery\":{{\"trials\":{},\"recovered\":{},\"refused_deep_cut\":{},\"wrong\":{},\
-         \"mean_recovery_ms\":{},\"max_recovery_ms\":{},\"records_replayed\":{}}},",
-        rec.trials,
-        rec.recovered,
-        rec.refused_deep_cut,
-        rec.wrong,
-        json_f64(rec.total_recovery_ms / rec.recovered.max(1) as f64),
-        json_f64(rec.max_recovery_ms),
-        rec.records_replayed,
-    ));
-    doc.push_str(&format!(
-        "\"chaos\":{{\"trials\":{},\"bit_flips\":{},\"torn_appends\":{},\"rollbacks\":{},\
-         \"detected\":{},\"clean_truncations\":{},\"wrong_reads\":{}}}}}",
-        chaos.trials,
-        chaos.bit_flips,
-        chaos.torn_appends,
-        chaos.rollbacks,
-        chaos.detected,
-        chaos.clean_truncations,
-        chaos.wrong_reads,
-    ));
-    let dir = Path::new(out_dir);
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create {out_dir}; results not persisted");
-        return;
-    }
-    let path = dir.join("durability.json");
-    if let Err(e) = std::fs::write(&path, format!("{doc}\n")) {
-        eprintln!("warning: cannot write {path:?}: {e}");
-    } else {
-        println!("\nresults written to {}", path.display());
-    }
+    let sweep: Vec<Obj> = sweep
+        .iter()
+        .map(|p| {
+            Obj::new()
+                .field("theta", p.theta)
+                .field("throughput", p.throughput)
+                .field("hot_hit_rate", p.hot_hit_rate)
+                .field("hot_entries", p.hot_entries)
+                .field("cold_entries", p.cold_entries)
+                .field("cold_read_p99_us", p.cold_read_p99_us)
+        })
+        .collect();
+    let recovery = Obj::new()
+        .field("trials", rec.trials)
+        .field("recovered", rec.recovered)
+        .field("refused_deep_cut", rec.refused_deep_cut)
+        .field("wrong", rec.wrong)
+        .field("mean_recovery_ms", rec.total_recovery_ms / rec.recovered.max(1) as f64)
+        .field("max_recovery_ms", rec.max_recovery_ms)
+        .field("records_replayed", rec.records_replayed);
+    let chaos = Obj::new()
+        .field("trials", chaos.trials)
+        .field("bit_flips", chaos.bit_flips)
+        .field("torn_appends", chaos.torn_appends)
+        .field("rollbacks", chaos.rollbacks)
+        .field("detected", chaos.detected)
+        .field("clean_truncations", chaos.clean_truncations)
+        .field("wrong_reads", chaos.wrong_reads);
+    let doc = Obj::new()
+        .field("dataset_bytes", sz.dataset_bytes())
+        .field("hot_budget_bytes", sz.hot_budget)
+        .field("keys", sz.keys)
+        .field("value_len", sz.value_len)
+        .field("sweep", sweep)
+        .field("recovery", recovery)
+        .field("chaos", chaos);
+    write_doc(out_dir, "durability", doc);
 }
 
 fn main() {

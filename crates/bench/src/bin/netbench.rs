@@ -20,18 +20,18 @@
 //! ```
 //!
 //! Results go to `<out>/net.json` (one self-describing JSON document
-//! with `schema_version` and `git_rev`); the committed `BENCH_net.json`
+//! with `schema_version`, `git_rev` and `experiment`, written through
+//! `aria_bench::write_doc`); the committed `BENCH_net.json`
 //! is a snapshot of a full default sweep. Every point embeds the
 //! server's end-of-run telemetry snapshot; `--metrics-out` additionally
 //! writes the last point's Prometheus-style exposition (debug builds
 //! validate the counter invariants while rendering it).
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aria_bench::{fmt_tput, git_rev, json_f64, json_str, print_table, Args, SCHEMA_VERSION};
+use aria_bench::{fmt_tput, percentile, print_table, write_doc, Args, Obj};
 use aria_net::{proto, AriaClient, AriaServer, ClientConfig, ServerConfig};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
@@ -389,15 +389,6 @@ fn run_point(
     }
 }
 
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
 fn parse_list(s: &str) -> Vec<usize> {
     let list: Vec<usize> = s.split(',').filter_map(|p| p.trim().parse().ok()).collect();
     assert!(!list.is_empty(), "empty sweep list {s:?}");
@@ -405,47 +396,28 @@ fn parse_list(s: &str) -> Vec<usize> {
 }
 
 fn write_net_json(out_dir: &str, shards: usize, keys: u64, ops: u64, points: &[Point]) {
-    let mut doc = String::new();
-    doc.push_str(&format!(
-        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_rev\": {},\n  \
-         \"bench\": \"netbench\",\n  \
-         \"shards\": {shards},\n  \"keys\": {keys},\n  \
-         \"ops_per_point\": {ops},\n  \"value_len\": {VALUE_LEN},\n  \
-         \"read_ratio\": {READ_RATIO},\n  \"points\": [\n",
-        json_str(git_rev()),
-    ));
-    for (i, p) in points.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"distribution\": {}, \"connections\": {}, \"depth\": {}, \
-             \"ops\": {}, \"elapsed_ms\": {}, \"throughput\": {}, \
-             \"p50_us\": {}, \"p95_us\": {}, \"p99_us\": {}, \
-             \"telemetry\": {}}}{}\n",
-            json_str(p.dist_label),
-            p.connections,
-            p.depth,
-            p.ops,
-            json_f64(p.elapsed.as_secs_f64() * 1e3),
-            json_f64(p.throughput),
-            json_f64(p.p50_us),
-            json_f64(p.p95_us),
-            json_f64(p.p99_us),
-            p.telemetry.to_json(),
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    doc.push_str("  ]\n}\n");
-
-    let dir = std::path::Path::new(out_dir);
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create {out_dir}; results not persisted");
-        return;
-    }
-    let path = dir.join("net.json");
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = f.write_all(doc.as_bytes());
-            println!("\nresults written to {}", path.display());
-        }
-        Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
-    }
+    let points: Vec<Obj> = points
+        .iter()
+        .map(|p| {
+            Obj::new()
+                .field("distribution", p.dist_label)
+                .field("connections", p.connections)
+                .field("depth", p.depth)
+                .field("ops", p.ops)
+                .field("elapsed_ms", p.elapsed.as_secs_f64() * 1e3)
+                .field("throughput", p.throughput)
+                .field("p50_us", p.p50_us)
+                .field("p95_us", p.p95_us)
+                .field("p99_us", p.p99_us)
+                .field("telemetry", &p.telemetry)
+        })
+        .collect();
+    let doc = Obj::new()
+        .field("shards", shards)
+        .field("keys", keys)
+        .field("ops_per_point", ops)
+        .field("value_len", VALUE_LEN)
+        .field("read_ratio", READ_RATIO)
+        .field("points", points);
+    write_doc(out_dir, "net", doc);
 }

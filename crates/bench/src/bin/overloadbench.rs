@@ -35,15 +35,12 @@
 //! `BENCH_overload.json` is a snapshot of a full default sweep.
 
 use std::collections::HashMap;
-use std::io::Write as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use aria_bench::{
-    fmt_tput, git_rev, json_f64, json_str, newest_flight_dump, print_table, Args, SCHEMA_VERSION,
-};
+use aria_bench::{fmt_tput, newest_flight_dump, percentile, print_table, write_doc, Args, Obj};
 use aria_net::{proto, AriaClient, AriaServer, ClientConfig, ServerConfig};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
@@ -287,19 +284,49 @@ fn main() {
     let wrong: u64 = points.iter().map(|p| p.wrong_writes).sum();
     let probe_failures: u64 = points.iter().map(|p| p.probe.failures).sum();
 
-    write_overload_json(
-        &args.out_dir(),
-        shards,
-        budget_ms,
-        deadline_ms,
-        capacity,
-        &points,
-        floor_ratio,
-        goodput_floor_ok,
-        p99_bound_ms,
-        p99_bounded,
-        &telemetry,
-    );
+    let point_docs: Vec<Obj> = points
+        .iter()
+        .map(|p| {
+            Obj::new()
+                .field("mult", p.mult)
+                .field("offered_target", p.offered_target)
+                .field("offered_actual", p.offered_actual)
+                .field("goodput", p.goodput)
+                .field("shed_overload", p.shed_overload)
+                .field("shed_deadline", p.shed_deadline)
+                .field("other_errors", p.other_errors)
+                .field("transport_errors", p.transport_errors)
+                .field("admitted_p50_ms", p.admitted_p50_ms)
+                .field("admitted_p99_ms", p.admitted_p99_ms)
+                .field("health_probes", p.probe.probes)
+                .field("health_failures", p.probe.failures)
+                .field("health_max_ms", p.probe.max_ms)
+                .field("degraded_seen", p.probe.degraded_seen)
+                .field("max_queue_delay_ms", p.probe.max_queue_delay_ms)
+                .field("verified_keys", p.verified_keys)
+                .field("in_doubt_keys", p.in_doubt_keys)
+                .field("lost_writes", p.lost_writes)
+                .field("wrong_writes", p.wrong_writes)
+        })
+        .collect();
+    let summary = Obj::new()
+        .field("goodput_floor_ratio", floor_ratio)
+        .field("goodput_floor_ok", goodput_floor_ok)
+        .field("admitted_p99_bound_ms", p99_bound_ms)
+        .field("admitted_p99_bounded", p99_bounded)
+        .field("lost_writes", lost)
+        .field("wrong_writes", wrong)
+        .field("health_failures", probe_failures);
+    let doc = Obj::new()
+        .field("shards", shards)
+        .field("distribution", "zipf-0.99")
+        .field("queue_delay_budget_ms", budget_ms)
+        .field("op_deadline_ms", deadline_ms)
+        .field("capacity_ops_s", capacity)
+        .field("points", point_docs)
+        .field("summary", summary)
+        .field("telemetry", &telemetry);
+    write_doc(&args.out_dir(), "overload", doc);
 
     let mut fatal = false;
     if lost > 0 || wrong > 0 {
@@ -664,102 +691,5 @@ fn run_point(cfg: RunPointCfg) -> Point {
         wrong_writes: wrong,
         verified_keys: verified,
         in_doubt_keys: in_doubt,
-    }
-}
-
-/// Nearest-rank percentile over an ascending-sorted slice.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return f64::NAN;
-    }
-    let rank = ((sorted.len() - 1) as f64 * q).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
-}
-
-#[allow(clippy::too_many_arguments)]
-fn write_overload_json(
-    out_dir: &str,
-    shards: usize,
-    budget_ms: u64,
-    deadline_ms: u64,
-    capacity: f64,
-    points: &[Point],
-    floor_ratio: f64,
-    goodput_floor_ok: bool,
-    p99_bound_ms: f64,
-    p99_bounded: bool,
-    telemetry: &aria_telemetry::TelemetrySnapshot,
-) {
-    let mut doc = String::new();
-    doc.push_str(&format!(
-        "{{\n  \"schema_version\": {SCHEMA_VERSION},\n  \"git_rev\": {},\n  \
-         \"bench\": \"overloadbench\",\n  \
-         \"shards\": {shards},\n  \"distribution\": \"zipf-0.99\",\n  \
-         \"queue_delay_budget_ms\": {budget_ms},\n  \
-         \"op_deadline_ms\": {deadline_ms},\n  \
-         \"capacity_ops_s\": {},\n  \"points\": [\n",
-        json_str(git_rev()),
-        json_f64(capacity),
-    ));
-    for (i, p) in points.iter().enumerate() {
-        doc.push_str(&format!(
-            "    {{\"mult\": {}, \"offered_target\": {}, \"offered_actual\": {}, \
-             \"goodput\": {}, \"shed_overload\": {}, \"shed_deadline\": {}, \
-             \"other_errors\": {}, \"transport_errors\": {}, \
-             \"admitted_p50_ms\": {}, \"admitted_p99_ms\": {}, \
-             \"health_probes\": {}, \"health_failures\": {}, \
-             \"health_max_ms\": {}, \"degraded_seen\": {}, \
-             \"max_queue_delay_ms\": {}, \"verified_keys\": {}, \
-             \"in_doubt_keys\": {}, \"lost_writes\": {}, \"wrong_writes\": {}}}{}\n",
-            json_f64(p.mult),
-            json_f64(p.offered_target),
-            json_f64(p.offered_actual),
-            json_f64(p.goodput),
-            p.shed_overload,
-            p.shed_deadline,
-            p.other_errors,
-            p.transport_errors,
-            json_f64(p.admitted_p50_ms),
-            json_f64(p.admitted_p99_ms),
-            p.probe.probes,
-            p.probe.failures,
-            json_f64(p.probe.max_ms),
-            p.probe.degraded_seen,
-            p.probe.max_queue_delay_ms,
-            p.verified_keys,
-            p.in_doubt_keys,
-            p.lost_writes,
-            p.wrong_writes,
-            if i + 1 == points.len() { "" } else { "," },
-        ));
-    }
-    doc.push_str(&format!(
-        "  ],\n  \"summary\": {{\n    \"goodput_floor_ratio\": {},\n    \
-         \"goodput_floor_ok\": {},\n    \"admitted_p99_bound_ms\": {},\n    \
-         \"admitted_p99_bounded\": {},\n    \"lost_writes\": {},\n    \
-         \"wrong_writes\": {},\n    \"health_failures\": {}\n  }},\n  \
-         \"telemetry\": {}\n}}\n",
-        json_f64(floor_ratio),
-        goodput_floor_ok,
-        json_f64(p99_bound_ms),
-        p99_bounded,
-        points.iter().map(|p| p.lost_writes).sum::<u64>(),
-        points.iter().map(|p| p.wrong_writes).sum::<u64>(),
-        points.iter().map(|p| p.probe.failures).sum::<u64>(),
-        telemetry.to_json(),
-    ));
-
-    let dir = std::path::Path::new(out_dir);
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create {out_dir}; results not persisted");
-        return;
-    }
-    let path = dir.join("overload.json");
-    match std::fs::File::create(&path) {
-        Ok(mut f) => {
-            let _ = f.write_all(doc.as_bytes());
-            println!("\nresults written to {}", path.display());
-        }
-        Err(e) => eprintln!("warning: cannot write {path:?}: {e}"),
     }
 }

@@ -20,12 +20,11 @@
 //! the store-side cost of the tracing plane at a given sampling rate.
 //! The default rate for the guardrail is 128; `0` disables spans.
 
-use std::io::Write as _;
 use std::sync::Arc;
 use std::thread;
 use std::time::Instant;
 
-use aria_bench::{fmt_tput, git_rev, json_f64, json_str, Args, SCHEMA_VERSION};
+use aria_bench::{append_row, fmt_tput, Args, Obj};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
 use aria_store::{AriaHash, StoreConfig};
@@ -160,25 +159,16 @@ fn main() {
         fmt_tput(throughput),
     );
 
-    let row = format!(
-        "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":{},\"experiment\":\"telemetry_overhead\",\
-         \"telemetry_enabled\":{enabled},\"shards\":{shards},\"threads\":{threads},\
-         \"keys\":{keys},\"depth\":{depth},\"trace_sample\":{trace_sample},\
-         \"spans_recorded\":{spans_recorded},\"ops\":{total},\
-         \"elapsed_s\":{},\"throughput\":{}}}",
-        json_str(git_rev()),
-        json_f64(elapsed.as_secs_f64()),
-        json_f64(throughput),
-    );
-    let out_dir = args.out_dir();
-    if std::fs::create_dir_all(&out_dir).is_ok() {
-        let path = format!("{out_dir}/telemetry_overhead.jsonl");
-        match std::fs::OpenOptions::new().create(true).append(true).open(&path) {
-            Ok(mut f) => {
-                let _ = writeln!(f, "{row}");
-                println!("row appended to {path}");
-            }
-            Err(e) => eprintln!("warning: cannot open {path}: {e}"),
-        }
-    }
+    let row = Obj::new()
+        .field("telemetry_enabled", enabled)
+        .field("shards", shards)
+        .field("threads", threads)
+        .field("keys", keys)
+        .field("depth", depth)
+        .field("trace_sample", trace_sample)
+        .field("spans_recorded", spans_recorded)
+        .field("ops", total)
+        .field("elapsed_s", elapsed.as_secs_f64())
+        .field("throughput", throughput);
+    append_row(&args.out_dir(), "telemetry_overhead", row);
 }

@@ -5,7 +5,8 @@
 //! * [`harness`] — build any compared scheme, load a keyspace, replay a
 //!   workload, report simulated throughput.
 //! * [`args`] — the common `--scale/--ops/--fast/--out` CLI.
-//! * [`report`] — aligned tables + JSONL rows for EXPERIMENTS.md.
+//! * [`report`] — aligned tables, JSONL rows for EXPERIMENTS.md, and the
+//!   JSON document writer the service-layer bins share.
 //!
 //! Run e.g. `cargo run --release -p aria-bench --bin fig9` (add
 //! `--full` for the paper's exact sizes; the default `--scale 16`
@@ -22,6 +23,6 @@ pub mod report;
 pub use args::Args;
 pub use harness::{improvement, run, RunConfig, RunResult, StoreKind, Workload};
 pub use report::{
-    fmt_tput, git_rev, json_f64, json_str, newest_flight_dump, print_table, write_jsonl, Row,
-    SCHEMA_VERSION,
+    append_row, fmt_tput, git_rev, json_f64, json_str, newest_flight_dump, percentile, print_table,
+    write_doc, write_jsonl, Obj, Row, ToJson, SCHEMA_VERSION,
 };

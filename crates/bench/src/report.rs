@@ -1,5 +1,6 @@
-//! Result reporting: aligned console tables plus machine-readable JSONL
-//! rows that EXPERIMENTS.md is regenerated from.
+//! Result reporting: aligned console tables, the JSONL rows that
+//! EXPERIMENTS.md is regenerated from, and the one JSON document writer
+//! every service-layer bench bin emits its result through.
 
 use std::fs;
 use std::io::Write;
@@ -19,7 +20,11 @@ use crate::harness::RunResult;
 /// * 4 — the embedded telemetry drops the slow-op count and its drop
 ///   count (slow store runs are tail spans) and gains
 ///   `traces.tail_spans`.
-pub const SCHEMA_VERSION: u32 = 4;
+/// * 5 — every latency percentile is nearest-rank (`ceil(q·n)`, see
+///   [`percentile`]); chaosbench's plain-mode `sweep.wrong` also counts
+///   a stale version and an untyped transport failure; netbench and
+///   overloadbench say `experiment` where they said `bench`.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// The git revision results are stamped with, so `results/*.json*` and
 /// committed `BENCH_*` snapshots stay comparable across PRs. Resolution
@@ -84,24 +89,18 @@ impl Row {
         }
     }
 
-    /// The row as one JSON object (hand-written: the workspace builds
-    /// offline, without serde).
+    /// The row as one JSON object: the common header, then its fields.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"schema_version\":{SCHEMA_VERSION},\"git_rev\":{},\"experiment\":{},\
-             \"series\":{},\"x\":{},\"throughput\":{},\"cycles\":{},\
-             \"ops\":{},\"page_faults\":{},\"macs\":{},\"epc_used\":{}}}",
-            json_str(git_rev()),
-            json_str(&self.experiment),
-            json_str(&self.series),
-            json_str(&self.x),
-            json_f64(self.throughput),
-            self.cycles,
-            self.ops,
-            self.page_faults,
-            self.macs,
-            self.epc_used,
-        )
+        let body = Obj::new()
+            .field("series", &self.series)
+            .field("x", &self.x)
+            .field("throughput", self.throughput)
+            .field("cycles", self.cycles)
+            .field("ops", self.ops)
+            .field("page_faults", self.page_faults)
+            .field("macs", self.macs)
+            .field("epc_used", self.epc_used);
+        header(&self.experiment).extend(body).to_json()
     }
 }
 
@@ -135,26 +134,183 @@ pub fn json_f64(v: f64) -> String {
     }
 }
 
+/// A value the document writer can render.
+pub trait ToJson {
+    /// Append this value's JSON text to `out`.
+    fn write_json(&self, out: &mut String);
+}
+
+macro_rules! to_json_display {
+    ($($t:ty),*) => {$(
+        impl ToJson for $t {
+            fn write_json(&self, out: &mut String) {
+                out.push_str(&self.to_string());
+            }
+        }
+    )*};
+}
+to_json_display!(bool, u32, u64, usize);
+
+impl ToJson for f64 {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&json_f64(*self));
+    }
+}
+
+impl ToJson for str {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&json_str(self));
+    }
+}
+
+impl ToJson for String {
+    fn write_json(&self, out: &mut String) {
+        self.as_str().write_json(out);
+    }
+}
+
+impl<T: ToJson + ?Sized> ToJson for &T {
+    fn write_json(&self, out: &mut String) {
+        (**self).write_json(out);
+    }
+}
+
+/// `None` renders as `null`.
+impl<T: ToJson> ToJson for Option<T> {
+    fn write_json(&self, out: &mut String) {
+        match self {
+            Some(v) => v.write_json(out),
+            None => out.push_str("null"),
+        }
+    }
+}
+
+impl<T: ToJson> ToJson for Vec<T> {
+    fn write_json(&self, out: &mut String) {
+        out.push('[');
+        for (i, v) in self.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            v.write_json(out);
+        }
+        out.push(']');
+    }
+}
+
+/// The server's end-of-run snapshot, embedded as rendered by
+/// [`aria_telemetry::TelemetrySnapshot::to_json`].
+impl ToJson for aria_telemetry::TelemetrySnapshot {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.to_json());
+    }
+}
+
+/// A JSON object built field by field, in insertion order.
+#[derive(Debug, Default)]
+pub struct Obj {
+    /// Each field rendered as `"key":value`.
+    fields: Vec<String>,
+}
+
+impl Obj {
+    /// An empty object.
+    pub fn new() -> Obj {
+        Obj::default()
+    }
+
+    /// Append `key` with `value`.
+    pub fn field(mut self, key: &str, value: impl ToJson) -> Obj {
+        let mut f = json_str(key);
+        f.push(':');
+        value.write_json(&mut f);
+        self.fields.push(f);
+        self
+    }
+
+    /// Append every field of `other`.
+    pub fn extend(mut self, other: Obj) -> Obj {
+        self.fields.extend(other.fields);
+        self
+    }
+
+    /// The object on one line.
+    pub fn to_json(&self) -> String {
+        format!("{{{}}}", self.fields.join(","))
+    }
+}
+
+impl ToJson for Obj {
+    fn write_json(&self, out: &mut String) {
+        out.push_str(&self.to_json());
+    }
+}
+
+/// The header every result row and document opens with.
+fn header(experiment: &str) -> Obj {
+    Obj::new()
+        .field("schema_version", SCHEMA_VERSION)
+        .field("git_rev", git_rev())
+        .field("experiment", experiment)
+}
+
+/// A result document as written to disk: the header, then `body`'s
+/// fields, one top-level field per line.
+fn document(experiment: &str, body: Obj) -> String {
+    format!("{{\n{}\n}}\n", header(experiment).extend(body).fields.join(",\n"))
+}
+
+/// Write one result document to `<out_dir>/<experiment>.json`,
+/// replacing what an earlier run left there.
+pub fn write_doc(out_dir: &str, experiment: &str, body: Obj) {
+    persist(out_dir, &format!("{experiment}.json"), &document(experiment, body), false);
+}
+
+/// Append one result row (header + `body`) to
+/// `<out_dir>/<experiment>.jsonl`, for bins whose file accumulates one
+/// row per run.
+pub fn append_row(out_dir: &str, experiment: &str, body: Obj) {
+    let row = header(experiment).extend(body).to_json();
+    persist(out_dir, &format!("{experiment}.jsonl"), &format!("{row}\n"), true);
+}
+
 /// Write rows to `<out>/<experiment>.jsonl`, replacing what an earlier
 /// run left there: one file holds one run.
 pub fn write_jsonl(out_dir: &str, experiment: &str, rows: &[Row]) {
+    let text: String = rows.iter().map(|r| r.to_json() + "\n").collect();
+    persist(out_dir, &format!("{experiment}.jsonl"), &text, false);
+}
+
+/// The one error policy for result files: a run whose results cannot be
+/// written still finishes (its verdict and exit code stand); the
+/// failure is a warning on stderr.
+fn persist(out_dir: &str, file: &str, text: &str, append: bool) {
     let dir = Path::new(out_dir);
     if fs::create_dir_all(dir).is_err() {
         eprintln!("warning: cannot create {out_dir}; results not persisted");
         return;
     }
-    let path = dir.join(format!("{experiment}.jsonl"));
-    let mut file = match fs::File::create(&path) {
-        Ok(f) => f,
-        Err(e) => {
-            eprintln!("warning: cannot open {path:?}: {e}");
-            return;
-        }
-    };
-    for row in rows {
-        let _ = writeln!(file, "{}", row.to_json());
+    let path = dir.join(file);
+    let opened = fs::OpenOptions::new()
+        .create(true)
+        .write(true)
+        .append(append)
+        .truncate(!append)
+        .open(&path);
+    match opened.and_then(|mut f| f.write_all(text.as_bytes())) {
+        Ok(()) => println!("results written to {}", path.display()),
+        Err(e) => eprintln!("warning: cannot write {}: {e}", path.display()),
     }
-    println!("\nresults written to {}", path.display());
+}
+
+/// Nearest-rank percentile (`ceil(q·n)`-th smallest) of an
+/// ascending-sorted slice; NaN when it is empty (rendered `null`).
+pub fn percentile(sorted: &[f64], q: f64) -> f64 {
+    if sorted.is_empty() {
+        return f64::NAN;
+    }
+    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
+    sorted[rank - 1]
 }
 
 /// Count the `aria-flight-*.json` post-mortems under `dir` and read
@@ -251,6 +407,58 @@ mod tests {
             macs: 0,
             epc_used: 0,
         }
+    }
+
+    #[test]
+    fn document_layout_is_pinned() {
+        let body = Obj::new()
+            .field("name", "a \"quoted\"\\path\n")
+            .field("ratio", f64::NAN)
+            .field("inf", f64::INFINITY)
+            .field("half", 0.5)
+            .field("missing", None::<u64>)
+            .field(
+                "points",
+                vec![
+                    Obj::new().field("id", 1u64).field("ok", true),
+                    Obj::new().field("id", 2u64).field("tags", vec!["x", "y"]),
+                ],
+            );
+        let expected = format!(
+            "{{\n\"schema_version\":{SCHEMA_VERSION},\n\"git_rev\":{},\n\"experiment\":\"exp\",\n\
+             \"name\":\"a \\\"quoted\\\"\\\\path\\n\",\n\"ratio\":null,\n\"inf\":null,\n\
+             \"half\":0.5,\n\"missing\":null,\n\
+             \"points\":[{{\"id\":1,\"ok\":true}},{{\"id\":2,\"tags\":[\"x\",\"y\"]}}]\n}}\n",
+            json_str(git_rev()),
+        );
+        assert_eq!(document("exp", body), expected);
+    }
+
+    #[test]
+    fn percentile_is_nearest_rank() {
+        let xs: Vec<f64> = (1..=10).map(f64::from).collect();
+        assert_eq!(percentile(&xs, 0.50), 5.0);
+        assert_eq!(percentile(&xs, 0.95), 10.0);
+        assert_eq!(percentile(&xs, 0.99), 10.0);
+        assert_eq!(percentile(&xs, 0.0), 1.0);
+        assert_eq!(percentile(&xs, 1.0), 10.0);
+        assert_eq!(percentile(&[7.0], 0.5), 7.0);
+        // ceil(0.5 * 4) = 2nd smallest, where round(0.5 * 3) would take the 3rd.
+        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 0.5), 2.0);
+        assert!(percentile(&[], 0.5).is_nan());
+    }
+
+    #[test]
+    fn append_row_accumulates_runs() {
+        let dir = std::env::temp_dir().join(format!("aria-report-rows-{}", std::process::id()));
+        let out = dir.to_str().expect("utf-8 temp dir");
+        append_row(out, "exp", Obj::new().field("run", 1u64));
+        append_row(out, "exp", Obj::new().field("run", 2u64));
+        let body = fs::read_to_string(dir.join("exp.jsonl")).expect("results file");
+        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(body.lines().count(), 2, "{body}");
+        assert!(body.lines().all(|l| l.starts_with("{\"schema_version\":")), "{body}");
+        assert!(body.ends_with("\"run\":2}\n"), "{body}");
     }
 
     #[test]

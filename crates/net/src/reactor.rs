@@ -66,11 +66,31 @@ use crate::service::{
 /// Poller token reserved for the acceptor's wake channel.
 const WAKE_TOKEN: u64 = u64::MAX;
 
+/// The platform's poller: epoll on Linux, the portable fallback
+/// elsewhere.
 #[cfg(target_os = "linux")]
-use sys::Poller;
+pub(crate) use sys::Poller;
 
 #[cfg(not(target_os = "linux"))]
-use fallback::Poller;
+pub(crate) use fallback::Poller;
+
+/// A readiness poller, as the reactor drives it. It is a type
+/// parameter of the engine, never a runtime choice: production builds
+/// use [`Poller`], and the Linux tests also run the engine over the
+/// fallback so the non-Linux path is exercised.
+pub(crate) trait Poll: Sized {
+    fn new() -> io::Result<Self>;
+    /// Watch `fd` for readability (and writability if `writable`),
+    /// reporting it as `token`.
+    fn add(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()>;
+    /// Change `fd`'s write interest.
+    fn modify(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()>;
+    /// Stop watching `fd`.
+    fn remove(&mut self, fd: RawFd, token: u64);
+    /// Wait up to `timeout` and push the token of every ready fd into
+    /// `ready` (cleared first).
+    fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> io::Result<()>;
+}
 
 #[cfg(target_os = "linux")]
 mod sys {
@@ -113,20 +133,12 @@ mod sys {
     /// Level-triggered epoll poller: every registered fd is watched
     /// for readability; write interest is toggled per fd while its
     /// connection has unflushed output.
-    pub(super) struct Poller {
+    pub(crate) struct Poller {
         epfd: RawFd,
         events: Vec<EpollEvent>,
     }
 
     impl Poller {
-        pub(super) fn new() -> io::Result<Poller> {
-            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
-            if epfd < 0 {
-                return Err(io::Error::last_os_error());
-            }
-            Ok(Poller { epfd, events: vec![EpollEvent { events: 0, data: 0 }; 256] })
-        }
-
         fn ctl(&self, op: i32, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
             let mut ev =
                 EpollEvent { events: EPOLLIN | if writable { EPOLLOUT } else { 0 }, data: token };
@@ -135,23 +147,31 @@ mod sys {
             }
             Ok(())
         }
+    }
 
-        pub(super) fn add(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+    impl super::Poll for Poller {
+        fn new() -> io::Result<Poller> {
+            let epfd = unsafe { epoll_create1(EPOLL_CLOEXEC) };
+            if epfd < 0 {
+                return Err(io::Error::last_os_error());
+            }
+            Ok(Poller { epfd, events: vec![EpollEvent { events: 0, data: 0 }; 256] })
+        }
+
+        fn add(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
             self.ctl(EPOLL_CTL_ADD, fd, token, writable)
         }
 
-        pub(super) fn modify(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
+        fn modify(&mut self, fd: RawFd, token: u64, writable: bool) -> io::Result<()> {
             self.ctl(EPOLL_CTL_MOD, fd, token, writable)
         }
 
-        pub(super) fn remove(&mut self, fd: RawFd, _token: u64) {
+        fn remove(&mut self, fd: RawFd, _token: u64) {
             let mut ev = EpollEvent { events: 0, data: 0 };
             let _ = unsafe { epoll_ctl(self.epfd, EPOLL_CTL_DEL, fd, &mut ev) };
         }
 
-        /// Wait up to `timeout` and push the token of every ready fd
-        /// into `ready` (cleared first).
-        pub(super) fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
+        fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
             ready.clear();
             let ms = timeout.as_millis().min(i32::MAX as u128) as i32;
             let n = unsafe {
@@ -180,39 +200,40 @@ mod sys {
     }
 }
 
-#[cfg(not(target_os = "linux"))]
-mod fallback {
+#[cfg(any(test, not(target_os = "linux")))]
+pub(crate) mod fallback {
     //! Portable poller: remembers registered tokens and reports all of
     //! them ready after a short sleep. Spurious readiness is safe by
     //! construction — the reactor treats `WouldBlock` as "not now" —
-    //! it just burns more wakeups than epoll would.
+    //! it just burns more wakeups than epoll would. Built on Linux for
+    //! tests only, which run the engine over it.
     use std::io;
     use std::os::fd::RawFd;
     use std::time::Duration;
 
-    pub(super) struct Poller {
+    pub(crate) struct Poller {
         tokens: Vec<u64>,
     }
 
-    impl Poller {
-        pub(super) fn new() -> io::Result<Poller> {
+    impl super::Poll for Poller {
+        fn new() -> io::Result<Poller> {
             Ok(Poller { tokens: Vec::new() })
         }
 
-        pub(super) fn add(&mut self, _fd: RawFd, token: u64, _writable: bool) -> io::Result<()> {
+        fn add(&mut self, _fd: RawFd, token: u64, _writable: bool) -> io::Result<()> {
             self.tokens.push(token);
             Ok(())
         }
 
-        pub(super) fn modify(&mut self, _fd: RawFd, _token: u64, _w: bool) -> io::Result<()> {
+        fn modify(&mut self, _fd: RawFd, _token: u64, _w: bool) -> io::Result<()> {
             Ok(())
         }
 
-        pub(super) fn remove(&mut self, _fd: RawFd, token: u64) {
+        fn remove(&mut self, _fd: RawFd, token: u64) {
             self.tokens.retain(|&t| t != token);
         }
 
-        pub(super) fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
+        fn wait(&mut self, ready: &mut Vec<u64>, timeout: Duration) -> io::Result<()> {
             std::thread::sleep(timeout.min(Duration::from_millis(1)));
             ready.clear();
             ready.extend_from_slice(&self.tokens);
@@ -245,9 +266,9 @@ pub(crate) struct ReactorEngine {
 }
 
 impl ReactorEngine {
-    /// Spawn `cfg.reactors()` reactor threads and the acceptor that
-    /// pins connections onto them.
-    pub(crate) fn start<S: KvStore + Send + 'static>(
+    /// Spawn `cfg.reactors()` reactor threads, each waiting on its own
+    /// `P`, and the acceptor that pins connections onto them.
+    pub(crate) fn start<S: KvStore + Send + 'static, P: Poll>(
         listener: TcpListener,
         store: Arc<ShardedStore<S>>,
         shared: Arc<Shared>,
@@ -265,7 +286,7 @@ impl ReactorEngine {
                 let cfg = cfg.clone();
                 thread::Builder::new()
                     .name(format!("aria-reactor-{i}"))
-                    .spawn(move || reactor_loop(wake_rx, inbox, store, shared, cfg))
+                    .spawn(move || reactor_loop::<S, P>(wake_rx, inbox, store, shared, cfg))
                     .expect("spawn reactor thread")
             };
             reactors.push((Some(handle), inbox));
@@ -428,14 +449,14 @@ impl Iterator for TakeReplies<'_> {
     }
 }
 
-fn reactor_loop<S: KvStore + Send + 'static>(
+fn reactor_loop<S: KvStore + Send + 'static, P: Poll>(
     mut wake_rx: TcpStream,
     inbox: Arc<Inbox>,
     store: Arc<ShardedStore<S>>,
     shared: Arc<Shared>,
     cfg: ServerConfig,
 ) {
-    let Ok(mut poller) = Poller::new() else { return };
+    let Ok(mut poller) = P::new() else { return };
     let _ = poller.add(wake_rx.as_raw_fd(), WAKE_TOKEN, false);
 
     let groups = store.shards();
@@ -700,7 +721,12 @@ fn frames_possible(conn: &Conn) -> bool {
     matches!(proto::decode_request_ref(&conn.rbuf[conn.roff..]), Ok(Decoded::Frame(..)) | Err(_))
 }
 
-fn adopt_new(inbox: &Inbox, conns: &mut Vec<Option<Conn>>, poller: &mut Poller, shared: &Shared) {
+fn adopt_new(
+    inbox: &Inbox,
+    conns: &mut Vec<Option<Conn>>,
+    poller: &mut impl Poll,
+    shared: &Shared,
+) {
     let fresh: Vec<TcpStream> = match inbox.queue.lock() {
         Ok(mut q) => std::mem::take(&mut *q),
         Err(_) => return,
@@ -805,7 +831,7 @@ fn try_flush(conn: &mut Conn, shared: &Shared, write_timeout: Duration) -> io::R
     Ok(())
 }
 
-fn close_conn(conns: &mut [Option<Conn>], token: usize, poller: &mut Poller, shared: &Shared) {
+fn close_conn(conns: &mut [Option<Conn>], token: usize, poller: &mut impl Poll, shared: &Shared) {
     if let Some(conn) = conns[token].take() {
         poller.remove(conn.fd, token as u64);
         let _ = conn.stream.shutdown(Shutdown::Both);
@@ -816,5 +842,47 @@ fn close_conn(conns: &mut [Option<Conn>], token: usize, poller: &mut Poller, sha
         for s in conn.unflushed_spans {
             shared.tele.traces.publish(&s.to_span());
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{AriaClient, AriaServer, ClientConfig};
+    use aria_sim::Enclave;
+    use aria_store::{AriaHash, StoreConfig};
+
+    /// The engine over the portable poller serves PUT, GET and PING. A
+    /// fallback whose `wait` reported nothing would leave every request
+    /// unread, and each op here would time out instead.
+    #[test]
+    fn fallback_poller_serves_put_get_ping() {
+        let store = Arc::new(
+            ShardedStore::with_shards(2, |_| {
+                AriaHash::new(StoreConfig::for_keys(1_024), Arc::new(Enclave::with_default_epc()))
+            })
+            .unwrap(),
+        );
+        let config = ServerConfig::builder().reactors(2).build().unwrap();
+        let server =
+            AriaServer::bind_polled::<_, _, fallback::Poller>("127.0.0.1:0", store, config)
+                .unwrap();
+        let quick = ClientConfig {
+            op_timeout: Duration::from_secs(2),
+            reconnect_attempts: 1,
+            op_deadline: Duration::from_secs(4),
+            ..ClientConfig::default()
+        };
+        let mut client = AriaClient::connect(server.local_addr(), quick).unwrap();
+        for i in 0..16u8 {
+            client.put(&[b'k', i], &[i; 24]).expect("put over the fallback poller");
+        }
+        for i in 0..16u8 {
+            let got = client.get(&[b'k', i]).expect("get over the fallback poller");
+            assert_eq!(got.as_deref(), Some(&[i; 24][..]));
+        }
+        assert_eq!(client.get(b"absent").expect("get of a missing key"), None);
+        client.ping().expect("ping over the fallback poller");
+        server.shutdown();
     }
 }

@@ -19,7 +19,7 @@ use aria_telemetry::TelemetryHub;
 
 use crate::config::ServerConfig;
 use crate::proto::{self, ErrorCode, Response};
-use crate::reactor::ReactorEngine;
+use crate::reactor::{Poll, Poller, ReactorEngine};
 use crate::service::encode_or_substitute;
 
 /// How often the acceptor and idle reactors wake to check for shutdown.
@@ -61,6 +61,21 @@ impl AriaServer {
     where
         S: KvStore + Send + 'static,
         A: ToSocketAddrs,
+    {
+        Self::bind_polled::<S, A, Poller>(addr, store, config)
+    }
+
+    /// [`AriaServer::bind`] with the reactors waiting on a `P` rather
+    /// than the platform's poller.
+    pub(crate) fn bind_polled<S, A, P>(
+        addr: A,
+        store: Arc<ShardedStore<S>>,
+        config: ServerConfig,
+    ) -> io::Result<AriaServer>
+    where
+        S: KvStore + Send + 'static,
+        A: ToSocketAddrs,
+        P: Poll,
     {
         let listener = TcpListener::bind(addr)?;
         listener.set_nonblocking(true)?;
@@ -114,7 +129,7 @@ impl AriaServer {
             }
             None => None,
         };
-        let engine = ReactorEngine::start(listener, store, Arc::clone(&shared), config)?;
+        let engine = ReactorEngine::start::<S, P>(listener, store, Arc::clone(&shared), config)?;
         Ok(AriaServer { addr, shared, engine, recorder })
     }
 
