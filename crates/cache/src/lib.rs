@@ -271,6 +271,160 @@ mod tests {
         assert_eq!(cache.get_counter(12345).unwrap(), expected);
     }
 
+    /// 100 000 counters at arity 8: levels of 12 500, 1 563, 196, 25, 4
+    /// and 1 nodes. 300 entries hold the top four levels but not L1.
+    fn stopped_cache(tamper_l1: Option<u64>) -> SecureCache {
+        let node = 8 * 16 + ENTRY_META_BYTES;
+        let cfg = CacheConfig {
+            capacity_bytes: 300 * node,
+            pinned_levels: 3,
+            swap_mode: SwapMode::Auto,
+            stop_swap_threshold: 0.7,
+            stop_swap_window: 500,
+            ..CacheConfig::default()
+        };
+        let mut cache = setup(100_000, 8, cfg);
+        if let Some(index) = tamper_l1 {
+            cache.tree_mut_raw().node_mut_raw(NodeId { level: 1, index })[0] ^= 0xff;
+        }
+        // A scan of the upper half of the counters: hit ratio ~0, and it
+        // never touches the L1 nodes at the front of the level.
+        for i in 0..2000u64 {
+            cache.get_counter(50_000 + (i * 49) % 50_000).unwrap();
+        }
+        assert!(!cache.swapping(), "stop-swap did not trigger");
+        cache
+    }
+
+    #[test]
+    fn stop_swap_fills_the_budget_to_within_one_path() {
+        let cache = stopped_cache(None);
+        let node = 8 * 16 + ENTRY_META_BYTES;
+        // L2 is pinned whole and L1 in part: a path is a leaf plus at most
+        // one L1 node.
+        assert_eq!(cache.pinned_floor(), 2);
+        let free = cache.capacity_bytes() - cache.used_bytes();
+        let path = cache.pinned_floor() as usize * node;
+        assert!(free >= path, "no room left for a verification path: {free} B free");
+        assert!(free < path + node, "budget not filled: {free} B free");
+        assert!(cache.cached_entries() > 1 + 4 + 25 + 196, "no L1 prefix pinned");
+    }
+
+    #[test]
+    fn counter_under_a_pinned_prefix_node_verifies_at_depth_one() {
+        let mut cache = stopped_cache(None);
+        let levels = cache.stats().verify_levels;
+        // Counter 0 sits under L1 node 0, the first node the fill pins.
+        assert_eq!(cache.get_counter(0).unwrap(), cache.tree().counter_bytes(0));
+        assert_eq!(cache.stats().verify_levels, levels + 1);
+        // The last counter's L1 node is beyond the prefix: two levels.
+        let last = cache.tree().num_counters() - 1;
+        assert_eq!(cache.get_counter(last).unwrap(), cache.tree().counter_bytes(last));
+        assert_eq!(cache.stats().verify_levels, levels + 3);
+    }
+
+    #[test]
+    fn node_tampered_before_the_stop_is_never_pinned() {
+        // L1 node 5 is flipped in slot 0 while the cache still swaps.
+        let mut cache = stopped_cache(Some(5));
+        // Its prefix neighbours were pinned and serve at depth one.
+        let levels = cache.stats().verify_levels;
+        assert!(cache.get_counter(0).is_ok());
+        assert_eq!(cache.stats().verify_levels, levels + 1);
+        // A counter under an untouched slot of node 5 (leaf 41): were the
+        // tampered node pinned, its intact slot would vouch for the leaf.
+        assert!(cache.get_counter(41 * 8).is_err(), "read under a tampered node succeeded");
+    }
+
+    #[test]
+    fn held_path_serves_the_bump_and_drops_on_each_event() {
+        let cfg = CacheConfig {
+            swap_mode: SwapMode::Never,
+            pinned_levels: 1,
+            capacity_bytes: 64 * (8 * 16 + ENTRY_META_BYTES),
+            ..CacheConfig::default()
+        };
+        let mut cache = setup(100_000, 8, cfg);
+        // A read then a bump of one counter: one access, one verification.
+        let before = cache.get_counter(100).unwrap();
+        let (hits, misses, levels) =
+            (cache.stats().hits, cache.stats().misses, cache.stats().verify_levels);
+        let bumped = cache.bump_counter(100).unwrap();
+        let mut expected = before;
+        aria_crypto::increment_counter(&mut expected);
+        assert_eq!(bumped, expected);
+        assert_eq!(cache.stats().misses, misses, "the bump re-verified");
+        assert_eq!(cache.stats().hits, hits, "the bump counted as a second access");
+        assert_eq!(cache.stats().verify_levels, levels);
+        // Write-through: the untrusted tree verifies up to the root.
+        cache.flush();
+        let (leaf, _) = cache.tree().locate_counter(100);
+        assert_eq!(cache.tree().verify_path_plain(leaf), aria_merkle::Verification::Ok);
+        assert_eq!(cache.tree().counter_bytes(100), expected);
+
+        for event in ["another leaf", "flush", "recovery_drain", "tree_mut_raw"] {
+            cache.get_counter(100).unwrap();
+            let misses = cache.stats().misses;
+            cache.get_counter(100).unwrap();
+            assert_eq!(cache.stats().misses, misses, "{event}: held path not serving");
+            match event {
+                "another leaf" => {
+                    cache.get_counter(90_000).unwrap();
+                }
+                "flush" => cache.flush(),
+                "recovery_drain" => {
+                    cache.recovery_drain();
+                    cache.tree_mut_raw().rebuild();
+                    cache.recovery_repin();
+                }
+                _ => {
+                    cache.tree_mut_raw();
+                }
+            }
+            let misses = cache.stats().misses;
+            assert_eq!(cache.get_counter(100).unwrap(), expected, "{event}");
+            assert_eq!(cache.stats().misses, misses + 1, "{event} kept the held path");
+        }
+        // A tamper through the raw accessor is seen by the next read.
+        cache.get_counter(100).unwrap();
+        cache.tree_mut_raw().node_mut_raw(leaf)[0] ^= 1;
+        assert!(cache.get_counter(100).is_err());
+    }
+
+    /// A dirty write-back must not re-MAC an uncached parent it never
+    /// verified: here the parent and a leaf under it are rolled back
+    /// together, and the honest sibling's write-back would otherwise
+    /// re-authenticate the stale pair.
+    #[test]
+    fn dirty_writeback_does_not_launder_a_rolled_back_sibling() {
+        let node = 4 * 16 + ENTRY_META_BYTES;
+        let cfg = CacheConfig {
+            capacity_bytes: 6 * node,
+            pinned_levels: 1,
+            swap_mode: SwapMode::Always,
+            ..CacheConfig::default()
+        };
+        let mut cache = setup(1024, 4, cfg);
+        // Counters 0 and 4: leaves 0 and 1, siblings under L1 node 0.
+        let (leaf, _) = cache.tree().locate_counter(0);
+        let parent = cache.tree().parent(leaf).unwrap();
+        assert_eq!(Some(parent), cache.tree().parent(cache.tree().locate_counter(4).0));
+        cache.update_counter(0, &[1; 16]).unwrap();
+        cache.flush();
+        let (old_leaf, old_parent) =
+            (cache.tree().node(leaf).to_vec(), cache.tree().node(parent).to_vec());
+        cache.update_counter(0, &[2; 16]).unwrap();
+        cache.flush();
+        cache.update_counter(4, &[3; 16]).unwrap(); // the sibling, dirty in the cache
+        cache.tree_mut_raw().write_node(leaf, &old_leaf);
+        cache.tree_mut_raw().write_node(parent, &old_parent);
+        cache.flush(); // evicts the sibling
+        let read = cache.get_counter(0);
+        assert!(read.is_err(), "rolled-back counter served: {read:?}");
+        // The sibling's write was not lost: it stayed cached.
+        assert_eq!(cache.get_counter(4).unwrap(), [3; 16]);
+    }
+
     #[test]
     fn never_mode_updates_work_without_caching() {
         let cfg = CacheConfig { swap_mode: SwapMode::Never, ..CacheConfig::default() };
@@ -422,12 +576,14 @@ mod proptests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The Secure Cache behaves exactly like a plain map of counters
-        /// under any op sequence, for both policies and tight capacities,
-        /// and the untrusted tree verifies after a final flush.
+        /// under any op sequence, for both policies, swapping or pinned
+        /// only, and tight capacities, and the untrusted tree verifies
+        /// after a final flush.
         #[test]
         fn cache_linearizes_against_model(
             ops in proptest::collection::vec(op_strategy(600), 1..250),
             fifo in any::<bool>(),
+            never in any::<bool>(),
             cap_entries in 2usize..20,
         ) {
             let arity = 4usize;
@@ -436,7 +592,7 @@ mod proptests {
                 capacity_bytes: cap_entries * node,
                 pinned_levels: 1,
                 policy: if fifo { EvictionPolicy::Fifo } else { EvictionPolicy::Lru },
-                swap_mode: SwapMode::Always,
+                swap_mode: if never { SwapMode::Never } else { SwapMode::Always },
                 ..CacheConfig::default()
             };
             let enclave = Arc::new(Enclave::new(CostModel::default(), 256 << 20));

@@ -8,16 +8,21 @@
 //!   verification at all — KV-pair-granularity protection;
 //! * a **miss** verifies the node bottom-up, stopping at the *first cached
 //!   ancestor* (cached nodes are protected by SGX and act as roots of
-//!   sub-trees), then caches the requested node;
+//!   sub-trees), then caches the requested node. Only leaves are swapped
+//!   in, so below the pinned levels that ancestor is a pinned node: a
+//!   swapping miss always walks up to the pinned floor;
 //! * **eviction** of a dirty node writes its bytes back to untrusted
-//!   memory and publishes its fresh MAC into the first cached (or
-//!   untrusted, en route) ancestor so that the newest state of every leaf
-//!   is always anchored in the EPC;
+//!   memory and publishes its fresh MAC into the first cached ancestor,
+//!   re-MACing the uncached ancestors en route, so that the newest state
+//!   of every leaf is always anchored in the EPC. Those ancestors are
+//!   verified first: a propagation rewrites only bytes it verified;
 //! * the top-K levels are **pinned** (§IV-E), bounding worst-case
 //!   verification depth at `h - k - 1`;
 //! * when the observed hit ratio drops below a threshold the cache
-//!   **stops swapping** (§IV-E) and falls back to pinned-levels-only
-//!   verification, avoiding miss-penalty thrash under uniform workloads.
+//!   **stops swapping** (§IV-E) and falls back to pinning: verified nodes
+//!   are pinned breadth-first until the budget is full, and the path a
+//!   miss verified is held until another leaf is accessed, so reading and
+//!   then bumping one counter verifies it once.
 //!
 //! Every operation charges simulated cycles to the shared [`Enclave`]:
 //! node verification pays an untrusted read, a copy into the EPC and a
@@ -128,6 +133,59 @@ struct Entry {
     stamp: u64,
 }
 
+/// Verified copies of consecutive tree nodes, lowest first: a node and its
+/// uncached ancestors, up to (not including) the trusted anchor they were
+/// verified against, a cached node or the enclave root.
+struct Path {
+    ids: Vec<NodeId>,
+    bytes: Vec<u8>,
+    node_size: usize,
+}
+
+impl Path {
+    fn new(node_size: usize) -> Self {
+        Path { ids: Vec::new(), bytes: Vec::new(), node_size }
+    }
+
+    fn clear(&mut self) {
+        self.ids.clear();
+        self.bytes.clear();
+    }
+
+    fn push(&mut self, id: NodeId, bytes: &[u8]) {
+        self.ids.push(id);
+        self.bytes.extend_from_slice(bytes);
+    }
+
+    fn len(&self) -> usize {
+        self.ids.len()
+    }
+
+    fn bottom(&self) -> Option<NodeId> {
+        self.ids.first().copied()
+    }
+
+    fn node(&self, i: usize) -> &[u8] {
+        &self.bytes[i * self.node_size..(i + 1) * self.node_size]
+    }
+
+    fn node_mut(&mut self, i: usize) -> &mut [u8] {
+        &mut self.bytes[i * self.node_size..(i + 1) * self.node_size]
+    }
+}
+
+/// How a [`SecureCache::fetch_leaf`] counts in the hit ratio.
+#[derive(Clone, Copy, PartialEq)]
+enum Access {
+    /// Served by a cache entry.
+    Hit,
+    /// Verified.
+    Miss,
+    /// Served by the held path: the same counter access as the miss that
+    /// verified it (a PUT's bump after its read), so not counted again.
+    Reread,
+}
+
 /// The Secure Cache over one Merkle tree.
 pub struct SecureCache {
     tree: MerkleTree,
@@ -139,9 +197,17 @@ pub struct SecureCache {
     /// EPC bytes consumed (node data + per-entry metadata, pinned included).
     used_bytes: usize,
     entry_bytes: usize,
-    /// Lowest pinned level (h = nothing pinned besides the enclave root).
+    /// Lowest wholly pinned level (h = nothing pinned besides the enclave
+    /// root). After swapping stops, a prefix of the level below may be
+    /// pinned too.
     pinned_floor: u32,
     swapping: bool,
+    /// The leaf a miss verified but did not cache, with its verified
+    /// ancestors. It lives in the room [`SecureCache::extend_pinning`]
+    /// keeps free, so a read and a bump of one counter verify once. Every
+    /// write to it is written through, so it always equals the untrusted
+    /// bytes and can be dropped at any time.
+    held: Path,
     window_hits: u64,
     window_accesses: u64,
     /// Consecutive windows below the stop-swap threshold.
@@ -176,6 +242,7 @@ impl SecureCache {
         let mut cache = SecureCache {
             pinned_floor: tree.height(),
             swapping: !matches!(cfg.swap_mode, SwapMode::Never),
+            held: Path::new(tree.node_size()),
             tree,
             enclave,
             entries: HashMap::new(),
@@ -229,8 +296,8 @@ impl SecureCache {
     }
 
     /// Pin an entire level if it fits (leaving one swappable slot). The
-    /// tree is trusted at pin time: levels are pinned either at secure
-    /// initialization or after verifying each node during stop-swap.
+    /// tree is trusted at pin time: this runs at secure initialization and
+    /// after a recovery rebuild.
     fn try_pin_level(&mut self, level: u32) -> bool {
         if level < self.pinned_floor && level + 1 != self.pinned_floor {
             // Pin strictly contiguously from the top.
@@ -253,34 +320,41 @@ impl SecureCache {
         true
     }
 
-    /// Extend pinning downward (never into the leaf level) as far as the
-    /// capacity allows; used when swapping stops.
+    /// Pin verified nodes breadth-first below the pinned floor until the
+    /// budget is full: whole levels while they fit, then a prefix of the
+    /// next level. Room is kept for one verification path (a leaf and its
+    /// unpinned ancestors, at most `pinned_floor` nodes), which the held
+    /// path uses. Leaves are never pinned. Each node is verified against
+    /// its pinned parent first; one that fails is not pinned and ends the
+    /// fill, so reads under it keep failing verification.
+    ///
+    /// The paper pins whole levels only; filling the budget is a
+    /// deliberate departure (DESIGN.md §8).
     fn extend_pinning(&mut self) {
+        // A held path may overlap the nodes about to be pinned.
+        self.held.clear();
+        let node_size = self.tree.node_size();
         while self.pinned_floor > 1 {
-            let next = self.pinned_floor - 1;
-            // Verify the level against the already-anchored upper levels
-            // before trusting it into the EPC.
-            let cost = self.level_pin_cost(next);
-            if self.used_bytes + cost + self.entry_bytes > self.cfg.capacity_bytes {
-                break;
-            }
-            let nodes = self.tree.nodes_in_level(next);
-            let mut ok = true;
-            for index in 0..nodes {
-                let id = NodeId { level: next, index };
-                self.enclave.access_untrusted(self.tree.node_size());
-                self.enclave.charge_mac(self.tree.node_size());
-                if self.verify_against_parent(id, &self.tree.mac_of(id)).is_err() {
-                    ok = false;
-                    break;
+            let level = self.pinned_floor - 1;
+            for index in 0..self.tree.nodes_in_level(level) {
+                let id = NodeId { level, index };
+                if self.entries.contains_key(&id) {
+                    continue;
                 }
+                let reserve = self.pinned_floor as usize * self.entry_bytes;
+                if self.used_bytes + self.entry_bytes + reserve > self.cfg.capacity_bytes {
+                    return;
+                }
+                self.enclave.access_untrusted(node_size);
+                self.enclave.charge_mac(node_size);
+                if self.verify_against_parent(id, &self.tree.mac_of(id)) != Ok(true) {
+                    return;
+                }
+                let data: Box<[u8]> = self.tree.node(id).into();
+                self.entries.insert(id, Entry { data, dirty: false, pinned: true, stamp: 0 });
+                self.used_bytes += self.entry_bytes;
             }
-            if !ok {
-                break;
-            }
-            if !self.try_pin_level(next) {
-                break;
-            }
+            self.pinned_floor = level;
         }
     }
 
@@ -322,151 +396,266 @@ impl SecureCache {
         }
     }
 
-    /// Verify the chain from `id` up to the first trusted anchor and
-    /// return `id`'s untrusted bytes. Charges one untrusted read, one EPC
-    /// copy and one CMAC per level walked.
-    fn verify_and_fetch(&mut self, id: NodeId) -> Result<Box<[u8]>, IntegrityViolation> {
-        let mut result: Option<Box<[u8]>> = None;
+    /// Verify `id` and its uncached ancestors up to the first trusted
+    /// anchor, copying each node into `path` before MACing the copy.
+    /// Charges one untrusted read, one EPC copy and one CMAC per level
+    /// walked; on error `path` holds the levels walked.
+    fn verify_path(&mut self, id: NodeId, path: &mut Path) -> Result<(), IntegrityViolation> {
+        path.clear();
+        let node_size = self.tree.node_size();
         let mut cur = id;
-        let mut depth = 0u64;
         loop {
-            self.stats.verify_levels += 1;
-            depth += 1;
-            let node_size = self.tree.node_size();
-            // Read from untrusted memory, copy into the enclave, MAC it.
             self.enclave.access_untrusted(node_size);
             self.enclave.access_epc(node_size);
             self.enclave.charge_mac(node_size);
-            let mac = self.tree.mac_of(cur);
-            if result.is_none() {
-                result = Some(self.tree.node(cur).into());
-            }
+            path.push(cur, self.tree.node(cur));
+            let mac = self.tree.mac_of_bytes(path.node(path.len() - 1));
             let anchored = self.verify_against_parent(cur, &mac)?;
             if let Some(t) = &self.tele_merkle {
                 t.verified_nodes.inc();
             }
             if anchored {
-                if let Some(t) = &self.tele {
-                    t.verify_depth.observe(depth);
-                }
-                return Ok(result.unwrap());
+                return Ok(());
             }
             cur = self.tree.parent(cur).expect("untrusted anchor implies a parent");
         }
     }
 
-    /// Publish `mac` as the stored child-MAC of `node`, walking up through
-    /// untrusted ancestors until a cached ancestor (or the root) absorbs
-    /// the change. Keeps the invariant that the newest state of every leaf
-    /// is anchored in the EPC.
-    fn propagate_mac_up(&mut self, mut node: NodeId, mut mac: [u8; 16]) {
-        loop {
+    /// Publish `mac`, the fresh MAC of `node`, in its parent and carry the
+    /// change up: through `path[from..]`, the verified copies of the
+    /// uncached ancestors of `node` (each rewritten in untrusted memory
+    /// and re-MACed), into the trusted anchor above them, a cached node
+    /// (marked dirty) or the enclave root. Only bytes verified into `path`
+    /// are rewritten; nothing is read back from untrusted memory. Keeps the
+    /// invariant that the newest state of every leaf is anchored in the
+    /// EPC.
+    fn propagate_mac_up(
+        &mut self,
+        mut node: NodeId,
+        mut mac: [u8; 16],
+        path: &mut Path,
+        from: usize,
+    ) {
+        let node_size = self.tree.node_size();
+        for i in from..path.len() {
             self.stats.propagations += 1;
-            match self.tree.parent(node) {
-                None => {
-                    self.tree.set_root(mac);
-                    return;
-                }
-                Some(parent) => {
-                    let slot = self.tree.slot_in_parent(node);
-                    if let Some(entry) = self.entries.get_mut(&parent) {
-                        self.enclave.access_epc(SLOT);
-                        entry.data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(&mac);
-                        entry.dirty = true;
-                        return;
-                    }
-                    // Parent uncached: update its untrusted bytes and keep
-                    // climbing. (The paper swaps the parent into the cache
-                    // instead; the MAC-computation count per level is
-                    // identical and this variant cannot recurse into
-                    // further evictions.)
-                    self.enclave.access_untrusted(SLOT);
-                    let node_size = self.tree.node_size();
-                    let mut bytes = self.tree.node(parent).to_vec();
-                    bytes[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(&mac);
-                    self.tree.write_node(parent, &bytes);
-                    self.enclave.access_untrusted(node_size);
-                    self.enclave.charge_mac(node_size);
-                    mac = self.tree.mac_of(parent);
-                    node = parent;
-                }
+            let parent = path.ids[i];
+            debug_assert_eq!(self.tree.parent(node), Some(parent));
+            let slot = self.tree.slot_in_parent(node);
+            self.enclave.access_epc(SLOT);
+            path.node_mut(i)[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(&mac);
+            self.enclave.access_untrusted(SLOT);
+            self.tree.write_node(parent, path.node(i));
+            self.enclave.charge_mac(node_size);
+            mac = self.tree.mac_of_bytes(path.node(i));
+            node = parent;
+        }
+        self.stats.propagations += 1;
+        match self.tree.parent(node) {
+            None => self.tree.set_root(mac),
+            Some(parent) => {
+                let slot = self.tree.slot_in_parent(node);
+                let entry = self
+                    .entries
+                    .get_mut(&parent)
+                    .expect("a verified path ends below a cached node");
+                self.enclave.access_epc(SLOT);
+                entry.data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(&mac);
+                entry.dirty = true;
             }
         }
     }
 
-    fn evict_one(&mut self) -> bool {
+    /// Pop the oldest live swappable entry off the queue.
+    fn next_victim(&mut self) -> Option<(NodeId, u64)> {
         while let Some((id, stamp)) = self.queue.pop_front() {
-            let stale = match self.entries.get(&id) {
-                Some(e) => e.pinned || e.stamp != stamp,
-                None => true,
-            };
-            if stale {
-                continue;
+            if self.entries.get(&id).is_some_and(|e| !e.pinned && e.stamp == stamp) {
+                return Some((id, stamp));
             }
-            let entry = self.entries.remove(&id).expect("checked above");
-            self.used_bytes -= self.entry_bytes;
-            self.stats.evictions += 1;
-            if let Some(t) = &self.tele {
-                t.evictions.inc();
-            }
-            let node_size = self.tree.node_size();
-            if entry.dirty {
-                // Write back (plaintext unless the semantic optimization
-                // is disabled, in which case pay the encryption the
-                // hardware path would force) and publish the fresh MAC.
-                if !self.cfg.swap_without_encryption {
-                    self.enclave.charge_crypt(node_size);
-                }
-                self.enclave.access_untrusted(node_size);
-                self.tree.write_node(id, &entry.data);
-                self.stats.writebacks += 1;
-                if let Some(t) = &self.tele {
-                    t.writebacks.inc();
-                    t.swap_bytes_out.add(node_size as u64);
-                }
-                self.enclave.charge_mac(node_size);
-                let mac = self.tree.mac_of_bytes(&entry.data);
-                self.propagate_mac_up(id, mac);
-            } else if self.cfg.skip_clean_writeback {
-                // Clean: untrusted copy already matches; discard.
-                self.stats.clean_discards += 1;
-                if let Some(t) = &self.tele {
-                    t.clean_discards.inc();
-                }
-            } else {
-                // Model EWB-style forced write-back of clean pages.
-                if !self.cfg.swap_without_encryption {
-                    self.enclave.charge_crypt(node_size);
-                }
-                self.enclave.access_untrusted(node_size);
-                self.tree.write_node(id, &entry.data);
-                self.stats.writebacks += 1;
-                if let Some(t) = &self.tele {
-                    t.writebacks.inc();
-                    t.swap_bytes_out.add(node_size as u64);
-                }
-            }
-            return true;
         }
-        false
+        None
     }
 
-    fn insert_entry(&mut self, id: NodeId, data: Box<[u8]>, dirty: bool) {
-        while self.used_bytes + self.entry_bytes > self.cfg.capacity_bytes {
-            if !self.evict_one() {
-                return; // nothing evictable; serve uncached
+    /// Evict the cached node `id`. A dirty victim is written back and its
+    /// MAC carried up through its uncached ancestors, which are verified
+    /// first: a write-back must not re-authenticate untrusted bytes it
+    /// never checked (a rolled-back sibling would be laundered). If they
+    /// fail, the victim stays cached and the violation is returned.
+    fn evict(&mut self, id: NodeId) -> Result<(), IntegrityViolation> {
+        let node_size = self.tree.node_size();
+        let dirty = self.entries.get(&id).is_some_and(|e| e.dirty);
+        let mut ancestors = Path::new(node_size);
+        if dirty {
+            if let Some(parent) = self.tree.parent(id).filter(|p| !self.entries.contains_key(p)) {
+                self.verify_path(parent, &mut ancestors)?;
             }
         }
+        let entry = self.entries.remove(&id).expect("victim is cached");
+        self.used_bytes -= self.entry_bytes;
+        self.stats.evictions += 1;
+        if let Some(t) = &self.tele {
+            t.evictions.inc();
+        }
+        if dirty {
+            // Write back (plaintext unless the semantic optimization
+            // is disabled, in which case pay the encryption the
+            // hardware path would force) and publish the fresh MAC.
+            if !self.cfg.swap_without_encryption {
+                self.enclave.charge_crypt(node_size);
+            }
+            self.enclave.access_untrusted(node_size);
+            self.tree.write_node(id, &entry.data);
+            self.stats.writebacks += 1;
+            if let Some(t) = &self.tele {
+                t.writebacks.inc();
+                t.swap_bytes_out.add(node_size as u64);
+            }
+            self.enclave.charge_mac(node_size);
+            let mac = self.tree.mac_of_bytes(&entry.data);
+            self.propagate_mac_up(id, mac, &mut ancestors, 0);
+        } else if self.cfg.skip_clean_writeback {
+            // Clean: untrusted copy already matches; discard.
+            self.stats.clean_discards += 1;
+            if let Some(t) = &self.tele {
+                t.clean_discards.inc();
+            }
+        } else {
+            // Model EWB-style forced write-back of clean pages.
+            if !self.cfg.swap_without_encryption {
+                self.enclave.charge_crypt(node_size);
+            }
+            self.enclave.access_untrusted(node_size);
+            self.tree.write_node(id, &entry.data);
+            self.stats.writebacks += 1;
+            if let Some(t) = &self.tele {
+                t.writebacks.inc();
+                t.swap_bytes_out.add(node_size as u64);
+            }
+        }
+        Ok(())
+    }
+
+    /// Evict until one more swappable entry fits. `Ok(false)` if nothing
+    /// is left to evict; a write-back that fails verification is returned
+    /// and its victim stays cached.
+    fn make_room(&mut self) -> Result<bool, IntegrityViolation> {
+        while self.used_bytes + self.entry_bytes > self.cfg.capacity_bytes {
+            let Some(victim) = self.next_victim() else { return Ok(false) };
+            if let Err(e) = self.evict(victim.0) {
+                self.queue.push_front(victim);
+                return Err(e);
+            }
+        }
+        Ok(true)
+    }
+
+    /// Evict every swappable entry it can. A victim whose write-back fails
+    /// verification stays cached and queued: it is the only trusted copy
+    /// of its leaf.
+    fn evict_all(&mut self) {
+        let mut kept = VecDeque::new();
+        while let Some(victim) = self.next_victim() {
+            if self.evict(victim.0).is_err() {
+                kept.push_back(victim);
+            }
+        }
+        self.queue = kept;
+    }
+
+    fn insert_entry(&mut self, id: NodeId, data: Box<[u8]>) {
         self.tick += 1;
         let stamp = self.tick;
         self.enclave.access_epc(self.tree.node_size());
-        self.entries.insert(id, Entry { data, dirty, pinned: false, stamp });
+        self.entries.insert(id, Entry { data, dirty: false, pinned: false, stamp });
         self.queue.push_back((id, stamp));
         self.used_bytes += self.entry_bytes;
         self.stats.inserts += 1;
         if let Some(t) = &self.tele {
             t.inserts.inc();
             t.swap_bytes_in.add(self.tree.node_size() as u64);
+        }
+    }
+
+    /// Read counter `slot` of a trusted copy of `leaf`, and leave that
+    /// copy in a cache entry or at the bottom of the held path. A miss
+    /// verifies the leaf and its uncached ancestors; the leaf is then
+    /// swapped in, or, when the cache is not swapping, the verified path is
+    /// held. An access to any other leaf drops the held path.
+    fn fetch_leaf(
+        &mut self,
+        leaf: NodeId,
+        slot: usize,
+    ) -> Result<(Access, [u8; SLOT]), IntegrityViolation> {
+        let range = slot * SLOT..(slot + 1) * SLOT;
+        let mut ctr = [0u8; SLOT];
+        if self.held.bottom().is_some_and(|h| h != leaf) {
+            self.held.clear();
+        }
+        if let Some(entry) = self.entries.get(&leaf) {
+            ctr.copy_from_slice(&entry.data[range]);
+            self.enclave.access_epc(SLOT);
+            self.touch_policy(leaf);
+            return Ok((Access::Hit, ctr));
+        }
+        if self.held.bottom() == Some(leaf) {
+            ctr.copy_from_slice(&self.held.node(0)[range]);
+            self.enclave.access_epc(SLOT);
+            return Ok((Access::Reread, ctr));
+        }
+        // Room is made before verifying: a write-back rewrites ancestors
+        // this leaf may share, and a held path must match untrusted bytes.
+        let room = self.swapping && self.make_room()?;
+        let mut path = std::mem::replace(&mut self.held, Path::new(self.tree.node_size()));
+        let verified = self.verify_path(leaf, &mut path);
+        self.stats.verify_levels += path.len() as u64;
+        match verified {
+            Ok(()) => {
+                if let Some(t) = &self.tele {
+                    t.verify_depth.observe(path.len() as u64);
+                }
+                ctr.copy_from_slice(&path.node(0)[range]);
+                if room {
+                    self.insert_entry(leaf, path.node(0).into());
+                    path.clear();
+                }
+            }
+            Err(_) => path.clear(),
+        }
+        self.held = path;
+        verified.map(|()| (Access::Miss, ctr))
+    }
+
+    /// Overwrite counter `slot` of the trusted copy of `leaf` that
+    /// [`SecureCache::fetch_leaf`] left, and say whether it was cached. A
+    /// cached leaf is marked dirty (a pinned dirty node is never evicted;
+    /// it *is* the EPC anchor). A held leaf is written through: to
+    /// untrusted memory, with its new MAC carried up the held path to the
+    /// pinned anchor.
+    fn write_slot(&mut self, leaf: NodeId, slot: usize, value: &[u8; SLOT]) -> bool {
+        if let Some(entry) = self.entries.get_mut(&leaf) {
+            entry.data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(value);
+            entry.dirty = true;
+            return true;
+        }
+        debug_assert_eq!(self.held.bottom(), Some(leaf));
+        let mut path = std::mem::replace(&mut self.held, Path::new(self.tree.node_size()));
+        path.node_mut(0)[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(value);
+        self.enclave.access_untrusted(SLOT);
+        self.tree.write_node(leaf, path.node(0));
+        self.enclave.charge_mac(self.tree.node_size());
+        let mac = self.tree.mac_of_bytes(path.node(0));
+        self.propagate_mac_up(leaf, mac, &mut path, 1);
+        self.held = path;
+        false
+    }
+
+    /// Count a fetch in the hit ratio. Runs last in every public access:
+    /// it may stop swapping, which evicts the leaf just fetched.
+    fn account(&mut self, fetched: Result<(Access, [u8; SLOT]), IntegrityViolation>) {
+        match fetched {
+            Ok((Access::Reread, _)) => {}
+            Ok((access, _)) => self.record_access(access == Access::Hit),
+            Err(_) => self.record_access(false),
         }
     }
 
@@ -506,16 +695,16 @@ impl SecureCache {
         }
     }
 
-    /// Stop swapping: flush swappable entries and extend level pinning as
-    /// far as capacity allows (§IV-E "Stopping Swap").
+    /// Stop swapping: flush swappable entries and fill the budget with
+    /// pinned nodes (§IV-E "Stopping Swap"; see
+    /// [`SecureCache::extend_pinning`]).
     fn stop_swapping(&mut self) {
         self.swapping = false;
         if let Some(t) = &self.tele {
             t.swap_stops.inc();
         }
         // Evict everything swappable (dirty state is propagated).
-        while self.evict_one() {}
-        self.queue.clear();
+        self.evict_all();
         self.extend_pinning();
     }
 
@@ -540,28 +729,9 @@ impl SecureCache {
     pub fn get_counter(&mut self, idx: u64) -> Result<[u8; SLOT], IntegrityViolation> {
         let (leaf, slot) = self.tree.locate_counter(idx);
         self.enclave.charge(self.enclave.cost().cache_lookup);
-        if let Some(entry) = self.entries.get(&leaf) {
-            self.enclave.access_epc(SLOT);
-            let mut ctr = [0u8; SLOT];
-            ctr.copy_from_slice(&entry.data[slot * SLOT..(slot + 1) * SLOT]);
-            self.touch_policy(leaf);
-            self.record_access(true);
-            return Ok(ctr);
-        }
-        let bytes = match self.verify_and_fetch(leaf) {
-            Ok(b) => b,
-            Err(e) => {
-                self.record_access(false);
-                return Err(e);
-            }
-        };
-        let mut ctr = [0u8; SLOT];
-        ctr.copy_from_slice(&bytes[slot * SLOT..(slot + 1) * SLOT]);
-        if self.swapping {
-            self.insert_entry(leaf, bytes, false);
-        }
-        self.record_access(false);
-        Ok(ctr)
+        let fetched = self.fetch_leaf(leaf, slot);
+        self.account(fetched);
+        fetched.map(|(_, ctr)| ctr)
     }
 
     /// Overwrite counter `idx` with `value`, maintaining the EPC anchor
@@ -573,77 +743,40 @@ impl SecureCache {
     ) -> Result<(), IntegrityViolation> {
         let (leaf, slot) = self.tree.locate_counter(idx);
         self.enclave.charge(self.enclave.cost().cache_lookup);
-        if self.entries.contains_key(&leaf) {
-            self.enclave.access_epc(SLOT);
-            let entry = self.entries.get_mut(&leaf).expect("checked");
-            entry.data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(value);
-            entry.dirty = true;
-            // A pinned dirty node is never evicted; it *is* the EPC anchor.
-            self.touch_policy(leaf);
-            self.record_access(true);
-            return Ok(());
+        let fetched = self.fetch_leaf(leaf, slot);
+        if fetched.is_ok() {
+            self.write_slot(leaf, slot, value);
         }
-        let bytes = match self.verify_and_fetch(leaf) {
-            Ok(b) => b,
-            Err(e) => {
-                self.record_access(false);
-                return Err(e);
-            }
-        };
-        if self.swapping {
-            let mut data = bytes;
-            data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(value);
-            self.insert_entry(leaf, data, true);
-            self.record_access(false);
-            return Ok(());
-        }
-        // No swapping: update untrusted leaf in place and propagate the
-        // MAC up to the pinned anchor.
-        self.enclave.access_untrusted(SLOT);
-        let mut data = bytes.to_vec();
-        data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(value);
-        self.tree.write_node(leaf, &data);
-        self.enclave.charge_mac(self.tree.node_size());
-        let mac = self.tree.mac_of_bytes(&data);
-        self.propagate_mac_up(leaf, mac);
-        self.record_access(false);
-        Ok(())
+        self.account(fetched);
+        fetched.map(|_| ())
     }
 
     /// Read-increment-write a counter, returning the **new** value. This
     /// is the Put-path primitive: the counter is bumped before every
-    /// re-encryption so the CTR keystream never repeats.
+    /// re-encryption so the CTR keystream never repeats. Right after a
+    /// [`SecureCache::get_counter`] of the same leaf the bump verifies
+    /// nothing: the leaf is cached or held.
     pub fn bump_counter(&mut self, idx: u64) -> Result<[u8; SLOT], IntegrityViolation> {
-        let mut ctr = self.get_counter(idx)?;
-        aria_crypto::increment_counter(&mut ctr);
-        // The leaf is cached after get_counter when swapping; the update
-        // below is then a pure cache write. Do not double-count the access
-        // in the hit-ratio window: account only the get above.
         let (leaf, slot) = self.tree.locate_counter(idx);
-        if self.entries.contains_key(&leaf) {
-            self.enclave.access_epc(SLOT);
-            let entry = self.entries.get_mut(&leaf).expect("checked");
-            entry.data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(&ctr);
-            entry.dirty = true;
-        } else {
-            // Stop-swap path: write untrusted and propagate.
-            self.enclave.access_untrusted(SLOT);
-            let mut data = self.tree.node(leaf).to_vec();
-            data[slot * SLOT..(slot + 1) * SLOT].copy_from_slice(&ctr);
-            self.tree.write_node(leaf, &data);
-            self.enclave.charge_mac(self.tree.node_size());
-            let mac = self.tree.mac_of_bytes(&data);
-            self.propagate_mac_up(leaf, mac);
-        }
-        Ok(ctr)
+        self.enclave.charge(self.enclave.cost().cache_lookup);
+        let fetched = self.fetch_leaf(leaf, slot).map(|(access, mut ctr)| {
+            aria_crypto::increment_counter(&mut ctr);
+            if self.write_slot(leaf, slot, &ctr) {
+                self.enclave.access_epc(SLOT);
+            }
+            (access, ctr)
+        });
+        self.account(fetched);
+        fetched.map(|(_, ctr)| ctr)
     }
 
     /// Flush every swappable entry (write-backs + propagation), leaving
-    /// only pinned levels cached. After a flush the untrusted tree plus
-    /// root is fully self-consistent except under pinned dirty nodes.
+    /// only pinned levels cached, and drop the held path. After a flush
+    /// the untrusted tree plus root is fully self-consistent except under
+    /// pinned dirty nodes.
     pub fn flush(&mut self) {
-        while self.evict_one() {}
-        self.queue.clear();
+        self.held.clear();
+        self.evict_all();
         // Also publish pinned dirty nodes so the untrusted tree + root is
         // globally consistent (used by tests and by tenant shutdown).
         let mut pinned_dirty: Vec<NodeId> =
@@ -651,6 +784,8 @@ impl SecureCache {
         // Lowest levels first so parents absorb child MACs before being
         // written back themselves.
         pinned_dirty.sort();
+        // Pinned nodes sit under pinned parents: nothing to verify.
+        let mut no_ancestors = Path::new(self.tree.node_size());
         for id in pinned_dirty {
             let data = {
                 let entry = self.entries.get_mut(&id).expect("pinned entry");
@@ -663,7 +798,7 @@ impl SecureCache {
             let mac = self.tree.mac_of_bytes(&data);
             // Propagation may re-dirty an upper pinned level; the sort
             // guarantees we visit it afterwards and clean it again.
-            self.propagate_mac_up(id, mac);
+            self.propagate_mac_up(id, mac, &mut no_ancestors, 0);
             if let Some(e) = self.entries.get_mut(&id) {
                 e.dirty = false;
             }
@@ -679,8 +814,8 @@ impl SecureCache {
     // --- recovery -----------------------------------------------------------
 
     /// Dump every cached node's EPC bytes into untrusted memory **without**
-    /// verification or MAC propagation, empty the cache, and return the
-    /// ids of the dumped nodes.
+    /// verification or MAC propagation, empty the cache (held path
+    /// included), and return the ids of the dumped nodes.
     ///
     /// This is the first step of shard recovery after an integrity
     /// violation: the untrusted tree may be arbitrarily corrupt and
@@ -692,6 +827,7 @@ impl SecureCache {
     /// the root itself. After the audit repairs and rebuilds the tree,
     /// call [`SecureCache::recovery_repin`] to restore level pinning.
     pub fn recovery_drain(&mut self) -> Vec<NodeId> {
+        self.held.clear();
         let node_size = self.tree.node_size();
         let entries = std::mem::take(&mut self.entries);
         let mut trusted: Vec<NodeId> = Vec::with_capacity(entries.len());
@@ -710,10 +846,12 @@ impl SecureCache {
     }
 
     /// Re-pin the configured top levels from the untrusted tree after a
-    /// recovery rebuild. Only call this once the tree is globally
+    /// recovery rebuild, then, if the cache is not swapping, fill the
+    /// budget again. Only call this once the tree is globally
     /// self-consistent (the recovery pass just recomputed every inner
     /// node and the enclave root from the repaired leaves), because
-    /// pinning copies untrusted bytes into the EPC trusting them.
+    /// pinning the top levels copies untrusted bytes into the EPC trusting
+    /// them.
     pub fn recovery_repin(&mut self) {
         let want = self.cfg.pinned_levels.min(self.tree.height().saturating_sub(1));
         for k in 0..want {
@@ -739,7 +877,7 @@ impl SecureCache {
         self.swapping
     }
 
-    /// The lowest pinned level (`height()` if nothing is pinned).
+    /// The lowest wholly pinned level (`height()` if nothing is pinned).
     pub fn pinned_floor(&self) -> u32 {
         self.pinned_floor
     }
@@ -759,8 +897,11 @@ impl SecureCache {
         &self.tree
     }
 
-    /// Attacker-side mutable access to the untrusted tree.
+    /// Attacker-side mutable access to the untrusted tree. Drops the held
+    /// path, so the next access re-verifies what the caller may have
+    /// changed.
     pub fn tree_mut_raw(&mut self) -> &mut MerkleTree {
+        self.held.clear();
         &mut self.tree
     }
 

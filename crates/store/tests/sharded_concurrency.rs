@@ -20,8 +20,8 @@ const CALLERS: usize = 4;
 const KEYS_PER_CALLER: u64 = 96;
 const STALL: Duration = Duration::from_millis(120);
 
-/// The tests in this file run one at a time: the thread-count test reads
-/// process-wide state, and the mixed runs want the two cores.
+/// The tests in this file run one at a time: the mixed runs want the two
+/// cores.
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// Abort the process if a run wedges — the deadlock detector.
@@ -347,39 +347,4 @@ fn refused_writes_never_land() {
         assert_eq!(store.get(format!("late{i}").as_bytes()).unwrap(), None, "refused ≠ applied");
     }
     done.store(true, Ordering::SeqCst);
-}
-
-/// A shard is a lock, not a thread: building and using an 8-shard store
-/// starts no thread at all; only `start_maintenance` does (one ticker
-/// per group). Counted from `/proc/self/task` by the `aria-` name every
-/// store thread carries.
-#[cfg(target_os = "linux")]
-#[test]
-fn no_threads_until_maintenance_starts() {
-    let _serial = SERIAL.lock().unwrap_or_else(|p| p.into_inner());
-    let store_threads = || -> usize {
-        std::fs::read_dir("/proc/self/task")
-            .expect("procfs")
-            .flatten()
-            .filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok())
-            .filter(|name| name.starts_with("aria-"))
-            .count()
-    };
-    let tasks = || std::fs::read_dir("/proc/self/task").expect("procfs").count();
-    let before = tasks();
-    let store = ShardedStore::with_shards(8, |_| {
-        AriaHash::new(StoreConfig::for_keys(1_024), Arc::new(Enclave::with_default_epc()))
-    })
-    .unwrap();
-    for i in 0..64u32 {
-        store.put(format!("k{i}").as_bytes(), b"v").unwrap();
-    }
-    assert_eq!(store.len(), 64);
-    assert_eq!(store_threads(), 0, "a sharded store must not start threads of its own");
-    assert!(tasks() <= before, "thread count grew from {before} to {}", tasks());
-    store.start_maintenance(Duration::from_secs(3600));
-    // A thread names itself as it starts, so give the tickers a moment.
-    wait_for("one maintenance ticker per group", Duration::from_secs(5), || store_threads() == 8);
-    drop(store);
-    assert_eq!(store_threads(), 0, "drop joins every ticker");
 }

@@ -17,6 +17,8 @@ pub struct ZipfianGenerator {
     zetan: f64,
     eta: f64,
     zeta2theta: f64,
+    /// `0.5^theta`, the width of rank 1's band in `next`.
+    half_pow_theta: f64,
 }
 
 fn zeta(n: u64, theta: f64) -> f64 {
@@ -37,7 +39,8 @@ impl ZipfianGenerator {
         let zeta2theta = zeta(2, theta);
         let alpha = 1.0 / (1.0 - theta);
         let eta = (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan);
-        ZipfianGenerator { n, theta, alpha, zetan, eta, zeta2theta }
+        let half_pow_theta = 0.5f64.powf(theta);
+        ZipfianGenerator { n, theta, alpha, zetan, eta, zeta2theta, half_pow_theta }
     }
 
     /// Domain size.
@@ -57,7 +60,7 @@ impl ZipfianGenerator {
         if uz < 1.0 {
             return 0;
         }
-        if uz < 1.0 + 0.5f64.powf(self.theta) {
+        if uz < 1.0 + self.half_pow_theta {
             return 1;
         }
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
@@ -125,6 +128,31 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..10_000 {
             assert!(g.next(&mut rng) < 1000);
+        }
+    }
+
+    #[test]
+    fn draws_match_the_reference_formula() {
+        // YCSB's formula with 0.5^theta evaluated per draw: the stream
+        // must stay bit-identical, since every seeded workload replays it.
+        fn reference<R: Rng>(g: &ZipfianGenerator, rng: &mut R) -> u64 {
+            let u: f64 = rng.gen();
+            let uz = u * g.zetan;
+            if uz < 1.0 {
+                return 0;
+            }
+            if uz < 1.0 + 0.5f64.powf(g.theta) {
+                return 1;
+            }
+            let rank = (g.n as f64 * (g.eta * u - g.eta + 1.0).powf(g.alpha)) as u64;
+            rank.min(g.n - 1)
+        }
+        for (n, theta) in [(400_000u64, 0.99), (1_000, 0.5), (100_000, 1.2)] {
+            let g = ZipfianGenerator::new(n, theta);
+            let (mut a, mut b) = (StdRng::seed_from_u64(7), StdRng::seed_from_u64(7));
+            for i in 0..10_000 {
+                assert_eq!(g.next(&mut a), reference(&g, &mut b), "n {n} theta {theta} draw {i}");
+            }
         }
     }
 
