@@ -132,6 +132,7 @@ fn run_point(
         .epc_budget(aria_sim::DEFAULT_EPC_BYTES)
         .build()
         .expect("scaling sweep config is valid");
+    let settled = 3 * cfg.cache.stop_swap_window;
     let enclaves: Arc<Mutex<Vec<Arc<Enclave>>>> = Arc::new(Mutex::new(Vec::new()));
     let registry = Arc::clone(&enclaves);
     let store = ShardedStore::with_shards(shards, move |_shard| {
@@ -155,9 +156,6 @@ fn run_point(
     }
     drain_ok(store.run_batch(std::mem::take(&mut batch)));
 
-    let before = store.snapshots();
-    let cache_before = store.cache_stats();
-
     // Run phase: 95% reads over the chosen popularity distribution.
     let mut wl = YcsbWorkload::new(YcsbConfig {
         keyspace: keys,
@@ -166,21 +164,33 @@ fn run_point(
         distribution: dist,
         seed,
     });
-    let mut issued = 0u64;
-    let mut batch = Vec::with_capacity(CLIENT_BATCH);
-    while issued < ops {
-        batch.clear();
-        while batch.len() < CLIENT_BATCH && issued < ops {
-            batch.push(match wl.next_request() {
-                Request::Get { id } => BatchOp::Get(encode_key(id).to_vec()),
-                Request::Put { id, value_len } => {
-                    BatchOp::Put(encode_key(id).to_vec(), value_bytes(id, value_len))
-                }
-            });
-            issued += 1;
+    let mut run = |ops: u64| {
+        let mut issued = 0u64;
+        let mut batch = Vec::with_capacity(CLIENT_BATCH);
+        while issued < ops {
+            batch.clear();
+            while batch.len() < CLIENT_BATCH && issued < ops {
+                batch.push(match wl.next_request() {
+                    Request::Get { id } => BatchOp::Get(encode_key(id).to_vec()),
+                    Request::Put { id, value_len } => {
+                        BatchOp::Put(encode_key(id).to_vec(), value_bytes(id, value_len))
+                    }
+                });
+                issued += 1;
+            }
+            drain_ok(store.run_batch(std::mem::take(&mut batch)));
         }
-        drain_ok(store.run_batch(std::mem::take(&mut batch)));
+    };
+    // Untimed warm-up until every shard's cache has seen three stop-swap
+    // windows: the measured ops then run on a cache that has already
+    // decided whether to stop swapping, whatever the shard count.
+    while store.cache_stats().iter().flatten().any(|c| c.hits + c.misses < settled) {
+        run(CLIENT_BATCH as u64 * 64);
     }
+
+    let before = store.snapshots();
+    let cache_before = store.cache_stats();
+    run(ops);
 
     let after = store.snapshots();
     let cache_after = store.cache_stats();

@@ -33,6 +33,7 @@ pub mod reshard;
 pub mod resync;
 pub mod sharded;
 pub mod tiered;
+mod transfer;
 
 use std::sync::Arc;
 
@@ -203,14 +204,19 @@ pub trait KvStore {
     /// every batch, still under the slot lock; must stay cheap. The
     /// default is a no-op.
     fn refresh_gauges(&self) {}
-    /// Stream up to `max` verified `(key, value)` pairs starting at an
-    /// opaque `cursor` (`0` = from the beginning). Returns the pairs and
+    /// Stream about `max` verified `(key, value)` pairs (a store may
+    /// round up to keep a bucket whole) starting at an opaque `cursor`
+    /// (`0` = from the beginning). Returns the pairs and
     /// `Some(next_cursor)` while more remain, `None` once the store is
     /// exhausted. Every pair MUST come from a MAC-verified, decrypted
     /// read inside the enclave — this is the feed for anti-entropy
     /// re-sync, and an unverified export would let a tampered survivor
-    /// poison its rejoining peer. The cursor is only valid while the
-    /// store is not mutated between calls. The default refuses
+    /// poison its rejoining peer. Calls against an unmutated store
+    /// return every pair exactly once. A mutation between calls may make
+    /// a later call skip a pair or repeat one, but never fabricate one:
+    /// whatever a call returns was in the store when that call ran.
+    /// (A transfer's live copy relies on this; its single-hold barrier
+    /// export repairs the skips.) The default refuses
     /// ([`StoreError::ExportUnsupported`]) for stores that cannot
     /// enumerate their contents.
     #[allow(unused_variables)]

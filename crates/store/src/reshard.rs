@@ -16,45 +16,24 @@
 //!
 //! # Migration protocol (DESIGN.md §18)
 //!
-//! The driver composes the primitives PR 5 built for anti-entropy
-//! re-sync:
-//!
-//! 1. **Live bulk copy** — the source primary streams its MAC-verified
-//!    contents ([`crate::KvStore::export_chunk`]) while the group keeps
-//!    serving; pairs on moving slots are applied to every in-service
-//!    replica of the target.
-//! 2. **Frozen delta** — the moving slots are frozen (writes to them
-//!    are refused *at execution time*, under the source's slot lock, so
-//!    the refusal is totally ordered with the delta export that takes
-//!    the same lock after the freeze — no fence race can ack a write
-//!    the delta misses), then a second export diffs against the copy
-//!    and the delta is applied to the target.
-//! 3. **Verified handoff** — source and target each compute a
-//!    commutative content root over the moving slots *inside their own
-//!    enclave from their own verified reads*
-//!    ([`crate::resync::content_root`]); mismatching roots abort the
-//!    migration. A tampered copy stream therefore cannot commit.
-//! 4. **Epoch flip** — slot owners, per-slot moved-epochs and the
-//!    global epoch change in one commit; the source then deletes the
-//!    moved keys (its cold log reclaims them through the
-//!    seqno-preserving compaction rewrite) and a merge deactivates the
-//!    emptied source group.
-//!
-//! The source stays authoritative until step 4: an abort anywhere
-//! before the flip leaves routing untouched, unfreezes the slots and
-//! scrubs the target (a freshly activated target is deactivated
+//! A migration is one verified transfer (`transfer.rs`, DESIGN.md §19)
+//! of the moving slots from the source primary into the target. Its
+//! fence freezes those slots: a write to one is refused *at execution
+//! time*, under the source's slot lock, the lock the delta export
+//! holds. Its commit flips slot owners, per-slot moved-epochs and the
+//! global epoch at once; the source then deletes the moved keys and a
+//! merge deactivates the emptied source. Until the flip the source is
+//! authoritative: an abort leaves routing untouched, unfreezes the slots
+//! and scrubs the target (a freshly activated one is deactivated
 //! entirely — a killed or lying target leaves no trace).
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 
-use crate::btree::KvPair;
-use crate::resync::{content_root, ContentRoot};
 use crate::sharded::{
-    fnv1a, install_store, put_pairs, remove_store, spawn_registered, splitmix64, with_slot, Inner,
-    ShardHealth,
+    fnv1a, install_store, remove_store, spawn_registered, splitmix64, with_slot, Inner, ShardHealth,
 };
+use crate::transfer::{digested, write_slot, SlotFilter, Transfer};
 use crate::{KvStore, StoreError};
 
 /// Fixed number of routing slots. Ownership moves in units of slots, so
@@ -63,12 +42,6 @@ use crate::{KvStore, StoreError};
 /// initial slot map routes byte-identically to the pre-reshard
 /// `hash % groups` map.
 pub const NUM_ROUTING_SLOTS: usize = 64;
-
-/// Pairs per apply chunk streamed into the target.
-const APPLY_CHUNK: usize = 256;
-
-/// Pairs per [`crate::KvStore::export_chunk`] call.
-const EXPORT_CHUNK: usize = 256;
 
 /// Slot-granular key → shard-group routing with a versioned epoch.
 /// All reads are single atomic loads — the hot path pays two hashes
@@ -411,42 +384,9 @@ fn set_migration_gauges<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, grou
     }
 }
 
-/// Export every verified pair of a store. Call it inside one slot-lock
-/// hold: the cursor is only valid while the store is unmutated, and the
-/// slot lock is the mutual exclusion.
-fn export_all<S: KvStore>(s: &mut S) -> Result<Vec<KvPair>, StoreError> {
-    let mut out = Vec::new();
-    let mut cursor = 0u64;
-    loop {
-        let (pairs, next) = s.export_chunk(cursor, EXPORT_CHUNK)?;
-        out.extend(pairs);
-        match next {
-            Some(c) => cursor = c,
-            None => return Ok(out),
-        }
-    }
-}
-
-/// The verified pairs a store holds on the moving slots, with their
-/// content root — both computed inside the store's own enclave from its
-/// own verified reads.
-fn export_moving<S: KvStore>(
-    s: &mut S,
-    routing: &RoutingTable,
-    on_moving: &[bool; NUM_ROUTING_SLOTS],
-) -> Result<(Vec<KvPair>, ContentRoot), StoreError> {
-    let mut pairs = export_all(s)?;
-    pairs.retain(|(k, _)| on_moving[routing.slot_of(k)]);
-    for (k, v) in &pairs {
-        s.enclave().charge_mac(16 + k.len() + v.len());
-    }
-    let root = content_root(&pairs);
-    Ok((pairs, root))
-}
-
-/// In-service (healthy) replica indexes of a group.
-fn healthy_replicas<S: KvStore + Send + 'static>(
-    inner: &Arc<Inner<S>>,
+/// In-service replica indexes of a group.
+pub(crate) fn healthy_replicas<S: KvStore + Send + 'static>(
+    inner: &Inner<S>,
     group: usize,
 ) -> Vec<usize> {
     (0..inner.replicas)
@@ -454,44 +394,29 @@ fn healthy_replicas<S: KvStore + Send + 'static>(
         .collect()
 }
 
-/// Apply one chunk of pairs to every in-service replica of `group`
-/// (a group with none left cannot take the copy).
-fn apply_chunk<S: KvStore + Send + 'static>(
-    inner: &Arc<Inner<S>>,
-    group: usize,
-    chunk: &[KvPair],
-) -> Result<(), StoreError> {
-    let replicas = healthy_replicas(inner, group);
-    if replicas.is_empty() {
-        return Err(StoreError::ShardUnavailable { shard: group });
+/// Delete `keys` from every in-service replica of `group`, best-effort:
+/// cleanup must not turn into a second failure.
+fn delete_keys<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, group: usize, keys: &[Vec<u8>]) {
+    for r in healthy_replicas(inner, group) {
+        let _ = write_slot(inner, inner.slot_index(group, r), &[], keys);
     }
-    for r in replicas {
-        put_pairs(inner, inner.slot_index(group, r), chunk)?;
-    }
-    Ok(())
 }
 
-/// Delete `keys` from every in-service replica of `group`; with
-/// `best_effort` errors are swallowed (abort scrubbing must not turn
-/// into a second failure).
-fn delete_keys<S: KvStore + Send + 'static>(
-    inner: &Arc<Inner<S>>,
-    group: usize,
-    keys: &[Vec<u8>],
-    best_effort: bool,
-) -> Result<(), StoreError> {
-    for r in healthy_replicas(inner, group) {
-        for chunk in keys.chunks(APPLY_CHUNK) {
-            let res = with_slot(inner, inner.slot_index(group, r), |s| {
-                chunk.iter().try_for_each(|k| s.delete(k).map(drop))
-            });
-            match res {
-                Ok(Err(e)) | Err(e) if !best_effort => return Err(e),
-                _ => {}
-            }
-        }
+/// Delete from a group every key its primary holds on `filter`'s slots,
+/// best-effort, one export chunk per hold.
+fn scrub<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, group: usize, filter: &SlotFilter) {
+    let slot = inner.slot_index(group, inner.ctls[group].machine.primary());
+    let mut keys = Vec::new();
+    let mut cursor = Some(0);
+    while let Some(c) = cursor {
+        let Ok(Ok((pairs, next))) = with_slot(inner, slot, |s| digested(s, inner, filter, c))
+        else {
+            break;
+        };
+        keys.extend(pairs.into_iter().map(|((k, _), _)| k));
+        cursor = next;
     }
-    Ok(())
+    delete_keys(inner, group, &keys);
 }
 
 /// Take a group out of service: stop routing candidates, drop its
@@ -508,9 +433,11 @@ fn deactivate<S: KvStore + Send + 'static>(inner: &Arc<Inner<S>>, group: usize) 
     }
 }
 
-/// The migration driver body (background thread). Every failure path
-/// funnels through the abort arm: routing untouched, slots unfrozen,
-/// target scrubbed, `Aborted` state + counters recorded.
+/// The migration driver body (background thread): a [`Transfer`] of the
+/// moving slots from the source primary into the target, fenced by
+/// freezing them. Every failure path funnels through the abort arm:
+/// routing untouched, slots unfrozen, target scrubbed, `Aborted` state
+/// + counters recorded.
 fn run<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     mode: ReshardMode,
@@ -519,8 +446,8 @@ fn run<S: KvStore + Send + 'static>(
 ) {
     let ctl = &inner.reshard;
     ctl.started.fetch_add(1, Ordering::SeqCst);
-    let src_tele_slot = inner.slot_index(source, inner.ctls[source].machine.primary());
-    inner.tele[src_tele_slot].store.reshards_started.inc();
+    let sp_slot = inner.slot_index(source, inner.ctls[source].machine.primary());
+    inner.tele[sp_slot].store.reshards_started.inc();
     set_migration_gauges(inner, source, 1);
     set_migration_gauges(inner, target, 2);
 
@@ -535,76 +462,47 @@ fn run<S: KvStore + Send + 'static>(
     for &s in &moving {
         on_moving[s] = true;
     }
-
-    let mut activated = false;
-    let mut copied_keys: Vec<Vec<u8>> = Vec::new();
-    let mut froze = false;
+    // A split target is built by this migration; a merge target already
+    // serves its own slots.
+    let activated = !ctl.is_active(target);
 
     // The protocol body; any Err lands in the abort arm below.
-    let verdict: Result<Vec<Vec<u8>>, StoreError> = (|| {
-        let gone = || StoreError::ShardUnavailable { shard: source };
+    let verdict = (|| {
         if inner.shutdown.load(Ordering::SeqCst) {
-            return Err(gone());
+            return Err(StoreError::ShardUnavailable { shard: source });
         }
-        // Activate the target if it has no stores yet (split). A
-        // previously deactivated group is rebuilt through the ordinary
-        // factory, so it restarts from a fresh, empty store.
-        if !ctl.is_active(target) {
+        // A merge target needs no scrub first: whatever an earlier abort
+        // failed to scrub off the moving slots fails this run's root
+        // check, and this run's abort scrubs it.
+        if activated {
+            // A previously deactivated group is rebuilt through the
+            // ordinary factory, so it restarts from fresh, empty stores.
             for r in 0..inner.replicas {
                 install_store(inner, inner.slot_index(target, r))?;
-            }
-            for r in 0..inner.replicas {
                 inner.ctls[target].machine.force(r, ShardHealth::Healthy);
             }
             ctl.active[target].store(true, Ordering::SeqCst);
-            activated = true;
-        } else {
-            // Merge target: scrub any residue a previously aborted
-            // migration may have parked on the moving slots, so the
-            // handoff verification below compares exactly this run's
-            // copy.
-            let tp = inner.ctls[target].machine.primary();
-            let residue: Vec<Vec<u8>> =
-                with_slot(inner, inner.slot_index(target, tp), export_all)??
-                    .into_iter()
-                    .filter(|(k, _)| on_moving[inner.routing.slot_of(k)])
-                    .map(|(k, _)| k)
-                    .collect();
-            delete_keys(inner, target, &residue, false)?;
         }
-
-        // Phase 1: live bulk copy of the moving slots while the source
-        // keeps serving reads and writes.
-        let sp = inner.ctls[source].machine.primary();
-        let sp_slot = inner.slot_index(source, sp);
-        let mut copy: Vec<KvPair> = with_slot(inner, sp_slot, export_all)??
-            .into_iter()
-            .filter(|(k, _)| on_moving[inner.routing.slot_of(k)])
-            .collect();
-        // The source's record of what it streamed — the delta below
-        // diffs against *this*, not against whatever the target ended
-        // up holding (the source cannot see that).
-        let sent: HashMap<Vec<u8>, Vec<u8>> = copy.iter().cloned().collect();
-        // Chaos: a tampered copy stream. The flipped byte reaches the
-        // target, the source's diff baseline stays pristine — only the
-        // handoff root check can catch the divergence, and must.
+        let targets = healthy_replicas(inner, target).into_iter();
+        let targets: Vec<usize> = targets.map(|r| inner.slot_index(target, r)).collect();
+        if targets.is_empty() {
+            return Err(StoreError::ShardUnavailable { shard: target });
+        }
+        let mut transfer = Transfer::new(inner, sp_slot, targets).only(on_moving);
+        // Chaos: a tampered copy stream; only the root check can catch
+        // it, and must.
         if ctl.consult_fault(ReshardFault::TamperStream) {
-            if let Some((_, v)) = copy.iter_mut().find(|(_, v)| !v.is_empty()) {
-                v[0] ^= 0x01;
-            }
+            transfer.tamper();
         }
         let mut killed = false;
-        for chunk in copy.chunks(APPLY_CHUNK.max(1)) {
-            if inner.shutdown.load(Ordering::SeqCst) {
-                return Err(gone());
-            }
-            // Chaos: kill the target's primary mid-copy. The next apply
+        loop {
+            // Chaos: kill the target's primary mid-copy; the next write
             // fails and the migration aborts without the epoch moving.
-            // Gated on `activated`: only a half-built split target is
-            // expendable — its scrub is a deactivation and the next
-            // attempt installs fresh stores. A merge target serves
-            // live data; with no backup to promote, killing it would
-            // just be an unrecoverable shard loss wearing a chaos hat.
+            // Only a half-built split target is expendable — its scrub
+            // is a deactivation and the next attempt installs fresh
+            // stores. A merge target serves live data; with no backup
+            // to promote, killing it would just be an unrecoverable
+            // shard loss wearing a chaos hat.
             if !killed && activated && ctl.consult_fault(ReshardFault::KillTarget) {
                 killed = true;
                 let tp = inner.ctls[target].machine.primary();
@@ -612,64 +510,35 @@ fn run<S: KvStore + Send + 'static>(
                     panic!("injected reshard target kill")
                 });
             }
-            apply_chunk(inner, target, chunk)?;
-            copied_keys.extend(chunk.iter().map(|(k, _)| k.clone()));
-        }
-
-        // Phase 2: freeze the moving slots, then export the delta. The
-        // export takes the source primary's slot lock *after* the
-        // freeze flag is up, so every write it misses took the lock
-        // later still, saw the flag and was refused, never
-        // acknowledged.
-        inner.routing.freeze(&moving, true);
-        froze = true;
-        let (snap, src_root) =
-            with_slot(inner, sp_slot, |s| export_moving(s, &inner.routing, &on_moving))??;
-        let mut have = sent;
-        let mut upserts: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (k, v) in &snap {
-            if have.remove(k).as_deref() != Some(v.as_slice()) {
-                upserts.push((k.clone(), v.clone()));
+            if !transfer.copy_chunk()? {
+                break;
             }
         }
-        let stale: Vec<Vec<u8>> = have.into_keys().collect();
-        for chunk in upserts.chunks(APPLY_CHUNK.max(1)) {
-            apply_chunk(inner, target, chunk)?;
-            copied_keys.extend(chunk.iter().map(|(k, _)| k.clone()));
-        }
-        delete_keys(inner, target, &stale, false)?;
-
-        // Phase 3: verified handoff. The target recomputes the subset
-        // root inside its own enclave from its own verified reads; a
-        // lying (or tampered) target cannot produce the source's root.
-        let tp = inner.ctls[target].machine.primary();
-        let (_, tgt_root) = with_slot(inner, inner.slot_index(target, tp), |s| {
-            export_moving(s, &inner.routing, &on_moving)
-        })??;
-        if src_root != tgt_root {
-            return Err(StoreError::ReplicaDiverged { shard: target });
-        }
-
-        // Phase 4: the epoch flip. After this store the source refuses
-        // ops on the moved slots at execution time, so the deletes
-        // below can never race a client into lost data.
+        // The fence: a write to a frozen slot is refused under the
+        // source's slot lock, the lock the delta's export holds, so a
+        // write the delta misses is never acknowledged.
+        inner.routing.freeze(&moving, true);
+        transfer.delta()?;
+        transfer.verify()?;
+        // The epoch flip, before the unfreeze. From here the source
+        // refuses ops on the moved slots at execution time, so the
+        // deletes below can never race a client into lost data.
         inner.routing.commit_move(&moving, target);
-        inner.routing.freeze(&moving, false);
-        froze = false;
-        Ok(snap.into_iter().map(|(k, _)| k).collect())
+        Ok(transfer.into_keys())
     })();
+    inner.routing.freeze(&moving, false);
 
-    match verdict {
+    let state = match verdict {
         Ok(moved_keys) => {
             ctl.committed.fetch_add(1, Ordering::SeqCst);
-            inner.tele[src_tele_slot].store.reshards_committed.inc();
+            inner.tele[sp_slot].store.reshards_committed.inc();
             publish_routing_gauges(inner);
             // Source cleanup: drop the moved keys (tombstones now; the
             // cold log reclaims them through the seqno-preserving
             // compaction rewrite in `maintain`), then retire the group
             // entirely if the merge emptied it.
             if !inner.shutdown.load(Ordering::SeqCst) {
-                let _ = delete_keys(inner, source, &moved_keys, true);
+                delete_keys(inner, source, &moved_keys);
                 for r in healthy_replicas(inner, source) {
                     let _ = with_slot(inner, inner.slot_index(source, r), |s| {
                         let _ = s.maintain();
@@ -679,31 +548,26 @@ fn run<S: KvStore + Send + 'static>(
             if mode == ReshardMode::Merge {
                 deactivate(inner, source);
             }
-            set_migration_gauges(inner, source, 0);
-            set_migration_gauges(inner, target, 0);
-            ctl.state.store(ReshardState::Committed.as_u8(), Ordering::SeqCst);
+            ReshardState::Committed
         }
         Err(e) => {
-            if froze {
-                inner.routing.freeze(&moving, false);
-            }
             *ctl.last_error.lock().unwrap_or_else(|p| p.into_inner()) = Some(e);
             ctl.aborted.fetch_add(1, Ordering::SeqCst);
-            inner.tele[src_tele_slot].store.reshards_aborted.inc();
+            inner.tele[sp_slot].store.reshards_aborted.inc();
             // Scrub: a target activated by this migration leaves no
-            // trace; a pre-existing (merge) target gets the copied keys
-            // deleted best-effort — routing never pointed at them, so
-            // nothing served from them either way.
+            // trace; a merge target loses every key on the moving slots —
+            // routing never pointed at them, so nothing served from them.
             if activated {
                 deactivate(inner, target);
             } else if !inner.shutdown.load(Ordering::SeqCst) {
-                let _ = delete_keys(inner, target, &copied_keys, true);
+                scrub(inner, target, &on_moving);
             }
-            set_migration_gauges(inner, source, 0);
-            set_migration_gauges(inner, target, 0);
-            ctl.state.store(ReshardState::Aborted.as_u8(), Ordering::SeqCst);
+            ReshardState::Aborted
         }
-    }
+    };
+    set_migration_gauges(inner, source, 0);
+    set_migration_gauges(inner, target, 0);
+    ctl.state.store(state.as_u8(), Ordering::SeqCst);
 }
 
 #[cfg(test)]

@@ -23,19 +23,17 @@
 //!
 //! The fixed key means the root is *not* a secret or an authenticator
 //! against the network — it is a collision-resistant-in-practice
-//! fingerprint exchanged between two mutually-trusting enclaves. What
-//! makes re-sync sound against a malicious host is *where the inputs
-//! come from*: each side feeds the digest only pairs that already
-//! survived its own entry-MAC + Merkle verification
-//! ([`crate::KvStore::export_chunk`]). A production build would swap
-//! the CMAC for SHA-256 and carry the root over an attested
-//! enclave-to-enclave channel; the structure is identical (DESIGN.md
-//! §13).
+//! fingerprint exchanged between two mutually-trusting enclaves. Why a
+//! matching root is sound against a malicious host is argued once, for
+//! the transfer that uses it, in DESIGN.md §19. A production build
+//! would swap the CMAC for SHA-256 and carry the root over an attested
+//! enclave-to-enclave channel; the structure is identical.
 
 use std::sync::OnceLock;
 
 use aria_crypto::CmacKey;
 
+use crate::transfer::CHUNK_PAIRS;
 use crate::{KvStore, StoreError};
 
 /// Fixed public convention key for content digests. Shared by every
@@ -48,9 +46,6 @@ fn content_mac() -> &'static CmacKey {
     static MAC: OnceLock<CmacKey> = OnceLock::new();
     MAC.get_or_init(|| CmacKey::new(&CONTENT_DIGEST_KEY))
 }
-
-/// How many pairs [`content_root_of`] pulls per `export_chunk` call.
-pub const EXPORT_CHUNK_PAIRS: usize = 256;
 
 /// An order-independent digest of a store's verified contents.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -101,10 +96,8 @@ pub fn content_root(pairs: &[(Vec<u8>, Vec<u8>)]) -> ContentRoot {
 
 /// Stream a store's entire verified contents
 /// ([`KvStore::export_chunk`]) and return both the pairs and their
-/// [`ContentRoot`]. The store must not be mutated concurrently — the
-/// sharded layer guarantees this by running the export inside one
-/// slot-lock hold, behind the group's write fence. Enclave MAC costs
-/// for the digest are charged per pair.
+/// [`ContentRoot`]. The store must not be mutated meanwhile. Enclave MAC
+/// costs for the digest are charged per pair.
 #[allow(clippy::type_complexity)]
 pub fn content_root_of<S: KvStore>(
     store: &mut S,
@@ -112,7 +105,7 @@ pub fn content_root_of<S: KvStore>(
     let mut all: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
     let mut cursor = 0u64;
     loop {
-        let (mut pairs, next) = store.export_chunk(cursor, EXPORT_CHUNK_PAIRS)?;
+        let (mut pairs, next) = store.export_chunk(cursor, CHUNK_PAIRS)?;
         all.append(&mut pairs);
         match next {
             Some(c) => cursor = c,

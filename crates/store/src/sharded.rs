@@ -57,12 +57,9 @@
 //!
 //! A replica that dies or quarantines rejoins via *anti-entropy
 //! re-sync*: a fresh store (own enclave, own heap) is installed in its
-//! slot and streams the survivor's MAC-verified contents
-//! ([`KvStore::export_chunk`]) in a live first pass, then a short
-//! write-fenced second pass applies the delta and both sides compare
-//! [`crate::ContentRoot`]s — each computed inside its own enclave from
-//! its own verified reads. Matching roots re-admit the replica; a
-//! mismatch marks it [`ShardHealth::Dead`] with
+//! slot and filled by a verified transfer of the survivor's contents
+//! (`transfer.rs`, DESIGN.md §19). A matching content root re-admits the
+//! replica; a mismatch marks it [`ShardHealth::Dead`] with
 //! [`StoreError::ReplicaDiverged`] (a diverged replica must never serve).
 //! With `R == 1` none of this machinery is touched: no group lock, no
 //! fence check, one slot lock per batch.
@@ -76,7 +73,7 @@
 //! other replica's verification state is involved. The router and the
 //! replication plumbing are untrusted machinery: they only decide which
 //! enclave receives a request. Re-sync soundness (why a malicious host
-//! cannot poison a rejoining replica) is argued in DESIGN.md §13.
+//! cannot poison a rejoining replica) is argued in DESIGN.md §19.
 //!
 //! # Batching
 //!
@@ -112,7 +109,6 @@
 //! [`ShardedStore::replica_healths`] per-replica detail (role, lag), and
 //! [`ShardedStore::group_stats`] failover and re-sync counters.
 
-use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -125,11 +121,10 @@ use aria_telemetry::{
     TraceHub, DEFAULT_TRACE_CAPACITY,
 };
 
-use crate::btree::KvPair;
 use crate::reshard::{
     self, ReshardCtl, ReshardFault, ReshardMode, ReshardStatus, RoutingTable, NUM_ROUTING_SLOTS,
 };
-use crate::resync::content_root_of;
+use crate::transfer::Transfer;
 use crate::{CacheStats, KvStore, StoreError};
 
 /// How many times a quarantined unreplicated shard retries
@@ -138,9 +133,6 @@ pub const RECOVERY_ATTEMPTS: u32 = 3;
 
 /// Upper bound on replicas per group (sanity rail, not a design limit).
 pub const MAX_REPLICAS: usize = 8;
-
-/// How many pairs a re-sync bulk-apply writes per slot-lock hold.
-const RESYNC_APPLY_CHUNK: usize = 256;
 
 /// Lifecycle state of one replica (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -675,7 +667,7 @@ where
 /// # fn shard_used(s: &ShardedStore<AriaHash>) -> usize { s.shard_of(b"k") }
 /// ```
 pub struct ShardedStore<S: KvStore + Send + 'static> {
-    inner: Arc<Inner<S>>,
+    pub(crate) inner: Arc<Inner<S>>,
 }
 
 impl<S: KvStore + Send + 'static> ShardedStore<S> {
@@ -1841,23 +1833,10 @@ fn resync_replica<S: KvStore + Send + 'static>(
     }
 }
 
-/// Bulk-apply verified pairs on a slot's store in one lock hold; the
-/// first store error (or a gone store) fails the call.
-pub(crate) fn put_pairs<S: KvStore + Send + 'static>(
-    inner: &Arc<Inner<S>>,
-    slot: usize,
-    pairs: &[KvPair],
-) -> Result<(), StoreError> {
-    with_slot(inner, slot, |s| {
-        let refs: Vec<(&[u8], &[u8])> =
-            pairs.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect();
-        s.put_batch(&refs).into_iter().collect()
-    })?
-}
-
-/// Stream the survivor's verified contents into a fresh store in the
-/// rejoiner's slot. Returns with the group's write fence **raised**
-/// (from the delta phase on); the caller re-admits and lowers it.
+/// Re-sync a fresh store in the rejoiner's slot from the survivor through
+/// a [`Transfer`] of every key (DESIGN.md §19). Returns with the group's
+/// write fence **raised** (from the delta on); the caller re-admits and
+/// lowers it.
 fn resync_from_survivor<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
@@ -1865,45 +1844,20 @@ fn resync_from_survivor<S: KvStore + Send + 'static>(
     rejoiner_slot: usize,
 ) -> Result<(), StoreError> {
     let ctl = &inner.ctls[group];
-    let pair_bytes = |pairs: &[KvPair]| pairs.iter().map(|(k, v)| (k.len() + v.len()) as u64).sum();
     // The rejoiner always restarts from a fresh store (own enclave, own
     // heap): its previous untrusted state is condemned wholesale rather
     // than patched, and every byte it will serve arrives through the
-    // verified export stream below.
+    // verified transfer.
     install_store(inner, rejoiner_slot)?;
-    // Phase 1 (live): bulk-copy a consistent snapshot of the survivor's
-    // verified contents while the group keeps serving writes.
-    let (pairs1, _) = with_slot(inner, survivor_slot, |s| content_root_of(s))??;
-    let mut streamed_bytes: u64 = pair_bytes(&pairs1);
-    for chunk in pairs1.chunks(RESYNC_APPLY_CHUNK) {
-        if inner.shutdown.load(Ordering::SeqCst) {
-            return Err(StoreError::ShardUnavailable { shard: group });
-        }
-        put_pairs(inner, rejoiner_slot, chunk)?;
-    }
-    // Phase 2 (fenced delta): freeze writes, then cycle the write lock.
-    // A writer holds that lock until its batch is applied on every
-    // replica it addressed, so once the lock has cycled every pre-fence
-    // write is in the survivor's store and the export below — which
-    // takes the survivor's slot lock after them — is a true barrier
-    // snapshot.
+    let mut transfer = Transfer::new(inner, survivor_slot, vec![rejoiner_slot]);
+    while transfer.copy_chunk()? {}
+    // The fence: refuse writes, then cycle the write lock. A writer holds
+    // that lock until its batch is applied on every replica it
+    // addressed, so once it has cycled every pre-fence write is in the
+    // survivor's store, ahead of the delta's export.
     ctl.fence.store(true, Ordering::SeqCst);
     drop(ctl.write_lock.lock().unwrap_or_else(|p| p.into_inner()));
-    let (pairs2, root2) = with_slot(inner, survivor_slot, |s| content_root_of(s))??;
-    let mut have: HashMap<Vec<u8>, Vec<u8>> = pairs1.into_iter().collect();
-    let mut upserts: Vec<KvPair> = Vec::new();
-    for (k, v) in &pairs2 {
-        if have.remove(k).as_deref() != Some(v.as_slice()) {
-            upserts.push((k.clone(), v.clone()));
-        }
-    }
-    streamed_bytes += pair_bytes(&upserts) + have.keys().map(|k| k.len() as u64).sum::<u64>();
-    for chunk in upserts.chunks(RESYNC_APPLY_CHUNK) {
-        put_pairs(inner, rejoiner_slot, chunk)?;
-    }
-    if !have.is_empty() {
-        with_slot(inner, rejoiner_slot, |s| have.keys().try_for_each(|k| s.delete(k).map(drop)))??;
-    }
+    transfer.delta()?;
     // Chaos hook: a replica that silently diverged mid-sync must be
     // caught by the root comparison, never re-admitted.
     let inject = {
@@ -1915,16 +1869,11 @@ fn resync_from_survivor<S: KvStore + Send + 'static>(
             let _ = s.put(b"\xffaria-divergence-injected", b"\xff");
         })?;
     }
-    // Each side's root is computed inside its own enclave from its own
-    // MAC-verified reads.
-    let (_, my_root) = with_slot(inner, rejoiner_slot, |s| content_root_of(s))??;
-    if my_root != root2 {
-        return Err(StoreError::ReplicaDiverged { shard: group });
-    }
+    transfer.verify()?;
     ctl.resyncs.fetch_add(1, Ordering::SeqCst);
     let tele = &inner.tele[rejoiner_slot].store;
     tele.resyncs.inc();
-    tele.resync_bytes.observe(streamed_bytes);
+    tele.resync_bytes.observe(transfer.bytes);
     Ok(())
 }
 
