@@ -3,8 +3,11 @@
 //! Polls the `METRICS` opcode over aria-net, diffs consecutive
 //! snapshots, and renders a refreshing per-shard view: throughput,
 //! p50/p95/p99 store latency, counter-cache hit ratio, live keys,
-//! quarantine state, violations, plus the network plane and the span
-//! counts (slow runs themselves are listed by `ariatrace`).
+//! quarantine state, replica role and lag, violations, plus the
+//! serving summary, the network plane and the span counts (slow runs
+//! themselves are listed by `ariatrace`). State, role and lag come
+//! from the snapshot's serving section, which the server reads from
+//! the store when it answers.
 //!
 //! ```sh
 //! cargo run --release -p aria-bench --bin ariatop -- \
@@ -108,7 +111,7 @@ fn us(nanos: u64) -> String {
 
 /// Wire encoding of a replica role (0 primary, everything else backup;
 /// see `aria_store::ReplicaRole`).
-fn role_name(role: u64) -> String {
+fn role_name(role: u8) -> String {
     if role == 0 {
         "pri".to_string()
     } else {
@@ -142,11 +145,12 @@ fn render(addr: &str, snap: &TelemetrySnapshot, delta: &TelemetrySnapshot, secs:
     for (i, d) in delta.shards.iter().enumerate() {
         let lat = merged_latency(d);
         let cum = &snap.shards[i];
+        let replica = snap.serving.replicas.get(i).copied().unwrap_or_default();
         rows.push(vec![
             i.to_string(),
-            health_name(d.store.health_state as u8).to_string(),
-            role_name(cum.store.replica_role),
-            cum.store.replica_lag.to_string(),
+            health_name(replica.state).to_string(),
+            role_name(replica.role),
+            replica.lag.to_string(),
             cum.store.routing_epoch.to_string(),
             migration_name(cum.store.migration_state),
             fmt_tput(lat.count() as f64 / secs),
@@ -196,10 +200,19 @@ fn render(addr: &str, snap: &TelemetrySnapshot, delta: &TelemetrySnapshot, secs:
         ],
         &rows,
     );
-    let recovering = snap.shards.iter().filter(|s| s.store.health_state == 2).count();
+    let recovering = snap.serving.replicas.iter().filter(|r| r.state == 2).count();
     if recovering > 0 {
         println!("\nrecovering: {recovering} shard(s) replaying / verifying logs");
     }
+    let sv = &snap.serving;
+    println!(
+        "\nserving: {} conn(s) open  {} accepted  {} ops served  ~{} keys{}",
+        sv.open_connections,
+        sv.accepted_connections,
+        sv.ops_served,
+        sv.len_estimate,
+        if sv.degraded { "  DEGRADED" } else { "" },
+    );
 
     let n = &delta.net;
     println!(

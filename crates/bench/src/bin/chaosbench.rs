@@ -43,7 +43,7 @@
 //! asserts
 //!
 //! * **containment** — a violation quarantines only its shard; siblings
-//!   keep serving (probed live via the `HEALTH` opcode while a shard is
+//!   keep serving (probed live via the `METRICS` opcode while a shard is
 //!   down) and at least one full quarantine → recovery → re-admission
 //!   cycle is observed;
 //! * **accountability** — every injected fault is either detected
@@ -64,7 +64,7 @@
 //!
 //! * **zero acknowledged-write loss** across promotion and re-admission;
 //! * **sibling service** — other groups keep answering (probed via
-//!   `HEALTH` + live `GET`s) during every failover window;
+//!   `METRICS` + live `GET`s) during every failover window;
 //! * **verified re-admission** — each kill completes a
 //!   kill → promote → re-sync → re-admit cycle whose content roots
 //!   matched (the `resyncs` counter only advances on a root match);
@@ -112,8 +112,10 @@ use aria_net::{AriaClient, ClientConfig, ErrorCode, NetError};
 use aria_net::{AriaServer, ServerConfig};
 use aria_sim::Enclave;
 use aria_store::sharded::{BatchOp, ShardedStore};
-use aria_store::{AriaHash, KvStore, RecoveryReport, ShardHealth, StoreConfig, StoreError};
-use aria_telemetry::TelemetrySnapshot;
+use aria_store::{
+    AriaHash, KvStore, RecoveryReport, ReplicaRole, ShardHealth, StoreConfig, StoreError,
+};
+use aria_telemetry::{ReplicaServing, TelemetrySnapshot};
 use aria_workload::{encode_key, ScrambledZipfian};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -799,7 +801,7 @@ fn plain(args: &Args) {
     let server = d.serve(&store, &engine, flight_dir.clone());
     let addr = server.local_addr();
 
-    // --- health poller: HEALTH opcode, cycle + containment evidence -------
+    // --- health poller: METRICS opcode, cycle + containment evidence ------
     let poll_done = Arc::new(AtomicBool::new(false));
     let poller = {
         let poll_done = Arc::clone(&poll_done);
@@ -811,10 +813,11 @@ fn plain(args: &Args) {
             let mut max_recoveries = vec![0u64; shards];
             let mut probe_rng: u64 = 0x1234_5678;
             while !poll_done.load(Ordering::Relaxed) {
-                if let Ok(reply) = client.health() {
+                if let Ok(snap) = client.metrics() {
+                    let replicas = &snap.serving.replicas;
                     let health: Vec<ShardHealth> =
-                        reply.shards.iter().map(|i| i.health()).collect();
-                    for (s, info) in reply.shards.iter().enumerate() {
+                        replicas.iter().map(|r| ShardHealth::from_u8(r.state)).collect();
+                    for (s, info) in replicas.iter().enumerate() {
                         max_recoveries[s] = max_recoveries[s].max(info.recoveries);
                     }
                     let degraded = |h: &ShardHealth| {
@@ -905,7 +908,7 @@ fn plain(args: &Args) {
     let mut checks = Checks::default();
     checks.check(stats.injected_total >= injected_floor, "injected fault count below floor");
     checks.check(total_recoveries >= 1, "no quarantine → recovery → re-admission cycle completed");
-    checks.check(saw_quarantine >= 1, "HEALTH opcode never observed a quarantined shard");
+    checks.check(saw_quarantine >= 1, "METRICS opcode never observed a quarantined shard");
     checks.check(sibling_serves >= 1, "no healthy sibling served while a shard was quarantined");
     checks.check(detected_events >= 1, "no injected fault was ever detected");
     if let Some(dir) = &flight_dir {
@@ -955,7 +958,7 @@ fn plain(args: &Args) {
         .collect();
     print_table(
         "shard health",
-        &["shard", "state", "violations", "recoveries", "seen-via-HEALTH"],
+        &["shard", "state", "violations", "recoveries", "seen-via-METRICS"],
         &health_rows,
     );
     println!(
@@ -1083,19 +1086,21 @@ fn failover(args: &Args) {
             let mut last_primary: Vec<Option<usize>> = vec![None; groups];
             let mut pulse_rng: u64 = 0x5151_7171;
             while !poll_done.load(Ordering::Relaxed) {
-                if let Ok(reply) = client.health() {
+                if let Ok(snap) = client.metrics() {
                     // Entries are group-major: group * replicas + replica.
-                    let entries = |g: usize| &reply.shards[g * replicas..(g + 1) * replicas];
-                    let degraded: Vec<usize> = (0..groups)
-                        .filter(|&g| entries(g).iter().any(|i| i.health() != ShardHealth::Healthy))
-                        .collect();
+                    let entries =
+                        |g: usize| &snap.serving.replicas[g * replicas..(g + 1) * replicas];
+                    let healthy =
+                        |i: &ReplicaServing| ShardHealth::from_u8(i.state) == ShardHealth::Healthy;
+                    let degraded: Vec<usize> =
+                        (0..groups).filter(|&g| !entries(g).iter().all(healthy)).collect();
                     for (g, last) in last_primary.iter_mut().enumerate() {
                         let entries = entries(g);
                         max_lag_seen =
                             max_lag_seen.max(entries.iter().map(|i| i.lag).max().unwrap_or(0));
                         let primary = entries
                             .iter()
-                            .position(|i| i.replica_role() == aria_store::ReplicaRole::Primary);
+                            .position(|i| ReplicaRole::from_u8(i.role) == ReplicaRole::Primary);
                         if let (Some(p), Some(prev)) = (primary, *last) {
                             if p != prev {
                                 promotions_seen += 1;
@@ -1238,7 +1243,7 @@ fn failover(args: &Args) {
     checks.check(failovers >= kills, "fewer promotions than kills");
     checks.check(resyncs >= kills, "fewer verified re-sync cycles than kills");
     checks.check(sibling_serves >= 1, "no sibling group served during a failover window");
-    checks.check(promotions_seen >= 1, "HEALTH opcode never observed a promotion");
+    checks.check(promotions_seen >= 1, "METRICS opcode never observed a promotion");
     checks.check(diverged_detected, "injected divergence was not detected as ReplicaDiverged");
     checks.check(!diverged_readmitted, "a diverged replica was re-admitted");
     checks.check(dead_replicas == 1, "diverged replica is not parked as Dead");

@@ -11,8 +11,8 @@
 //! 3. **Refused is not acknowledged** — every write the server acked is
 //!    readable afterwards with the acked value; no refused write is
 //!    ever observed (zero acked-then-lost, zero acked-then-wrong).
-//! 4. **The control plane stays up** — a prober issues PING/HEALTH/
-//!    STATS throughout every load point; any probe failure is fatal.
+//! 4. **The control plane stays up** — a prober issues PING and
+//!    METRICS throughout every load point; any probe failure is fatal.
 //!
 //! Violations of (3) and (4) always exit non-zero; (1) and (2) are
 //! additionally enforced in full (non-`--smoke`) runs, where the
@@ -459,7 +459,7 @@ struct RunPointCfg {
 fn run_point(cfg: RunPointCfg) -> Point {
     let stop = Arc::new(AtomicBool::new(false));
 
-    // Control-plane prober: PING + HEALTH + STATS on a cadence for the
+    // Control-plane prober: PING + METRICS on a cadence for the
     // whole point. Control ops bypass admission, so any failure or
     // multi-hundred-ms stall here is an overload-contract violation.
     let prober = {
@@ -481,11 +481,12 @@ fn run_point(cfg: RunPointCfg) -> Point {
             while !stop.load(Ordering::Relaxed) {
                 let t0 = Instant::now();
                 let ok = client.ping().is_ok()
-                    && client.health().is_ok()
-                    && match client.stats() {
+                    && match client.metrics() {
                         Ok(s) => {
-                            out.degraded_seen |= s.degraded;
-                            out.max_queue_delay_ms = out.max_queue_delay_ms.max(s.queue_delay_ms);
+                            out.degraded_seen |= s.serving.degraded;
+                            let worst_ns = s.shards.iter().map(|sh| sh.store.queue_delay_ns).max();
+                            let ms = worst_ns.unwrap_or(0) / 1_000_000;
+                            out.max_queue_delay_ms = out.max_queue_delay_ms.max(ms);
                             true
                         }
                         Err(_) => false,

@@ -57,9 +57,7 @@ use std::time::{Duration, Instant};
 
 use aria_store::sharded::splitmix64;
 
-use crate::proto::{
-    self, Decoded, ErrorCode, HealthReply, Request, Response, StatsReply, WireError,
-};
+use crate::proto::{self, Decoded, ErrorCode, Request, Response, WireError};
 
 /// Tuning knobs for [`AriaClient`].
 #[derive(Debug, Clone)]
@@ -623,25 +621,11 @@ impl AriaClient {
         }
     }
 
-    /// Server/store statistics.
-    pub fn stats(&mut self) -> Result<StatsReply, NetError> {
-        match self.one(Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => fail(other),
-        }
-    }
-
-    /// Per-shard health (quarantine state machine) of the server's
-    /// store.
-    pub fn health(&mut self) -> Result<HealthReply, NetError> {
-        match self.one(Request::Health)? {
-            Response::Health(h) => Ok(h),
-            other => fail(other),
-        }
-    }
-
-    /// Full telemetry snapshot (metrics plus span counts) of the server;
-    /// the spans themselves stream through [`AriaClient::trace_spans`].
+    /// Full telemetry snapshot of the server: the recorders, span
+    /// counts (the spans themselves stream through
+    /// [`AriaClient::trace_spans`]) and the serving section
+    /// ([`aria_telemetry::ServingSnapshot`]: connections, ops served,
+    /// size, degradation, sheds, per-replica health, role and lag).
     ///
     /// A decode failure means the peer speaks an incompatible telemetry
     /// codec version and is reported as [`NetError::UnexpectedResponse`].

@@ -4,7 +4,8 @@
 //! over a real network edge:
 //!
 //! * [`proto`] — the compact length-prefixed binary wire protocol
-//!   (`GET`/`PUT`/`DELETE`/`MULTI_GET`/`PUT_BATCH`/`STATS`/`PING`,
+//!   (`GET`/`PUT`/`DELETE`/`MULTI_GET`/`PUT_BATCH` plus the
+//!   `PING`/`METRICS`/`HELLO`/`TRACE`/`RESHARD` control plane,
 //!   client-chosen request ids, stable typed error codes), one frame
 //!   layout, and a `HELLO` handshake that acks that layout's version
 //!   and refuses any other;
@@ -69,8 +70,5 @@ mod service;
 
 pub use client::{AriaClient, ClientConfig, KeyResult, NetError, ReshardReply};
 pub use config::{NetConfigError, ServerConfig, ServerConfigBuilder};
-pub use proto::{
-    features, ErrorCode, HealthReply, Request, RequestRef, Response, ShardHealthInfo, StatsReply,
-    WireError, PROTOCOL_VERSION,
-};
+pub use proto::{features, ErrorCode, Request, RequestRef, Response, WireError, PROTOCOL_VERSION};
 pub use server::AriaServer;

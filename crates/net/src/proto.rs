@@ -26,7 +26,7 @@
 //! with [`ErrorCode::UnsupportedVersion`]. A peer that never sends
 //! `HELLO` is served at [`PROTOCOL_VERSION`] all the same.
 
-use aria_store::{ShardHealth, StoreError, Violation};
+use aria_store::{StoreError, Violation};
 
 /// Frames larger than this are rejected as malformed — a defense against
 /// garbage (or hostile) length prefixes allocating unbounded memory.
@@ -43,7 +43,7 @@ pub const CONTROL_ID: u64 = 0;
 /// `HELLO` offering any other version is refused with
 /// [`ErrorCode::UnsupportedVersion`]; a peer that skips `HELLO` is
 /// served at this version.
-pub const PROTOCOL_VERSION: u16 = 6;
+pub const PROTOCOL_VERSION: u16 = 7;
 
 /// Alias of [`PROTOCOL_VERSION`], the version a `HELLO`-less peer is
 /// served at. Its only caller is `benchmark/src/openloop.rs`.
@@ -71,8 +71,8 @@ const OP_PUT: u8 = 0x03;
 const OP_DELETE: u8 = 0x04;
 const OP_MULTI_GET: u8 = 0x05;
 const OP_PUT_BATCH: u8 = 0x06;
-const OP_STATS: u8 = 0x07;
-const OP_HEALTH: u8 = 0x08;
+// 0x07 and 0x08 are retired (STATS and HEALTH before v7): never reuse
+// them, so an old peer's frame fails as an unknown opcode.
 const OP_METRICS: u8 = 0x09;
 const OP_HELLO: u8 = 0x0A;
 const OP_TRACE: u8 = 0x0B;
@@ -85,8 +85,6 @@ const OP_PUT_OK: u8 = 0x83;
 const OP_DELETED: u8 = 0x84;
 const OP_VALUES: u8 = 0x85;
 const OP_BATCH_STATUS: u8 = 0x86;
-const OP_STATS_REPLY: u8 = 0x87;
-const OP_HEALTH_REPLY: u8 = 0x88;
 const OP_METRICS_REPLY: u8 = 0x89;
 const OP_HELLO_REPLY: u8 = 0x8A;
 const OP_TRACE_REPLY: u8 = 0x8B;
@@ -94,9 +92,9 @@ const OP_RESHARD_REPLY: u8 = 0x8C;
 const OP_WRONG_SHARD: u8 = 0x8D;
 const OP_ERROR: u8 = 0xFF;
 
-/// Number of request opcodes (`0x01..=0x0C`), for per-opcode telemetry
-/// tables.
-pub const REQUEST_OPCODES: usize = 12;
+/// Number of request opcodes (`0x01..=0x0C` less the two retired
+/// ones), for per-opcode telemetry tables.
+pub const REQUEST_OPCODES: usize = 10;
 
 // The server indexes `aria_telemetry`'s per-opcode tables with
 // `request_op_index`, so the two counts must agree.
@@ -111,12 +109,10 @@ pub fn request_op_index(req: &Request) -> usize {
         Request::Delete { .. } => 3,
         Request::MultiGet { .. } => 4,
         Request::PutBatch { .. } => 5,
-        Request::Stats => 6,
-        Request::Health => 7,
-        Request::Metrics => 8,
-        Request::Hello { .. } => 9,
-        Request::Trace { .. } => 10,
-        Request::Reshard { .. } => 11,
+        Request::Metrics => 6,
+        Request::Hello { .. } => 7,
+        Request::Trace { .. } => 8,
+        Request::Reshard { .. } => 9,
     }
 }
 
@@ -338,12 +334,10 @@ pub enum Request {
         /// The pairs, applied in order.
         pairs: Vec<(Vec<u8>, Vec<u8>)>,
     },
-    /// Server/store statistics.
-    Stats,
-    /// Per-shard health (quarantine state machine).
-    Health,
-    /// Full telemetry snapshot (metrics plus span counts; the spans
-    /// themselves stream through `Trace`).
+    /// Full telemetry snapshot: the recorders, span counts (the spans
+    /// themselves stream through `Trace`) and the serving section —
+    /// connections, ops served, size, degradation, sheds and
+    /// per-replica health, role and lag. The one control-plane read.
     Metrics,
     /// Versioned handshake, carrying the client's protocol version and
     /// the feature bits it would like enabled. Optional — a client that
@@ -388,111 +382,6 @@ pub enum Request {
     },
 }
 
-/// One replica's health on the wire (see [`aria_store::ShardHealth`]).
-/// With replication off there is exactly one entry per shard and
-/// `role`/`lag` are 0.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ShardHealthInfo {
-    /// Encoded [`ShardHealth`] (unknown values decode as `Dead`).
-    pub state: u8,
-    /// Encoded [`aria_store::ReplicaRole`] (0 primary, 1 backup;
-    /// unknown values decode as backup).
-    pub role: u8,
-    /// Replication lag in keys (0 when in sync or unreplicated).
-    pub lag: u64,
-    /// Quarantine-triggering violations observed on the replica.
-    pub violations: u64,
-    /// Completed quarantine → recovery → re-admission cycles.
-    pub recoveries: u64,
-}
-
-impl ShardHealthInfo {
-    /// The decoded lifecycle state.
-    pub fn health(&self) -> ShardHealth {
-        ShardHealth::from_u8(self.state)
-    }
-
-    /// The decoded replica role.
-    pub fn replica_role(&self) -> aria_store::ReplicaRole {
-        aria_store::ReplicaRole::from_u8(self.role)
-    }
-}
-
-impl From<aria_store::ShardHealthSnapshot> for ShardHealthInfo {
-    fn from(s: aria_store::ShardHealthSnapshot) -> Self {
-        ShardHealthInfo {
-            state: s.health.as_u8(),
-            role: 0,
-            lag: 0,
-            violations: s.violations,
-            recoveries: s.recoveries,
-        }
-    }
-}
-
-impl From<aria_store::ReplicaHealthSnapshot> for ShardHealthInfo {
-    fn from(s: aria_store::ReplicaHealthSnapshot) -> Self {
-        ShardHealthInfo {
-            state: s.health.as_u8(),
-            role: s.role.as_u8(),
-            lag: s.lag,
-            violations: s.violations,
-            recoveries: s.recoveries,
-        }
-    }
-}
-
-/// Answer to [`Request::Health`]: one entry per replica, group-major
-/// (`group * replicas + replica`); with replication off, one entry per
-/// shard in shard order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct HealthReply {
-    /// Per-replica health.
-    pub shards: Vec<ShardHealthInfo>,
-}
-
-/// Server statistics returned by [`Request::Stats`].
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct StatsReply {
-    /// Number of store shards.
-    pub shards: u32,
-    /// Live keys across all shards.
-    pub len: u64,
-    /// Operations served since the server started (batch items count
-    /// individually).
-    pub ops_served: u64,
-    /// Connections currently open.
-    pub active_connections: u32,
-    /// Connections accepted since start.
-    pub connections_accepted: u64,
-    /// Whether any shard is currently not `Healthy` — the `len` figure
-    /// then includes last-known (possibly stale) counts for the
-    /// unhealthy shards instead of silently excluding them.
-    pub degraded: bool,
-    /// Live keys resident in the hot (DRAM) tier across all shards
-    /// (equals `len` when tiering is off).
-    pub hot_keys: u64,
-    /// Live keys resident only in the cold segment log across all
-    /// shards (0 when tiering is off).
-    pub cold_keys: u64,
-    /// Whether any shard is currently replaying / verifying its log
-    /// (crash recovery or anti-entropy re-sync in flight).
-    pub recovering: bool,
-    /// Data ops refused with [`ErrorCode::Overloaded`] since start
-    /// (admission refusals + sojourn sheds).
-    pub ops_shed_overload: u64,
-    /// Data ops refused with [`ErrorCode::DeadlineExceeded`] since
-    /// start.
-    pub ops_shed_deadline: u64,
-    /// Worst current per-shard estimated queue delay, in milliseconds.
-    pub queue_delay_ms: u64,
-    /// Connections dropped because the client read too slowly for the
-    /// write timeout.
-    pub slow_disconnects: u64,
-    /// Per-shard health, index = shard.
-    pub health: Vec<ShardHealthInfo>,
-}
-
 /// A server response.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Response {
@@ -508,10 +397,6 @@ pub enum Response {
     Values(Vec<Result<Option<Vec<u8>>, ErrorCode>>),
     /// Answer to [`Request::PutBatch`], one entry per pair in order.
     BatchStatus(Vec<Result<(), ErrorCode>>),
-    /// Answer to [`Request::Stats`].
-    Stats(StatsReply),
-    /// Answer to [`Request::Health`].
-    Health(HealthReply),
     /// Answer to [`Request::Metrics`]: an `aria-telemetry` snapshot in
     /// its own versioned encoding (see
     /// [`aria_telemetry::TelemetrySnapshot::decode`]), kept opaque here
@@ -623,17 +508,6 @@ fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
     out.extend_from_slice(b);
 }
 
-fn put_health(out: &mut Vec<u8>, shards: &[ShardHealthInfo]) {
-    put_u32(out, shards.len() as u32);
-    for s in shards {
-        out.push(s.state);
-        out.push(s.role);
-        put_u64(out, s.lag);
-        put_u64(out, s.violations);
-        put_u64(out, s.recoveries);
-    }
-}
-
 /// Append one framed message; `body` writes everything after the id.
 ///
 /// The [`MAX_FRAME_LEN`] cap is enforced on *encode* too: a message
@@ -663,8 +537,8 @@ fn frame(
 /// Whether a request is a data op (GET/PUT/DELETE/MULTI_GET/PUT_BATCH)
 /// as opposed to a control-plane op. Only data ops carry the
 /// [`RequestMeta`] trailer, and only data ops are subject to admission
-/// control — PING/STATS/HEALTH/METRICS/HELLO/TRACE/RESHARD must stay
-/// answerable while a server is shedding load.
+/// control — PING/METRICS/HELLO/TRACE/RESHARD must stay answerable
+/// while a server is shedding load.
 pub fn is_data_request(req: &Request) -> bool {
     matches!(
         req,
@@ -729,8 +603,6 @@ pub fn encode_request_meta(
             }
             tail(b);
         }),
-        Request::Stats => frame(out, OP_STATS, id, |_| {}),
-        Request::Health => frame(out, OP_HEALTH, id, |_| {}),
         Request::Metrics => frame(out, OP_METRICS, id, |_| {}),
         Request::Hello { version, features } => frame(out, OP_HELLO, id, |b| {
             put_u16(b, *version);
@@ -787,23 +659,6 @@ pub fn encode_response(out: &mut Vec<u8>, id: u64, resp: &Response) -> Result<()
                 put_u16(b, item.as_ref().err().map(|c| *c as u16).unwrap_or(0));
             }
         }),
-        Response::Stats(s) => frame(out, OP_STATS_REPLY, id, |b| {
-            put_u32(b, s.shards);
-            put_u64(b, s.len);
-            put_u64(b, s.ops_served);
-            put_u32(b, s.active_connections);
-            put_u64(b, s.connections_accepted);
-            b.push(s.degraded as u8);
-            put_u64(b, s.hot_keys);
-            put_u64(b, s.cold_keys);
-            b.push(s.recovering as u8);
-            put_u64(b, s.ops_shed_overload);
-            put_u64(b, s.ops_shed_deadline);
-            put_u64(b, s.queue_delay_ms);
-            put_u64(b, s.slow_disconnects);
-            put_health(b, &s.health);
-        }),
-        Response::Health(h) => frame(out, OP_HEALTH_REPLY, id, |b| put_health(b, &h.shards)),
         Response::Metrics(snapshot) => frame(out, OP_METRICS_REPLY, id, |b| put_bytes(b, snapshot)),
         Response::Trace(payload) => frame(out, OP_TRACE_REPLY, id, |b| put_bytes(b, payload)),
         Response::HelloAck { version, features } => frame(out, OP_HELLO_REPLY, id, |b| {
@@ -884,24 +739,6 @@ impl<'a> Cursor<'a> {
             Err(WireError::Malformed)
         }
     }
-
-    fn health_list(&mut self) -> Result<Vec<ShardHealthInfo>, WireError> {
-        let n = self.u32()? as usize;
-        if n > self.buf.len() {
-            return Err(WireError::Malformed);
-        }
-        let mut shards = Vec::with_capacity(n);
-        for _ in 0..n {
-            shards.push(ShardHealthInfo {
-                state: self.u8()?,
-                role: self.u8()?,
-                lag: self.u64()?,
-                violations: self.u64()?,
-                recoveries: self.u64()?,
-            });
-        }
-        Ok(shards)
-    }
 }
 
 /// Result of trying to peel one frame off a byte buffer.
@@ -971,10 +808,6 @@ pub enum RequestRef<'a> {
         /// The pairs, borrowed from the frame, applied in order.
         pairs: Vec<(&'a [u8], &'a [u8])>,
     },
-    /// Server/store statistics.
-    Stats,
-    /// Per-shard health.
-    Health,
     /// Full telemetry snapshot.
     Metrics,
     /// Versioned handshake (see [`Request::Hello`]).
@@ -1013,12 +846,10 @@ impl RequestRef<'_> {
             RequestRef::Delete { .. } => 3,
             RequestRef::MultiGet { .. } => 4,
             RequestRef::PutBatch { .. } => 5,
-            RequestRef::Stats => 6,
-            RequestRef::Health => 7,
-            RequestRef::Metrics => 8,
-            RequestRef::Hello { .. } => 9,
-            RequestRef::Trace { .. } => 10,
-            RequestRef::Reshard { .. } => 11,
+            RequestRef::Metrics => 6,
+            RequestRef::Hello { .. } => 7,
+            RequestRef::Trace { .. } => 8,
+            RequestRef::Reshard { .. } => 9,
         }
     }
 
@@ -1051,8 +882,6 @@ impl RequestRef<'_> {
             RequestRef::PutBatch { pairs } => Request::PutBatch {
                 pairs: pairs.iter().map(|(k, v)| (k.to_vec(), v.to_vec())).collect(),
             },
-            RequestRef::Stats => Request::Stats,
-            RequestRef::Health => Request::Health,
             RequestRef::Metrics => Request::Metrics,
             RequestRef::Hello { version, features } => {
                 Request::Hello { version: *version, features: *features }
@@ -1106,8 +935,6 @@ pub fn decode_request_ref(buf: &[u8]) -> Result<Decoded<(RequestRef<'_>, Request
             }
             RequestRef::PutBatch { pairs }
         }
-        OP_STATS => RequestRef::Stats,
-        OP_HEALTH => RequestRef::Health,
         OP_METRICS => RequestRef::Metrics,
         OP_HELLO => RequestRef::Hello { version: c.u16()?, features: c.u64()? },
         OP_TRACE => {
@@ -1204,23 +1031,6 @@ pub fn decode_response(buf: &[u8]) -> Result<Decoded<Response>, WireError> {
             }
             Response::BatchStatus(items)
         }
-        OP_STATS_REPLY => Response::Stats(StatsReply {
-            shards: c.u32()?,
-            len: c.u64()?,
-            ops_served: c.u64()?,
-            active_connections: c.u32()?,
-            connections_accepted: c.u64()?,
-            degraded: c.u8()? != 0,
-            hot_keys: c.u64()?,
-            cold_keys: c.u64()?,
-            recovering: c.u8()? != 0,
-            ops_shed_overload: c.u64()?,
-            ops_shed_deadline: c.u64()?,
-            queue_delay_ms: c.u64()?,
-            slow_disconnects: c.u64()?,
-            health: c.health_list()?,
-        }),
-        OP_HEALTH_REPLY => Response::Health(HealthReply { shards: c.health_list()? }),
         OP_METRICS_REPLY => Response::Metrics(c.bytes()?),
         OP_TRACE_REPLY => Response::Trace(c.bytes()?),
         OP_HELLO_REPLY => Response::HelloAck { version: c.u16()?, features: c.u64()? },
@@ -1295,8 +1105,6 @@ mod tests {
         round_trip_request(Request::PutBatch {
             pairs: vec![(b"a".to_vec(), b"1".to_vec()), (b"b".to_vec(), vec![0u8; 300])],
         });
-        round_trip_request(Request::Stats);
-        round_trip_request(Request::Health);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::Hello { version: PROTOCOL_VERSION, features: 0b101 });
         round_trip_request(Request::Reshard { mode: 0, source: 0, target: 0 });
@@ -1305,15 +1113,13 @@ mod tests {
 
     #[test]
     fn ref_decode_matches_owned_and_borrows_in_place() {
-        let reqs = vec![
+        let reqs = [
             Request::Ping,
             Request::Get { key: b"k".to_vec() },
             Request::Put { key: b"key".to_vec(), value: vec![9u8; 64] },
             Request::Delete { key: b"gone".to_vec() },
             Request::MultiGet { keys: vec![b"a".to_vec(), vec![], b"c".to_vec()] },
             Request::PutBatch { pairs: vec![(b"a".to_vec(), b"1".to_vec())] },
-            Request::Stats,
-            Request::Health,
             Request::Metrics,
             Request::Hello { version: 2, features: 3 },
         ];
@@ -1356,34 +1162,6 @@ mod tests {
             Err(ErrorCode::EntryMacMismatch),
         ]));
         round_trip_response(Response::BatchStatus(vec![Ok(()), Err(ErrorCode::ShardUnavailable)]));
-        round_trip_response(Response::Stats(StatsReply {
-            shards: 4,
-            len: 123,
-            ops_served: 456,
-            active_connections: 2,
-            connections_accepted: 9,
-            degraded: true,
-            hot_keys: 100,
-            cold_keys: 23,
-            recovering: true,
-            ops_shed_overload: 12,
-            ops_shed_deadline: 5,
-            queue_delay_ms: 80,
-            slow_disconnects: 2,
-            health: vec![
-                ShardHealthInfo { state: 0, role: 0, lag: 0, violations: 0, recoveries: 0 },
-                ShardHealthInfo { state: 1, role: 1, lag: 42, violations: 3, recoveries: 1 },
-            ],
-        }));
-        round_trip_response(Response::Health(HealthReply {
-            shards: vec![ShardHealthInfo {
-                state: 2,
-                role: 1,
-                lag: 9,
-                violations: 7,
-                recoveries: 2,
-            }],
-        }));
         round_trip_response(Response::Metrics(vec![1, 2, 3, 4, 5]));
         round_trip_response(Response::HelloAck { version: 2, features: 0 });
         round_trip_response(Response::Reshard {
@@ -1408,8 +1186,8 @@ mod tests {
     }
 
     /// The one frame layout, pinned byte for byte: a GET carrying a
-    /// full trailer, a PUT with the zero trailer, a STATS reply and an
-    /// ERROR reply. Any change here is a wire break that needs a new
+    /// full trailer, a PUT with the zero trailer, a METRICS request and
+    /// reply, and an ERROR reply. Any change here is a wire break that needs a new
     /// `PROTOCOL_VERSION`.
     #[test]
     fn golden_frames_pin_the_wire_layout() {
@@ -1437,28 +1215,11 @@ mod tests {
             0, 0, 0, 0, 0, 0, 0, 0,         // routing epoch
         ];
         #[rustfmt::skip]
-        let stats: &[u8] = &[
-            121, 0, 0, 0,
-            0x87,                           // STATS_REPLY
+        let metrics: &[u8] = &[
+            17, 0, 0, 0,
+            0x89,                           // METRICS_REPLY
             3, 0, 0, 0, 0, 0, 0, 0,
-            2, 0, 0, 0,                     // shards
-            10, 0, 0, 0, 0, 0, 0, 0,        // len
-            55, 0, 0, 0, 0, 0, 0, 0,        // ops_served
-            1, 0, 0, 0,                     // active_connections
-            4, 0, 0, 0, 0, 0, 0, 0,         // connections_accepted
-            0,                              // degraded
-            7, 0, 0, 0, 0, 0, 0, 0,         // hot_keys
-            3, 0, 0, 0, 0, 0, 0, 0,         // cold_keys
-            1,                              // recovering
-            9, 0, 0, 0, 0, 0, 0, 0,         // ops_shed_overload
-            4, 0, 0, 0, 0, 0, 0, 0,         // ops_shed_deadline
-            30, 0, 0, 0, 0, 0, 0, 0,        // queue_delay_ms
-            1, 0, 0, 0, 0, 0, 0, 0,         // slow_disconnects
-            1, 0, 0, 0,                     // health entries
-            1, 1,                           // state, role
-            42, 0, 0, 0, 0, 0, 0, 0,        // lag
-            5, 0, 0, 0, 0, 0, 0, 0,         // violations
-            6, 0, 0, 0, 0, 0, 0, 0,         // recoveries
+            4, 0, 0, 0, b'A', b'T', b'E', b'L', // opaque snapshot bytes
         ];
         #[rustfmt::skip]
         let error: &[u8] = &[
@@ -1494,32 +1255,14 @@ mod tests {
         assert_eq!(buf, put);
         assert_eq!(decode_request(put).unwrap(), Decoded::Frame(put.len(), 2, put_req));
 
-        let stats_resp = Response::Stats(StatsReply {
-            shards: 2,
-            len: 10,
-            ops_served: 55,
-            active_connections: 1,
-            connections_accepted: 4,
-            degraded: false,
-            hot_keys: 7,
-            cold_keys: 3,
-            recovering: true,
-            ops_shed_overload: 9,
-            ops_shed_deadline: 4,
-            queue_delay_ms: 30,
-            slow_disconnects: 1,
-            health: vec![ShardHealthInfo {
-                state: 1,
-                role: 1,
-                lag: 42,
-                violations: 5,
-                recoveries: 6,
-            }],
-        });
+        let metrics_resp = Response::Metrics(b"ATEL".to_vec());
         buf.clear();
-        encode_response(&mut buf, 3, &stats_resp).unwrap();
-        assert_eq!(buf, stats);
-        assert_eq!(decode_response(stats).unwrap(), Decoded::Frame(stats.len(), 3, stats_resp));
+        encode_response(&mut buf, 3, &metrics_resp).unwrap();
+        assert_eq!(buf, metrics);
+        assert_eq!(
+            decode_response(metrics).unwrap(),
+            Decoded::Frame(metrics.len(), 3, metrics_resp)
+        );
 
         let error_resp = Response::Error {
             code: ErrorCode::Overloaded,
@@ -1533,10 +1276,21 @@ mod tests {
 
         // Control ops carry no trailer, whatever meta the caller holds.
         let (mut plain, mut with_meta) = (Vec::new(), Vec::new());
-        encode_request(&mut plain, 5, &Request::Stats).unwrap();
-        encode_request_meta(&mut with_meta, 5, &Request::Stats, &meta).unwrap();
+        encode_request(&mut plain, 5, &Request::Metrics).unwrap();
+        encode_request_meta(&mut with_meta, 5, &Request::Metrics, &meta).unwrap();
         assert_eq!(plain, with_meta);
-        assert_eq!(plain.len(), 4 + FRAME_HEADER_LEN);
+        assert_eq!(plain, [9, 0, 0, 0, 0x09, 5, 0, 0, 0, 0, 0, 0, 0]);
+
+        // The retired STATS and HEALTH opcodes are unknown, requests
+        // and replies alike.
+        for op in [0x07, 0x08] {
+            let mut frame_buf = Vec::new();
+            frame(&mut frame_buf, op, 6, |_| {}).unwrap();
+            assert_eq!(decode_request(&frame_buf), Err(WireError::UnknownOpcode(op)));
+            frame_buf.clear();
+            frame(&mut frame_buf, op | 0x80, 6, |_| {}).unwrap();
+            assert_eq!(decode_response(&frame_buf), Err(WireError::UnknownOpcode(op | 0x80)));
+        }
     }
 
     /// The TRACE opcode round-trips its mode and cursor list, and the
@@ -1561,18 +1315,6 @@ mod tests {
             Decoded::Frame(_, _, got) => assert_eq!(got, resp),
             other => panic!("expected a frame, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn shard_health_info_decodes_states() {
-        use aria_store::{ReplicaRole, ShardHealth};
-        let info = ShardHealthInfo { state: 1, ..Default::default() };
-        assert_eq!(info.health(), ShardHealth::Quarantined);
-        assert_eq!(info.replica_role(), ReplicaRole::Primary);
-        // Unknown states fail closed to Dead; unknown roles to Backup.
-        let junk = ShardHealthInfo { state: 200, role: 77, ..Default::default() };
-        assert_eq!(junk.health(), ShardHealth::Dead);
-        assert_eq!(junk.replica_role(), ReplicaRole::Backup);
     }
 
     #[test]

@@ -60,7 +60,7 @@ use crate::proto::{self, Decoded, WireError};
 use crate::server::{reject_connection, Shared, POLL_INTERVAL, READ_CHUNK};
 use crate::service::{
     build_response, encode_or_substitute, observe_amortized, shed_or_plan, wire_failure_response,
-    ServerStats, Slot,
+    Slot,
 };
 
 /// Poller token reserved for the acceptor's wake channel.
@@ -599,15 +599,10 @@ fn reactor_loop<S: KvStore + Send + 'static, P: Poll>(
                 replies.into_iter().map(|g| g.into_iter().map(Some).collect()).collect();
 
             shared.ops_served.fetch_add(served, Ordering::Relaxed);
-            let stats = ServerStats {
-                ops_served: shared.ops_served.load(Ordering::Relaxed),
-                active_connections: shared.active.load(Ordering::SeqCst) as u32,
-                connections_accepted: shared.accepted.load(Ordering::SeqCst),
-            };
             for Planned { token, id, slot, refs, span } in plan {
                 let was_shed = matches!(slot, Slot::Shed(..));
                 let mut replies = TakeReplies { table: &mut table, refs: refs.iter() };
-                let resp = build_response(slot, &mut replies, &store, &shared.tele, &stats);
+                let resp = build_response(slot, &mut replies, &store, &shared);
                 if let Some(s) = &span {
                     s.stamp(stage::ENCODE);
                     // Shed spans already carry their verdict; anything
@@ -661,7 +656,7 @@ fn reactor_loop<S: KvStore + Send + 'static, P: Poll>(
                 if now >= deadline {
                     // The peer stopped draining responses and the
                     // flush deadline lapsed: a slow-reader disconnect,
-                    // observable in STATS rather than a silent drop.
+                    // observable in METRICS rather than a silent drop.
                     shared.tele.net.conns_disconnected_slow.inc();
                     close = true;
                 }

@@ -9,17 +9,18 @@
 //! consumes exactly [`Slot::store_ops`] replies per slot, in plan
 //! order.
 
+use std::sync::atomic::Ordering;
+
 use aria_store::sharded::{BatchOp, BatchReply, ShardedStore};
 use aria_store::{KvStore, ReshardMode, ShardHealth};
-use aria_telemetry::{outcome, stage, SpanCell, TelemetryHub};
+use aria_telemetry::{outcome, stage, ReplicaServing, ServingSnapshot, SpanCell, TelemetryHub};
 
-use crate::proto::{self, ErrorCode, HealthReply, RequestRef, Response, StatsReply};
+use crate::proto::{self, ErrorCode, RequestRef, Response};
+use crate::server::Shared;
 
 /// What one request expects back from the flattened store batch.
 pub(crate) enum Slot {
     Pong,
-    Stats,
-    Health,
     Metrics,
     Hello {
         version: u16,
@@ -59,8 +60,6 @@ impl Slot {
     pub(crate) fn store_ops(&self) -> usize {
         match self {
             Slot::Pong
-            | Slot::Stats
-            | Slot::Health
             | Slot::Metrics
             | Slot::Hello { .. }
             | Slot::Trace { .. }
@@ -78,8 +77,6 @@ impl Slot {
     pub(crate) fn served_units(&self) -> u64 {
         match self {
             Slot::Pong
-            | Slot::Stats
-            | Slot::Health
             | Slot::Metrics
             | Slot::Hello { .. }
             | Slot::Trace { .. }
@@ -106,7 +103,7 @@ pub(crate) type StaleProbe<'a> = &'a dyn Fn(&[u8]) -> Option<(usize, u64)>;
 /// Net-layer shedding gate: a *data* op whose deadline already expired
 /// (or that sat in server buffers past the CoDel-style sojourn bound)
 /// is refused before any store op is planned. Control-plane ops
-/// (PING/STATS/HEALTH/METRICS/HELLO) always pass — observability and
+/// (PING/METRICS/HELLO/TRACE/RESHARD) always pass — observability and
 /// failover stay responsive during brownout.
 #[allow(clippy::too_many_arguments)] // one per admission input
 pub(crate) fn shed_or_plan(
@@ -171,8 +168,6 @@ fn first_stale_key(req: &RequestRef<'_>, stale: StaleProbe<'_>) -> Option<(usize
 pub(crate) fn plan_request(req: &RequestRef<'_>, sink: &mut impl FnMut(BatchOp)) -> Slot {
     match req {
         RequestRef::Ping => Slot::Pong,
-        RequestRef::Stats => Slot::Stats,
-        RequestRef::Health => Slot::Health,
         RequestRef::Metrics => Slot::Metrics,
         RequestRef::Hello { version, features } => {
             Slot::Hello { version: *version, features: *features }
@@ -210,14 +205,6 @@ pub(crate) fn plan_request(req: &RequestRef<'_>, sink: &mut impl FnMut(BatchOp))
     }
 }
 
-/// Server-side counters a STATS reply reports, snapshotted once per
-/// reactor tick.
-pub(crate) struct ServerStats {
-    pub ops_served: u64,
-    pub active_connections: u32,
-    pub connections_accepted: u64,
-}
-
 /// HELLO negotiation: ack [`proto::PROTOCOL_VERSION`], granting only
 /// the feature bits both sides know, and refuse any other version. The
 /// refusal needs no connection state: a peer that keeps talking in
@@ -245,60 +232,20 @@ pub(crate) fn build_response<S: KvStore + Send + 'static>(
     slot: Slot,
     replies: &mut impl Iterator<Item = BatchReply>,
     store: &ShardedStore<S>,
-    tele: &TelemetryHub,
-    stats: &ServerStats,
+    shared: &Shared,
 ) -> Response {
+    let tele = &shared.tele;
     match slot {
         Slot::Pong => Response::Pong,
         Slot::Hello { version, features } => negotiate_hello(version, features),
-        Slot::Stats => {
-            // Size and health come from atomics the shards publish, so
-            // quarantined/recovering/dead shards are *included* (at
-            // their last-known size) instead of silently dropped —
-            // `degraded` flags that some of it may be stale.
-            let healths = store.healths();
-            let degraded = healths.iter().any(|h| h.health != ShardHealth::Healthy);
-            let recovering = healths.iter().any(|h| h.health == ShardHealth::Recovering);
-            // Tier occupancy comes from the gauges each shard refreshes
-            // after batches and maintenance passes — reading them never
-            // takes a slot lock. Untiered stores leave both at zero.
-            let (hot_keys, cold_keys) = store.telemetry().iter().fold((0, 0), |(h, c), t| {
-                (h + t.store.hot_entries.get(), c + t.store.cold_entries.get())
-            });
-            // Overload view: store-side admission refusals plus
-            // net-layer sojourn sheds, the worst shard's estimated
-            // queue delay, and slow-reader disconnects. A shard over
-            // its delay budget counts as degraded even while healthy —
-            // brownout is a visible state, not a silent one.
-            let ops_shed_overload = store.shed_ops_total() + tele.net.ops_shed_overload.get();
-            let ops_shed_deadline = tele.net.ops_shed_deadline.get();
-            let queue_delay_ns = store.queue_delay_estimates().into_iter().max().unwrap_or(0);
-            let over_budget =
-                store.queue_delay_budget().is_some_and(|b| queue_delay_ns > b.as_nanos() as u64);
-            Response::Stats(StatsReply {
-                shards: store.shards() as u32,
-                len: store.len_estimate(),
-                ops_served: stats.ops_served,
-                active_connections: stats.active_connections,
-                connections_accepted: stats.connections_accepted,
-                degraded: degraded || over_budget,
-                hot_keys,
-                cold_keys,
-                recovering,
-                ops_shed_overload,
-                ops_shed_deadline,
-                queue_delay_ms: queue_delay_ns / 1_000_000,
-                slow_disconnects: tele.net.conns_disconnected_slow.get(),
-                health: healths.into_iter().map(Into::into).collect(),
-            })
+        Slot::Metrics => {
+            // Serving state first: reading the queue delays refreshes
+            // their gauges for the recorder snapshot taken after.
+            let serving = serving_section(store, shared);
+            let mut snap = tele.snapshot();
+            snap.serving = serving;
+            Response::Metrics(snap.encode())
         }
-        // HEALTH reports per-replica entries (role + lag) so clients
-        // can watch failovers and re-sync progress; STATS stays
-        // group-aggregated for capacity accounting.
-        Slot::Health => Response::Health(HealthReply {
-            shards: store.replica_healths().into_iter().map(Into::into).collect(),
-        }),
-        Slot::Metrics => Response::Metrics(tele.snapshot().encode()),
         Slot::Trace { mode, cursors } => match mode {
             0 => {
                 let (spans, next) = tele.traces.read_since(&cursors);
@@ -366,6 +313,40 @@ pub(crate) fn build_response<S: KvStore + Send + 'static>(
             };
             Response::Error { code, message, retry_after_ms }
         }
+    }
+}
+
+/// The METRICS serving section, read from the server's and the store's
+/// own atomics (never a recorder), so it is exact under `telemetry-off`
+/// and never waits for a slot lock. Unhealthy groups still count
+/// toward `len_estimate` at their last-known size; `degraded` flags
+/// that, and also a shard over its queue-delay budget.
+fn serving_section<S: KvStore + Send + 'static>(
+    store: &ShardedStore<S>,
+    shared: &Shared,
+) -> ServingSnapshot {
+    let unhealthy = store.healths().iter().any(|h| h.health != ShardHealth::Healthy);
+    let worst_delay_ns = store.queue_delay_estimates().into_iter().max().unwrap_or(0);
+    let over_budget =
+        store.queue_delay_budget().is_some_and(|b| worst_delay_ns > b.as_nanos() as u64);
+    ServingSnapshot {
+        ops_served: shared.ops_served.load(Ordering::Relaxed),
+        open_connections: shared.active.load(Ordering::SeqCst) as u64,
+        accepted_connections: shared.accepted.load(Ordering::SeqCst),
+        len_estimate: store.len_estimate(),
+        degraded: unhealthy || over_budget,
+        shed_ops_total: store.shed_ops_total(),
+        replicas: store
+            .replica_healths()
+            .into_iter()
+            .map(|r| ReplicaServing {
+                state: r.health.as_u8(),
+                role: r.role.as_u8(),
+                lag: r.lag,
+                violations: r.violations,
+                recoveries: r.recoveries,
+            })
+            .collect(),
     }
 }
 

@@ -89,11 +89,11 @@ fn every_op_round_trips_over_tcp() {
     assert_eq!(values[1], Ok(Some(b"2".to_vec())));
     assert_eq!(values[2], Ok(None));
 
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.shards, 2);
-    assert_eq!(stats.len, 2);
-    assert!(stats.ops_served >= 8);
-    assert_eq!(stats.active_connections, 1);
+    let serving = client.metrics().unwrap().serving;
+    assert_eq!(serving.replicas.len(), 2);
+    assert_eq!(serving.len_estimate, 2);
+    assert!(serving.ops_served >= 8);
+    assert_eq!(serving.open_connections, 1);
 
     // The server's view matches the in-process store.
     assert_eq!(store.len(), 2);
@@ -431,7 +431,7 @@ impl KvStore for Tripwire {
 
 /// A store that panics under its slot lock is contained: the reactor
 /// that submitted the batch survives, so the *same* connection keeps
-/// getting PING, HEALTH and the other shard's data answered, and ops
+/// getting PING, METRICS and the other shard's data answered, and ops
 /// for the dead shard get the typed `ShardUnavailable` code. Both ways
 /// of dying are covered: a detached closure (the chaos kill) and a
 /// panic in the reactor's own batch.
@@ -470,9 +470,10 @@ fn store_panic_is_contained_and_the_connection_keeps_serving() {
         // slot when `exec_detached` returns but marks the shard dead
         // only once it has unwound; this op waits it out.)
         assert_unavailable(client.get(&on_dead), &what);
-        let health = client.health().unwrap_or_else(|e| panic!("{what}: HEALTH: {e}"));
-        assert_eq!(health.shards[dead].health(), ShardHealth::Dead, "{what}");
-        assert_eq!(health.shards[1 - dead].health(), ShardHealth::Healthy, "{what}");
+        let snap = client.metrics().unwrap_or_else(|e| panic!("{what}: METRICS: {e}"));
+        let state = |shard: usize| ShardHealth::from_u8(snap.serving.replicas[shard].state);
+        assert_eq!(state(dead), ShardHealth::Dead, "{what}");
+        assert_eq!(state(1 - dead), ShardHealth::Healthy, "{what}");
         assert_eq!(client.get(&on_live).unwrap().unwrap(), b"kept", "{what}");
         client.put(&on_live, b"still-writable").unwrap();
         assert_unavailable(client.put(&on_dead, b"x"), &what);
@@ -651,7 +652,9 @@ fn old_version_hello_is_refused_with_a_typed_error() {
 
 /// A peer that never sends `HELLO` is served at the current version:
 /// its data frames carry the full (zero) trailer and its replies carry
-/// every field.
+/// every field. `HELLO` for the previous version is refused, and a
+/// frame with a retired opcode (STATS 0x07, HEALTH 0x08) gets a typed
+/// error under the control id before the connection closes.
 #[test]
 fn hello_less_peer_is_served_at_the_current_version() {
     let _wd = watchdog("hello_less_peer_is_served", Duration::from_secs(60));
@@ -663,12 +666,130 @@ fn hello_less_peer_is_served_at_the_current_version() {
         peer.request(2, &proto::Request::Get { key: b"k".to_vec() }),
         proto::Response::Value(Some(b"v".to_vec()))
     );
-    match peer.request(3, &proto::Request::Stats) {
-        proto::Response::Stats(s) => {
-            assert_eq!((s.shards, s.len, s.active_connections), (2, 1, 1));
-            assert_eq!(s.health.len(), 2);
+    match peer.request(3, &proto::Request::Metrics) {
+        proto::Response::Metrics(bytes) => {
+            let s = aria_telemetry::TelemetrySnapshot::decode(&bytes).unwrap().serving;
+            assert_eq!((s.replicas.len(), s.len_estimate, s.open_connections), (2, 1, 1));
         }
-        other => panic!("want Stats, got {other:?}"),
+        other => panic!("want Metrics, got {other:?}"),
     }
+    let v6 = proto::Request::Hello { version: proto::PROTOCOL_VERSION - 1, features: 0 };
+    match peer.request(4, &v6) {
+        proto::Response::Error { code, .. } => assert_eq!(code, ErrorCode::UnsupportedVersion),
+        other => panic!("want UnsupportedVersion, got {other:?}"),
+    }
+    for retired in [0x07u8, 0x08] {
+        let mut peer = RawPeer::connect(server.local_addr());
+        peer.send(&[9, 0, 0, 0, retired, 5, 0, 0, 0, 0, 0, 0, 0]);
+        match peer.read() {
+            (id, proto::Response::Error { code, .. }) => {
+                assert_eq!(id, proto::CONTROL_ID);
+                assert_eq!(code, ErrorCode::UnknownOpcode, "opcode {retired:#04x}");
+            }
+            other => panic!("opcode {retired:#04x}: want a typed error, got {other:?}"),
+        }
+        assert!(peer.try_read().is_none(), "the server closes after a retired opcode");
+    }
+    server.shutdown();
+}
+
+/// `put` on [`TRAP_KEY`] fails as an integrity violation on a backup's
+/// store, which quarantines the backup; the store a re-sync then builds
+/// for the backup's slot waits until the test releases it, so the
+/// replica stays out of service while the test looks.
+struct Trapped {
+    store: AriaHash,
+    backup: bool,
+}
+
+const TRAP_KEY: &[u8] = b"trap";
+
+impl KvStore for Trapped {
+    fn put(&mut self, key: &[u8], value: &[u8]) -> Result<(), StoreError> {
+        if self.backup && key == TRAP_KEY {
+            return Err(StoreError::Integrity(aria_store::Violation::EntryMacMismatch));
+        }
+        self.store.put(key, value)
+    }
+    fn get(&mut self, key: &[u8]) -> Result<Option<Vec<u8>>, StoreError> {
+        self.store.get(key)
+    }
+    fn delete(&mut self, key: &[u8]) -> Result<bool, StoreError> {
+        self.store.delete(key)
+    }
+    fn len(&self) -> u64 {
+        self.store.len()
+    }
+    fn enclave(&self) -> &Arc<Enclave> {
+        self.store.enclave()
+    }
+}
+
+/// Sets its flag when dropped, so a failing assertion still releases
+/// a blocked re-sync (and the store's drop can join it).
+struct ReleaseOnDrop(Arc<AtomicBool>);
+
+impl Drop for ReleaseOnDrop {
+    fn drop(&mut self) {
+        self.0.store(true, Ordering::SeqCst);
+    }
+}
+
+/// METRICS alone — no other control request first — reports each
+/// replica's role, lag and health exactly as the store holds them.
+#[test]
+fn metrics_serving_section_reports_replica_role_lag_and_state() {
+    use aria_store::ReplicaRole;
+    let _wd = watchdog("metrics_serving_section_reports_replicas", Duration::from_secs(60));
+    let released = Arc::new(AtomicBool::new(false));
+    let built = Arc::new(AtomicBool::new(false));
+    let store = {
+        let (released, built) = (Arc::clone(&released), Arc::clone(&built));
+        Arc::new(
+            ShardedStore::with_replicas(1, 2, move |slot| {
+                // Slot 1 is the backup; its second store is the re-sync's.
+                if slot == 1 && built.swap(true, Ordering::SeqCst) {
+                    while !released.load(Ordering::SeqCst) {
+                        thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                let enclave = Arc::new(Enclave::with_default_epc());
+                let store = AriaHash::new(StoreConfig::for_keys(4_096), enclave)?;
+                Ok(Trapped { store, backup: slot == 1 })
+            })
+            .unwrap(),
+        )
+    };
+    let release = ReleaseOnDrop(released);
+    let server = AriaServer::bind("127.0.0.1:0", store, ServerConfig::default()).unwrap();
+    let mut client = quick_client(server.local_addr());
+    for i in 0..10u32 {
+        client.put(format!("a{i}").as_bytes(), b"v").unwrap();
+    }
+    let replicas = client.metrics().unwrap().serving.replicas;
+    assert_eq!(replicas.len(), 2);
+    let roles: Vec<ReplicaRole> = replicas.iter().map(|r| ReplicaRole::from_u8(r.role)).collect();
+    assert_eq!(roles, [ReplicaRole::Primary, ReplicaRole::Backup]);
+    for r in &replicas {
+        assert_eq!(ShardHealth::from_u8(r.state), ShardHealth::Healthy, "{replicas:?}");
+        assert_eq!(r.lag, 0, "an in-sync replica lags: {replicas:?}");
+    }
+
+    // The backup refuses the trap write as a violation: the primary's
+    // ack stands, the backup leaves service and stops receiving writes.
+    client.put(TRAP_KEY, b"v").unwrap();
+    let backup = client.metrics().unwrap().serving.replicas[1];
+    let state = ShardHealth::from_u8(backup.state);
+    assert!(matches!(state, ShardHealth::Quarantined | ShardHealth::Recovering), "{backup:?}");
+    assert_eq!(backup.violations, 1, "{backup:?}");
+    assert_eq!(backup.lag, 1, "the trap write is on the primary only: {backup:?}");
+    for i in 0..20u32 {
+        client.put(format!("b{i}").as_bytes(), b"v").unwrap();
+    }
+    let replicas = client.metrics().unwrap().serving.replicas;
+    assert_eq!(replicas[1].lag, 21, "the backup's lag must follow the writes: {replicas:?}");
+    assert_eq!(ReplicaRole::from_u8(replicas[0].role), ReplicaRole::Primary);
+    assert_eq!(ShardHealth::from_u8(replicas[0].state), ShardHealth::Healthy);
+    drop(release);
     server.shutdown();
 }

@@ -33,8 +33,6 @@ fn arb_data_request() -> impl Strategy<Value = Request> {
 fn arb_control_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         Just(Request::Ping),
-        Just(Request::Stats),
-        Just(Request::Health),
         Just(Request::Metrics),
         (any::<u16>(), any::<u64>())
             .prop_map(|(version, features)| Request::Hello { version, features }),

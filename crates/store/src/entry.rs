@@ -157,8 +157,12 @@ pub fn open_entry(
     let header = parse_header(bytes)?;
     let mut payload = bytes[HEADER_LEN..HEADER_LEN + header.klen + header.vlen].to_vec();
     suite.crypt(counter, &mut payload);
-    let value = payload.split_off(header.klen);
-    Some((payload, value))
+    // The key gets the new, right-sized allocation and the value keeps
+    // the decrypt buffer: a caller that keeps keys holds no value-sized
+    // capacity.
+    let key = payload[..header.klen].to_vec();
+    payload.drain(..header.klen);
+    Some((key, payload))
 }
 
 /// Recompute the MAC in place for a new AdField (used when an entry's
@@ -301,6 +305,18 @@ mod tests {
         let (k, v) = open_entry(&s, &sealed, &ctr, 7).expect("verifies");
         assert_eq!(k, b"key-0123456789ab");
         assert_eq!(v, b"hello");
+    }
+
+    #[test]
+    fn opened_key_owns_only_its_bytes() {
+        let s = suite();
+        let ctr = [6u8; 16];
+        let value = vec![0xA5u8; 4096];
+        let sealed = seal_entry(&s, UPtr::NULL, 1, b"small-key", &value, &ctr, 3);
+        let (k, v) = open_entry(&s, &sealed, &ctr, 3).expect("verifies");
+        assert_eq!(k, b"small-key");
+        assert_eq!(k.capacity(), b"small-key".len());
+        assert_eq!(v, value);
     }
 
     #[test]

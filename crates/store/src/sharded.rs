@@ -1116,7 +1116,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         if inner.replicas == 1 || !gops.iter().any(BatchOp::is_write) {
             for _ in 0..inner.replicas {
                 let primary = self.acting_primary(group)?;
-                if let Ok(replies) = self.run_on_replica(group, primary, gops, gspans) {
+                if let Ok(replies) = self.run_on_replica(group, primary, gops, gspans, true) {
                     return Ok(replies);
                 }
             }
@@ -1135,30 +1135,42 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         // No transparent write retry after a mid-batch death: part of
         // the batch may have been applied. Unacknowledged is the honest
         // answer.
-        let replies = self.run_on_replica(group, primary, gops, gspans)?;
+        let replies = self.run_on_replica(group, primary, gops, gspans, true)?;
         // Acknowledgement waits for every backup: a write is acked only
         // once applied on all in-service replicas. A backup that errors
         // or dies here degrades the group (quarantine / dead + re-sync)
         // but does not retract the primary's reply. Backups carry no
         // spans: execute-stage attribution belongs to the primary alone.
-        let writes: Vec<BatchOp> = gops.iter().filter(|op| op.is_write()).cloned().collect();
+        // A backup applies exactly the writes the primary applied, with
+        // no routing check of its own: the primary's ran under its slot
+        // lock, ordered with any migration barrier, and a later re-check
+        // could refuse (a freeze landed since) a write already acked.
+        let writes: Vec<BatchOp> = gops
+            .iter()
+            .zip(&replies)
+            .filter(|(op, reply)| op.is_write() && reply.error().is_none())
+            .map(|(op, _)| op.clone())
+            .collect();
         for replica in 0..inner.replicas {
-            if replica != primary && ctl.machine.health(replica) == ShardHealth::Healthy {
-                let _ = self.run_on_replica(group, replica, &writes, &[]);
+            let in_service = ctl.machine.health(replica) == ShardHealth::Healthy;
+            if replica != primary && in_service && !writes.is_empty() {
+                let _ = self.run_on_replica(group, replica, &writes, &[], false);
             }
         }
         Ok(replies)
     }
 
     /// Apply `ops` on one replica under its slot lock and scan the
-    /// replies for violations. `Err` means the replica's store is gone
-    /// (and has been marked dead): nothing is acknowledged.
+    /// replies for violations; `routed` runs the execution-time routing
+    /// check first (primaries only). `Err` means the replica's store is
+    /// gone (and has been marked dead): nothing is acknowledged.
     fn run_on_replica(
         &self,
         group: usize,
         replica: usize,
         ops: &[BatchOp],
         spans: &[Arc<SpanCell>],
+        routed: bool,
     ) -> Result<Vec<BatchReply>, StoreError> {
         let inner = &self.inner;
         let slot = inner.slot_index(group, replica);
@@ -1171,7 +1183,8 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         for s in spans {
             s.stamp(trace_stage::ENQUEUE);
         }
-        let ran = with_slot(inner, slot, |store| execute_batch(inner, slot, store, ops, spans));
+        let ran =
+            with_slot(inner, slot, |store| execute_batch(inner, slot, store, ops, spans, routed));
         inflight.fetch_sub(n, Ordering::SeqCst);
         let replies = ran?;
         self.observe_replies(group, replica, &replies);
@@ -1333,7 +1346,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     }
 
     /// Per-replica health snapshots, group-major (`group * replicas +
-    /// replica`). Also refreshes the per-slot role/lag telemetry gauges.
+    /// replica`). Reads atomics only, like [`ShardedStore::healths`].
     pub fn replica_healths(&self) -> Vec<ReplicaHealthSnapshot> {
         let inner = &self.inner;
         let mut out = Vec::with_capacity(inner.groups * inner.replicas);
@@ -1342,21 +1355,15 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
             let p = m.primary();
             let plen = inner.slots[inner.slot_index(g, p)].state.last_len.load(Ordering::SeqCst);
             for r in 0..inner.replicas {
-                let slot = inner.slot_index(g, r);
-                let st = &inner.slots[slot].state;
-                let lag = st.last_len.load(Ordering::SeqCst).abs_diff(plen);
-                let role = m.role_of(r);
-                let tele = &inner.tele[slot].store;
-                tele.replica_role.set(u64::from(role.as_u8()));
-                tele.replica_lag.set(lag);
+                let st = &inner.slots[inner.slot_index(g, r)].state;
                 out.push(ReplicaHealthSnapshot {
                     group: g,
                     replica: r,
-                    role,
+                    role: m.role_of(r),
                     health: m.health(r),
                     violations: st.violations.load(Ordering::SeqCst),
                     recoveries: st.recoveries.load(Ordering::SeqCst),
-                    lag,
+                    lag: st.last_len.load(Ordering::SeqCst).abs_diff(plen),
                 });
             }
         }
@@ -1679,18 +1686,13 @@ where
     Err(StoreError::ShardUnavailable { shard: group })
 }
 
-/// Count a promotion and refresh the group's role gauges.
+/// Count a promotion on the new primary's slot.
 fn record_failover<S: KvStore + Send + 'static>(
     inner: &Arc<Inner<S>>,
     group: usize,
     new_primary: usize,
 ) {
-    let slot = inner.slot_index(group, new_primary);
-    inner.tele[slot].store.failovers.inc();
-    for r in 0..inner.replicas {
-        let role = inner.ctls[group].machine.role_of(r);
-        inner.tele[inner.slot_index(group, r)].store.replica_role.set(u64::from(role.as_u8()));
-    }
+    inner.tele[inner.slot_index(group, new_primary)].store.failovers.inc();
 }
 
 /// Record a replica's store as gone: mark it dead, fail over if it was
@@ -1877,14 +1879,16 @@ fn resync_from_survivor<S: KvStore + Send + 'static>(
     Ok(())
 }
 
-/// One batch on a held slot: apply, publish progress, make the covering
-/// flush, and run a maintenance pass the ticker could not get in.
+/// One batch on a held slot: apply (behind the routing check when
+/// `routed`), publish progress, make the covering flush, and run a
+/// maintenance pass the ticker could not get in.
 fn execute_batch<S: KvStore + Send + 'static>(
     inner: &Inner<S>,
     slot: usize,
     store: &mut S,
     ops: &[BatchOp],
     spans: &[Arc<SpanCell>],
+    routed: bool,
 ) -> Vec<BatchReply> {
     let tele = &inner.tele[slot];
     let st = &inner.slots[slot].state;
@@ -1897,7 +1901,11 @@ fn execute_batch<S: KvStore + Send + 'static>(
         s.stamp(trace_stage::DEQUEUE);
         s.stamp(trace_stage::EXEC_START);
     }
-    let mut replies = apply_ops_validated(inner, slot, store, ops, spans);
+    let mut replies = if routed {
+        apply_ops_validated(inner, slot, store, ops, spans)
+    } else {
+        apply_ops(inner, slot, store, ops, spans)
+    };
     for s in spans {
         s.stamp(trace_stage::EXEC_END);
     }
@@ -2123,6 +2131,15 @@ mod tests {
     fn sharded_store_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<ShardedStore<AriaHash>>();
+    }
+
+    #[test]
+    fn health_and_role_bytes_decode_fail_closed() {
+        assert_eq!(ShardHealth::from_u8(1), ShardHealth::Quarantined);
+        assert_eq!(ReplicaRole::from_u8(0), ReplicaRole::Primary);
+        // Unknown states fail closed to Dead; unknown roles to Backup.
+        assert_eq!(ShardHealth::from_u8(200), ShardHealth::Dead);
+        assert_eq!(ReplicaRole::from_u8(77), ReplicaRole::Backup);
     }
 
     #[test]
@@ -2558,6 +2575,48 @@ mod tests {
             assert_eq!(snap.lag, 0, "replica {snap:?} lags");
         }
         assert_eq!(store.len(), 63);
+    }
+
+    /// A migration freeze landing between the primary's apply and a
+    /// backup's must not cost the backup an acknowledged write:
+    /// backups apply what the primary applied, with no routing check
+    /// of their own.
+    #[test]
+    fn backups_keep_every_acked_write_across_freeze_toggles() {
+        use std::sync::atomic::AtomicBool;
+        let store = Arc::new(
+            ShardedStore::with_elastic(1, 2, 2, |_| {
+                AriaHash::new(StoreConfig::for_keys(8_192), Arc::new(Enclave::with_default_epc()))
+            })
+            .unwrap(),
+        );
+        let stop = Arc::new(AtomicBool::new(false));
+        let toggler = {
+            let (store, stop) = (Arc::clone(&store), Arc::clone(&stop));
+            std::thread::spawn(move || {
+                let slots: Vec<usize> = (0..NUM_ROUTING_SLOTS).collect();
+                let mut on = false;
+                while !stop.load(Ordering::SeqCst) {
+                    on = !on;
+                    store.routing().freeze(&slots, on);
+                    std::thread::yield_now();
+                }
+                store.routing().freeze(&slots, false);
+            })
+        };
+        let acked: Vec<u32> =
+            (0..4_000u32).filter(|i| store.put(format!("k{i}").as_bytes(), b"v").is_ok()).collect();
+        stop.store(true, Ordering::SeqCst);
+        toggler.join().unwrap();
+        assert!(acked.len() < 4_000, "no write met a freeze; the race was never exercised");
+        let backup = store.inner.slot_index(0, 1);
+        let on_backup = |i: &u32| {
+            with_slot(&store.inner, backup, |s| s.get(format!("k{i}").as_bytes())).unwrap()
+        };
+        let missing = acked.iter().filter(|i| on_backup(i) != Ok(Some(b"v".to_vec()))).count();
+        assert_eq!(missing, 0, "backup lacks {missing} of {} acked writes", acked.len());
+        let lag = store.replica_healths()[1].lag;
+        assert_eq!(lag, 0, "backup holds a write its primary refused");
     }
 
     fn wait_group_stats<F>(store: &ShardedStore<AriaHash>, what: &str, ok: F)

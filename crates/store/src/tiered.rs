@@ -173,7 +173,7 @@ impl TieredOptions {
     }
 }
 
-/// Point-in-time tier occupancy, for STATS/telemetry.
+/// Point-in-time tier occupancy, for telemetry.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TierStats {
     /// Entries resident in the hot region.

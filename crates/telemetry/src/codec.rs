@@ -10,8 +10,8 @@
 
 use crate::hub::{
     CacheSnapshot, ChaosSnapshot, HealthTransition, MemSnapshot, MerkleSnapshot, NetSnapshot,
-    ShardSnapshot, StoreSnapshot, TelemetrySnapshot, FAULT_SITES, NET_OPS, SNAPSHOT_VERSION,
-    VIOLATION_CLASSES,
+    ReplicaServing, ServingSnapshot, ShardSnapshot, StoreSnapshot, TelemetrySnapshot, FAULT_SITES,
+    NET_OPS, SNAPSHOT_VERSION, VIOLATION_CLASSES,
 };
 use crate::metrics::{HistSnapshot, BUCKETS};
 use crate::span::{stage, Attribution, Span, TraceSummary};
@@ -149,6 +149,7 @@ impl TelemetrySnapshot {
         encode_net(&mut b, &self.net);
         put_counters(&mut b, &self.chaos.injected);
         encode_traces(&mut b, &self.traces);
+        encode_serving(&mut b, &self.serving);
         b
     }
 
@@ -171,10 +172,11 @@ impl TelemetrySnapshot {
         let net = decode_net(&mut c)?;
         let chaos = ChaosSnapshot { injected: c.counters(FAULT_SITES)? };
         let traces = decode_traces(&mut c)?;
+        let serving = decode_serving(&mut c)?;
         if !c.finished() {
             return Err(CodecError::Malformed);
         }
-        Ok(TelemetrySnapshot { version, unix_millis, shards, net, chaos, traces })
+        Ok(TelemetrySnapshot { version, unix_millis, shards, net, chaos, traces, serving })
     }
 }
 
@@ -200,6 +202,51 @@ fn decode_traces(c: &mut Cursor<'_>) -> Result<TraceSummary, CodecError> {
     }
     let stage_nanos = (0..nstages).map(|_| c.hist()).collect::<Result<Vec<_>, _>>()?;
     Ok(TraceSummary { spans_recorded, tail_spans, cold_spans, hot_spans, stage_nanos })
+}
+
+fn encode_serving(b: &mut Vec<u8>, s: &ServingSnapshot) {
+    for v in [s.ops_served, s.open_connections, s.accepted_connections, s.len_estimate] {
+        put_u64(b, v);
+    }
+    b.push(s.degraded as u8);
+    put_u64(b, s.shed_ops_total);
+    put_u32(b, s.replicas.len() as u32);
+    for r in &s.replicas {
+        b.push(r.state);
+        b.push(r.role);
+        for v in [r.lag, r.violations, r.recoveries] {
+            put_u64(b, v);
+        }
+    }
+}
+
+fn decode_serving(c: &mut Cursor<'_>) -> Result<ServingSnapshot, CodecError> {
+    let (ops_served, open_connections, accepted_connections) = (c.u64()?, c.u64()?, c.u64()?);
+    let (len_estimate, degraded, shed_ops_total) = (c.u64()?, c.u8()? != 0, c.u64()?);
+    let n = c.u32()? as usize;
+    if n > MAX_LIST {
+        return Err(CodecError::Malformed);
+    }
+    let replicas = (0..n)
+        .map(|_| {
+            Ok(ReplicaServing {
+                state: c.u8()?,
+                role: c.u8()?,
+                lag: c.u64()?,
+                violations: c.u64()?,
+                recoveries: c.u64()?,
+            })
+        })
+        .collect::<Result<Vec<_>, CodecError>>()?;
+    Ok(ServingSnapshot {
+        ops_served,
+        open_connections,
+        accepted_connections,
+        len_estimate,
+        degraded,
+        shed_ops_total,
+        replicas,
+    })
 }
 
 fn encode_span(b: &mut Vec<u8>, s: &Span) {
@@ -309,16 +356,13 @@ fn encode_shard(b: &mut Vec<u8>, s: &ShardSnapshot) {
     put_hist(b, &st.put_latency);
     put_hist(b, &st.delete_latency);
     put_hist(b, &st.batch_size);
-    for v in [st.index_probes, st.keys_live, st.counter_live, st.counter_capacity, st.health_state]
-    {
+    for v in [st.index_probes, st.keys_live, st.counter_live, st.counter_capacity] {
         put_u64(b, v);
     }
     put_counters(b, &st.violations);
     put_u64(b, st.failovers);
     put_u64(b, st.resyncs);
     put_hist(b, &st.resync_bytes);
-    put_u64(b, st.replica_role);
-    put_u64(b, st.replica_lag);
     put_u64(b, st.hot_entries);
     put_u64(b, st.cold_entries);
     put_u64(b, st.migrations);
@@ -373,13 +417,10 @@ fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardSnapshot, CodecError> {
     let keys_live = c.u64()?;
     let counter_live = c.u64()?;
     let counter_capacity = c.u64()?;
-    let health_state = c.u64()?;
     let violations = c.counters(VIOLATION_CLASSES)?;
     let failovers = c.u64()?;
     let resyncs = c.u64()?;
     let resync_bytes = c.hist()?;
-    let replica_role = c.u64()?;
-    let replica_lag = c.u64()?;
     let hot_entries = c.u64()?;
     let cold_entries = c.u64()?;
     let migrations = c.u64()?;
@@ -420,13 +461,10 @@ fn decode_shard(c: &mut Cursor<'_>) -> Result<ShardSnapshot, CodecError> {
             keys_live,
             counter_live,
             counter_capacity,
-            health_state,
             violations,
             failovers,
             resyncs,
             resync_bytes,
-            replica_role,
-            replica_lag,
             hot_entries,
             cold_entries,
             migrations,
@@ -509,8 +547,6 @@ mod tests {
         hub.shards[1].store.failovers.inc();
         hub.shards[1].store.resyncs.inc();
         hub.shards[1].store.resync_bytes.observe(8192);
-        hub.shards[1].store.replica_role.set(1);
-        hub.shards[1].store.replica_lag.set(12);
         hub.shards[1].store.hot_entries.set(100);
         hub.shards[1].store.cold_entries.set(900);
         hub.shards[1].store.migrations.add(40);
@@ -538,7 +574,20 @@ mod tests {
         hub.chaos.record_injection(7);
         hub.traces.publish(&sample_span(7, 1));
         hub.traces.publish_tail(&Span::tail(1, 2, 4, 10, 500_010, sample_attribution()));
-        hub.snapshot()
+        let mut snap = hub.snapshot();
+        snap.serving = ServingSnapshot {
+            ops_served: 77,
+            open_connections: 2,
+            accepted_connections: 5,
+            len_estimate: 1_000,
+            degraded: true,
+            shed_ops_total: 23,
+            replicas: vec![
+                ReplicaServing { state: 0, role: 0, lag: 0, violations: 0, recoveries: 0 },
+                ReplicaServing { state: 2, role: 1, lag: 12, violations: 1, recoveries: 3 },
+            ],
+        };
+        snap
     }
 
     fn sample_span(trace_id: u64, shard: u32) -> Span {
@@ -575,6 +624,9 @@ mod tests {
         let bytes = s.encode();
         let back = TelemetrySnapshot::decode(&bytes).expect("decode");
         assert_eq!(back, s);
+        // The serving section is filled by the server, not a recorder:
+        // it round-trips under `telemetry-off` too.
+        assert_eq!(back.serving.replicas[1].lag, 12);
         if crate::enabled() {
             assert_eq!(back.traces.tail_spans, 1);
         }

@@ -7,7 +7,7 @@ use std::fmt::Write as _;
 use std::collections::HashSet;
 
 use crate::hub::{
-    ShardSnapshot, TelemetrySnapshot, FAULT_SITE_NAMES, NET_OP_NAMES, VIOLATION_NAMES,
+    health_name, ShardSnapshot, TelemetrySnapshot, FAULT_SITE_NAMES, NET_OP_NAMES, VIOLATION_NAMES,
 };
 use crate::metrics::{bucket_bound, HistSnapshot};
 use crate::span::STAGE_NAMES;
@@ -93,12 +93,9 @@ impl TelemetrySnapshot {
             prom_line(&mut o, "aria_store_keys_live", &sh, st.keys_live);
             prom_line(&mut o, "aria_store_counter_live", &sh, st.counter_live);
             prom_line(&mut o, "aria_store_counter_capacity", &sh, st.counter_capacity);
-            prom_line(&mut o, "aria_store_health_state", &sh, st.health_state);
             prom_line(&mut o, "aria_store_failovers_total", &sh, st.failovers);
             prom_line(&mut o, "aria_store_resyncs_total", &sh, st.resyncs);
             prom_hist(&mut o, &mut typed, "aria_store_resync_bytes", &sh, &st.resync_bytes);
-            prom_line(&mut o, "aria_store_replica_role", &sh, st.replica_role);
-            prom_line(&mut o, "aria_store_replica_lag_keys", &sh, st.replica_lag);
             prom_line(&mut o, "aria_store_hot_entries", &sh, st.hot_entries);
             prom_line(&mut o, "aria_store_cold_entries", &sh, st.cold_entries);
             prom_line(&mut o, "aria_store_migrations_total", &sh, st.migrations);
@@ -193,6 +190,21 @@ impl TelemetrySnapshot {
                 h,
             );
         }
+        let sv = &self.serving;
+        prom_line(&mut o, "aria_serving_ops_served_total", "", sv.ops_served);
+        prom_line(&mut o, "aria_serving_open_connections", "", sv.open_connections);
+        prom_line(&mut o, "aria_serving_accepted_connections_total", "", sv.accepted_connections);
+        prom_line(&mut o, "aria_serving_len_estimate", "", sv.len_estimate);
+        prom_line(&mut o, "aria_serving_degraded", "", sv.degraded as u64);
+        prom_line(&mut o, "aria_serving_shed_ops_total", "", sv.shed_ops_total);
+        for (i, r) in sv.replicas.iter().enumerate() {
+            let sh = format!("shard=\"{i}\"");
+            prom_line(&mut o, "aria_replica_state", &sh, u64::from(r.state));
+            prom_line(&mut o, "aria_replica_role", &sh, u64::from(r.role));
+            prom_line(&mut o, "aria_replica_lag_keys", &sh, r.lag);
+            prom_line(&mut o, "aria_replica_violations_total", &sh, r.violations);
+            prom_line(&mut o, "aria_replica_recoveries_total", &sh, r.recoveries);
+        }
         o
     }
 
@@ -273,7 +285,33 @@ impl TelemetrySnapshot {
             o.push_str(&format!("\"{name}\":"));
             hist_json(&mut o, h);
         }
-        o.push_str("}}}");
+        let sv = &self.serving;
+        o.push_str(&format!(
+            "}}}},\"serving\":{{\"ops_served\":{},\"open_connections\":{},\
+             \"accepted_connections\":{},\"len_estimate\":{},\"degraded\":{},\
+             \"shed_ops_total\":{},\"replicas\":[",
+            sv.ops_served,
+            sv.open_connections,
+            sv.accepted_connections,
+            sv.len_estimate,
+            sv.degraded,
+            sv.shed_ops_total
+        ));
+        for (i, r) in sv.replicas.iter().enumerate() {
+            if i > 0 {
+                o.push(',');
+            }
+            o.push_str(&format!(
+                "{{\"state\":\"{}\",\"role\":{},\"lag\":{},\"violations\":{},\
+                 \"recoveries\":{}}}",
+                health_name(r.state),
+                r.role,
+                r.lag,
+                r.violations,
+                r.recoveries
+            ));
+        }
+        o.push_str("]}}");
         o
     }
 }
@@ -334,8 +372,7 @@ fn shard_json(o: &mut String, s: &ShardSnapshot) {
     hist_json(o, &st.batch_size);
     o.push_str(&format!(
         ",\"index_probes\":{},\"keys_live\":{},\"counter_live\":{},\"counter_capacity\":{},\
-         \"health_state\":{},\"failovers\":{},\"resyncs\":{},\"replica_role\":{},\
-         \"replica_lag\":{},\"hot_entries\":{},\"cold_entries\":{},\"migrations\":{},\
+         \"failovers\":{},\"resyncs\":{},\"hot_entries\":{},\"cold_entries\":{},\"migrations\":{},\
          \"compactions\":{},\"checkpoints\":{},\"admission_shed\":{},\
          \"watchdog_quarantines\":{},\"queue_delay_ns\":{},\"routing_epoch\":{},\
          \"migration_state\":{},\"reshards_started\":{},\"reshards_committed\":{},\
@@ -344,11 +381,8 @@ fn shard_json(o: &mut String, s: &ShardSnapshot) {
         st.keys_live,
         st.counter_live,
         st.counter_capacity,
-        st.health_state,
         st.failovers,
         st.resyncs,
-        st.replica_role,
-        st.replica_lag,
         st.hot_entries,
         st.cold_entries,
         st.migrations,
@@ -380,7 +414,7 @@ fn shard_json(o: &mut String, s: &ShardSnapshot) {
 
 #[cfg(test)]
 mod tests {
-    use crate::hub::TelemetryHub;
+    use crate::hub::{ReplicaServing, TelemetryHub, TelemetrySnapshot};
     use crate::span::{stage, Attribution, Span};
 
     fn traced_hub() -> TelemetryHub {
@@ -401,6 +435,19 @@ mod tests {
         hub
     }
 
+    /// A hub snapshot with the serving section a server would fill.
+    fn served(hub: &TelemetryHub) -> TelemetrySnapshot {
+        let mut snap = hub.snapshot();
+        snap.serving.ops_served = 9;
+        snap.serving.replicas.push(ReplicaServing {
+            state: 1,
+            role: 1,
+            lag: 3,
+            ..Default::default()
+        });
+        snap
+    }
+
     #[test]
     fn exposition_mentions_core_series() {
         let hub = traced_hub();
@@ -408,8 +455,12 @@ mod tests {
         hub.shards[0].cache.misses.inc();
         hub.shards[0].cache.verify_depth.observe(4);
         hub.net.op_latency[1].observe(2048);
-        let text = hub.snapshot().render_prometheus();
+        let text = served(&hub).render_prometheus();
         for needle in [
+            "aria_serving_ops_served_total 9",
+            "aria_replica_state{shard=\"0\"} 1",
+            "aria_replica_role{shard=\"0\"} 1",
+            "aria_replica_lag_keys{shard=\"0\"} 3",
             "aria_cache_hits_total{shard=\"0\"}",
             "aria_cache_verify_depth_levels_bucket",
             "aria_net_op_latency_nanos_sum{op=\"get\"}",
@@ -470,13 +521,14 @@ mod tests {
         let hub = traced_hub();
         hub.shards[0].store.get_latency.observe(777);
         hub.shards[0].store.record_violation(1);
-        let j = hub.snapshot().to_json();
+        let j = served(&hub).to_json();
         assert_eq!(j.matches('{').count(), j.matches('}').count(), "unbalanced braces: {j}");
         assert_eq!(j.matches('[').count(), j.matches(']').count());
         assert!(j.starts_with('{') && j.ends_with('}'));
         assert!(j.contains("\"shards\":["));
         assert!(j.contains("\"traces\":{\"spans_recorded\":"));
         assert!(j.contains("\"tail_spans\":0"));
+        assert!(j.contains("\"replicas\":[{\"state\":\"quarantined\",\"role\":1,\"lag\":3,"));
         if crate::enabled() {
             assert!(j.contains("\"admit\":{\"buckets\":"));
         }

@@ -40,8 +40,11 @@ use crate::span::{TraceHub, TraceSummary, DEFAULT_TRACE_CAPACITY};
 /// `stale_epoch_replay`) and the net opcode table to 12 (`reshard`).
 /// v8 removed the slow-op section (its ops and drop count; slow store
 /// runs are tail spans now) and added `tail_spans` to the `traces`
-/// section.
-pub const SNAPSHOT_VERSION: u32 = 8;
+/// section. v9 removed the store section's health-state, replica-role
+/// and replica-lag gauges (the `serving` section it added reads that
+/// state directly) and dropped `stats` and `health` from the net
+/// opcode table (10 entries).
+pub const SNAPSHOT_VERSION: u32 = 9;
 
 /// Number of integrity-violation classes (mirrors the store's
 /// `Violation` variants / wire error codes 1..=7).
@@ -82,7 +85,7 @@ pub const FAULT_SITE_NAMES: [&str; FAULT_SITES] = [
 ];
 
 /// Number of tracked wire opcodes.
-pub const NET_OPS: usize = 12;
+pub const NET_OPS: usize = 10;
 
 /// Stable names for the tracked wire opcodes.
 pub const NET_OP_NAMES: [&str; NET_OPS] = [
@@ -92,8 +95,6 @@ pub const NET_OP_NAMES: [&str; NET_OPS] = [
     "delete",
     "multi_get",
     "put_batch",
-    "stats",
-    "health",
     "metrics",
     "hello",
     "trace",
@@ -392,8 +393,6 @@ pub struct StoreTelemetry {
     pub counter_live: Gauge,
     /// Counter-area capacity (gauge).
     pub counter_capacity: Gauge,
-    /// Current health state (gauge; see [`health_name`]).
-    pub health_state: Gauge,
     /// Integrity violations by class (see [`VIOLATION_NAMES`]).
     pub violations: [Counter; VIOLATION_CLASSES],
     /// Completed primary promotions that landed on this replica slot.
@@ -402,10 +401,6 @@ pub struct StoreTelemetry {
     pub resyncs: Counter,
     /// Bytes streamed per completed re-sync.
     pub resync_bytes: Histogram,
-    /// Current replica role (gauge; 0 primary, 1 backup).
-    pub replica_role: Gauge,
-    /// Current replication lag in keys (gauge; 0 when in sync).
-    pub replica_lag: Gauge,
     /// Entries resident in the hot (DRAM) tier (gauge; equals
     /// `keys_live` on untiered stores).
     pub hot_entries: Gauge,
@@ -458,13 +453,10 @@ impl Default for StoreTelemetry {
             keys_live: Gauge::new(),
             counter_live: Gauge::new(),
             counter_capacity: Gauge::new(),
-            health_state: Gauge::new(),
             violations: Default::default(),
             failovers: Counter::new(),
             resyncs: Counter::new(),
             resync_bytes: Histogram::new(),
-            replica_role: Gauge::new(),
-            replica_lag: Gauge::new(),
             hot_entries: Gauge::new(),
             cold_entries: Gauge::new(),
             migrations: Counter::new(),
@@ -488,7 +480,6 @@ impl Default for StoreTelemetry {
 impl StoreTelemetry {
     /// Record a health-state transition (slow path; takes a mutex).
     pub fn record_health_transition(&self, from: u8, to: u8) {
-        self.health_state.set(to as u64);
         if !crate::enabled() {
             return;
         }
@@ -534,13 +525,10 @@ impl StoreTelemetry {
             keys_live: self.keys_live.get(),
             counter_live: self.counter_live.get(),
             counter_capacity: self.counter_capacity.get(),
-            health_state: self.health_state.get(),
             violations: self.violations.iter().map(|c| c.get()).collect(),
             failovers: self.failovers.get(),
             resyncs: self.resyncs.get(),
             resync_bytes: self.resync_bytes.snapshot(),
-            replica_role: self.replica_role.get(),
-            replica_lag: self.replica_lag.get(),
             hot_entries: self.hot_entries.get(),
             cold_entries: self.cold_entries.get(),
             migrations: self.migrations.get(),
@@ -579,8 +567,6 @@ pub struct StoreSnapshot {
     pub counter_live: u64,
     /// Counter-area capacity.
     pub counter_capacity: u64,
-    /// Current health state.
-    pub health_state: u64,
     /// Violations by class (`VIOLATION_CLASSES` entries).
     pub violations: Vec<u64>,
     /// Completed failovers onto this slot.
@@ -589,10 +575,6 @@ pub struct StoreSnapshot {
     pub resyncs: u64,
     /// Bytes streamed per completed re-sync.
     pub resync_bytes: HistSnapshot,
-    /// Replica role (0 primary, 1 backup).
-    pub replica_role: u64,
-    /// Replication lag in keys.
-    pub replica_lag: u64,
     /// Entries resident in the hot tier.
     pub hot_entries: u64,
     /// Entries resident only in the cold log.
@@ -636,13 +618,10 @@ impl Default for StoreSnapshot {
             keys_live: 0,
             counter_live: 0,
             counter_capacity: 0,
-            health_state: 0,
             violations: vec![0; VIOLATION_CLASSES],
             failovers: 0,
             resyncs: 0,
             resync_bytes: HistSnapshot::empty(),
-            replica_role: 0,
-            replica_lag: 0,
             hot_entries: 0,
             cold_entries: 0,
             migrations: 0,
@@ -674,17 +653,12 @@ impl StoreSnapshot {
         self.keys_live += other.keys_live;
         self.counter_live += other.counter_live;
         self.counter_capacity += other.counter_capacity;
-        self.health_state = self.health_state.max(other.health_state);
         for (a, b) in self.violations.iter_mut().zip(&other.violations) {
             *a += *b;
         }
         self.failovers += other.failovers;
         self.resyncs += other.resyncs;
         self.resync_bytes.merge(&other.resync_bytes);
-        // Roles/lags aggregate pessimistically: any backup → backup,
-        // worst lag wins.
-        self.replica_role = self.replica_role.max(other.replica_role);
-        self.replica_lag = self.replica_lag.max(other.replica_lag);
         self.hot_entries += other.hot_entries;
         self.cold_entries += other.cold_entries;
         self.migrations += other.migrations;
@@ -720,7 +694,6 @@ impl StoreSnapshot {
             keys_live: self.keys_live,
             counter_live: self.counter_live,
             counter_capacity: self.counter_capacity,
-            health_state: self.health_state,
             violations: self
                 .violations
                 .iter()
@@ -730,8 +703,6 @@ impl StoreSnapshot {
             failovers: self.failovers.saturating_sub(earlier.failovers),
             resyncs: self.resyncs.saturating_sub(earlier.resyncs),
             resync_bytes: self.resync_bytes.delta(&earlier.resync_bytes),
-            replica_role: self.replica_role,
-            replica_lag: self.replica_lag,
             hot_entries: self.hot_entries,
             cold_entries: self.cold_entries,
             migrations: self.migrations.saturating_sub(earlier.migrations),
@@ -986,6 +957,51 @@ impl ChaosSnapshot {
 }
 
 // ---------------------------------------------------------------------------
+// serving
+
+/// One replica's serving state, read from the store's health machine.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct ReplicaServing {
+    /// Health state (0 healthy, 1 quarantined, 2 recovering, 3 dead;
+    /// see [`health_name`]).
+    pub state: u8,
+    /// Replica role (0 primary, 1 backup).
+    pub role: u8,
+    /// Replication lag in keys (0 when in sync or unreplicated).
+    pub lag: u64,
+    /// Quarantine-triggering violations observed on the replica.
+    pub violations: u64,
+    /// Completed quarantine → recovery → re-admission cycles.
+    pub recoveries: u64,
+}
+
+/// The serving section: what the server is doing right now. Not a
+/// recorder — the server fills it when a `METRICS` request arrives,
+/// from its own and the store's state, so it stays exact when the
+/// `telemetry-off` feature compiles the recorders away. A snapshot
+/// taken straight from a [`TelemetryHub`] leaves it empty.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ServingSnapshot {
+    /// Operations served since start (batch items count singly).
+    pub ops_served: u64,
+    /// Connections open now.
+    pub open_connections: u64,
+    /// Connections accepted since start.
+    pub accepted_connections: u64,
+    /// Sum of every group's last primary-reported key count; counts
+    /// unhealthy groups at their last-known size.
+    pub len_estimate: u64,
+    /// Whether any group is not healthy or any shard's estimated queue
+    /// delay is over its admission budget.
+    pub degraded: bool,
+    /// Data ops refused by store-side admission control since start.
+    pub shed_ops_total: u64,
+    /// Per-replica state, group-major (`group * replicas + replica`),
+    /// indexed like [`TelemetrySnapshot::shards`].
+    pub replicas: Vec<ReplicaServing>,
+}
+
+// ---------------------------------------------------------------------------
 // shard bundle + hub
 
 /// One shard's telemetry: independently `Arc`-shared handles per layer
@@ -1106,6 +1122,7 @@ impl TelemetryHub {
             net: self.net.snapshot(),
             chaos: self.chaos.snapshot(),
             traces: self.traces.summary(),
+            serving: ServingSnapshot::default(),
         }
     }
 }
@@ -1125,6 +1142,8 @@ pub struct TelemetrySnapshot {
     pub chaos: ChaosSnapshot,
     /// Trace section: span volume and per-stage latency.
     pub traces: TraceSummary,
+    /// Serving section: filled by the server (see [`ServingSnapshot`]).
+    pub serving: ServingSnapshot,
 }
 
 impl Default for TelemetrySnapshot {
@@ -1136,6 +1155,7 @@ impl Default for TelemetrySnapshot {
             net: NetSnapshot::default(),
             chaos: ChaosSnapshot::default(),
             traces: TraceSummary::default(),
+            serving: ServingSnapshot::default(),
         }
     }
 }
@@ -1151,7 +1171,8 @@ impl TelemetrySnapshot {
     }
 
     /// Activity since `earlier`. Shards are matched by index; shards
-    /// missing from `earlier` are reported in full.
+    /// missing from `earlier` are reported in full. The serving section
+    /// is a reading, not activity: it keeps the current one.
     pub fn delta(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
         let empty = ShardSnapshot::default();
         let shards = self
@@ -1167,6 +1188,7 @@ impl TelemetrySnapshot {
             net: self.net.delta(&earlier.net),
             chaos: self.chaos.delta(&earlier.chaos),
             traces: self.traces.delta(&earlier.traces),
+            serving: self.serving.clone(),
         }
     }
 
@@ -1245,7 +1267,6 @@ mod tests {
             assert_eq!(s.health_events.len(), HEALTH_EVENT_CAP);
             assert_eq!(s.health_events.last().unwrap().to, 3);
             assert!(s.health_events.windows(2).all(|w| w[0].seq < w[1].seq));
-            assert_eq!(s.health_state, 3);
         }
     }
 

@@ -37,9 +37,9 @@ pub use codec::{decode_spans, encode_spans, CodecError, MAGIC, SPANS_MAGIC};
 pub use hub::{
     health_name, unix_millis, CacheSnapshot, CacheTelemetry, ChaosSnapshot, ChaosTelemetry,
     HealthTransition, MemSnapshot, MemTelemetry, MerkleSnapshot, MerkleTelemetry, NetSnapshot,
-    NetTelemetry, ShardSnapshot, ShardTelemetry, StoreSnapshot, StoreTelemetry, TelemetryHub,
-    TelemetrySnapshot, FAULT_SITES, FAULT_SITE_NAMES, HEALTH_EVENT_CAP, NET_OPS, NET_OP_NAMES,
-    SNAPSHOT_VERSION, VIOLATION_CLASSES, VIOLATION_NAMES,
+    NetTelemetry, ReplicaServing, ServingSnapshot, ShardSnapshot, ShardTelemetry, StoreSnapshot,
+    StoreTelemetry, TelemetryHub, TelemetrySnapshot, FAULT_SITES, FAULT_SITE_NAMES,
+    HEALTH_EVENT_CAP, NET_OPS, NET_OP_NAMES, SNAPSHOT_VERSION, VIOLATION_CLASSES, VIOLATION_NAMES,
 };
 pub use metrics::{
     bucket_bound, bucket_mid, bucket_of, Counter, Gauge, HistSnapshot, Histogram, BUCKETS,

@@ -14,6 +14,7 @@ use std::time::{Duration, Instant};
 use aria::chaos::{ChaosEngine, FaultPlan, FaultSite};
 use aria::net::proto::{self, Decoded, Response};
 use aria::prelude::*;
+use aria::telemetry::TelemetrySnapshot;
 
 /// Fail fast (abort with a message) instead of letting a hung
 /// connection thread stall the whole test job.
@@ -141,16 +142,17 @@ fn expired_deadline_sheds_before_execution() {
     }
 
     // Refused ≠ acknowledged ≠ applied: the shed write must not
-    // exist, and the shed is visible in STATS.
+    // exist, and the shed is visible in METRICS.
     assert_eq!(store.get(b"dead").unwrap(), None, "shed write was applied");
     assert_eq!(store.get(b"live").unwrap().unwrap(), b"v");
-    send_req(&mut stream, 12, &proto::Request::Stats, 0);
+    send_req(&mut stream, 12, &proto::Request::Metrics, 0);
     let (_, resp) = read_resp(&mut stream, &mut rbuf);
     match resp {
-        Response::Stats(s) => {
-            assert_eq!(s.ops_shed_deadline, 1, "shed count in STATS")
+        Response::Metrics(bytes) => {
+            let snap = TelemetrySnapshot::decode(&bytes).expect("snapshot decodes");
+            assert_eq!(snap.net.ops_shed_deadline, 1, "shed count in METRICS")
         }
-        other => panic!("want Stats, got {other:?}"),
+        other => panic!("want Metrics, got {other:?}"),
     }
     drop(stream);
     server.shutdown();
@@ -160,7 +162,7 @@ fn expired_deadline_sheds_before_execution() {
 
 /// With a queue-delay budget set, a backlogged shard refuses data ops
 /// fast with `Overloaded` + a retry-after hint, while control-plane
-/// ops (PING/HEALTH/STATS) keep answering — and STATS reports the
+/// ops (PING/METRICS) keep answering — and METRICS reports the
 /// brownout (shed count, degraded flag).
 #[test]
 fn overload_refusal_hints_retry_and_control_plane_stays_responsive() {
@@ -224,11 +226,11 @@ fn overload_refusal_hints_retry_and_control_plane_stays_responsive() {
     // Brownout: the control plane bypasses admission and still answers
     // while the data plane is refusing.
     control.ping().expect("PING must answer during brownout");
-    let health = control.health().expect("HEALTH must answer during brownout");
-    assert_eq!(health.shards.len(), 1);
-    let stats = control.stats().expect("STATS must answer during brownout");
-    assert!(stats.ops_shed_overload >= 1, "shed count must be surfaced");
-    assert!(stats.degraded, "an over-budget shard must mark the server degraded");
+    let snap = control.metrics().expect("METRICS must answer during brownout");
+    assert_eq!(snap.serving.replicas.len(), 1);
+    let shed = snap.serving.shed_ops_total + snap.net.ops_shed_overload;
+    assert!(shed >= 1, "shed count must be surfaced");
+    assert!(snap.serving.degraded, "an over-budget shard must mark the server degraded");
     assert!(stalled_at.elapsed() < STALL, "all brownout checks must land inside the stall");
 
     // The refused write really was refused, and service recovers once
@@ -253,7 +255,7 @@ fn overload_refusal_hints_retry_and_control_plane_stays_responsive() {
 
 /// The `shard_stall` chaos site: a wedged primary that keeps accepting
 /// work but retires nothing is quarantined by the watchdog, recovered,
-/// and re-admitted — pinned end-to-end through HEALTH.
+/// and re-admitted — pinned end-to-end through METRICS.
 #[test]
 fn chaos_shard_stall_quarantine_recovery_readmission() {
     let _wd = watchdog("chaos_shard_stall", Duration::from_secs(120));
@@ -281,11 +283,11 @@ fn chaos_shard_stall_quarantine_recovery_readmission() {
     });
 
     let mut health_client = AriaClient::connect(addr, ClientConfig::default()).unwrap();
-    let state_of = |h: &proto::HealthReply| ShardHealth::from_u8(h.shards[0].state);
-    // Quarantine must be observable through HEALTH while stalled.
+    let state_of = |h: &TelemetrySnapshot| ShardHealth::from_u8(h.serving.replicas[0].state);
+    // Quarantine must be observable through METRICS while stalled.
     let deadline = Instant::now() + Duration::from_secs(5);
     loop {
-        let h = health_client.health().expect("HEALTH must answer during the stall");
+        let h = health_client.metrics().expect("METRICS must answer during the stall");
         if state_of(&h) != ShardHealth::Healthy {
             break;
         }
@@ -295,9 +297,9 @@ fn chaos_shard_stall_quarantine_recovery_readmission() {
     // After the stall clears, recovery verifies the store and re-admits.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let h = health_client.health().expect("HEALTH must answer");
+        let h = health_client.metrics().expect("METRICS must answer");
         if state_of(&h) == ShardHealth::Healthy {
-            assert!(h.shards[0].recoveries >= 1, "re-admission must count as a recovery");
+            assert!(h.serving.replicas[0].recoveries >= 1, "re-admission must count as a recovery");
             break;
         }
         assert!(Instant::now() < deadline, "stalled shard was never re-admitted");

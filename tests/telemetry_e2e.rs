@@ -2,7 +2,8 @@
 //! snapshot over aria-net, the snapshot's cache accounting agrees with
 //! the store's own `CacheStats` to within one op, the verify-depth
 //! histogram is populated by real cache misses, tail spans for slow
-//! store runs surface over the wire with their attribution, and `STATS` keeps counting quarantined shards
+//! store runs surface over the wire with their attribution, and the
+//! snapshot's serving section keeps counting quarantined shards
 //! (reporting `degraded`) instead of silently excluding them.
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -149,8 +150,8 @@ fn stats_count_quarantined_shards_and_report_degraded() {
     for id in 0..KEYS {
         client.put(&encode_key(id), b"payload").unwrap();
     }
-    let baseline = client.stats().unwrap();
-    assert_eq!(baseline.len, KEYS, "len_estimate must count every shard");
+    let baseline = client.metrics().unwrap().serving;
+    assert_eq!(baseline.len_estimate, KEYS, "len_estimate must count every shard");
     assert!(!baseline.degraded, "healthy store reported degraded");
 
     // Tamper with one key's sealed entry and read it: the violation
@@ -161,7 +162,7 @@ fn stats_count_quarantined_shards_and_report_degraded() {
     let got = client.get(&key);
     assert!(got.is_err(), "tampered read must fail, got {got:?}");
 
-    // While the shard quarantines/recovers, STATS must keep reporting
+    // While the shard quarantines/recovers, METRICS must keep reporting
     // the unhealthy shard's last-known key count — the pre-fix behavior
     // silently excluded the whole shard. Recovery destroys the one
     // unverifiable (tampered) entry, so len may drop by exactly one,
@@ -169,16 +170,15 @@ fn stats_count_quarantined_shards_and_report_degraded() {
     // visible at least once before the shard heals.
     let mut saw_degraded = false;
     loop {
-        let stats = client.stats().unwrap();
+        let serving = client.metrics().unwrap().serving;
         assert!(
-            stats.len >= KEYS - 1,
+            serving.len_estimate >= KEYS - 1,
             "len {} excluded shard {victim} while it was unhealthy",
-            stats.len
+            serving.len_estimate
         );
-        saw_degraded |= stats.degraded;
-        let health = client.health().unwrap();
-        let info = &health.shards[victim];
-        if info.health() == ShardHealth::Healthy && info.recoveries >= 1 {
+        saw_degraded |= serving.degraded;
+        let info = &serving.replicas[victim];
+        if ShardHealth::from_u8(info.state) == ShardHealth::Healthy && info.recoveries >= 1 {
             break;
         }
         thread::sleep(Duration::from_millis(2));
