@@ -136,15 +136,16 @@ impl Sealer {
         buf
     }
 
-    /// Decode the record framed at `frame` (a complete frame as sliced
-    /// by the caller using `frame_len`). `segment`/`offset` only
-    /// locate errors.
-    pub(crate) fn decode(
+    /// Check the record framed at `frame` (a complete frame as sliced
+    /// by the caller using `frame_len`): CRC, lengths, MAC and kind.
+    /// Returns the seqno, kind and key length; decrypts nothing.
+    /// `segment`/`offset` only locate errors.
+    fn verify(
         &self,
         frame: &[u8],
         segment: u64,
         offset: u64,
-    ) -> Result<DecodedRecord, LogError> {
+    ) -> Result<(u64, RecordKind, usize), LogError> {
         let corrupt = LogError::Corrupt { segment, offset };
         if frame.len() < HEADER_LEN + MAC_LEN {
             return Err(corrupt);
@@ -171,10 +172,38 @@ impl Sealer {
             return Err(tampered);
         }
         let kind = RecordKind::from_byte(kind_byte).ok_or(tampered)?;
-        let mut plain = frame[HEADER_LEN..mac_start].to_vec();
+        Ok((seqno, kind, klen))
+    }
+
+    /// Decode the record framed at `frame`: [`Sealer::verify`], then
+    /// decrypt key and value.
+    pub(crate) fn decode(
+        &self,
+        frame: &[u8],
+        segment: u64,
+        offset: u64,
+    ) -> Result<DecodedRecord, LogError> {
+        let (seqno, kind, klen) = self.verify(frame, segment, offset)?;
+        let mut plain = frame[HEADER_LEN..frame.len() - MAC_LEN].to_vec();
         self.suite.crypt(&Self::counter_block(seqno), &mut plain);
         let value = plain.split_off(klen);
         Ok(DecodedRecord { seqno, kind, key: plain, value })
+    }
+
+    /// Verify the record framed at `frame` exactly as
+    /// [`Sealer::decode`] does, but decrypt only its key: the CTR
+    /// keystream starts at the first ciphertext byte, so the key is a
+    /// prefix of it. Returns the seqno, kind and plaintext key.
+    pub(crate) fn decode_key(
+        &self,
+        frame: &[u8],
+        segment: u64,
+        offset: u64,
+    ) -> Result<(u64, RecordKind, Vec<u8>), LogError> {
+        let (seqno, kind, klen) = self.verify(frame, segment, offset)?;
+        let mut key = frame[HEADER_LEN..HEADER_LEN + klen].to_vec();
+        self.suite.crypt(&Self::counter_block(seqno), &mut key);
+        Ok((seqno, kind, key))
     }
 }
 

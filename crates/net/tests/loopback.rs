@@ -493,7 +493,6 @@ fn store_panic_is_contained_and_the_connection_keeps_serving() {
 /// answers with a JSON flight-recorder post-mortem.
 #[test]
 fn sampled_requests_stream_spans_end_to_end() {
-    use aria_telemetry::{outcome, stage};
     let _wd = watchdog("sampled_requests_stream_spans_end_to_end", Duration::from_secs(120));
     let store = sharded(2);
     // A slow run (likely in a debug build) would add a tail span to the
@@ -511,6 +510,28 @@ fn sampled_requests_stream_spans_end_to_end() {
     let values = client.multi_get(&[b"traced".as_ref(), b"missing"]).unwrap();
     assert_eq!(values[0], Ok(Some(b"v".to_vec())));
 
+    if aria_telemetry::enabled() {
+        assert_sampled_spans_stream(&mut client);
+    } else {
+        // The span plane compiled away: the reactor builds no span, so
+        // the stream is empty, whatever was sampled.
+        let (spans, cursors) = client.trace_spans(&[]).unwrap();
+        assert_eq!(cursors.len(), 3, "one resume cursor per shard ring, then the tail ring");
+        assert!(spans.is_empty(), "spans streamed with the plane off: {spans:?}");
+    }
+
+    // A wire-requested flight dump renders the JSON post-mortem.
+    let dump = client.flight_dump().expect("mode-1 TRACE answers with a dump");
+    assert!(dump.trim_start().starts_with('{'), "dump is a JSON object: {dump}");
+    assert!(dump.contains("\"reason\":\"request\""), "dump names its trigger: {dump}");
+    assert!(dump.contains("\"spans\""), "dump embeds recent spans: {dump}");
+    server.shutdown();
+}
+
+/// The three sampled requests' spans reach the trace rings, fully
+/// stamped and attributed.
+fn assert_sampled_spans_stream(client: &mut AriaClient) {
+    use aria_telemetry::{outcome, stage};
     // Spans publish when the response bytes drain to the socket, a
     // beat after the client sees the response; poll briefly.
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
@@ -553,13 +574,6 @@ fn sampled_requests_stream_spans_end_to_end() {
         spans.iter().any(|s| s.attribution.hot_hits > 0),
         "no span attributed a hot hit: {spans:?}"
     );
-
-    // A wire-requested flight dump renders the JSON post-mortem.
-    let dump = client.flight_dump().expect("mode-1 TRACE answers with a dump");
-    assert!(dump.trim_start().starts_with('{'), "dump is a JSON object: {dump}");
-    assert!(dump.contains("\"reason\":\"request\""), "dump names its trigger: {dump}");
-    assert!(dump.contains("\"spans\""), "dump embeds recent spans: {dump}");
-    server.shutdown();
 }
 
 /// A raw socket speaking hand-built frames, with unconsumed reply bytes

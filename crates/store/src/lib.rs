@@ -82,11 +82,13 @@ pub struct RecoveryReport {
 pub struct MaintenanceReport {
     /// Entries migrated from the hot region to the cold tier.
     pub migrated: u64,
-    /// Log segments compacted (live records rewritten, file removed).
+    /// Log segments compacted (records copied forward, file removed).
     pub segments_compacted: u64,
-    /// Live records rewritten by compaction.
+    /// Records compaction copied forward: the victim's live records and
+    /// the frontier winners it carried for the last checkpoint.
     pub records_rewritten: u64,
-    /// Whether a checkpoint was persisted during this pass.
+    /// Whether a checkpoint was persisted during this pass, by
+    /// compaction or by the periodic rule.
     pub checkpointed: bool,
 }
 
