@@ -52,7 +52,9 @@ use std::path::{Path, PathBuf};
 pub use checkpoint::{load_checkpoint, save_checkpoint, Checkpoint};
 pub use meta::load_or_create_log_nonce;
 pub use record::{RecordKind, RecordPtr, MAX_KEY_LEN, MAX_VALUE_LEN};
-pub use segment::{AppendFaultHook, AppendInfo, ReplayRecord, SegmentLog, SegmentStats};
+pub use segment::{
+    AppendFaultHook, AppendInfo, CopyOutcome, FrameCopy, ReplayRecord, SegmentLog, SegmentStats,
+};
 
 /// Why a log operation failed.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -81,6 +81,33 @@ const SEQNO_RESERVE_STEP: u64 = 1 << 16;
 /// longest-held handle is closed.
 const READ_HANDLES: usize = 64;
 
+/// Largest positional read [`SegmentLog::copy_frames`] issues: the
+/// frames it moves are read in spans of at most this many bytes (a
+/// larger frame is read alone), so a victim segment costs a few reads,
+/// not one per record, and the read buffer stays bounded.
+const COPY_READ_BYTES: u64 = 256 << 10;
+
+/// One record [`SegmentLog::copy_frames`] is asked to move.
+#[derive(Debug, Clone, Copy)]
+pub struct FrameCopy<'k> {
+    /// Where the record lives now.
+    pub ptr: RecordPtr,
+    /// The sequence number the caller indexed the record under.
+    pub seqno: u64,
+    /// The plaintext key the frame must hold, when the caller knows it
+    /// (a seqno alone names one record per log).
+    pub key: Option<&'k [u8]>,
+    /// Whether a frame that fails verification fails the whole batch
+    /// before anything is appended (`true`), or only itself (`false`:
+    /// the others are copied and its error is reported in its place).
+    pub required: bool,
+}
+
+/// What [`SegmentLog::copy_frames`] did with one requested frame: its
+/// kind and where the copy landed, or why it was not copied (always
+/// `Corrupt` or `Tampered`: any other failure fails the whole call).
+pub type CopyOutcome = Result<(RecordKind, AppendInfo), LogError>;
+
 /// Open segment `id` for appending. Readable too: point reads into the
 /// active segment go through this same handle.
 fn open_writer(dir: &Path, id: u64) -> Result<File, LogError> {
@@ -123,7 +150,7 @@ pub struct SegmentLog {
     /// Read handles of sealed segments, oldest first; at most
     /// [`READ_HANDLES`], never the active segment.
     readers: VecDeque<(u64, File)>,
-    /// Point reads attempted, for tests to verify that maintenance
+    /// Positional reads issued, for tests to verify that maintenance
     /// reads only what it moves.
     reads: u64,
     fault_hook: Option<AppendFaultHook>,
@@ -207,55 +234,123 @@ impl SegmentLog {
             crate::meta::save_seqno_reserve(&self.dir, &self.log_key, bound)?;
             self.reserved = bound;
         }
-        let info = self.append_frame(self.sealer.encode(seqno, kind, key, value), seqno)?;
-        self.next_seqno = seqno + 1;
-        Ok(info)
-    }
-
-    /// Copy the record at `ptr` to the end of the log unchanged — the
-    /// compactor moving a record into a younger segment. The frame is
-    /// verified (CRC + CMAC, as [`SegmentLog::read`] does) and only its
-    /// key is decrypted; the bytes appended are the bytes read, so the
-    /// record keeps its seqno, its ciphertext and its MAC, and replay's
-    /// latest-wins resolution and any checkpointed content root are
-    /// unaffected. The frame must also be the record the caller
-    /// indexed: sequence number `seqno` and, when given, key `key`. A
-    /// frame that fails verification is `Corrupt` or `Tampered`; a
-    /// genuine frame of another record at `ptr` (the host moved it
-    /// there) is `Tampered`. Either way nothing is appended. Returns
-    /// the record's kind and where the copy landed.
-    pub fn copy_frame(
-        &mut self,
-        ptr: RecordPtr,
-        seqno: u64,
-        key: Option<&[u8]>,
-    ) -> Result<(RecordKind, AppendInfo), LogError> {
-        let frame = self.read_frame(ptr)?;
-        let (found, kind, k) = self.sealer.decode_key(&frame, ptr.segment, ptr.offset)?;
-        if found != seqno || key.is_some_and(|key| key != k) {
-            return Err(LogError::Tampered { segment: ptr.segment, offset: ptr.offset });
-        }
-        debug_assert!(seqno < self.next_seqno, "a copy must reuse an allocated seqno");
-        let info = self.append_frame(frame, seqno)?;
-        Ok((kind, info))
-    }
-
-    /// Write one sealed frame at the append frontier: rotation, the
-    /// fault hook, fsync or group-commit accounting, and occupancy.
-    fn append_frame(&mut self, mut frame: Vec<u8>, seqno: u64) -> Result<AppendInfo, LogError> {
-        let frame_len = frame.len() as u64;
-        if self.active_len > 0 && self.active_len + frame_len > self.cfg.segment_bytes {
+        let frame = self.sealer.encode(seqno, kind, key, value);
+        let len = frame.len() as u64;
+        if self.active_len > 0 && self.active_len + len > self.cfg.segment_bytes {
             self.rotate()?;
         }
-        let mut write_len = frame.len();
-        if let Some(hook) = self.fault_hook.as_mut() {
-            if let Some(torn) = hook(&mut frame) {
-                write_len = torn.min(frame.len());
+        let ptr = RecordPtr { segment: self.active_id, offset: self.active_len, len: len as u32 };
+        self.write_run(&frame, 1)?;
+        self.next_seqno = seqno + 1;
+        Ok(AppendInfo { ptr, seqno })
+    }
+
+    /// Copy records to the end of the log unchanged — the compactor
+    /// moving a segment's records into a younger one. Every frame is
+    /// read (in a few positional reads of at most 256 KiB each
+    /// over the span the frames cover), verified (CRC + CMAC, as
+    /// [`SegmentLog::read`] does, decrypting only the key) and checked
+    /// to be the record the caller indexed: sequence number `seqno`
+    /// and, when given, key `key`. A frame that fails verification is
+    /// `Corrupt` or `Tampered`; a genuine frame of another record at
+    /// its `ptr` (the host moved it there) is `Tampered`. If a
+    /// [`FrameCopy::required`] frame fails, the call returns that error
+    /// and appends nothing. Only then are the verified frames appended,
+    /// in source order (segment, offset), as runs of consecutive
+    /// frames: one `write` per run, split where the active segment
+    /// rotates. The bytes appended are the bytes read, so a record
+    /// keeps its seqno, its ciphertext and its MAC, and replay's
+    /// latest-wins resolution and any checkpointed content root are
+    /// unaffected. Returns, per requested frame and in request order,
+    /// its [`CopyOutcome`].
+    pub fn copy_frames(&mut self, frames: &[FrameCopy<'_>]) -> Result<Vec<CopyOutcome>, LogError> {
+        let mut order: Vec<usize> = (0..frames.len()).collect();
+        order.sort_unstable_by_key(|&i| (frames[i].ptr.segment, frames[i].ptr.offset));
+        let mut outcomes: Vec<Option<CopyOutcome>> = vec![None; frames.len()];
+        // Read and verify everything first: the verified frames, in
+        // source order, and which request each one is.
+        let mut verified: Vec<u8> = Vec::new();
+        let mut kept: Vec<(usize, RecordKind)> = Vec::new();
+        let mut span = Vec::new();
+        let mut at = 0;
+        while at < order.len() {
+            let first = frames[order[at]].ptr;
+            let mut end = first.offset + u64::from(first.len);
+            let mut next = at + 1;
+            while let Some(&i) = order.get(next) {
+                let ptr = frames[i].ptr;
+                let ptr_end = (ptr.offset + u64::from(ptr.len)).max(end);
+                if ptr.segment != first.segment || ptr_end - first.offset > COPY_READ_BYTES {
+                    break;
+                }
+                end = ptr_end;
+                next += 1;
             }
+            self.read_span(first.segment, first.offset, end - first.offset, &mut span)?;
+            for &i in &order[at..next] {
+                let FrameCopy { ptr, seqno, key, required } = frames[i];
+                let checked = frame_in(&span, first.offset, ptr).and_then(|frame| {
+                    let (found, kind, k) =
+                        self.sealer.decode_key(frame, ptr.segment, ptr.offset)?;
+                    if found != seqno || key.is_some_and(|key| key != k) {
+                        return Err(LogError::Tampered {
+                            segment: ptr.segment,
+                            offset: ptr.offset,
+                        });
+                    }
+                    debug_assert!(seqno < self.next_seqno, "a copy must reuse an allocated seqno");
+                    verified.extend_from_slice(frame);
+                    Ok(kind)
+                });
+                match checked {
+                    Ok(kind) => kept.push((i, kind)),
+                    Err(e) if required => return Err(e),
+                    Err(e) => outcomes[i] = Some(Err(e)),
+                }
+            }
+            at = next;
         }
-        let ptr =
-            RecordPtr { segment: self.active_id, offset: self.active_len, len: frame_len as u32 };
-        self.writer.write_all(&frame[..write_len]).map_err(|e| LogError::io("append", e))?;
+        // Append them as runs, rotating exactly where one append per
+        // frame would have.
+        let (mut run_start, mut run_records, mut pos) = (0usize, 0u64, 0usize);
+        for (i, kind) in kept {
+            let len = frames[i].ptr.len;
+            let at = self.active_len + (pos - run_start) as u64;
+            if at > 0 && at + u64::from(len) > self.cfg.segment_bytes {
+                if pos > run_start {
+                    self.write_run(&verified[run_start..pos], run_records)?;
+                }
+                self.rotate()?;
+                (run_start, run_records) = (pos, 0);
+            }
+            let offset = self.active_len + (pos - run_start) as u64;
+            let ptr = RecordPtr { segment: self.active_id, offset, len };
+            outcomes[i] = Some(Ok((kind, AppendInfo { ptr, seqno: frames[i].seqno })));
+            pos += len as usize;
+            run_records += 1;
+        }
+        if pos > run_start {
+            self.write_run(&verified[run_start..pos], run_records)?;
+        }
+        Ok(outcomes.into_iter().map(|o| o.expect("every frame was copied or refused")).collect())
+    }
+
+    /// Write `records` sealed frames, back to back in `run`, at the
+    /// append frontier with one `write`: the fault hook, fsync or
+    /// group-commit accounting, and occupancy. The caller has rotated
+    /// if the run would not fit.
+    fn write_run(&mut self, run: &[u8], records: u64) -> Result<(), LogError> {
+        let len = run.len() as u64;
+        let mut hooked = None;
+        if let Some(hook) = self.fault_hook.as_mut() {
+            let mut bytes = run.to_vec();
+            if let Some(torn) = hook(&mut bytes) {
+                bytes.truncate(torn);
+            }
+            hooked = Some(bytes);
+        }
+        let bytes = hooked.as_deref().unwrap_or(run);
+        self.writer.write_all(bytes).map_err(|e| LogError::io("append", e))?;
         if self.cfg.sync_writes {
             if self.cfg.sync_window_bytes == 0 {
                 // Classic durability: every append pays its own fsync.
@@ -264,7 +359,7 @@ impl SegmentLog {
                 // Group commit: accumulate until the window fills; the
                 // owner's covering sync() before acking closes smaller
                 // windows.
-                self.unsynced_bytes += frame_len;
+                self.unsynced_bytes += len;
                 if self.unsynced_bytes >= self.cfg.sync_window_bytes {
                     self.do_sync()?;
                 }
@@ -273,11 +368,11 @@ impl SegmentLog {
         // Account the intended length even when the hook tore the
         // write: the harness kills the process right after, and replay
         // truncates the tail.
-        self.active_len += frame_len;
+        self.active_len += len;
         let s = self.stats.entry(self.active_id).or_default();
-        s.total_bytes += frame_len;
-        s.records += 1;
-        Ok(AppendInfo { ptr, seqno })
+        s.total_bytes += len;
+        s.records += records;
+        Ok(())
     }
 
     fn do_sync(&mut self) -> Result<(), LogError> {
@@ -308,28 +403,32 @@ impl SegmentLog {
         &mut self,
         ptr: RecordPtr,
     ) -> Result<(RecordKind, Vec<u8>, Vec<u8>, u64), LogError> {
-        let frame = self.read_frame(ptr)?;
-        let rec: DecodedRecord = self.sealer.decode(&frame, ptr.segment, ptr.offset)?;
+        let mut bytes = Vec::new();
+        self.read_span(ptr.segment, ptr.offset, u64::from(ptr.len), &mut bytes)?;
+        let frame = frame_in(&bytes, ptr.offset, ptr)?;
+        let rec: DecodedRecord = self.sealer.decode(frame, ptr.segment, ptr.offset)?;
         Ok((rec.kind, rec.key, rec.value, rec.seqno))
     }
 
-    /// The raw frame at `ptr`, with its length field checked against
-    /// `ptr.len`; nothing else is verified yet.
-    fn read_frame(&mut self, ptr: RecordPtr) -> Result<Vec<u8>, LogError> {
+    /// One positional read of `len` bytes of segment `id` at `offset`
+    /// into `buf`. A read that fails leaves `buf` empty, so every frame
+    /// it was to hold is `Corrupt`, not an I/O error: the host owns the
+    /// file's length.
+    fn read_span(
+        &mut self,
+        id: u64,
+        offset: u64,
+        len: u64,
+        buf: &mut Vec<u8>,
+    ) -> Result<(), LogError> {
         self.reads += 1;
-        let corrupt = LogError::Corrupt { segment: ptr.segment, offset: ptr.offset };
-        let mut frame = vec![0u8; ptr.len as usize];
-        let file = if ptr.segment == self.active_id {
-            &self.writer
-        } else {
-            self.sealed_reader(ptr.segment)?
-        };
-        file.read_exact_at(&mut frame, ptr.offset).map_err(|_| corrupt.clone())?;
-        let stored = u32::from_le_bytes(frame[..4].try_into().expect("4 bytes"));
-        if stored.checked_add(4) != Some(ptr.len) {
-            return Err(corrupt);
+        buf.clear();
+        buf.resize(len as usize, 0);
+        let file = if id == self.active_id { &self.writer } else { self.sealed_reader(id)? };
+        if file.read_exact_at(buf, offset).is_err() {
+            buf.clear();
         }
-        Ok(frame)
+        Ok(())
     }
 
     /// The cached read handle of sealed segment `id`, opened on first
@@ -403,8 +502,9 @@ impl SegmentLog {
         self.syncs
     }
 
-    /// Point reads attempted so far ([`SegmentLog::read`] and
-    /// [`SegmentLog::copy_frame`] calls).
+    /// Positional reads issued so far: one per [`SegmentLog::read`],
+    /// and one per span of at most 256 KiB that
+    /// [`SegmentLog::copy_frames`] reads.
     pub fn read_count(&self) -> u64 {
         self.reads
     }
@@ -439,6 +539,23 @@ impl SegmentLog {
     /// Install (or clear) the append fault hook. Chaos harness only.
     pub fn set_fault_hook(&mut self, hook: Option<AppendFaultHook>) {
         self.fault_hook = hook;
+    }
+}
+
+/// The frame `ptr` names inside `bytes`, which hold its segment from
+/// byte `base` on, with its length field checked against `ptr.len`;
+/// nothing else is verified yet. Missing bytes are `Corrupt`.
+fn frame_in(bytes: &[u8], base: u64, ptr: RecordPtr) -> Result<&[u8], LogError> {
+    let from = (ptr.offset - base) as usize;
+    match bytes.get(from..from + ptr.len as usize) {
+        Some(frame)
+            if frame.len() >= 4
+                && u32::from_le_bytes(frame[..4].try_into().expect("4 bytes")).checked_add(4)
+                    == Some(ptr.len) =>
+        {
+            Ok(frame)
+        }
+        _ => Err(LogError::Corrupt { segment: ptr.segment, offset: ptr.offset }),
     }
 }
 
@@ -543,6 +660,7 @@ fn replay_segment(
 mod tests {
     use super::*;
     use crate::{crash_cut, flip_byte, segment_file_len};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     const KEY: &[u8; 16] = b"segment-test-key";
 
@@ -668,8 +786,21 @@ mod tests {
         frame
     }
 
+    /// Ask for every record in `infos` as a required copy under `key`.
+    fn required<'k>(infos: &[(AppendInfo, &'k [u8])]) -> Vec<FrameCopy<'k>> {
+        infos
+            .iter()
+            .map(|(info, key)| FrameCopy {
+                ptr: info.ptr,
+                seqno: info.seqno,
+                key: Some(key),
+                required: true,
+            })
+            .collect()
+    }
+
     #[test]
-    fn copy_frame_preserves_seqno_and_bytes() {
+    fn copy_frames_preserve_seqno_and_bytes() {
         use rand::{rngs::StdRng, Rng, SeedableRng};
         let dir = tmpdir("copy");
         let mut log =
@@ -694,16 +825,27 @@ mod tests {
             records.push((info, kind, key, value));
         }
         // Each copy is exactly the frame a re-seal of the same record
-        // under the same seqno would write.
+        // under the same seqno would write, and the copies keep the
+        // records' source order.
         let sealer = Sealer::new(KEY);
         let reads = log.read_count();
-        for (info, kind, key, value) in &records {
-            let (copied_kind, copy) = log.copy_frame(info.ptr, info.seqno, Some(key)).unwrap();
+        let sources: std::collections::BTreeSet<u64> =
+            records.iter().map(|(info, ..)| info.ptr.segment).collect();
+        let wanted: Vec<(AppendInfo, &[u8])> =
+            records.iter().map(|(info, _, key, _)| (*info, key.as_slice())).collect();
+        let copies = log.copy_frames(&required(&wanted)).unwrap();
+        let mut last = None;
+        for ((info, kind, key, value), copied) in records.iter().zip(copies) {
+            let (copied_kind, copy) = copied.unwrap();
             assert_eq!((copied_kind, copy.seqno), (*kind, info.seqno));
             assert_eq!(copy.ptr.len, info.ptr.len);
             assert_eq!(frame_bytes(&dir, copy.ptr), sealer.encode(info.seqno, *kind, key, value));
+            assert!(last < Some((copy.ptr.segment, copy.ptr.offset)), "copies out of order");
+            last = Some((copy.ptr.segment, copy.ptr.offset));
         }
-        assert_eq!(log.read_count(), reads + records.len() as u64);
+        // One positional read per source segment (each is smaller than
+        // a read span), not one per record.
+        assert_eq!(log.read_count(), reads + sources.len() as u64);
         // Every original in segment 0 now has a copy: it is all dead,
         // the compactor's victim, and can go.
         for (info, ..) in records.iter().filter(|(i, ..)| i.ptr.segment == 0) {
@@ -727,13 +869,17 @@ mod tests {
     }
 
     #[test]
-    fn copy_frame_refuses_a_damaged_frame_and_appends_nothing() {
+    fn copy_frames_refuse_a_damaged_frame_and_append_nothing() {
         let dir = tmpdir("copy-flip");
         let mut log = SegmentLog::open(LogConfig::new(dir.clone()), KEY, &mut |_| {}).unwrap();
+        // A sound record before the one that gets damaged: nothing of
+        // the batch may land, not even what verified first.
+        let sound = log.append(RecordKind::Put, b"sound-key", b"sound value").unwrap();
         let info = log.append(RecordKind::Put, b"some-key", b"value-one").unwrap();
         let newer = log.append(RecordKind::Put, b"some-key", b"value-two").unwrap();
         let ptr = info.ptr;
-        let copy = |log: &mut SegmentLog| log.copy_frame(ptr, info.seqno, Some(b"some-key"));
+        let batch = |key: &'static [u8]| required(&[(sound, b"sound-key"), (info, key)]);
+        let copy = |log: &mut SegmentLog| log.copy_frames(&batch(b"some-key"));
         let rewrite = |frame: &[u8]| {
             let file = OpenOptions::new().write(true).open(segment_path(&dir, 0)).unwrap();
             file.write_all_at(frame, ptr.offset).unwrap();
@@ -771,12 +917,138 @@ mod tests {
         let before = (log.frontier(), log.segment_stats()[0].1.records);
         assert!(copy(&mut log).expect_err("a moved frame must not be copied").is_tamper());
         assert_eq!((log.frontier(), log.segment_stats()[0].1.records), before);
+        // Not required, the moved frame is reported in its place and
+        // the sound one is copied alone.
+        let mut optional = batch(b"some-key");
+        optional[1].required = false;
+        let outcomes = log.copy_frames(&optional).unwrap();
+        assert!(outcomes[1].as_ref().expect_err("a moved frame is never copied").is_tamper());
+        let (_, alone) = outcomes[0].clone().unwrap();
+        assert_eq!((alone.ptr.segment, alone.ptr.offset), before.0);
+        assert_eq!(log.frontier(), (0, before.0 .1 + u64::from(sound.ptr.len)));
         rewrite(&original);
-        let err = log.copy_frame(ptr, info.seqno, Some(b"other-key")).unwrap_err();
+        let before = (log.frontier(), log.segment_stats()[0].1.records);
+        let err = log.copy_frames(&batch(b"other-key")).unwrap_err();
         assert!(err.is_tamper(), "got {err:?}");
         assert_eq!((log.frontier(), log.segment_stats()[0].1.records), before);
-        let (_, copied) = copy(&mut log).unwrap();
+        let copied = copy(&mut log).unwrap();
+        let (_, copied) = copied[1].clone().unwrap();
         assert_eq!(frame_bytes(&dir, copied.ptr), original);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn copy_frames_read_in_bounded_spans() {
+        let dir = tmpdir("copy-spans");
+        let mut log =
+            SegmentLog::open(LogConfig::new(dir.clone()).segment_bytes(4 << 20), KEY, &mut |_| {})
+                .unwrap();
+        let keys: Vec<[u8; 4]> = (0..150u32).map(u32::to_le_bytes).collect();
+        let infos: Vec<(AppendInfo, &[u8])> = keys
+            .iter()
+            .map(|k| (log.append(RecordKind::Put, k, &[7u8; 4096]).unwrap(), k.as_slice()))
+            .collect();
+        let frame = u64::from(infos[0].0.ptr.len);
+        let per_span = (COPY_READ_BYTES / frame) as usize;
+        let reads = log.read_count();
+        log.copy_frames(&required(&infos)).unwrap();
+        assert_eq!(log.read_count() - reads, infos.len().div_ceil(per_span) as u64);
+        assert!(log.read_count() - reads > 1, "the span must be split");
+        // A frame larger than a span is read alone, in one read.
+        let big = log.append(RecordKind::Put, b"big", &vec![9u8; 300 << 10]).unwrap();
+        assert!(u64::from(big.ptr.len) > COPY_READ_BYTES);
+        let reads = log.read_count();
+        let copied = log.copy_frames(&required(&[(big, b"big")])).unwrap();
+        assert_eq!(log.read_count() - reads, 1);
+        assert_eq!(log.read(copied[0].clone().unwrap().1.ptr).unwrap().2, vec![9u8; 300 << 10]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Records appended until segment 0 is sealed, with their keys.
+    fn sealed_segment_zero(log: &mut SegmentLog) -> Vec<(AppendInfo, Vec<u8>)> {
+        let mut records = Vec::new();
+        let mut i = 0u32;
+        while log.frontier().0 == 0 {
+            let key = i.to_le_bytes().to_vec();
+            records.push((log.append(RecordKind::Put, &key, &[5u8; 100]).unwrap(), key));
+            i += 1;
+        }
+        records.retain(|(info, _)| info.ptr.segment == 0);
+        records
+    }
+
+    /// A fault hook that counts the writes it sees and tears the first
+    /// one at `tear` bytes, if given.
+    fn counting_hook(tear: Option<usize>) -> (AppendFaultHook, std::sync::Arc<AtomicU64>) {
+        let writes = std::sync::Arc::new(AtomicU64::new(0));
+        let seen = std::sync::Arc::clone(&writes);
+        let hook = Box::new(move |_: &mut Vec<u8>| {
+            let first = seen.fetch_add(1, Ordering::SeqCst) == 0;
+            tear.filter(|_| first)
+        });
+        (hook, writes)
+    }
+
+    #[test]
+    fn torn_copy_run_reopens_to_the_frames_before_the_tear() {
+        let dir = tmpdir("copy-torn");
+        let mut log =
+            SegmentLog::open(LogConfig::new(dir.clone()).segment_bytes(4096), KEY, &mut |_| {})
+                .unwrap();
+        let records = sealed_segment_zero(&mut log);
+        let moved: Vec<(AppendInfo, &[u8])> =
+            records[..8].iter().map(|(info, key)| (*info, key.as_slice())).collect();
+        let (active, start) = log.frontier();
+        // Tear the run in the middle of its fourth frame.
+        let frame = moved[0].0.ptr.len as usize;
+        let (hook, writes) = counting_hook(Some(3 * frame + 7));
+        log.set_fault_hook(Some(hook));
+        let copies = log.copy_frames(&required(&moved)).unwrap();
+        assert_eq!(writes.load(Ordering::SeqCst), 1, "eight frames, one run, one write");
+        assert!(copies.iter().all(|c| c.as_ref().unwrap().1.ptr.segment == active));
+        drop(log);
+        let seen = collect_replay(&dir, 4096).unwrap();
+        let survivors: Vec<u64> = seen
+            .iter()
+            .filter(|r| r.ptr.segment == active && r.ptr.offset >= start)
+            .map(|r| r.seqno)
+            .collect();
+        let before_tear: Vec<u64> = moved[..3].iter().map(|(info, _)| info.seqno).collect();
+        assert_eq!(survivors, before_tear);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn copy_run_that_crosses_a_rotation_lands_in_both_segments() {
+        let dir = tmpdir("copy-rotate");
+        let mut log =
+            SegmentLog::open(LogConfig::new(dir.clone()).segment_bytes(4096), KEY, &mut |_| {})
+                .unwrap();
+        let records = sealed_segment_zero(&mut log);
+        let frame = u64::from(records[0].0.ptr.len);
+        // Fill segment 1 until two more frames fit, then move six.
+        while log.frontier().1 + 3 * frame <= 4096 {
+            log.append(RecordKind::Put, b"filler", &[6u8; 100]).unwrap();
+        }
+        let (active, _) = log.frontier();
+        let moved: Vec<(AppendInfo, &[u8])> =
+            records[..6].iter().map(|(info, key)| (*info, key.as_slice())).collect();
+        let (hook, writes) = counting_hook(None);
+        log.set_fault_hook(Some(hook));
+        let copies: Vec<AppendInfo> =
+            log.copy_frames(&required(&moved)).unwrap().into_iter().map(|c| c.unwrap().1).collect();
+        assert_eq!(writes.load(Ordering::SeqCst), 2, "one run per segment");
+        let segments: Vec<u64> = copies.iter().map(|c| c.ptr.segment).collect();
+        assert_eq!(segments, [active, active, active + 1, active + 1, active + 1, active + 1]);
+        assert_eq!(copies[2].ptr.offset, 0);
+        for ((info, _), copy) in moved.iter().zip(&copies) {
+            assert_eq!(frame_bytes(&dir, copy.ptr), frame_bytes(&dir, info.ptr));
+        }
+        drop(log);
+        let seen = collect_replay(&dir, 4096).unwrap();
+        for copy in &copies {
+            assert!(seen.iter().any(|r| r.ptr == copy.ptr && r.seqno == copy.seqno));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -20,13 +20,16 @@
 //!   reads stay rare.
 //! * **Migration** ([`KvStore::maintain`]) evicts the
 //!   least-recently-accessed hot entries once the hot region exceeds
-//!   its byte budget — just enough of them to cover the excess.
-//!   Eviction is free of log writes: every hot entry already has a
-//!   live log record.
+//!   its byte budget — just enough of them to cover the excess, popped
+//!   oldest first from an ordered map of access times kept beside the
+//!   hot index, so a pass costs what it evicts. Eviction is free of log
+//!   writes: every hot entry already has a live log record.
 //! * **Compaction** copies the live records (including tombstones) of
 //!   the deadest sealed segment into the active segment as verified,
-//!   unchanged frames ([`SegmentLog::copy_frame`]), fsyncs them, and
-//!   deletes the victim file. A copy keeps the record's sequence
+//!   unchanged frames ([`SegmentLog::copy_frames`]: a few positional
+//!   reads over the victim, every frame verified before any is
+//!   appended, then one write per run in source-offset order), fsyncs
+//!   them, and deletes the victim file. A copy keeps the record's sequence
 //!   number and bytes, so replay ordering — and any checkpointed
 //!   content root — is unaffected by compaction. A record that died
 //!   *after* the last checkpoint is still that checkpoint's winner for
@@ -66,7 +69,7 @@
 //! against — is spelled out in DESIGN.md §15.
 
 use std::collections::hash_map::{Entry, RandomState};
-use std::collections::{BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
 use std::hash::BuildHasher;
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -74,8 +77,8 @@ use std::time::Instant;
 
 use aria_crypto::CmacKey;
 use aria_log::{
-    load_checkpoint, save_checkpoint, AppendFaultHook, Checkpoint, LogConfig, LogError, RecordKind,
-    RecordPtr, SegmentLog,
+    load_checkpoint, save_checkpoint, AppendFaultHook, Checkpoint, FrameCopy, LogConfig, LogError,
+    RecordKind, RecordPtr, SegmentLog,
 };
 use aria_sim::Enclave;
 
@@ -198,8 +201,10 @@ pub struct TierStats {
     pub segments: u64,
     /// Epoch of the most recent checkpoint (0 = none yet).
     pub checkpoint_epoch: u64,
-    /// Verified point reads of log records since open (cold GETs,
-    /// compaction, digest fills, audits).
+    /// Positional log reads since open: one per record read by a cold
+    /// GET, a digest fill or an audit, and one per span (of at most
+    /// 256 KiB) of a compaction victim that holds records it moves —
+    /// a victim costs a few reads, not one per record.
     pub log_reads: u64,
     /// Cold keys promoted into the hot region since open (second cold
     /// read). Demotions are the `migrations` telemetry counter; the two
@@ -283,6 +288,10 @@ pub struct TieredStore<S: KvStore> {
     /// Keys resident in the hot region (their record also lives in the
     /// log).
     hot_meta: HashMap<Vec<u8>, KeyMeta>,
+    /// The same keys by [`KeyMeta::last_access`], oldest first: demotion
+    /// pops exactly the least-recently-used entries without scanning.
+    /// Access times are unique (the clock ticks on every touch).
+    hot_lru: BTreeMap<u64, Vec<u8>>,
     /// Keys resident only in the log.
     cold: HashMap<Vec<u8>, KeyMeta>,
     /// The cold keys by [`cold_position`], sorted once per export pass
@@ -510,6 +519,7 @@ impl<S: KvStore> TieredStore<S> {
             log_key,
             opts,
             hot_meta: HashMap::new(),
+            hot_lru: BTreeMap::new(),
             cold: HashMap::new(),
             export_order: Vec::new(),
             tombstones: HashMap::new(),
@@ -574,6 +584,12 @@ impl<S: KvStore> TieredStore<S> {
             log_reads: self.log.read_count(),
             promotions: self.promotions,
         }
+    }
+
+    /// Whether `key` is resident in the hot region. Every live key's
+    /// latest record is in the log either way; this is residency only.
+    pub fn is_hot(&self, key: &[u8]) -> bool {
+        self.hot_meta.contains_key(key)
     }
 
     /// The log's append frontier (segment id, byte offset) — everything
@@ -658,6 +674,7 @@ impl<S: KvStore> TieredStore<S> {
     /// the key's frontier winner: it is pinned for compaction to carry.
     fn supersede(&mut self, key: &[u8]) {
         let meta = if let Some(meta) = self.hot_meta.remove(key) {
+            self.hot_lru.remove(&meta.last_access);
             self.hot_bytes -= meta.bytes.min(self.hot_bytes);
             meta
         } else if let Some(meta) = self.cold.remove(key) {
@@ -674,51 +691,36 @@ impl<S: KvStore> TieredStore<S> {
     }
 
     /// Migrate least-recently-accessed hot entries to cold until the
-    /// hot region fits its budget (bounded by `migrate_batch`).
+    /// hot region fits its budget (bounded by `migrate_batch`): the
+    /// oldest entries of `hot_lru`, popped until they cover the excess.
+    /// A key whose inner-store delete fails still moves to the cold
+    /// index — its latest record is in the log, verified on every read
+    /// — and the failure is returned after the move, so no key is ever
+    /// left in neither index.
     fn migrate(&mut self) -> Result<u64, StoreError> {
-        if self.hot_bytes <= self.opts.hot_budget_bytes {
-            return Ok(0);
-        }
-        // Select the oldest entries that cover the excess, without
-        // ordering (or cloning) the rest: a max-heap on access time
-        // that sheds its youngest entry whenever the others already
-        // cover the excess, or the batch is full.
-        let excess = self.hot_bytes - self.opts.hot_budget_bytes;
-        let mut oldest: BinaryHeap<(u64, &Vec<u8>, usize)> = BinaryHeap::new();
-        let mut covered = 0usize;
-        for (key, meta) in &self.hot_meta {
-            let full = covered >= excess || oldest.len() >= self.opts.migrate_batch;
-            if full && oldest.peek().is_some_and(|youngest| meta.last_access > youngest.0) {
-                continue;
-            }
-            oldest.push((meta.last_access, key, meta.bytes));
-            covered += meta.bytes;
-            while let Some(&(_, _, bytes)) = oldest.peek() {
-                if covered - bytes < excess && oldest.len() <= self.opts.migrate_batch {
-                    break;
-                }
-                covered -= bytes;
-                oldest.pop();
-            }
-        }
-        let order: Vec<Vec<u8>> =
-            oldest.into_sorted_vec().into_iter().map(|(_, key, _)| key.clone()).collect();
-        let mut migrated = 0u64;
-        for key in order {
-            let meta = self.hot_meta.remove(&key).expect("selected from hot_meta above");
+        let excess = self.hot_bytes.saturating_sub(self.opts.hot_budget_bytes);
+        let (mut covered, mut migrated, mut failed) = (0usize, 0u64, None);
+        while covered < excess && (migrated as usize) < self.opts.migrate_batch {
+            let Some((_, key)) = self.hot_lru.pop_first() else { break };
+            let meta = self.hot_meta.remove(&key).expect("every LRU key is hot");
             // The log already holds the entry's latest record; eviction
             // just drops the DRAM copy.
-            self.hot.delete(&key)?;
+            let dropped = self.hot.delete(&key);
             self.hot_bytes -= meta.bytes.min(self.hot_bytes);
+            covered += meta.bytes;
             self.cold.insert(key, KeyMeta { bytes: 0, ..meta });
             migrated += 1;
+            if let Err(e) = dropped {
+                failed = Some(e);
+                break;
+            }
         }
         if migrated > 0 {
             if let Some(tele) = &self.tele {
                 tele.store.migrations.add(migrated);
             }
         }
-        Ok(migrated)
+        failed.map_or(Ok(migrated), Err)
     }
 
     /// Compact the deadest sealed segment, if any qualifies: copy its
@@ -737,41 +739,55 @@ impl<S: KvStore> TieredStore<S> {
             self.force_checkpoint()?;
             report.checkpointed = true;
         }
-        // Collect the live records pointing into the victim.
+        // The live records pointing into the victim, then its pinned
+        // frontier winners. `copy_frames` refuses a live frame that is
+        // not the indexed record before it appends anything; a pin that
+        // fails is reported and the rest are copied.
         let in_victim = |m: &KeyMeta| m.ptr.segment == victim;
-        let hot_keys: Vec<Vec<u8>> =
-            self.hot_meta.iter().filter(|(_, m)| in_victim(m)).map(|(k, _)| k.clone()).collect();
-        let cold_keys: Vec<Vec<u8>> =
-            self.cold.iter().filter(|(_, m)| in_victim(m)).map(|(k, _)| k.clone()).collect();
-        let tomb_keys: Vec<Vec<u8>> =
-            self.tombstones.iter().filter(|(_, m)| in_victim(m)).map(|(k, _)| k.clone()).collect();
-        // `copy_frame` refuses a frame that is not the indexed record
-        // before it appends anything.
-        for (keys, map_kind) in [(hot_keys, 0usize), (cold_keys, 1), (tomb_keys, 2)] {
-            for key in keys {
-                let map = match map_kind {
-                    0 => &mut self.hot_meta,
-                    1 => &mut self.cold,
-                    _ => &mut self.tombstones,
-                };
-                let Some(meta) = map.get_mut(&key) else { continue };
-                let (_, info) = self
-                    .log
-                    .copy_frame(meta.ptr, meta.seqno, Some(&key))
-                    .map_err(runtime_log_err)?;
-                meta.ptr = info.ptr;
-                report.records_rewritten += 1;
-            }
+        let mut live: Vec<(usize, Vec<u8>, RecordPtr, u64)> = Vec::new();
+        for (tier, map) in [&self.hot_meta, &self.cold, &self.tombstones].into_iter().enumerate() {
+            live.extend(
+                map.iter()
+                    .filter(|(_, m)| in_victim(m))
+                    .map(|(k, m)| (tier, k.clone(), m.ptr, m.seqno)),
+            );
+        }
+        let pins: Vec<usize> =
+            (0..self.pinned.len()).filter(|&i| self.pinned[i].ptr.segment == victim).collect();
+        let mut frames: Vec<FrameCopy<'_>> = live
+            .iter()
+            .map(|(_, key, ptr, seqno)| FrameCopy {
+                ptr: *ptr,
+                seqno: *seqno,
+                key: Some(key),
+                required: true,
+            })
+            .collect();
+        frames.extend(pins.iter().map(|&i| {
+            let Pin { ptr, seqno, .. } = self.pinned[i];
+            FrameCopy { ptr, seqno, key: None, required: false }
+        }));
+        let copies = self.log.copy_frames(&frames).map_err(runtime_log_err)?;
+        let (live_copies, pin_copies) = copies.split_at(live.len());
+        for ((tier, key, ..), copy) in live.iter().zip(live_copies) {
+            let (_, info) = copy.as_ref().expect("a required copy that failed fails the batch");
+            let map = match tier {
+                0 => &mut self.hot_meta,
+                1 => &mut self.cold,
+                _ => &mut self.tombstones,
+            };
+            map.get_mut(key).expect("collected from this index above").ptr = info.ptr;
+            report.records_rewritten += 1;
         }
         let mut winner_lost = false;
-        for pin in self.pinned.iter_mut().filter(|p| p.ptr.segment == victim) {
-            match self.log.copy_frame(pin.ptr, pin.seqno, None) {
+        for (&i, copy) in pins.iter().zip(pin_copies) {
+            match copy {
                 Ok((_, info)) => {
-                    *pin = Pin { ptr: info.ptr, seqno: pin.seqno, carried: true };
+                    self.pinned[i] = Pin { ptr: info.ptr, seqno: info.seqno, carried: true };
                     report.records_rewritten += 1;
                 }
-                Err(LogError::Corrupt { .. } | LogError::Tampered { .. }) => winner_lost = true,
-                Err(e) => return Err(runtime_log_err(e)),
+                // Only a verification failure is reported per frame.
+                Err(_) => winner_lost = true,
             }
         }
         // A frontier winner that no longer verifies cannot be carried,
@@ -839,6 +855,7 @@ impl<S: KvStore> TieredStore<S> {
             self.destroyed.insert(key.to_vec());
         }
         if let Some(meta) = self.hot_meta.remove(key) {
+            self.hot_lru.remove(&meta.last_access);
             self.hot_bytes -= meta.bytes.min(self.hot_bytes);
             self.cold.insert(key.to_vec(), KeyMeta { bytes: 0, ..meta });
         }
@@ -862,6 +879,7 @@ impl<S: KvStore> KvStore for TieredStore<S> {
         self.destroyed.remove(key);
         self.clock += 1;
         let bytes = key.len() + value.len();
+        self.hot_lru.insert(self.clock, key.to_vec());
         self.hot_meta.insert(
             key.to_vec(),
             KeyMeta {
@@ -883,7 +901,10 @@ impl<S: KvStore> KvStore for TieredStore<S> {
         }
         self.clock += 1;
         if let Some(meta) = self.hot_meta.get_mut(key) {
+            let lru_key =
+                self.hot_lru.remove(&meta.last_access).expect("every hot key is in the LRU");
             meta.last_access = self.clock;
+            self.hot_lru.insert(self.clock, lru_key);
             return self.hot.get(key);
         }
         if self.tombstones.contains_key(key) {
@@ -912,6 +933,7 @@ impl<S: KvStore> KvStore for TieredStore<S> {
         if self.cold_touches.seen_before(key, window) {
             self.hot.put(&k, &v)?;
             self.cold.remove(key);
+            self.hot_lru.insert(self.clock, k.clone());
             self.hot_meta.insert(
                 k,
                 KeyMeta { bytes, last_access: self.clock, digest: Some(digest), ..meta },
@@ -1379,6 +1401,67 @@ mod tests {
             assert_eq!(cold, expect_cold, "pass {pass}");
         }
         assert_eq!(s.tier_stats().hot_bytes, (40 * per_entry) as u64);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_demotion_keeps_the_key_readable_and_the_checkpoint_reproducible() {
+        // The oldest hot entry is tampered in the inner store, so its
+        // demotion's inner delete fails. The key must stay indexed —
+        // cold, served from its verified log record — never vanish.
+        let dir = tmpdir("demote-fail");
+        let per_entry = key(0).len() + value(0).len();
+        let o = opts(&dir).hot_budget_bytes(4 * per_entry).checkpoint_every(0);
+        let mut s = TieredStore::open(hot_store(), MASTER, o.clone()).unwrap();
+        for i in 0..5 {
+            s.put(&key(i), &value(i)).unwrap();
+        }
+        assert!(s.hot.attack_tamper_value(&key(0)));
+        let err = s.maintain().expect_err("the inner delete of a tampered entry fails");
+        assert_eq!(err, StoreError::Integrity(Violation::EntryMacMismatch));
+        assert!(!s.is_hot(&key(0)));
+        assert_eq!(s.len(), 5);
+        for i in 0..5 {
+            assert_eq!(s.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+        }
+        assert_eq!(s.maintain().unwrap().migrated, 0, "the tier fits its budget again");
+        let cp = s.force_checkpoint().unwrap();
+        assert_eq!(cp.pairs, 5);
+        drop(s);
+        let mut s = TieredStore::open(hot_store(), MASTER, o.min_epoch(cp.epoch))
+            .expect("the checkpoint sealed after the failure must replay");
+        assert_eq!(s.len(), 5);
+        for i in 0..5 {
+            assert_eq!(s.get(&key(i)).unwrap(), Some(value(i)), "key {i}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compaction_reads_a_victim_in_spans_not_per_record() {
+        let dir = tmpdir("compact-reads");
+        let mut o = opts(&dir).hot_budget_bytes(1 << 20).checkpoint_every(0);
+        o.compact_min_dead_ratio = 0.5;
+        let mut s = TieredStore::open(hot_store(), MASTER, o).unwrap();
+        let mut n = 0;
+        while s.log_frontier().0 == 0 {
+            s.put(&key(n), &value(n)).unwrap();
+            n += 1;
+        }
+        // Kill every other record of segment 0: the rest are live and
+        // scattered over the whole segment.
+        for i in (0..n).step_by(2) {
+            s.put(&key(i), &value(1000 + i)).unwrap();
+        }
+        let reads = s.tier_stats().log_reads;
+        let report = s.maintain().unwrap();
+        assert_eq!(report.segments_compacted, 1);
+        assert!(report.records_rewritten >= n / 2 - 1, "moved {}", report.records_rewritten);
+        assert_eq!(s.tier_stats().log_reads, reads + 1, "one read for the whole victim");
+        for i in 0..n {
+            let want = if i % 2 == 0 { value(1000 + i) } else { value(i) };
+            assert_eq!(s.get(&key(i)).unwrap().unwrap(), want, "key {i}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,11 +1,16 @@
-//! Property test for the digest-carrying tier index: whatever sequence
-//! of writes, reads (served cold, promoting, or hot), upkeep and
-//! restarts ran, the root a checkpoint builds from the digests cached
-//! in the index equals the root over a full verified re-read of both
-//! tiers, and a checkpoint with nothing new to digest reads nothing
-//! from the log.
+//! Property tests for the tier index.
+//!
+//! * Digests: whatever sequence of writes, reads (served cold,
+//!   promoting, or hot), upkeep and restarts ran, the root a checkpoint
+//!   builds from the digests cached in the index equals the root over a
+//!   full verified re-read of both tiers, and a checkpoint with nothing
+//!   new to digest reads nothing from the log.
+//! * Residency: demotion is exact LRU. The hot set always equals a
+//!   model's, and each `maintain()` demotes exactly the model's
+//!   least-recently-touched entries that cover the excess, at most
+//!   `migrate_batch` of them.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -142,6 +147,113 @@ proptest! {
         prop_assert_eq!(store.tier_stats().log_reads, reads);
         prop_assert_eq!((again.pairs, again.root), (sealed.pairs, sealed.root));
         prop_assert_eq!(again.epoch, sealed.epoch + 1);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
+
+#[derive(Debug, Clone)]
+enum LruOp {
+    Put(u8, Vec<u8>),
+    Get(u8),
+    Delete(u8),
+    Maintain,
+}
+
+fn lru_op_strategy() -> impl Strategy<Value = LruOp> {
+    // 24 keys, fewer than the cold-touch window's 64-entry floor: a
+    // cold key's first read since open is served from the log, every
+    // later one promotes.
+    prop_oneof![
+        6 => (0u8..24, proptest::collection::vec(any::<u8>(), 0..64))
+            .prop_map(|(k, v)| LruOp::Put(k, v)),
+        8 => (0u8..24).prop_map(LruOp::Get),
+        2 => (0u8..24).prop_map(LruOp::Delete),
+        3 => Just(LruOp::Maintain),
+    ]
+}
+
+/// A hot budget of a few entries, and a batch smaller than most excesses.
+const LRU_BUDGET: usize = 320;
+const LRU_BATCH: usize = 3;
+
+/// What the store's residency should be: per hot key its last touch and
+/// its bytes, and the keys read cold once since open.
+#[derive(Default)]
+struct LruModel {
+    tick: u64,
+    hot: HashMap<u8, (u64, usize)>,
+    read_cold: HashSet<u8>,
+}
+
+impl LruModel {
+    fn touch(&mut self, id: u8, bytes: usize) {
+        self.tick += 1;
+        self.hot.insert(id, (self.tick, bytes));
+    }
+
+    /// Demote the least-recently-touched entries until they cover the
+    /// excess over the budget, at most `LRU_BATCH` of them.
+    fn maintain(&mut self) {
+        let total: usize = self.hot.values().map(|(_, bytes)| bytes).sum();
+        let excess = total.saturating_sub(LRU_BUDGET);
+        let mut by_age: Vec<(u64, u8, usize)> =
+            self.hot.iter().map(|(id, (tick, bytes))| (*tick, *id, *bytes)).collect();
+        by_age.sort_unstable();
+        let mut covered = 0;
+        for (_, id, bytes) in by_age.into_iter().take(LRU_BATCH) {
+            if covered >= excess {
+                break;
+            }
+            self.hot.remove(&id);
+            covered += bytes;
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn demotion_is_exact_lru(ops in proptest::collection::vec(lru_op_strategy(), 1..200)) {
+        let dir = tmpdir();
+        let mut o = opts(&dir).hot_budget_bytes(LRU_BUDGET).checkpoint_every(0);
+        o.migrate_batch = LRU_BATCH;
+        let mut store = TieredStore::open(hot_store(), MASTER, o).unwrap();
+        let mut values: HashMap<u8, Vec<u8>> = HashMap::new();
+        let mut model = LruModel::default();
+        for op in ops {
+            match op {
+                LruOp::Put(id, v) => {
+                    store.put(&key_of(id), &v).unwrap();
+                    model.touch(id, key_of(id).len() + v.len());
+                    values.insert(id, v);
+                }
+                LruOp::Get(id) => {
+                    let got = store.get(&key_of(id)).unwrap();
+                    prop_assert_eq!(got.as_ref(), values.get(&id), "get {}", id);
+                    // A hot key is touched; a live cold key promotes if
+                    // it was read cold before.
+                    if let Some(v) = values.get(&id) {
+                        if model.hot.contains_key(&id) || !model.read_cold.insert(id) {
+                            model.touch(id, key_of(id).len() + v.len());
+                        }
+                    }
+                }
+                LruOp::Delete(id) => {
+                    store.delete(&key_of(id)).unwrap();
+                    model.hot.remove(&id);
+                    values.remove(&id);
+                }
+                LruOp::Maintain => {
+                    store.maintain().unwrap();
+                    model.maintain();
+                }
+            }
+            let hot: Vec<u8> = (0..24).filter(|id| store.is_hot(&key_of(*id))).collect();
+            let mut want: Vec<u8> = model.hot.keys().copied().collect();
+            want.sort_unstable();
+            prop_assert_eq!(hot, want);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
