@@ -5,10 +5,13 @@
 //!
 //! 1. **Tiering sweep** — load a dataset several times larger than the
 //!    hot-region byte budget, then read it under zipfian skew at a
-//!    range of thetas. Reports throughput and the hot-tier hit rate:
-//!    under the skewed workloads Aria targets, the hot region should
-//!    absorb the working set even though most of the dataset lives in
-//!    the log.
+//!    range of thetas. Reports per theta the throughput, the hot-tier
+//!    hit rate, the promotions made while timed and the tier's
+//!    promotion threshold (`TierStats::promotion_threshold`: the cold
+//!    read on which a cold key is promoted). A promotion pays only for
+//!    a key read that often, so a low hit rate with few promotions is
+//!    the tier declining churn that would cost more than the cold
+//!    reads it saves; throughput per theta is the figure to compare.
 //! 2. **Crash recovery** — load, checkpoint, keep writing, then cut
 //!    the segment file at a random offset past the checkpoint frontier
 //!    (a SIGKILL / power cut). Reopen and time verified recovery: the
@@ -167,6 +170,10 @@ struct SweepPoint {
     theta: f64,
     throughput: f64,
     hot_hit_rate: f64,
+    /// Promotions during the timed reads.
+    promotions: u64,
+    /// The tier's promotion threshold when the timed reads end.
+    promotion_threshold: u32,
     hot_entries: u64,
     cold_entries: u64,
     cold_read_p99_us: f64,
@@ -201,6 +208,7 @@ fn run_sweep(sz: &Sizes) -> Vec<SweepPoint> {
             let _ = store.maintain().expect("warm maintain");
         }
         let cold_before = tele.store.cold_read_latency.snapshot().count();
+        let promotions_before = store.tier_stats().promotions;
         let started = Instant::now();
         for _ in 0..sz.sweep_ops {
             let i = zipf.next(&mut rng);
@@ -216,6 +224,8 @@ fn run_sweep(sz: &Sizes) -> Vec<SweepPoint> {
             theta,
             throughput: sz.sweep_ops as f64 / secs,
             hot_hit_rate: 1.0 - cold_reads as f64 / sz.sweep_ops as f64,
+            promotions: stats.promotions - promotions_before,
+            promotion_threshold: stats.promotion_threshold,
             hot_entries: stats.hot_entries,
             cold_entries: stats.cold_entries,
             cold_read_p99_us: snap.percentile(0.99) as f64 / 1_000.0,
@@ -492,6 +502,8 @@ fn write_json(
                 .field("theta", p.theta)
                 .field("throughput", p.throughput)
                 .field("hot_hit_rate", p.hot_hit_rate)
+                .field("promotions", p.promotions)
+                .field("promotion_threshold", p.promotion_threshold)
                 .field("hot_entries", p.hot_entries)
                 .field("cold_entries", p.cold_entries)
                 .field("cold_read_p99_us", p.cold_read_p99_us)
@@ -544,6 +556,8 @@ fn main() {
                 format!("{:.2}", p.theta),
                 aria_bench::report::fmt_tput(p.throughput),
                 format!("{:.1}", p.hot_hit_rate * 100.0),
+                p.promotions.to_string(),
+                p.promotion_threshold.to_string(),
                 p.hot_entries.to_string(),
                 p.cold_entries.to_string(),
                 format!("{:.0}", p.cold_read_p99_us),
@@ -552,7 +566,7 @@ fn main() {
         .collect();
     print_table(
         "zipfian sweep (larger-than-DRAM dataset)",
-        &["theta", "ops/s", "hot-hit%", "hot", "cold", "cold-p99us"],
+        &["theta", "ops/s", "hot-hit%", "promotions", "threshold", "hot", "cold", "cold-p99us"],
         &rows,
     );
 

@@ -24,7 +24,11 @@ use crate::harness::RunResult;
 ///   [`percentile`]); chaosbench's plain-mode `sweep.wrong` also counts
 ///   a stale version and an untyped transport failure; netbench and
 ///   overloadbench say `experiment` where they said `bench`.
-pub const SCHEMA_VERSION: u32 = 5;
+/// * 6 — durabench sweep points carry `promotions` and
+///   `promotion_threshold`: the tiered store promotes only a cold key
+///   read that many times, so `hot_hit_rate` no longer reads as "how
+///   well the hot region absorbs the working set" on its own.
+pub const SCHEMA_VERSION: u32 = 6;
 
 /// The git revision results are stamped with, so `results/*.json*` and
 /// committed `BENCH_*` snapshots stay comparable across PRs. Resolution

@@ -1187,7 +1187,7 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
             with_slot(inner, slot, |store| execute_batch(inner, slot, store, ops, spans, routed));
         inflight.fetch_sub(n, Ordering::SeqCst);
         let replies = ran?;
-        self.observe_replies(group, replica, &replies);
+        observe_errors(inner, slot, replies.iter().filter_map(BatchReply::error));
         Ok(replies)
     }
 
@@ -1411,26 +1411,6 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
         }
     }
 
-    /// Scan a replica's replies for quarantine-triggering violations and
-    /// start a recovery cycle if one is found.
-    fn observe_replies(&self, group: usize, replica: usize, replies: &[BatchReply]) {
-        let slot = self.inner.slot_index(group, replica);
-        let mut triggers = 0u64;
-        for reply in replies {
-            if let Some(err) = reply.error() {
-                if let StoreError::Integrity(v) = err {
-                    self.inner.tele[slot].store.record_violation(v.class());
-                }
-                if err.is_quarantine_trigger() {
-                    triggers += 1;
-                }
-            }
-        }
-        if triggers > 0 {
-            quarantine_replica(&self.inner, group, replica, triggers);
-        }
-    }
-
     /// Test hook: force every replica of a group to a health state.
     #[cfg(test)]
     fn force_health(&self, group: usize, health: ShardHealth) {
@@ -1479,8 +1459,10 @@ impl<S: KvStore + Send + 'static> ShardedStore<S> {
     /// `interval` it runs a bounded [`KvStore::maintain`] pass (tier
     /// migration, log compaction, checkpointing — a no-op on untiered
     /// stores) on the group's acting primary, then refreshes its
-    /// gauges. Each pass runs under the slot lock like any batch, so it
-    /// never races client operations. The ticker never *waits* for the
+    /// gauges. An error the pass returns is observed like an error in a
+    /// client reply: an integrity violation quarantines the replica and
+    /// starts its recovery. Each pass runs under the slot lock like any
+    /// batch, so it never races client operations. The ticker never *waits* for the
     /// lock: finding the slot busy, it leaves the pass to the next batch
     /// that holds the slot (one pending pass at most — no stacking).
     /// That keeps the ticker free to sample the stuck-shard watchdog
@@ -1556,10 +1538,15 @@ fn maintain_loop<S: KvStore + Send + 'static>(
         match inner.slots[slot].store.try_lock() {
             Ok(guard) => {
                 st.maintain_due.store(false, Ordering::SeqCst);
-                let _ = run_held(inner, slot, guard, |s| {
-                    let _ = s.maintain();
+                let pass = run_held(inner, slot, guard, |s| {
+                    let pass = s.maintain();
                     s.refresh_gauges();
+                    pass
                 });
+                // A gone store has already been marked dead.
+                if let Ok(Err(e)) = pass {
+                    observe_errors(inner, slot, [&e]);
+                }
             }
             Err(_) => st.maintain_due.store(true, Ordering::SeqCst),
         }
@@ -1724,6 +1711,29 @@ fn mark_replica_dead<S: KvStore + Send + 'static>(
     }
 }
 
+/// Count a slot's integrity violations among `errors` and, if any of
+/// them triggers quarantine, quarantine the replica and start its
+/// recovery: the one path from a store error to the health machine,
+/// for client replies and maintenance passes alike.
+fn observe_errors<'a, S: KvStore + Send + 'static>(
+    inner: &Arc<Inner<S>>,
+    slot: usize,
+    errors: impl IntoIterator<Item = &'a StoreError>,
+) {
+    let mut triggers = 0u64;
+    for err in errors {
+        if let StoreError::Integrity(v) = err {
+            inner.tele[slot].store.record_violation(v.class());
+        }
+        if err.is_quarantine_trigger() {
+            triggers += 1;
+        }
+    }
+    if triggers > 0 {
+        quarantine_replica(inner, slot / inner.replicas, slot % inner.replicas, triggers);
+    }
+}
+
 /// Flip a replica to `Quarantined` and start its recovery. Exactly one
 /// caller wins the CAS, so concurrent detections of the same incident
 /// (or the stuck-shard watchdog on the maintenance ticker) start
@@ -1883,7 +1893,7 @@ fn resync_from_survivor<S: KvStore + Send + 'static>(
 /// `routed`), publish progress, make the covering flush, and run a
 /// maintenance pass the ticker could not get in.
 fn execute_batch<S: KvStore + Send + 'static>(
-    inner: &Inner<S>,
+    inner: &Arc<Inner<S>>,
     slot: usize,
     store: &mut S,
     ops: &[BatchOp],
@@ -1934,7 +1944,11 @@ fn execute_batch<S: KvStore + Send + 'static>(
     // Only the slot's holder clears the flag, so a plain load suffices.
     if st.maintain_due.load(Ordering::SeqCst) {
         st.maintain_due.store(false, Ordering::SeqCst);
-        let _ = store.maintain();
+        if let Err(e) = store.maintain() {
+            // Under the slot lock: the recovery this may start queues
+            // behind it on its own thread.
+            observe_errors(inner, slot, [&e]);
+        }
     }
     store.refresh_gauges();
     replies

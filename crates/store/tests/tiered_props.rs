@@ -56,7 +56,9 @@ enum Op {
     Put(u8, Vec<u8>),
     /// Read the key this many times in a row: on a cold key the first
     /// read is served from the log, the second promotes, the third hits
-    /// the hot region.
+    /// the hot region. (The promotion threshold is 2 for a store's
+    /// first 1 024 cold reads after open, more than any case here
+    /// makes.)
     Get(u8, u8),
     Delete(u8),
     Maintain,
